@@ -144,10 +144,6 @@ def _make_ctx(q: float, tol: float | None) -> QContext:
     return QContext(**kwargs)
 
 
-def _report_json(report) -> dict:
-    return report.to_dict()
-
-
 def _print_human(report) -> None:
     print(f"identity : {report.id}")
     print(f"verdict  : {report.verdict}" + (f" ({report.reason})" if report.reason else ""))
@@ -175,7 +171,7 @@ def cmd_check(args) -> int:
     ctx = _make_ctx(args.q, args.tol)
     report = check(args.identity, params, ctx)
     if args.json:
-        print(json.dumps(_report_json(report), indent=2))
+        print(json.dumps(report.to_dict(), indent=2))
     else:
         _print_human(report)
     if report.verdict == "pass":
@@ -204,7 +200,7 @@ def run_sweep_cell(case_id: str, slot: int, base_seed: int, q: float, tol: float
         last = report
         if report.verdict != "skipped":
             break
-    out = _report_json(last)
+    out = last.to_dict()
     out["q"] = q
     out["slot"] = slot
     return out

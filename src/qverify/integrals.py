@@ -7,9 +7,9 @@ The integrand family lives on [0, pi]:
 where h(x; lam) = (lam e^{it}, lam e^{-it}; q)_oo with x = cos t.  As a
 function of t this extends to an even, 2*pi-periodic analytic function,
 so the composite trapezoidal rule with panel doubling converges
-spectrally; nodes are reused across refinements and node values are
-evaluated through a vectorized infinite product sharing qcore's
-truncation policy.  Closed-form right-hand sides for the q-beta integral
+spectrally; nodes are reused across refinements, and all infinite
+products of a batch of nodes come from one call of
+qcore.qpoch_inf_many.  Closed-form right-hand sides for the q-beta integral
 and its multi-variable generalizations live here as well.
 """
 
@@ -31,7 +31,7 @@ from .qcore import (
     ipow,
     qfrac,
     qpoch,
-    qpoch_inf,
+    qpoch_inf_many,
 )
 from .multisum import check_qpow_ratio, omega
 from .series import eval_kshifted_sum
@@ -95,10 +95,7 @@ class QuadratureResult:
 
 def hfun(x: float, lam: complex, ctx: QContext) -> complex:
     """h(x; lam) = (lam e^{it}, lam e^{-it}; q)_oo with x = cos t, x in [-1, 1]."""
-    x = float(x)
-    s = math.sqrt(max(0.0, 1.0 - x * x))
-    e = complex(x, s)
-    return qpoch_inf(lam * e, ctx).value * qpoch_inf(lam * e.conjugate(), ctx).value
+    return hfun_multi(x, [lam], ctx)
 
 
 def hfun_product(x: float, lam: complex, ctx: QContext) -> complex:
@@ -128,41 +125,17 @@ def hfun_product(x: float, lam: complex, ctx: QContext) -> complex:
 
 def hfun_multi(x: float, lambdas, ctx: QContext) -> complex:
     """h(x; alpha, beta, ..., gamma) = product of single-parameter h values."""
-    p = 1.0 + 0.0j
-    for lam in lambdas:
-        p *= hfun(x, lam, ctx)
-    return p
-
-
-def _qpoch_inf_vec(xs: np.ndarray, ctx: QContext):
-    """(x;q)_oo over an array of bases; returns (values, relative tail bound).
-
-    Same truncation policy as qcore.qpoch_inf, applied with the worst-case
-    modulus of the batch so every entry is at least as converged.
-    """
-    q = ctx.q
-    aq = abs(q)
-    amax = float(np.max(np.abs(xs))) if xs.size else 0.0
-    p = np.ones(xs.shape, dtype=complex)
-    if amax == 0.0:
-        return p, 0.0
-    gate = ctx.product_tol * (1.0 - aq)
-    qk = 1.0 + 0.0j
-    small = 0
-    for k in range(ctx.max_product_factors):
-        p *= 1.0 - xs * qk
-        small = small + 1 if amax * abs(qk) < ctx.product_tol else 0
-        qk *= q
-        head = amax * abs(qk)
-        if small >= 3 and head < gate:
-            t = head / (1.0 - aq)
-            return p, math.expm1(t / max(1.0 - head, 0.5))
-    raise CapExceeded("vectorized (x;q)_oo hit the factor cap")
+    x = float(x)
+    s = math.sqrt(max(0.0, 1.0 - x * x))
+    e = complex(x, s)
+    bases = [b for lam in lambdas for b in (lam * e, lam * e.conjugate())]
+    return math.prod(qpoch_inf_many(bases, ctx)[0].tolist(), start=1.0 + 0.0j)
 
 
 def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):
     """Vectorized integrand over theta arrays; returns (f, n_factors).
 
+    f gets every (x;q)_oo of its nodes from one qpoch_inf_many call.
     n_factors counts the h-functions involved, which scales the product
     error floor of each node value.
     """
@@ -171,20 +144,10 @@ def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):
 
     def f(thetas: np.ndarray) -> np.ndarray:
         e = np.exp(1j * thetas)
-        e2 = e * e
-        num, _ = _qpoch_inf_vec(e2, ctx)
-        val, _ = _qpoch_inf_vec(np.conj(e2), ctx)
-        num = num * val
-        for lam in lams_num:
-            for base in (lam * e, lam * np.conj(e)):
-                val, _ = _qpoch_inf_vec(base, ctx)
-                num = num * val
-        den = np.ones(thetas.shape, dtype=complex)
-        for lam in lams_den:
-            for base in (lam * e, lam * np.conj(e)):
-                val, _ = _qpoch_inf_vec(base, ctx)
-                den = den * val
-        return num / den
+        rows = [lam * z for lam in lams_num + lams_den for z in (e, np.conj(e))]
+        vals = qpoch_inf_many(np.array([e * e, np.conj(e * e)] + rows), ctx)[0]
+        split = 2 + 2 * len(lams_num)
+        return np.prod(vals[:split], axis=0) / np.prod(vals[split:], axis=0)
 
     return f, 2 * (1 + len(lams_den) + len(lams_num))
 

@@ -1,19 +1,21 @@
 """q-shifted factorials and product combinators.
 
 Everything downstream (series engines, multi-index sums, quadrature,
-identity checks) is built on the four operations in this module:
+identity checks) is built on the five operations in this module:
 
-* ``qpoch``       -- finite (x;q)_n for any integer n (both signs),
-* ``qpoch_inf``   -- the infinite product (x;q)_oo with a tracked tail bound,
-* ``qpoch_multi`` -- products (a,b,...,c;q)_n over several bases,
-* ``qfrac``       -- ratios of such products.
+* ``qpoch``          -- finite (x;q)_n for any integer n (both signs),
+* ``qpoch_inf_many`` -- infinite products (x;q)_oo with tail bounds, numpy-batched,
+* ``qpoch_inf``      -- its one-base case,
+* ``qpoch_multi``    -- products (a,b,...,c;q)_n over several bases,
+* ``qfrac``          -- ratios of such products.
 
-Scalars are Python complex numbers (IEEE double, >= 15 significant digits).
-Integer powers of q are always computed by binary exponentiation on the
-integer exponent, never through log/exp, so complex q never touches a
-branch cut.  A base that coincides with a power of q (to 1e-13 relative)
-is *snapped*: the corresponding product factor is forced to exactly zero,
-which is what makes terminating series terminate exactly downstream.
+Scalars are Python complex numbers, arrays numpy complex128 (IEEE double,
+>= 15 significant digits).  Integer powers of q are always products of q
+(repeated or by binary exponentiation on the integer exponent), never
+log/exp, so complex q never touches a branch cut.  A base that coincides
+with a power of q (to 1e-13 relative) is *snapped*: the corresponding
+product factor is forced to exactly zero, which is what makes terminating
+series terminate exactly downstream.
 
 All functions are pure; a :class:`QContext` carries q together with every
 numerical policy knob (tolerances, caps, pole guard).
@@ -24,11 +26,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 INF = math.inf
 """Order marker for q-shifted factorials of infinite order."""
 
 # Relative tolerance for snapping a base onto the q-power grid.
 SNAP_RTOL = 1e-13
+
+# entries x factors per block of qpoch_inf_many: a block stays in cache, all entries do not
+_BLOCK = 1 << 14
 
 
 class QVerifyError(Exception):
@@ -212,42 +219,68 @@ def qpoch(x: complex, n: int, ctx: QContext) -> complex:
     return 1.0 / p
 
 
-def qpoch_inf(x: complex, ctx: QContext) -> SeriesResult:
-    """(x;q)_oo as a truncated product with a geometric tail bound.
+def qpoch_inf_many(xs, ctx: QContext):
+    """(x;q)_oo for every entry of an array of bases, of any shape.
 
-    Truncates once |x| |q|^K has fallen below product_tol * (1 - |q|) and at
-    least 3 consecutive factor deviations |x q^k| were below product_tol.
-    The reported bound is |P_K| * (e^T - 1) with T the geometric tail of the
-    log-factors.  A base snapped onto q^{-m}, m >= 0 gives exactly zero.
+    Returns the values, absolute error bounds and factors used, as arrays
+    of that shape.  Each entry follows the scalar rule: factors 1 - x q^k
+    in order (q^k from one table of repeated products) up to the first k
+    with |x| |q|^{k+1} < product_tol * (1 - |q|) after 3 deviations
+    |x q^k| below product_tol; the bound is |P_K| * (e^T - 1), T the
+    geometric tail of the log-factors.  x = 0 gives 1 and a base snapped
+    onto q^{-m}, m >= 0, exactly 0, both with a zero bound.  CapExceeded
+    names the first base that needs more than max_product_factors.
     """
-    x = complex(x)
-    if x == 0.0:
-        return SeriesResult(1.0 + 0.0j, 0.0, 1, True)
-    q = ctx.q
-    aq = abs(q)
-    ax = abs(x)
-    m = q_power_index(x, q, -ctx.max_product_factors, 0)
-    if m is not None:
-        # the factor at k = -m vanishes identically
-        return SeriesResult(0.0 + 0.0j, 0.0, -m + 1, True)
-    p = 1.0 + 0.0j
-    qk = 1.0 + 0.0j
-    small = 0
-    tail_gate = ctx.product_tol * (1.0 - aq)
-    for k in range(ctx.max_product_factors):
-        u = x * qk
-        p *= 1.0 - u
-        small = small + 1 if abs(u) < ctx.product_tol else 0
-        qk *= q
-        head = ax * abs(qk)  # |x q^{k+1}| bounds the next deviation
-        if small >= 3 and head < tail_gate:
-            t = head / (1.0 - aq)
-            t /= max(1.0 - head, 0.5)
-            return SeriesResult(p, abs(p) * math.expm1(t), k + 1, False)
-    raise CapExceeded(
-        f"(x;q)_oo did not converge within {ctx.max_product_factors} factors "
-        f"(|x| = {ax:.3g}, |q| = {aq:.6g})"
-    )
+    x = np.asarray(xs, dtype=complex)
+    shape, x = x.shape, x.ravel()
+    q, aq, cap, tol = ctx.q, abs(ctx.q), ctx.max_product_factors, ctx.product_tol
+    gate, lq = tol * (1.0 - aq), math.log(aq) if aq else -math.inf
+    ax = np.abs(x)
+    if not np.isfinite(ax).all():
+        raise CapExceeded(f"base {complex(x[~np.isfinite(ax)][0])!r} is not finite")
+    value, err, used = np.ones(x.size, complex), np.zeros(x.size), np.ones(x.size, int)
+    # |q^{-m}| >= 1 for m >= 0, so only |x| >= 1 - SNAP_RTOL can snap, and
+    # only onto the power of q nearest in modulus
+    near = np.flatnonzero(ax >= 1.0 - 2.0 * SNAP_RTOL)
+    if near.size:
+        m = np.rint(np.log(ax[near]) / lq).astype(int)
+        powers, inverse = np.unique(np.clip(m, -cap, 0), return_inverse=True)
+        ref = np.array([ipow(q, int(k)) for k in powers], dtype=complex)[inverse]
+        hit = (m >= -cap) & (m <= 0) & (np.abs(x[near] - ref) <= SNAP_RTOL * np.abs(ref))
+        value[near[hit]], used[near[hit]] = 0.0, 1 - m[hit]
+    live = np.flatnonzero((ax > 0.0) & (value != 0.0))
+    # enough factors for the largest base: |x q^k| drops below tol no later
+    # than below gate < tol, then 3 small deviations, and 1 spare for rounding
+    width = min(cap, max(3, math.floor(math.log(gate / ax[live].max(initial=tol)) / lq) + 5))
+    # q^0 .. q^width by repeated multiplication, q^k = q^{k-1} * q, never pow
+    table = np.multiply.accumulate(np.concatenate([[1.0], np.full(width, q)]))
+    step = max(1, _BLOCK // width)
+    for r in range(0, live.size, step):
+        rows = live[r:r + step]
+        u = x[rows, None] * table[:-1]
+        prods = np.multiply.accumulate(1.0 - u, axis=1)
+        # no entry can stop before the head gate holds for the smallest base
+        k0 = max(2, math.floor(math.log(gate / ax[rows].min()) / lq) - 1)
+        small = np.abs(u[:, k0 - 2:]) < tol
+        head = ax[rows, None] * np.abs(table[k0 + 1:])
+        stop = small[:, 2:] & small[:, 1:-1] & small[:, :-2] & (head < gate)
+        done = stop.any(axis=1)
+        if not done.all():
+            bad = rows[~done][0]
+            raise CapExceeded(
+                f"base {complex(x[bad])!r}: (x;q)_oo did not converge within {cap} "
+                f"factors (|x| = {ax[bad]:.3g}, |q| = {aq:.6g})"
+            )
+        k, at = stop.argmax(axis=1), np.arange(rows.size)
+        value[rows], h, used[rows] = prods[at, k0 + k], head[at, k], k0 + k + 1
+        err[rows] = np.abs(value[rows]) * np.expm1(h / (1.0 - aq) / np.maximum(1.0 - h, 0.5))
+    return value.reshape(shape), err.reshape(shape), used.reshape(shape)
+
+
+def qpoch_inf(x: complex, ctx: QContext) -> SeriesResult:
+    """(x;q)_oo with its tail bound: the one-entry case of ``qpoch_inf_many``."""
+    value, err, used = qpoch_inf_many(x, ctx)
+    return SeriesResult(complex(value), float(err), int(used), bool(x == 0 or value == 0))
 
 
 def qpoch_spec(spec: PochhammerSpec, ctx: QContext) -> complex:
@@ -260,24 +293,32 @@ def qpoch_spec(spec: PochhammerSpec, ctx: QContext) -> complex:
 def qpoch_multi(bases, n, ctx: QContext) -> complex:
     """(a,b,...,c;q)_n = product of per-base q-shifted factorials.
 
-    n is an integer or INF.  Pole and cap failures are re-raised with the
+    n is an integer or INF.  Pole and cap failures are raised with the
     offending base identified.
     """
+    if n == INF:
+        return math.prod(qpoch_inf_many(list(bases), ctx)[0].tolist(), start=1.0 + 0.0j)
     p = 1.0 + 0.0j
     for b in bases:
         try:
-            if n == INF:
-                p *= qpoch_inf(b, ctx).value
-            else:
-                p *= qpoch(b, n, ctx)
-        except (PoleError, CapExceeded) as exc:
-            raise type(exc)(f"base {complex(b)!r}: {exc}") from exc
+            p *= qpoch(b, n, ctx)
+        except PoleError as exc:
+            raise PoleError(f"base {complex(b)!r}: {exc}") from exc
     return p
 
 
 def qfrac(numer, denom, n, ctx: QContext) -> complex:
-    """qpoch_multi(numer, n) / qpoch_multi(denom, n), pole-guarded."""
-    den = qpoch_multi(denom, n, ctx)
+    """qpoch_multi(numer, n) / qpoch_multi(denom, n), pole-guarded.
+
+    With n = INF one qpoch_inf_many call evaluates both lists.
+    """
+    if n == INF:
+        denom = list(denom)
+        values = qpoch_inf_many(denom + list(numer), ctx)[0].tolist()
+        den = math.prod(values[:len(denom)], start=1.0 + 0.0j)
+        num = math.prod(values[len(denom):], start=1.0 + 0.0j)
+    else:
+        den, num = qpoch_multi(denom, n, ctx), None
     if abs(den) < ctx.pole_guard:
         raise PoleError(f"denominator product magnitude {abs(den):.3g} below pole guard")
-    return qpoch_multi(numer, n, ctx) / den
+    return (qpoch_multi(numer, n, ctx) if num is None else num) / den

@@ -121,14 +121,22 @@ def _strip_elapsed(obj):
     return obj
 
 
+def _failed_ids(path):
+    return {r["id"] for r in json.load(open(path))["reports"] if r["verdict"] == "fail"}
+
+
 class TestDeterminism:
     def test_reports_byte_identical_modulo_elapsed(self, tmp_path):
-        args = ["sweep", "--identity", "watson", "ma-5var", "--samples", "3",
-                "--seed", "42", "--q", "0.3,0.8"]
+        # thm-e-integral runs the quadrature; its cells with offsets N >= 1
+        # fail by design, and then the sweep exits 1
+        args = ["sweep", "--identity", "watson", "ma-5var", "thm-e-integral",
+                "--samples", "3", "--seed", "42", "--q", "0.3,0.8"]
         out1 = str(tmp_path / "r1.json")
         out2 = str(tmp_path / "r2.json")
-        assert main(args + ["--out", out1]) == 0
-        assert main(args + ["--out", out2]) == 0
+        rc = main(args + ["--out", out1])
+        assert main(args + ["--out", out2]) == rc
+        assert _failed_ids(out1) <= {"thm-e-integral"}
+        assert rc == (1 if _failed_ids(out1) else 0)
         d1 = json.dumps(_strip_elapsed(json.load(open(out1))), sort_keys=True)
         d2 = json.dumps(_strip_elapsed(json.load(open(out2))), sort_keys=True)
         assert d1 == d2
@@ -144,12 +152,14 @@ class TestEnvOverride:
         assert _make_ctx(0.5, None).max_terms == 10000
 
     def test_worker_pool_matches_serial(self, tmp_path):
-        args = ["sweep", "--identity", "watson", "bailey-6psi6", "--samples", "4",
-                "--seed", "9", "--q", "0.5"]
+        args = ["sweep", "--identity", "watson", "bailey-6psi6", "thm-e-integral",
+                "--samples", "4", "--seed", "9", "--q", "0.5"]
         out1 = str(tmp_path / "serial.json")
         out2 = str(tmp_path / "pool.json")
-        assert main(args + ["--out", out1, "--jobs", "1"]) == 0
-        assert main(args + ["--out", out2, "--jobs", "2"]) == 0
+        rc = main(args + ["--out", out1, "--jobs", "1"])
+        assert main(args + ["--out", out2, "--jobs", "2"]) == rc
+        assert _failed_ids(out1) <= {"thm-e-integral"}
+        assert rc == (1 if _failed_ids(out1) else 0)
         d1 = json.dumps(_strip_elapsed(json.load(open(out1))), sort_keys=True)
         d2 = json.dumps(_strip_elapsed(json.load(open(out2))), sort_keys=True)
         assert d1 == d2

@@ -168,6 +168,19 @@ class TestCheck:
         r = check("bailey-6psi6", p, CTX)
         assert r.verdict == "skipped"
 
+    def test_closed_form_side_runs_first(self, monkeypatch):
+        # at q = 0.95 the closed form of an N = 0 point falls inside the pole
+        # guard; the skip must come from it, before any quadrature is paid for
+        def no_quadrature(spec, ctx):
+            raise AssertionError("quadrature ran before the closed form")
+
+        monkeypatch.setattr("qverify.identities.integrate_aw", no_quadrature)
+        p = {"a": 0.3, "b": 0.4, "c": 0.35, "d": 0.45, "n": 1, "N": [0],
+             "u": [0.5], "v": [0.5]}
+        r = check("thm-e-integral", p, QContext(0.95))
+        assert r.verdict == "skipped"
+        assert r.reason.startswith("PoleError")
+
     def test_kang_agrees_with_andrews(self):
         # the two forms share one right-hand side, so their left sides must
         # agree wherever both are defined

@@ -4,8 +4,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
+from qverify import qcore
 from qverify.qcore import (
     INF,
     CapExceeded,
@@ -17,6 +19,7 @@ from qverify.qcore import (
     qfrac,
     qpoch,
     qpoch_inf,
+    qpoch_inf_many,
     qpoch_multi,
     qpoch_spec,
     terminating_order,
@@ -149,6 +152,108 @@ class TestQpochInf:
         ctx = QContext(0.9, max_product_factors=5)
         with pytest.raises(CapExceeded):
             qpoch_inf(0.5, ctx)
+
+
+def scalar_qpoch_inf(x, ctx):
+    """(x;q)_oo by the scalar product loop, the oracle for qpoch_inf_many.
+
+    Returns (value, error bound, factors used).
+    """
+    x = complex(x)
+    if x == 0.0:
+        return 1.0 + 0.0j, 0.0, 1
+    q = ctx.q
+    aq = abs(q)
+    ax = abs(x)
+    m = q_power_index(x, q, -ctx.max_product_factors, 0)
+    if m is not None:
+        return 0.0 + 0.0j, 0.0, -m + 1
+    p = 1.0 + 0.0j
+    qk = 1.0 + 0.0j
+    small = 0
+    tail_gate = ctx.product_tol * (1.0 - aq)
+    for k in range(ctx.max_product_factors):
+        u = x * qk
+        p *= 1.0 - u
+        small = small + 1 if abs(u) < ctx.product_tol else 0
+        qk *= q
+        head = ax * abs(qk)
+        if small >= 3 and head < tail_gate:
+            t = head / (1.0 - aq)
+            t /= max(1.0 - head, 0.5)
+            return p, abs(p) * math.expm1(t), k + 1
+    raise CapExceeded("oracle hit the factor cap")
+
+
+def rand_bases(rng, count, hi=2.5):
+    return [rand_complex(rng, 0.0, hi) for _ in range(count)]
+
+
+class TestQpochInfMany:
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95])
+    def test_bit_equal_to_scalar_loop_at_real_q(self, q):
+        ctx = QContext(q)
+        xs = rand_bases(random.Random(6), 200)
+        values, errs, used = qpoch_inf_many(xs, ctx)
+        for x, v, e, k in zip(xs, values, errs, used):
+            want, want_err, want_k = scalar_qpoch_inf(x, ctx)
+            assert v == want and k == want_k
+            assert abs(e - want_err) <= 1e-15 * want_err
+
+    @pytest.mark.parametrize("q", [0.5 + 0.3j, 0.6j, -0.5])
+    def test_close_to_scalar_loop_at_complex_q(self, q):
+        ctx = QContext(q)
+        xs = rand_bases(random.Random(7), 200)
+        values, _, used = qpoch_inf_many(xs, ctx)
+        for x, v, k in zip(xs, values, used):
+            want, _, want_k = scalar_qpoch_inf(x, ctx)
+            assert k == want_k
+            assert abs(v - want) <= 4 * k * 2.0 ** -52 * abs(want)
+
+    def test_shapes(self):
+        rng = random.Random(8)
+        for shape in [(), (5,), (3, 4), (0,), (2, 0)]:
+            xs = np.array(rand_bases(rng, math.prod(shape))).reshape(shape)
+            values, errs, used = qpoch_inf_many(xs, CTX5)
+            assert values.shape == errs.shape == used.shape == shape
+            for x, v in zip(xs.ravel(), values.ravel()):
+                assert v == scalar_qpoch_inf(x, CTX5)[0]
+
+    def test_snapped_bases_and_zero(self):
+        for q in (0.5, 0.5 + 0.3j, -0.5):
+            ctx = QContext(q)
+            xs = [ipow(ctx.q, -m) for m in (0, 1, 3, 7)] + [0.0]
+            values, errs, used = qpoch_inf_many(xs, ctx)
+            assert list(values) == [0.0, 0.0, 0.0, 0.0, 1.0]
+            assert list(errs) == [0.0] * 5
+            assert list(used) == [1, 2, 4, 8, 1]
+
+    def test_input_larger_than_one_block(self):
+        ctx = QContext(0.8)
+        xs = rand_bases(random.Random(9), 1500, hi=1.0)
+        values, _, used = qpoch_inf_many(xs, ctx)
+        assert len(xs) * used.max() > qcore._BLOCK
+        assert all(v == scalar_qpoch_inf(x, ctx)[0] for x, v in zip(xs, values))
+
+    def test_cap_exceeded_names_the_base(self):
+        ctx = QContext(0.9, max_product_factors=5)
+        with pytest.raises(CapExceeded, match=r"base \(0\.5"):
+            qpoch_inf_many([0.0, 0.5, 0.7], ctx)
+        with pytest.raises(CapExceeded, match=r"base \(0\.7"):
+            qpoch_multi([0.0, 0.7], INF, ctx)
+        with pytest.raises(CapExceeded, match="base"):
+            qpoch_inf_many([0.5, complex("nan")], CTX5)
+
+    def test_products_keep_the_per_base_order(self):
+        ctx = QContext(0.8)
+        rng = random.Random(10)
+        numer, denom = rand_bases(rng, 9, 0.9), rand_bases(rng, 9, 0.9)
+
+        def oracle(bases):
+            return math.prod((scalar_qpoch_inf(b, ctx)[0] for b in bases), start=1.0 + 0.0j)
+
+        assert qpoch_multi(numer, INF, ctx) == oracle(numer)
+        assert qfrac(numer, denom, INF, ctx) == oracle(numer) / oracle(denom)
 
 
 class TestHelpers:
