@@ -19,15 +19,11 @@ import json
 import os
 import sys
 import time
+import tomllib
 from dataclasses import dataclass
 
 from .qcore import QContext, QVerifyError
 from .identities import case_ids, check, get_case, sample
-
-try:
-    import tomllib as _toml  # Python 3.11+
-except ModuleNotFoundError:  # pragma: no cover - depends on interpreter
-    _toml = None
 
 _EXIT_PASS = 0
 _EXIT_FAIL = 1
@@ -39,49 +35,9 @@ _EXIT_INPUT = 3
 _RESAMPLE_CAP = 40
 
 
-def _parse_toml_value(text: str):
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_toml_value(part) for part in inner.split(",")]
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"unsupported TOML value: {text!r}") from None
-
-
-def _parse_flat_toml(text: str) -> dict:
-    """Minimal reader for the flat key = value subset parameter files use."""
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            raise ValueError(f"line {lineno}: tables are not supported in parameter files")
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        out[key.strip()] = _parse_toml_value(val)
-    return out
-
-
 def load_param_file(path: str) -> dict:
     with open(path, "rb") as fh:
-        data = fh.read()
-    if _toml is not None:
-        return _toml.loads(data.decode("utf-8"))
-    return _parse_flat_toml(data.decode("utf-8"))
+        return tomllib.load(fh)
 
 
 def _coerce_scalar(val):
@@ -165,10 +121,10 @@ def cmd_check(args) -> int:
         case = get_case(args.identity)
         raw = load_param_file(args.params)
         params = params_from_file_map(case, raw)
+        ctx = _make_ctx(args.q, args.tol)
     except (OSError, ValueError, QVerifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    ctx = _make_ctx(args.q, args.tol)
     report = check(args.identity, params, ctx)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -230,6 +186,8 @@ class SweepConfig:
             raise ValueError(f"unknown identities {bad}")
         if not self.q_values:
             raise ValueError("at least one q value required")
+        for q in self.q_values:
+            _make_ctx(q, self.tol)  # raises ValueError for |q| >= 1 or tol <= 0
 
 
 def run_sweep(config: SweepConfig) -> tuple[dict, int]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -50,8 +51,8 @@ from .qcore import (
     qpoch,
 )
 from .qcore import SNAP_RTOL
-from .series import SeriesSpec, _ascending_terms, eval_kshifted_sum, eval_phi, eval_psi
-from .multisum import milne_rhs_block
+from .series import SeriesSpec, _ascending_terms, _sum_series, _sum_stream, eval_phi, eval_psi
+from .multisum import block_spec, check_qpow_ratio, milne_multisum, milne_rhs_block
 from .integrals import (
     AWIntegrandSpec,
     corl_e_rhs,
@@ -160,10 +161,6 @@ def _grid_clear(values, ctx, lo=-60, hi=60, margin=_POLE_MARGIN):
 # series building blocks
 
 
-def _sum_terms(termfn, ctx: QContext) -> complex:
-    return eval_kshifted_sum(termfn, ctx).value
-
-
 # share of identity_tol that any single numerical error floor may consume
 # before a point is declared unverifiable in double precision (skipped,
 # resampled); several floors can stack per identity, hence the small share
@@ -205,104 +202,33 @@ def _pair_rhs(piece, x: str, y: str):
     return evaluator
 
 
-def _diff_sum(term_a, term_b, ctx: QContext, scale_b=1.0) -> complex:
-    """Sum of term_a(k) - scale_b * term_b(k) as one termwise stream.
+def _diff_sum(terms_a, terms_b, ctx: QContext) -> complex:
+    """Sum of t_a(k) - t_b(k) as one termwise stream.
 
     Truncation acts on the difference, so reciprocity-type cancellation
     does not inflate the tail; the roundoff floor tracks the *half* term
     magnitudes, and a point whose difference sits below that floor raises
     IllConditioned (an exactly-zero stream, e.g. the a = b diagonal, is
-    exact and passes through).
+    exact and passes through).  A half that ends contributes zeros.
     """
-    total = 0.0 + 0.0j
-    small = 0
-    last = 0.0
-    prev = 0.0
-    half_sum = 0.0
-    for k in range(ctx.max_terms):
-        ta = term_a(k)
-        tb = scale_b * term_b(k)
-        d = ta - tb
-        total += d
-        m = max(abs(ta), abs(tb))
-        ad = abs(d)
-        if not (math.isfinite(m) and math.isfinite(ad)):
-            raise DivergentSeries(f"difference term not finite at k = {k}")
-        half_sum += m
-        if ad != 0.0:
-            prev, last = last, ad
-        if ad <= ctx.series_tol * abs(total):
-            small += 1
-            if small >= 3:
-                rho = min(last / prev, 0.99) if prev > 0.0 else 0.0
-                err = last * rho / (1.0 - rho) + 3e-16 * half_sum
-                return _require_verifiable(total, err, ctx)
-        else:
-            small = 0
-    raise DivergentSeries(f"no convergence within max_terms = {ctx.max_terms}")
+    diffs = (
+        (ta - tb, max(abs(ta), abs(tb)))
+        for ta, tb in itertools.zip_longest(terms_a, terms_b, fillvalue=0j)
+    )
+    value, err, _, _ = _sum_stream(diffs, ctx)
+    return _require_verifiable(value, err, ctx)
 
 
-def _ratio_termfn(upper, lower, z, ctx, extra=None):
-    """Stateful k -> term closure over the shared ascending-ladder stream."""
-    gen = _ascending_terms(upper, lower, z, ctx, extra=extra)
-    state = {"done": False}
-
-    def term(k):
-        if state["done"]:
-            return 0.0 + 0.0j
-        try:
-            return next(gen)
-        except StopIteration:
-            state["done"] = True
-            return 0.0 + 0.0j
-
-    return term
-
-
-def _vwp_extra(coef, q, odd=True):
-    """Stateful extra(k) -> 1 - coef * q^{2k+1} (or q^{2k} with odd=False)."""
-    state = {"p": q if odd else 1.0 + 0.0j}
-
-    def extra(k):
-        val = 1.0 - coef * state["p"]
-        state["p"] *= q * q
-        return val
-
-    return extra
-
-
-def _triangular_weight(q):
-    """Stateful extra(k) -> q^{k(k+1)/2}."""
-    state = {"w": 1.0 + 0.0j, "step": q}
-
-    def extra(k):
-        val = state["w"]
-        state["w"] *= state["step"]
-        state["step"] *= q
-        return val
-
-    return extra
-
-
-def _compose_extras(*extras):
-    def extra(k):
-        val = 1.0 + 0.0j
-        for e in extras:
-            val *= e(k)
-        return val
-
-    return extra
-
-
-def _rho_termfn(a, b, ups, low_shift, z, ctx, inv_b_power=1):
-    """Term closure for the reciprocity-family sums.
+def _rho_terms(a, b, ups, low_shift, z, ctx, inv_b_power=1):
+    """Term stream of the reciprocity-family sums.
 
     (1/b^p) (1 - a q^{2k+1}/b) (-1/b;q)_{k+1}/(-qa;q)_k
         * prod (ups;q)_k / prod (low_shift;q)_{k+1} * z^k
 
     with every (x;q)_{k+1} folded into a constant (1-x) and a shifted
     ladder base qx.  ``ups``/``low_shift`` hold the raw bases (signs
-    included, e.g. -q*a/c and -c/b).
+    included, e.g. -q*a/c and -c/b).  The leading factors are pole-checked
+    here, before the stream is returned.
     """
     q = ctx.q
     const = ipow(1.0 / b, inv_b_power) * (1.0 + 1.0 / b)
@@ -313,19 +239,20 @@ def _rho_termfn(a, b, ups, low_shift, z, ctx, inv_b_power=1):
             raise PoleError(f"(x;q)_(k+1) leading factor below pole guard (base {x!r})")
         const /= f
         shifted.append(q * x)
-    upper = list(ups) + [-q / b]
-    lower = [-q * a] + shifted
-    extra = _vwp_extra(a / b, q)
-    inner = _ratio_termfn(upper, lower, z, ctx, extra=extra)
+    coef = a / b
+    ladder = _ascending_terms(list(ups) + [-q / b], [-q * a] + shifted, z, ctx)
 
-    def term(k):
-        return const * inner(k)
+    def terms():
+        p = q  # q^{2k+1}
+        for t in ladder:
+            yield const * (t * (1.0 - coef * p))
+            p *= q * q
 
-    return term
+    return terms()
 
 
-def _jacobi_termfn(v_coef, asc0, desc, desc_off, lows, quad_coef, z, ctx):
-    """Term closure for the triple/quintuple-product family sums.
+def _jacobi_terms(v_coef, asc0, desc, desc_off, lows, quad_coef, z, ctx):
+    """Term stream of the triple/quintuple-product family sums.
 
     term_k = (1 - v_coef q^{2k+1}) (asc0;q)_k
              * prod_i (q^{-k-off_i} w_i;q)_k / prod_j (lows_j;q)_{k+1}
@@ -333,7 +260,8 @@ def _jacobi_termfn(v_coef, asc0, desc, desc_off, lows, quad_coef, z, ctx):
 
     Each descending factor is paired with one q^{k+1} from the quadratic
     weight, so all intermediates stay bounded.  quad_coef is len(desc) and
-    must equal the k^2-coefficient of the weight.
+    must equal the k^2-coefficient of the weight.  The leading factors are
+    pole-checked here, before the stream is returned.
     """
     q = ctx.q
     if quad_coef != len(desc):
@@ -349,48 +277,45 @@ def _jacobi_termfn(v_coef, asc0, desc, desc_off, lows, quad_coef, z, ctx):
         if abs(f) < ctx.pole_guard:
             raise PoleError(f"(x;q)_(k+1) leading factor below pole guard (base {l!r})")
         u /= f
-    state = {
-        "u": u,
-        "qk": 1.0 + 0.0j,   # q^k
-        "qk1": q,           # q^{k+1}
-        "q2k1": q,          # q^{2k+1}
-        "k": -1,
-    }
 
-    def term(k):
-        t = (1.0 - v_coef * state["q2k1"]) * state["u"]
-        # advance to k+1
-        ratio = z / q
-        ratio *= 0.0 if asc0_zero is not None and -asc0_zero == k else 1.0 - asc0 * state["qk"]
-        for i, w in enumerate(wprime):
-            ratio *= 0.0 if zero_step[i] == k + 1 else state["qk1"] - w
-        for l in lows:
-            f = 1.0 - l * state["qk1"]
-            if abs(f) < ctx.pole_guard:
-                raise PoleError(f"ladder factor below pole guard (base {l!r}, k={k})")
-            ratio /= f
-        state["u"] *= ratio
-        state["qk"] *= q
-        state["qk1"] *= q
-        state["q2k1"] *= q * q
-        state["k"] = k
-        return t
+    def terms(u):
+        qk, qk1, q2k1 = 1.0 + 0.0j, q, q  # q^k, q^{k+1}, q^{2k+1}
+        for k in itertools.count():
+            t = (1.0 - v_coef * q2k1) * u
+            # advance to k+1 before yielding term k: a pole there raises with term k
+            ratio = z / q
+            ratio *= 0.0 if asc0_zero is not None and -asc0_zero == k else 1.0 - asc0 * qk
+            for i, w in enumerate(wprime):
+                ratio *= 0.0 if zero_step[i] == k + 1 else qk1 - w
+            for l in lows:
+                f = 1.0 - l * qk1
+                if abs(f) < ctx.pole_guard:
+                    raise PoleError(f"ladder factor below pole guard (base {l!r}, k={k})")
+                ratio /= f
+            u *= ratio
+            qk *= q
+            qk1 *= q
+            q2k1 *= q * q
+            yield t
 
-    return term
+    return terms(u)
 
 
 # ---------------------------------------------------------------------------
 # named evaluators for the "where" blocks
 
 
+def _rho7_terms(a, b, c, d, e, f, g, ctx):
+    q = ctx.q
+    ab = a * b  # (a*b) grouping keeps z bitwise a<->b symmetric
+    z = c * d * e * f * g / (q * ab * ab)
+    ks = (c, d, e, f, g)
+    return _rho_terms(a, b, [-q * a / t for t in ks], [-t / b for t in ks], z, ctx, 1)
+
+
 def eval_rho(a, b, c, d, e, f, g, ctx: QContext) -> complex:
     """The seven-variable reciprocity sum (weight (cdefg/q a^2 b^2)^k)."""
-    z = c * d * e * f * g / (ctx.q * a * a * b * b)
-    ks = (c, d, e, f, g)
-    term = _rho_termfn(
-        a, b, [-ctx.q * a / p for p in ks], [-p / b for p in ks], z, ctx, 1
-    )
-    return _sum_terms(term, ctx)
+    return _sum_series(_rho7_terms(a, b, c, d, e, f, g, ctx), ctx).value
 
 
 def eval_R(a, b, c, d, e, f, g, ctx: QContext) -> complex:
@@ -432,13 +357,17 @@ def eval_R(a, b, c, d, e, f, g, ctx: QContext) -> complex:
     return pref * _guarded_series_value(phi, ctx)
 
 
-def eval_rho_prime(a, b, c, d, e, f, n, ctx: QContext) -> complex:
-    """The terminating-flavoured reciprocity sum of the q^n corollary."""
+def _rho_prime_terms(a, b, c, d, e, f, n, ctx):
     q = ctx.q
     z = c * d * e / (a * b * ipow(q, n + 1))
     ups = [-q * a / c, -q * a / d, -q * a / e, -q * a / f, -ipow(q, 1 + n) * f / b]
     lows = [-c / b, -d / b, -e / b, -f / b, -a / (f * ipow(q, n))]
-    return _sum_terms(_rho_termfn(a, b, ups, lows, z, ctx, 1), ctx)
+    return _rho_terms(a, b, ups, lows, z, ctx, 1)
+
+
+def eval_rho_prime(a, b, c, d, e, f, n, ctx: QContext) -> complex:
+    """The terminating-flavoured reciprocity sum of the q^n corollary."""
+    return _sum_series(_rho_prime_terms(a, b, c, d, e, f, n, ctx), ctx).value
 
 
 def eval_S(x, y, b, c, d, e, f, ctx: QContext) -> complex:
@@ -476,8 +405,7 @@ def eval_S(x, y, b, c, d, e, f, ctx: QContext) -> complex:
     return pref * _guarded_series_value(phi, ctx)
 
 
-def eval_multivar_rho(a, b, c, d, e, xs, ys, N, ctx: QContext) -> complex:
-    """The multi-pair reciprocity sum (weight (cde/ab q^{N+1})^k, prefactor b^-n)."""
+def _multivar_rho_terms(a, b, c, d, e, xs, ys, N, ctx):
     q = ctx.q
     n = len(xs)
     n_total = sum(int(t) for t in N)
@@ -487,7 +415,12 @@ def eval_multivar_rho(a, b, c, d, e, xs, ys, N, ctx: QContext) -> complex:
     for i in range(n):
         ups += [-q * a / xs[i], -q * a / ys[i]]
         lows += [-xs[i] / b, -ys[i] / b]
-    return _sum_terms(_rho_termfn(a, b, ups, lows, z, ctx, n), ctx)
+    return _rho_terms(a, b, ups, lows, z, ctx, n)
+
+
+def eval_multivar_rho(a, b, c, d, e, xs, ys, N, ctx: QContext) -> complex:
+    """The multi-pair reciprocity sum (weight (cde/ab q^{N+1})^k, prefactor b^-n)."""
+    return _sum_series(_multivar_rho_terms(a, b, c, d, e, xs, ys, N, ctx), ctx).value
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +648,11 @@ _register(IdentityCase(
 def _rama_half(a, b, ctx):
     q = ctx.q
     const = 1.0 + 1.0 / b
-    inner = _ratio_termfn([], [-q * a], -a / b, ctx, extra=_triangular_weight(q))
-    return lambda k: const * inner(k)
+    w, step = 1.0 + 0.0j, q  # q^{k(k+1)/2} and q^{k+1}
+    for t in _ascending_terms([], [-q * a], -a / b, ctx):
+        yield const * (t * w)
+        w *= step
+        step *= q
 
 
 def _rama_lhs(p, ctx):
@@ -751,8 +687,8 @@ def _andrews_half(a, b, c, d, ctx):
     if abs(f) < ctx.pole_guard:
         raise PoleError("1 + c/b below pole guard")
     const = (1.0 + 1.0 / b) / f
-    inner = _ratio_termfn([c, -q * a / d], [-q * a, -q * c / b], -d / b, ctx)
-    return lambda k: const * inner(k)
+    ladder = _ascending_terms([c, -q * a / d], [-q * a, -q * c / b], -d / b, ctx)
+    return (const * t for t in ladder)
 
 
 def _andrews_lhs(p, ctx):
@@ -798,13 +734,20 @@ def _kang_half(a, b, c, d, ctx):
     if abs(f) < ctx.pole_guard:
         raise PoleError("(1 + c/b)(1 + d/b) below pole guard")
     const = (1.0 + 1.0 / b) / f
-    extra = _compose_extras(
-        _vwp_extra(-c * d / b, q, odd=False), _triangular_weight(q)
+    coef = -c * d / b
+    ladder = _ascending_terms(
+        [c, d, c * d / (a * b)], [-q * a, -q * c / b, -q * d / b], -a / b, ctx
     )
-    inner = _ratio_termfn(
-        [c, d, c * d / (a * b)], [-q * a, -q * c / b, -q * d / b], -a / b, ctx, extra
-    )
-    return lambda k: const * inner(k)
+
+    def terms():
+        p, w, step = 1.0 + 0.0j, 1.0 + 0.0j, q  # q^{2k}, q^{k(k+1)/2}, q^{k+1}
+        for t in ladder:
+            yield const * (t * ((1.0 - coef * p) * w))
+            p *= q * q
+            w *= step
+            step *= q
+
+    return terms()
 
 
 def _kang_lhs(p, ctx):
@@ -829,7 +772,7 @@ def _ma_half(a, b, c, d, e, ctx):
     q = ctx.q
     ks = (c, d, e)
     z = c * d * e / (q * (a * b))  # (a*b) grouping keeps z bitwise a<->b symmetric
-    return _rho_termfn(a, b, [-q * a / p for p in ks], [-p / b for p in ks], z, ctx, 0)
+    return _rho_terms(a, b, [-q * a / p for p in ks], [-p / b for p in ks], z, ctx, 0)
 
 
 def _ma_lhs(p, ctx):
@@ -878,13 +821,13 @@ def _cz_half(a, b, c, d, e, ctx):
     if abs(f) < ctx.pole_guard:
         raise PoleError("1 + c/b below pole guard")
     const = (1.0 + 1.0 / b) / f
-    inner = _ratio_termfn(
+    ladder = _ascending_terms(
         [c, -q * a / d, -q * a / e],
         [-q * a, q * q * (a * b) / (d * e), -q * c / b],
         q,
         ctx,
     )
-    return lambda k: const * inner(k)
+    return (const * t for t in ladder)
 
 
 def _cz_correction(a, b, c, d, e, ctx):
@@ -1142,17 +1085,9 @@ _register(IdentityCase(
 
 def _thma_lhs(p, ctx):
     a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
-    q = ctx.q
-    ab = a * b
-    z = c * d * e * f * g / (q * ab * ab)
-    ks = (c, d, e, f, g)
-
-    def half(a1, b1):
-        return _rho_termfn(
-            a1, b1, [-q * a1 / t for t in ks], [-t / b1 for t in ks], z, ctx, 1
-        )
-
-    return _diff_sum(half(a, b), half(b, a), ctx)
+    return _diff_sum(
+        _rho7_terms(a, b, c, d, e, f, g, ctx), _rho7_terms(b, a, c, d, e, f, g, ctx), ctx
+    )
 
 
 def _thma_rhs_piece(p, ctx):
@@ -1188,16 +1123,9 @@ _register(IdentityCase(
 
 def _corla_lhs(p, ctx):
     a, b, c, d, e, f, n = (p[k] for k in ("a", "b", "c", "d", "e", "f", "n"))
-    q = ctx.q
-    z = c * d * e / (a * b * ipow(q, n + 1))
-
-    def half(a1, b1):
-        ups = [-q * a1 / c, -q * a1 / d, -q * a1 / e, -q * a1 / f,
-               -ipow(q, 1 + n) * f / b1]
-        lows = [-c / b1, -d / b1, -e / b1, -f / b1, -a1 / (f * ipow(q, n))]
-        return _rho_termfn(a1, b1, ups, lows, z, ctx, 1)
-
-    return _diff_sum(half(a, b), half(b, a), ctx)
+    return _diff_sum(
+        _rho_prime_terms(a, b, c, d, e, f, n, ctx), _rho_prime_terms(b, a, c, d, e, f, n, ctx), ctx
+    )
 
 
 def _corla_rhs(p, ctx):
@@ -1253,15 +1181,15 @@ def _thmb_lhs(p, ctx):
     q = ctx.q
     x, y, b, c, d, e, f = (p[k] for k in ("x", "y", "b", "c", "d", "e", "f"))
     ps = (b, c, d, e, f)
-    t1 = _jacobi_termfn(
+    t1 = _jacobi_terms(
         1.0 / x, q / (x * y), [t / y for t in ps], [0] * 5,
         [y] + [t / (x * y) for t in ps], 5, -y / (x * x), ctx
     )
-    t2 = _jacobi_termfn(
+    t2 = _jacobi_terms(
         x, q / y, [t / (x * y) for t in ps], [0] * 5,
         [x * y] + [t / y for t in ps], 5, -x ** 3 * y, ctx
     )
-    return _diff_sum(t1, t2, ctx, scale_b=x * x)
+    return _diff_sum(t1, (x * x * t for t in t2), ctx)
 
 
 def _thmb_rhs_piece(p, ctx):
@@ -1304,20 +1232,20 @@ _register(IdentityCase(
 def _corlb_lhs(p, ctx):
     q = ctx.q
     x, y, b, c, d, e, n = (p[k] for k in ("x", "y", "b", "c", "d", "e", "n"))
-    t1 = _jacobi_termfn(
+    t1 = _jacobi_terms(
         1.0 / x, q / (x * y),
         [b / y, c / y, d / y, e / y, x * y / e], [0, 0, 0, 0, n],
         [y, b / (x * y), c / (x * y), d / (x * y), e / (x * y),
          ipow(q, -n) * y / e],
         5, -y / (x * x), ctx,
     )
-    t2 = _jacobi_termfn(
+    t2 = _jacobi_terms(
         x, q / y,
         [b / (x * y), c / (x * y), d / (x * y), e / (x * y), y / e], [0, 0, 0, 0, n],
         [x * y, b / y, c / y, d / y, e / y, ipow(q, -n) * x * y / e],
         5, -x ** 3 * y, ctx,
     )
-    return _diff_sum(t1, t2, ctx, scale_b=x * x)
+    return _diff_sum(t1, (x * x * t for t in t2), ctx)
 
 
 def _corlb_rhs(p, ctx):
@@ -1476,22 +1404,13 @@ def _thmc_params(rng, ctx, mode):
 
 
 def _thmc_lhs(p, ctx):
-    a, b = p["a"], p["b"]
-    q = ctx.q
+    a, b, c, d, e = (p[k] for k in "abcde")
     xs, ys, N = p["x"], p["y"], p["N"]
-    n = len(xs)
-    n_total = sum(int(t) for t in N)
-    z = p["c"] * p["d"] * p["e"] / (a * b * ipow(q, n_total + 1))
-
-    def half(a1, b1):
-        ups = [-q * a1 / p["c"], -q * a1 / p["d"], -q * a1 / p["e"]]
-        lows = [-p["c"] / b1, -p["d"] / b1, -p["e"] / b1]
-        for i in range(n):
-            ups += [-q * a1 / xs[i], -q * a1 / ys[i]]
-            lows += [-xs[i] / b1, -ys[i] / b1]
-        return _rho_termfn(a1, b1, ups, lows, z, ctx, n)
-
-    return _diff_sum(half(a, b), half(b, a), ctx)
+    return _diff_sum(
+        _multivar_rho_terms(a, b, c, d, e, xs, ys, N, ctx),
+        _multivar_rho_terms(b, a, c, d, e, xs, ys, N, ctx),
+        ctx,
+    )
 
 
 def _thmc_rhs(p, ctx):
@@ -1500,10 +1419,7 @@ def _thmc_rhs(p, ctx):
     xs, ys, N = p["x"], p["y"], p["N"]
     n = len(xs)
     for i in range(n):
-        expected = ipow(q, int(N[i]))
-        ratio = a * b / (xs[i] * ys[i])
-        if abs(ratio - expected) > 1e-12 * abs(expected):
-            raise ConstraintViolation(f"ab/(x_{i+1} y_{i+1}) is not q^{N[i]}")
+        check_qpow_ratio(a * b, xs[i] * ys[i], N[i], ctx, f"a b / (x_{i+1} y_{i+1})")
     value = _ma_rhs(p, ctx)
     for i in range(n):
         value /= xs[i]
@@ -1516,32 +1432,17 @@ def _thmc_rhs(p, ctx):
     if n == 0:
         return value
     ab = a * b
-
-    def final_factor(m_n, M_n):
-        t = qpoch(xs[-1] * ys[-1] / ab, m_n, ctx) / qpoch(q, m_n, ctx)
-        t *= qfrac(
-            [q / e, q * ab / (c * e), q * ab / (d * e)],
-            [q * xs[-1] / e, q * ys[-1] / e, q * q * ab / (c * d * e)],
-            M_n,
-            ctx,
-        )
-        return t * ipow(q, M_n)
-
-    def partial_factor(s, m_s, M_s):
-        t = qpoch(xs[s] * ys[s] / ab, m_s, ctx) / qpoch(q, m_s, ctx)
-        t *= qfrac(
-            [q * ab / (e * xs[s + 1]), q * ab / (e * ys[s + 1])],
-            [q * xs[s] / e, q * ys[s] / e],
-            M_s,
-            ctx,
-        )
-        return t * ipow(xs[s + 1] * ys[s + 1] / ab, M_s)
-
-    from .multisum import MultiIndexSpec, milne_multisum
-
-    return value * milne_multisum(
-        MultiIndexSpec(tuple(int(t) for t in N), final_factor, partial_factor), ctx
+    spec = block_spec(
+        N,
+        [xs[i] * ys[i] / ab for i in range(n)],
+        [q / e, q * ab / (c * e), q * ab / (d * e)],
+        [q * xs[-1] / e, q * ys[-1] / e, q * q * ab / (c * d * e)],
+        [[q * ab / (e * xs[s + 1]), q * ab / (e * ys[s + 1])] for s in range(n - 1)],
+        [[q * xs[s] / e, q * ys[s] / e] for s in range(n - 1)],
+        [xs[s + 1] * ys[s + 1] / ab for s in range(n - 1)],
+        ctx,
     )
+    return value * milne_multisum(spec, ctx)
 
 
 def _thmc_domain(p, ctx):
@@ -1598,19 +1499,20 @@ def _thmd_lhs(p, ctx):
     n = len(xs)
     pair1 = [t / y for i in range(n) for t in (xs[i], ys[i])]
     pair1l = [t / (x * y) for i in range(n) for t in (xs[i], ys[i])]
-    t1 = _jacobi_termfn(
+    t1 = _jacobi_terms(
         1.0 / x, q / (x * y),
         [b / y, c / y, d / y] + pair1, [0] * (3 + 2 * n),
         [y, b / (x * y), c / (x * y), d / (x * y)] + pair1l,
         3 + 2 * n, -y / ipow(x, n + 1), ctx,
     )
-    t2 = _jacobi_termfn(
+    t2 = _jacobi_terms(
         x, q / y,
         [b / (x * y), c / (x * y), d / (x * y)] + pair1l, [0] * (3 + 2 * n),
         [x * y, b / y, c / y, d / y] + pair1,
         3 + 2 * n, -ipow(x, n + 2) * y, ctx,
     )
-    return _diff_sum(t1, t2, ctx, scale_b=ipow(x, n + 1))
+    scale = ipow(x, n + 1)
+    return _diff_sum(t1, (scale * t for t in t2), ctx)
 
 
 def _thmd_rhs(p, ctx):
@@ -1620,10 +1522,7 @@ def _thmd_rhs(p, ctx):
     n = len(xs)
     xy2 = x * y * y
     for i in range(n):
-        expected = ipow(q, int(N[i]))
-        ratio = xy2 / (xs[i] * ys[i])
-        if abs(ratio - expected) > 1e-12 * abs(expected):
-            raise ConstraintViolation(f"xy^2/(x_{i+1} y_{i+1}) is not q^{N[i]}")
+        check_qpow_ratio(xy2, xs[i] * ys[i], N[i], ctx, f"x y^2 / (x_{i+1} y_{i+1})")
     value = ipow(-x * y, n) * qfrac(
         [q, x, q / x, b, c, d, b * c / xy2, b * d / xy2, c * d / xy2],
         [y, x * y, b / y, c / y, d / y, b / (x * y), c / (x * y), d / (x * y),
@@ -1641,32 +1540,17 @@ def _thmd_rhs(p, ctx):
         )
     if n == 0:
         return value
-
-    def final_factor(m_n, M_n):
-        t = qpoch(xs[-1] * ys[-1] / xy2, m_n, ctx) / qpoch(q, m_n, ctx)
-        t *= qfrac(
-            [q / b, q / c, q / d],
-            [q * xs[-1] / xy2, q * ys[-1] / xy2, q * q * xy2 / (b * c * d)],
-            M_n,
-            ctx,
-        )
-        return t * ipow(q, M_n)
-
-    def partial_factor(s, m_s, M_s):
-        t = qpoch(xs[s] * ys[s] / xy2, m_s, ctx) / qpoch(q, m_s, ctx)
-        t *= qfrac(
-            [q / xs[s + 1], q / ys[s + 1]],
-            [q * xs[s] / xy2, q * ys[s] / xy2],
-            M_s,
-            ctx,
-        )
-        return t * ipow(xs[s + 1] * ys[s + 1] / xy2, M_s)
-
-    from .multisum import MultiIndexSpec, milne_multisum
-
-    return value * milne_multisum(
-        MultiIndexSpec(tuple(int(t) for t in N), final_factor, partial_factor), ctx
+    spec = block_spec(
+        N,
+        [xs[i] * ys[i] / xy2 for i in range(n)],
+        [q / b, q / c, q / d],
+        [q * xs[-1] / xy2, q * ys[-1] / xy2, q * q * xy2 / (b * c * d)],
+        [[q / xs[s + 1], q / ys[s + 1]] for s in range(n - 1)],
+        [[q * xs[s] / xy2, q * ys[s] / xy2] for s in range(n - 1)],
+        [xs[s + 1] * ys[s + 1] / xy2 for s in range(n - 1)],
+        ctx,
     )
+    return value * milne_multisum(spec, ctx)
 
 
 def _thmd_domain(p, ctx):

@@ -107,19 +107,6 @@ class QContext:
 
 
 @dataclass(frozen=True)
-class PochhammerSpec:
-    """A single q-shifted factorial: base x and order n (integer or INF)."""
-
-    base: complex
-    order: float  # any integer, or INF
-
-    def __post_init__(self):
-        n = self.order
-        if n != INF and (not isinstance(n, int) or isinstance(n, bool)):
-            raise ValueError("order must be an integer or INF")
-
-
-@dataclass(frozen=True)
 class SeriesResult:
     """Value of a truncated sum or product plus how it was obtained."""
 
@@ -281,13 +268,6 @@ def qpoch_inf(x: complex, ctx: QContext) -> SeriesResult:
     """(x;q)_oo with its tail bound: the one-entry case of ``qpoch_inf_many``."""
     value, err, used = qpoch_inf_many(x, ctx)
     return SeriesResult(complex(value), float(err), int(used), bool(x == 0 or value == 0))
-
-
-def qpoch_spec(spec: PochhammerSpec, ctx: QContext) -> complex:
-    """Evaluate a PochhammerSpec (finite order exactly, infinite truncated)."""
-    if spec.order == INF:
-        return qpoch_inf(spec.base, ctx).value
-    return qpoch(spec.base, int(spec.order), ctx)
 
 
 def qpoch_multi(bases, n, ctx: QContext) -> complex:

@@ -15,13 +15,18 @@ directly testable.
 Running products carry each Pochhammer factor across consecutive k
 (same factors, same order as a from-scratch product; no divisions are
 introduced, so exact zeros from snapped q^{-n} bases are preserved).
-Truncation policy for every non-terminating sum: stop after 3
-consecutive terms below series_tol * |partial sum|, and report the
-geometric tail |t_last| * rho / (1 - rho) of the observed ratio rho.
+Term streams are plain iterators, and ``_sum_stream`` is the one
+summation kernel for them and for the reciprocity difference streams in
+``identities``: stop after 3 consecutive terms below
+series_tol * |partial sum|, and report the geometric tail
+|t_last| * rho / (1 - rho) of the observed ratio rho plus a roundoff
+floor proportional to the summed per-term magnitudes.  A stream that
+ends is an exact cut, with the floor as its only error.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,10 +74,9 @@ class SeriesSpec:
             raise ValueError("bilateral series requires equal parameter counts")
 
 
-def _ascending_terms(upper, lower, z, ctx, extra=None, sign_exp=0):
+def _ascending_terms(upper, lower, z, ctx, sign_exp=0):
     """Yield t_k = prod(u;q)_k / prod(l;q)_k * [(-1)^k q^C(k,2)]^{sign_exp} * z^k.
 
-    ``extra`` is an optional per-index factor, called once per k in order.
     The stream ends (without yielding further terms) as soon as the running
     numerator is exactly zero, which happens precisely when some upper base
     snapped onto q^{-n} and k passed n: all later terms vanish identically.
@@ -93,8 +97,6 @@ def _ascending_terms(upper, lower, z, ctx, extra=None, sign_exp=0):
         t = num / den * zk
         if sign_exp:
             t *= w
-        if extra is not None:
-            t *= extra(k)
         yield t
         # advance every ladder from order k to k+1
         for i, u in enumerate(upper):
@@ -159,52 +161,61 @@ def _descending_terms(upper, lower, z, ctx):
         j += 1
 
 
-# rounding-floor coefficient: every summed term carries a few ulps of error,
-# so sum over terms of |t_k| * _ROUND_FLOOR bounds the accumulated roundoff
+# rounding-floor coefficient: every summed term carries a few ulps of the
+# magnitude w_k it is computed from, so _ROUND_FLOOR * sum of w_k bounds the
+# accumulated roundoff
 _ROUND_FLOOR = 3e-16
 
 
 def _sum_stream(terms, ctx):
-    """Sum a term stream under the 3-consecutive-small-terms policy.
+    """Sum a stream of (t_k, w_k) pairs under the 3-consecutive-small-terms policy.
 
-    Returns (value, abs_error_estimate, terms_used, terminated, abs_sum);
-    ``terminated`` means the stream itself ended (an exact cut).  The error
-    estimate combines the geometric truncation tail with a roundoff floor
-    proportional to the summed term magnitudes, so cancellation between
-    large terms shows up in the reported bound.
+    w_k is the magnitude the roundoff of term k scales with: |t_k| for a
+    plain series, max(|t_a|, |t_b|) for a termwise difference t_a - t_b.
+    Returns (value, abs_error_estimate, terms_used, terminated);
+    ``terminated`` means the stream itself ended (an exact cut, whose error
+    is the roundoff floor alone).  Otherwise the error estimate combines the
+    geometric truncation tail with that floor, _ROUND_FLOOR * sum of w_k, so
+    cancellation between large terms shows up in the reported bound.
     """
     total = 0.0 + 0.0j
     small = 0
     last = 0.0
     prev = 0.0
-    abs_sum = 0.0
+    w_sum = 0.0
     n = 0
     it = iter(terms)
     for _ in range(ctx.max_terms):
         try:
-            t = next(it)
+            t, w = next(it)
         except StopIteration:
-            return total, _ROUND_FLOOR * abs_sum, n, True, abs_sum
+            return total, _ROUND_FLOOR * w_sum, n, True
         total += t
         n += 1
         at = abs(t)
-        if not math.isfinite(at):
+        if not (math.isfinite(at) and math.isfinite(w)):
             raise DivergentSeries(f"term magnitude not finite at k = {n - 1}")
-        abs_sum += at
+        w_sum += w
         if at != 0.0:
             prev, last = last, at
         if at <= ctx.series_tol * abs(total):
             small += 1
             if small >= 3:
                 rho = min(last / prev, 0.99) if prev > 0.0 else 0.0
-                err = last * rho / (1.0 - rho) + _ROUND_FLOOR * abs_sum
-                return total, err, n, False, abs_sum
+                err = last * rho / (1.0 - rho) + _ROUND_FLOOR * w_sum
+                return total, err, n, False
         else:
             small = 0
     raise DivergentSeries(
         f"no convergence within max_terms = {ctx.max_terms} "
         f"(last |term| = {last:.3g})"
     )
+
+
+def _sum_series(terms, ctx) -> SeriesResult:
+    """Sum a plain term stream, each term weighing its own magnitude."""
+    value, err, n, terminated = _sum_stream(((t, abs(t)) for t in terms), ctx)
+    return SeriesResult(value, err, n, terminated)
 
 
 def eval_phi(spec: SeriesSpec, ctx: QContext) -> SeriesResult:
@@ -225,8 +236,7 @@ def eval_phi(spec: SeriesSpec, ctx: QContext) -> SeriesResult:
         ctx,
         sign_exp=s - r,
     )
-    value, err, n, terminated, _ = _sum_stream(stream, ctx)
-    return SeriesResult(value, err, n, terminated)
+    return _sum_series(stream, ctx)
 
 
 def eval_psi(spec: SeriesSpec, ctx: QContext) -> SeriesResult:
@@ -238,20 +248,14 @@ def eval_psi(spec: SeriesSpec, ctx: QContext) -> SeriesResult:
     """
     if spec.kind != "bilateral":
         raise ValueError("eval_psi expects a bilateral SeriesSpec")
-    pos_v, pos_e, pos_n, pos_t, pos_m = _sum_stream(
-        _ascending_terms(spec.upper, spec.lower, spec.argument, ctx), ctx
-    )
-    neg_v, neg_e, neg_n, neg_t, neg_m = _sum_stream(
-        _descending_terms(spec.upper, spec.lower, spec.argument, ctx), ctx
-    )
-    value = pos_v + neg_v
-    err = pos_e + neg_e
+    pos = _sum_series(_ascending_terms(spec.upper, spec.lower, spec.argument, ctx), ctx)
+    neg = _sum_series(_descending_terms(spec.upper, spec.lower, spec.argument, ctx), ctx)
     return SeriesResult(
-        value,
-        err,
-        pos_n + neg_n,
-        pos_t and neg_t,
-        (pos_n, neg_n),
+        pos.value + neg.value,
+        pos.abs_error_estimate + neg.abs_error_estimate,
+        pos.terms_used + neg.terms_used,
+        pos.terminated and neg.terminated,
+        (pos.terms_used, neg.terms_used),
     )
 
 
@@ -272,10 +276,7 @@ def eval_bilateral_split(spec: SeriesSpec, ctx: QContext):
     if spec.kind != "bilateral":
         raise ValueError("eval_bilateral_split expects a bilateral SeriesSpec")
     q = ctx.q
-    pos_v, pos_e, pos_n, pos_t, _ = _sum_stream(
-        _ascending_terms(spec.upper, spec.lower, spec.argument, ctx), ctx
-    )
-    first = SeriesResult(pos_v, pos_e, pos_n, pos_t)
+    first = _sum_series(_ascending_terms(spec.upper, spec.lower, spec.argument, ctx), ctx)
     pref = 1.0 + 0.0j
     for b in spec.lower:
         pref *= 0.0 if q_power_index(b, q, 1, 1) == 1 else 1.0 - q / b
@@ -294,7 +295,7 @@ def eval_bilateral_split(spec: SeriesSpec, ctx: QContext):
         w *= b
     w /= num * spec.argument
     pref = pref / den * w
-    ref_v, ref_e, ref_n, ref_t, _ = _sum_stream(
+    ref = _sum_series(
         _ascending_terms(
             [q * q / b for b in spec.lower],
             [q * q / u for u in spec.upper],
@@ -303,23 +304,18 @@ def eval_bilateral_split(spec: SeriesSpec, ctx: QContext):
         ),
         ctx,
     )
-    second = SeriesResult(pref * ref_v, abs(pref) * ref_e, ref_n, ref_t)
+    second = SeriesResult(
+        pref * ref.value, abs(pref) * ref.abs_error_estimate, ref.terms_used, ref.terminated
+    )
     return first, second
 
 
 def eval_kshifted_sum(termfn, ctx: QContext) -> SeriesResult:
     """Sum termfn(k) over k >= 0 under the standard truncation policy.
 
-    For sums whose Pochhammer bases depend on k; termfn must be total and
-    is called with k = 0, 1, 2, ... strictly in order (so it may keep
-    incremental state of its own).
+    For sums whose Pochhammer bases depend on k, with each term computed
+    from k alone; termfn is called with k = 0, 1, 2, ... until the policy
+    stops.  Sums that carry running products from term to term are
+    written as iterators instead (as the identity difference streams are).
     """
-
-    def stream():
-        k = 0
-        while True:
-            yield termfn(k)
-            k += 1
-
-    value, err, n, terminated, _ = _sum_stream(stream(), ctx)
-    return SeriesResult(value, err, n, terminated)
+    return _sum_series(map(termfn, itertools.count()), ctx)

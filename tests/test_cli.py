@@ -79,6 +79,17 @@ class TestExitCodes:
         path = write(tmp_path, "broken.toml", "not a toml {{{\n")
         assert main(["check", "watson", "--params", path]) == 3
 
+    def test_check_bad_q_exit_3(self, tmp_path):
+        path = write(tmp_path, "pt.toml",
+                     "a = 0.5\nb = 0.9\nc = 0.8\nd = 0.7\ne = 0.6\n")
+        assert main(["check", "bailey-6psi6", "--params", path, "--q", "1.2"]) == 3
+
+    def test_sweep_bad_q_exit_3(self):
+        assert main(["sweep", "--identity", "watson", "--samples", "1", "--q", "1.5"]) == 3
+
+    def test_sweep_bad_tol_exit_3(self):
+        assert main(["sweep", "--identity", "watson", "--samples", "1", "--tol", "0"]) == 3
+
     def test_check_unknown_identity_exit_3(self, tmp_path):
         path = write(tmp_path, "x.toml", "a = 0.1\n")
         assert main(["check", "no-such-id", "--params", path]) == 3

@@ -181,6 +181,18 @@ class TestCheck:
         assert r.verdict == "skipped"
         assert r.reason.startswith("PoleError")
 
+    @pytest.mark.parametrize("case_id, yname", [("thm-c-multivar", "y"),
+                                                ("thm-d-multivar", "yv")])
+    def test_multivar_constraint_violation_skips(self, case_id, yname):
+        # the right side checks that x_1 y_1 keeps its q^{N_1} relation; a
+        # point that breaks it by 1e-9 relative must be skipped, not judged
+        p = next(p for p in (sample(case_id, s, CTX) for s in range(50)) if p["n"] >= 1)
+        ys = list(p[yname])
+        ys[0] *= 1.0 + 1e-9
+        r = check(case_id, {**p, yname: ys}, CTX)
+        assert r.verdict == "skipped"
+        assert r.reason.startswith("ConstraintViolation")
+
     def test_kang_agrees_with_andrews(self):
         # the two forms share one right-hand side, so their left sides must
         # agree wherever both are defined
@@ -237,13 +249,13 @@ class TestNamedEvaluators:
 
     def test_multivar_rho_empty_pairs_is_ma_summand(self):
         from qverify.identities import eval_multivar_rho, _ma_half
-        from qverify.identities import _sum_terms
+        from qverify.series import _sum_series
 
         ctx = QContext(0.5)
         p = sample("ma-5var", 9, ctx)
         a, b, c, d, e = (p[k] for k in "abcde")
         got = eval_multivar_rho(a, b, c, d, e, [], [], [], ctx)
-        want = _sum_terms(_ma_half(a, b, c, d, e, ctx), ctx)
+        want = _sum_series(_ma_half(a, b, c, d, e, ctx), ctx).value
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 

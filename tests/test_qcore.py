@@ -11,7 +11,6 @@ from qverify import qcore
 from qverify.qcore import (
     INF,
     CapExceeded,
-    PochhammerSpec,
     PoleError,
     QContext,
     ipow,
@@ -21,7 +20,6 @@ from qverify.qcore import (
     qpoch_inf,
     qpoch_inf_many,
     qpoch_multi,
-    qpoch_spec,
     terminating_order,
 )
 
@@ -274,12 +272,6 @@ class TestHelpers:
         assert terminating_order(ipow(CTX5.q, -4), CTX5) == 4
         assert terminating_order(1.0, CTX5) == 0
         assert terminating_order(0.37, CTX5) is None
-
-    def test_pochhammer_spec(self):
-        assert qpoch_spec(PochhammerSpec(0.5, 2), CTX5) == qpoch(0.5, 2, CTX5)
-        assert qpoch_spec(PochhammerSpec(0.5, INF), CTX5) == qpoch_inf(0.5, CTX5).value
-        with pytest.raises(ValueError):
-            PochhammerSpec(0.5, 2.5)
 
 
 class TestMultiAndFrac:

@@ -9,7 +9,9 @@ import pytest
 
 from qverify.qcore import DivergentSeries, QContext, ipow, qfrac, INF
 from qverify.series import (
+    _ROUND_FLOOR,
     SeriesSpec,
+    _sum_stream,
     eval_bilateral_split,
     eval_kshifted_sum,
     eval_phi,
@@ -198,3 +200,29 @@ class TestKShiftedSum:
         ctx = QContext(0.5)
         r = eval_kshifted_sum(lambda k: 0.25 ** k, ctx)
         assert abs(r.value - 4.0 / 3.0) < 1e-12
+
+
+class TestSumStream:
+    """The summation kernel on hand-made (t_k, w_k) streams."""
+
+    def test_floor_sums_weights_not_term_magnitudes(self):
+        ctx = QContext(0.5)
+        terms = [0.5 ** k for k in range(200)]
+        plain = _sum_stream(((t, abs(t)) for t in terms), ctx)
+        heavy = _sum_stream(((t, 1.0) for t in terms), ctx)
+        n = plain[2]
+        assert not plain[3] and heavy[2:] == plain[2:]
+        assert heavy[0] == plain[0]
+        assert heavy[1] - plain[1] == pytest.approx(
+            _ROUND_FLOOR * (n - sum(terms[:n])), rel=1e-9
+        )
+
+    def test_ended_stream_is_exact_cut(self):
+        # a difference stream whose halves (w_k) are far larger than the
+        # differences: no tail is added, the error is the floor alone
+        ctx = QContext(0.5)
+        pairs = [(1e-3, 1.0), (2e-3, 2.0), (4e-3, 4.0)]
+        value, err, n, terminated = _sum_stream(iter(pairs), ctx)
+        assert terminated and n == 3
+        assert abs(value - 7e-3) < 1e-18
+        assert err == _ROUND_FLOOR * 7.0
