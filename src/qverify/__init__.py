@@ -27,8 +27,8 @@ from .qcore import (
     qpoch_multi,
     terminating_order,
 )
-from .series import SeriesSpec, eval_bilateral_split, eval_kshifted_sum, eval_phi, eval_psi
-from .multisum import MultiIndexSpec, compositions, milne_multisum, milne_rhs_block, omega
+from .series import SeriesSpec, eval_bilateral_split, eval_phi, eval_psi
+from .multisum import block_multisum, compositions, milne_rhs_block, omega
 from .integrals import (
     AWIntegrandSpec,
     QuadratureResult,
@@ -52,7 +52,6 @@ from .identities import (
     eval_rho,
     eval_rho_prime,
     get_case,
-    idem,
     registry,
     sample,
     swap_params,
@@ -74,7 +73,6 @@ __all__ = [
     "SamplingExhausted",
     "SeriesResult",
     "SeriesSpec",
-    "MultiIndexSpec",
     "AWIntegrandSpec",
     "QuadratureResult",
     "IdentityCase",
@@ -88,9 +86,8 @@ __all__ = [
     "eval_phi",
     "eval_psi",
     "eval_bilateral_split",
-    "eval_kshifted_sum",
+    "block_multisum",
     "compositions",
-    "milne_multisum",
     "milne_rhs_block",
     "omega",
     "hfun",
@@ -106,7 +103,6 @@ __all__ = [
     "get_case",
     "check",
     "sample",
-    "idem",
     "swap_params",
     "eval_rho",
     "eval_R",

@@ -23,7 +23,7 @@ import tomllib
 from dataclasses import dataclass
 
 from .qcore import QContext, QVerifyError
-from .identities import case_ids, check, get_case, sample
+from .identities import VerificationReport, case_ids, check, get_case, sample
 
 _EXIT_PASS = 0
 _EXIT_FAIL = 1
@@ -140,21 +140,17 @@ def cmd_check(args) -> int:
 def run_sweep_cell(case_id: str, slot: int, base_seed: int, q: float, tol: float | None, mode: str):
     """One (identity, sample slot, q) cell; resamples skips deterministically."""
     ctx = _make_ctx(q, tol)
-    last = None
     for attempt in range(_RESAMPLE_CAP):
         seed = base_seed + 1000 * slot + attempt
         try:
             params = sample(case_id, seed, ctx, mode=mode)
         except QVerifyError as exc:
-            return {
-                "id": case_id, "q": q, "slot": slot, "sample_seed": seed,
-                "params": {}, "lhs": [0.0, 0.0], "rhs": [0.0, 0.0],
-                "abs_residual": 0.0, "rel_residual": 0.0,
-                "verdict": "skipped", "reason": f"sampling: {exc}", "elapsed": 0.0,
-            }
-        report = check(case_id, params, ctx, seed=seed)
-        last = report
-        if report.verdict != "skipped":
+            last = VerificationReport(
+                case_id, seed, {}, 0j, 0j, 0.0, 0.0, "skipped", f"sampling: {exc}"
+            )
+            break
+        last = check(case_id, params, ctx, seed=seed)
+        if last.verdict != "skipped":
             break
     out = last.to_dict()
     out["q"] = q
@@ -184,6 +180,11 @@ class SweepConfig:
         bad = [i for i in self.identities if i not in known]
         if bad:
             raise ValueError(f"unknown identities {bad}")
+        repeated = sorted({i for i in self.identities if self.identities.count(i) > 1})
+        if repeated:
+            raise ValueError(f"repeated identities {repeated}")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if not self.q_values:
             raise ValueError("at least one q value required")
         for q in self.q_values:

@@ -52,7 +52,7 @@ from .qcore import (
 )
 from .qcore import SNAP_RTOL
 from .series import SeriesSpec, _ascending_terms, _sum_series, _sum_stream, eval_phi, eval_psi
-from .multisum import block_spec, check_qpow_ratio, milne_multisum, milne_rhs_block
+from .multisum import block_multisum, check_qpow_ratio, milne_rhs_block
 from .integrals import (
     AWIntegrandSpec,
     corl_e_rhs,
@@ -68,7 +68,6 @@ __all__ = [
     "get_case",
     "check",
     "sample",
-    "idem",
     "swap_params",
     "eval_rho",
     "eval_R",
@@ -108,23 +107,6 @@ def swap_params(params: dict, x: str, y: str) -> dict:
     out = dict(params)
     out[x], out[y] = params[y], params[x]
     return out
-
-
-def idem(expr, x: str, y: str, mode: str = "subtract"):
-    """Combinator for the 'expression repeated with x and y interchanged' idiom.
-
-    mode="subtract" gives expr(params) - expr(swapped); mode="add" gives the
-    additive flavour used by the R(...;f,g) + R(...;g,f) right-hand sides.
-    """
-    if mode not in ("subtract", "add"):
-        raise ValueError("mode must be 'subtract' or 'add'")
-
-    def evaluator(params, ctx):
-        base = expr(params, ctx)
-        swapped = expr(swap_params(params, x, y), ctx)
-        return base - swapped if mode == "subtract" else base + swapped
-
-    return evaluator
 
 
 def _grid_clear(values, ctx, lo=-60, hi=60, margin=_POLE_MARGIN):
@@ -217,6 +199,20 @@ def _diff_sum(terms_a, terms_b, ctx: QContext) -> complex:
     )
     value, err, _, _ = _sum_stream(diffs, ctx)
     return _require_verifiable(value, err, ctx)
+
+
+def _swap_diff(half, names):
+    """Left side F(a, b, ...) - F(b, a, ...) from the term stream F = ``half``.
+
+    ``half`` takes the parameters in the order of ``names`` plus ctx, and
+    the first two names are interchanged.
+    """
+
+    def evaluator(params, ctx):
+        a, b, *rest = (params[name] for name in names)
+        return _diff_sum(half(a, b, *rest, ctx), half(b, a, *rest, ctx), ctx)
+
+    return evaluator
 
 
 def _rho_terms(a, b, ups, low_shift, z, ctx, inv_b_power=1):
@@ -437,7 +433,6 @@ class IdentityCase:
     domain: Callable                  # (params, ctx) -> bool
     lhs: Callable                     # (params, ctx) -> complex
     rhs: Callable                     # (params, ctx) -> complex
-    default_mode: str = "complex"
     param_names: tuple = ()
     vector_names: tuple = ()
 
@@ -655,11 +650,6 @@ def _rama_half(a, b, ctx):
         step *= q
 
 
-def _rama_lhs(p, ctx):
-    a, b = p["a"], p["b"]
-    return _diff_sum(_rama_half(a, b, ctx), _rama_half(b, a, ctx), ctx)
-
-
 def _rama_rhs(p, ctx):
     q = ctx.q
     a, b = p["a"], p["b"]
@@ -673,7 +663,7 @@ _register(IdentityCase(
     family="reciprocity",
     sampler=_scalar_sampler("ab"),
     domain=lambda p, ctx: _grid_clear([-p["a"], -p["b"], p["a"] / p["b"]], ctx),
-    lhs=_rama_lhs,
+    lhs=_swap_diff(_rama_half, "ab"),
     rhs=_rama_rhs,
     param_names=("a", "b"),
 ))
@@ -689,11 +679,6 @@ def _andrews_half(a, b, c, d, ctx):
     const = (1.0 + 1.0 / b) / f
     ladder = _ascending_terms([c, -q * a / d], [-q * a, -q * c / b], -d / b, ctx)
     return (const * t for t in ladder)
-
-
-def _andrews_lhs(p, ctx):
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    return _diff_sum(_andrews_half(a, b, c, d, ctx), _andrews_half(b, a, c, d, ctx), ctx)
 
 
 def _andrews_rhs(p, ctx):
@@ -720,7 +705,7 @@ _register(IdentityCase(
     family="reciprocity",
     sampler=_scalar_sampler("abcd"),
     domain=_andrews_domain,
-    lhs=_andrews_lhs,
+    lhs=_swap_diff(_andrews_half, "abcd"),
     rhs=_andrews_rhs,
     param_names=("a", "b", "c", "d"),
 ))
@@ -750,17 +735,12 @@ def _kang_half(a, b, c, d, ctx):
     return terms()
 
 
-def _kang_lhs(p, ctx):
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    return _diff_sum(_kang_half(a, b, c, d, ctx), _kang_half(b, a, c, d, ctx), ctx)
-
-
 _register(IdentityCase(
     id="kang-equivalent",
     family="reciprocity",
     sampler=_scalar_sampler("abcd"),
     domain=_andrews_domain,
-    lhs=_kang_lhs,
+    lhs=_swap_diff(_kang_half, "abcd"),
     rhs=_andrews_rhs,
     param_names=("a", "b", "c", "d"),
 ))
@@ -773,11 +753,6 @@ def _ma_half(a, b, c, d, e, ctx):
     ks = (c, d, e)
     z = c * d * e / (q * (a * b))  # (a*b) grouping keeps z bitwise a<->b symmetric
     return _rho_terms(a, b, [-q * a / p for p in ks], [-p / b for p in ks], z, ctx, 0)
-
-
-def _ma_lhs(p, ctx):
-    a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    return _diff_sum(_ma_half(a, b, c, d, e, ctx), _ma_half(b, a, c, d, e, ctx), ctx)
 
 
 def _ma_rhs(p, ctx):
@@ -807,7 +782,7 @@ _register(IdentityCase(
     family="reciprocity",
     sampler=_scalar_sampler("abcde"),
     domain=_ma_domain,
-    lhs=_ma_lhs,
+    lhs=_swap_diff(_ma_half, "abcde"),
     rhs=_ma_rhs,
     param_names=("a", "b", "c", "d", "e"),
 ))
@@ -851,11 +826,6 @@ def _cz_correction(a, b, c, d, e, ctx):
     return pref * _guarded_series_value(phi, ctx)
 
 
-def _cz_lhs(p, ctx):
-    a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    return _diff_sum(_cz_half(a, b, c, d, e, ctx), _cz_half(b, a, c, d, e, ctx), ctx)
-
-
 def _cz_rhs(p, ctx):
     q = ctx.q
     a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
@@ -889,7 +859,7 @@ _register(IdentityCase(
     family="reciprocity",
     sampler=_scalar_sampler("abcde"),
     domain=_cz_domain,
-    lhs=_cz_lhs,
+    lhs=_swap_diff(_cz_half, "abcde"),
     rhs=_cz_rhs,
     param_names=("a", "b", "c", "d", "e"),
 ))
@@ -1083,13 +1053,6 @@ _register(IdentityCase(
 
 # -- thm-a-7var --------------------------------------------------------------
 
-def _thma_lhs(p, ctx):
-    a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
-    return _diff_sum(
-        _rho7_terms(a, b, c, d, e, f, g, ctx), _rho7_terms(b, a, c, d, e, f, g, ctx), ctx
-    )
-
-
 def _thma_rhs_piece(p, ctx):
     return eval_R(p["a"], p["b"], p["c"], p["d"], p["e"], p["f"], p["g"], ctx)
 
@@ -1113,20 +1076,13 @@ _register(IdentityCase(
     family="reciprocity",
     sampler=_scalar_sampler("abcdefg", boxes={"a": (0.35, 0.9), "b": (0.35, 0.9)}),
     domain=_thma_domain,
-    lhs=_thma_lhs,
+    lhs=_swap_diff(_rho7_terms, "abcdefg"),
     rhs=_pair_rhs(_thma_rhs_piece, "f", "g"),
     param_names=("a", "b", "c", "d", "e", "f", "g"),
 ))
 
 
 # -- corl-a ------------------------------------------------------------------
-
-def _corla_lhs(p, ctx):
-    a, b, c, d, e, f, n = (p[k] for k in ("a", "b", "c", "d", "e", "f", "n"))
-    return _diff_sum(
-        _rho_prime_terms(a, b, c, d, e, f, n, ctx), _rho_prime_terms(b, a, c, d, e, f, n, ctx), ctx
-    )
-
 
 def _corla_rhs(p, ctx):
     a, b, c, d, e, f, n = (p[k] for k in ("a", "b", "c", "d", "e", "f", "n"))
@@ -1169,7 +1125,7 @@ _register(IdentityCase(
         ints={"n": (0, 1, 2, 3, 4)},
     ),
     domain=_corla_domain,
-    lhs=_corla_lhs,
+    lhs=_swap_diff(_rho_prime_terms, "abcdefn"),
     rhs=_corla_rhs,
     param_names=("a", "b", "c", "d", "e", "f", "n"),
 ))
@@ -1403,16 +1359,6 @@ def _thmc_params(rng, ctx, mode):
     return params
 
 
-def _thmc_lhs(p, ctx):
-    a, b, c, d, e = (p[k] for k in "abcde")
-    xs, ys, N = p["x"], p["y"], p["N"]
-    return _diff_sum(
-        _multivar_rho_terms(a, b, c, d, e, xs, ys, N, ctx),
-        _multivar_rho_terms(b, a, c, d, e, xs, ys, N, ctx),
-        ctx,
-    )
-
-
 def _thmc_rhs(p, ctx):
     q = ctx.q
     a, b, c, d, e = (p[k] for k in "abcde")
@@ -1432,7 +1378,7 @@ def _thmc_rhs(p, ctx):
     if n == 0:
         return value
     ab = a * b
-    spec = block_spec(
+    return value * block_multisum(
         N,
         [xs[i] * ys[i] / ab for i in range(n)],
         [q / e, q * ab / (c * e), q * ab / (d * e)],
@@ -1442,7 +1388,6 @@ def _thmc_rhs(p, ctx):
         [xs[s + 1] * ys[s + 1] / ab for s in range(n - 1)],
         ctx,
     )
-    return value * milne_multisum(spec, ctx)
 
 
 def _thmc_domain(p, ctx):
@@ -1465,7 +1410,7 @@ _register(IdentityCase(
     family="reciprocity",
     sampler=_thmc_params,
     domain=_thmc_domain,
-    lhs=_thmc_lhs,
+    lhs=_swap_diff(_multivar_rho_terms, ("a", "b", "c", "d", "e", "x", "y", "N")),
     rhs=_thmc_rhs,
     param_names=("a", "b", "c", "d", "e", "n"),
     vector_names=("x", "y", "N"),
@@ -1540,7 +1485,7 @@ def _thmd_rhs(p, ctx):
         )
     if n == 0:
         return value
-    spec = block_spec(
+    return value * block_multisum(
         N,
         [xs[i] * ys[i] / xy2 for i in range(n)],
         [q / b, q / c, q / d],
@@ -1550,7 +1495,6 @@ def _thmd_rhs(p, ctx):
         [xs[s + 1] * ys[s + 1] / xy2 for s in range(n - 1)],
         ctx,
     )
-    return value * milne_multisum(spec, ctx)
 
 
 def _thmd_domain(p, ctx):
@@ -1635,7 +1579,6 @@ _register(IdentityCase(
     domain=_thme_domain,
     lhs=_thme_lhs,
     rhs=_thme_rhs,
-    default_mode="real",
     param_names=("a", "b", "c", "d", "n"),
     vector_names=("u", "v", "N"),
 ))
@@ -1706,7 +1649,6 @@ _register(IdentityCase(
     domain=_corlc_domain,
     lhs=_corlc_lhs,
     rhs=_corlc_rhs,
-    default_mode="real",
     param_names=("a", "b", "c", "d", "u", "n"),
 ))
 
@@ -1759,7 +1701,6 @@ _register(IdentityCase(
     domain=_corle_domain,
     lhs=_corle_lhs,
     rhs=_corle_rhs,
-    default_mode="real",
     param_names=("a", "b", "c", "n"),
     vector_names=("u", "v", "m"),
 ))
@@ -1803,7 +1744,7 @@ def sample(case_id: str, seed: int, ctx: QContext, mode: str | None = None) -> d
     if case.family == "integral":
         mode = "real"
     elif mode is None:
-        mode = case.default_mode
+        mode = "complex"
     rng = _seed_rng(case_id, seed, mode, ctx.q)
     for _ in range(1000):
         params = case.sampler(rng, ctx, mode)

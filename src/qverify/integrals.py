@@ -15,7 +15,9 @@ and its multi-variable generalizations live here as well.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +32,11 @@ from .qcore import (
     QContext,
     ipow,
     qfrac,
-    qpoch,
     qpoch_inf_many,
+    terminating_order,
 )
 from .multisum import check_qpow_ratio, omega
-from .series import eval_kshifted_sum
+from .series import _sum_series
 
 __all__ = [
     "AWIntegrandSpec",
@@ -250,16 +252,50 @@ def thm_e_rhs(a, b, c, d, u, v, N, ctx: QContext) -> complex:
     return value / div
 
 
-def _qpoch_skip(x, k, skip, ctx):
-    """(x;q)_k with the single factor at index ``skip`` removed."""
+def _ladder(x, start, ctx: QContext, skip=None):
+    """(x;q)_start, (x;q)_{start+1}, ... as one running product.
+
+    The factors are qpoch's, in qpoch's order (q^j by repeated
+    multiplication), with its exact zero past a base snapped onto q^{-n};
+    the factor at index ``skip`` is left out.
+    """
     q = ctx.q
-    p = 1.0 + 0.0j
-    qi = 1.0 + 0.0j
-    for i in range(k):
-        if i != skip:
-            p *= 1.0 - x * qi
-        qi *= q
-    return p
+    zero_at = terminating_order(x, ctx)
+    p = qj = 1.0 + 0.0j
+    for j in itertools.count():
+        if j >= start:
+            yield p
+        if j != skip:
+            p *= 0.0 if zero_at == j else 1.0 - x * qj
+        qj *= q
+
+
+def _residue_terms(p, i, j_star, lams, u, v, w, ctx: QContext):
+    """The residues T_k, k = j*+1, j*+2, ..., at the pole z = p = v_i q^m.
+
+    Every (x;q)_k and (x;q)_{k+1} is a running product (_ladder); the one
+    of (qp/u_i;q)_k leaves out its vanishing factor at index j*, the pole.
+    """
+    q = ctx.q
+    k0 = j_star + 1  # poles exist only for k > j_star
+    ladders = [
+        zip(_ladder(q * p / lam, k0, ctx), _ladder(lam * p, k0 + 1, ctx)) for lam in lams
+    ]
+    ladders += [
+        zip(
+            map(operator.mul, _ladder(p * u[j], k0 + 1, ctx), _ladder(q * p / v[j], k0, ctx)),
+            map(operator.mul, _ladder(p * v[j], k0 + 1, ctx),
+                _ladder(q * p / u[j], k0, ctx, j_star if j == i else None)),
+        )
+        for j in range(len(u))
+    ]
+    for k in itertools.count(k0):
+        t = (1.0 - p * p) * (1.0 - ipow(q, 2 * k + 1) * p * p) * ipow(w, k)
+        for num, den in map(next, ladders):
+            if abs(den) < ctx.pole_guard:
+                raise PoleError("residue term denominator inside pole guard")
+            t *= num / den
+        yield t
 
 
 def aw_residue_correction(a, b, c, d, u, v, N, ctx: QContext) -> complex:
@@ -281,6 +317,9 @@ def aw_residue_correction(a, b, c, d, u, v, N, ctx: QContext) -> complex:
 
         integral  =  thm_e_rhs  +  aw_residue_correction.
 
+    Each pole's residues form one term stream, _residue_terms, whose
+    Pochhammer products are running ladders (K terms cost O(K) factors),
+    summed by series._sum_series under the standard truncation policy.
     Zero when every N_i = 0.  Assumes the poles v_i q^m are pairwise
     distinct (generic parameters).
     """
@@ -295,29 +334,9 @@ def aw_residue_correction(a, b, c, d, u, v, N, ctx: QContext) -> complex:
     res_total = 0.0 + 0.0j
     for i, n_i in enumerate(int(x) for x in N):
         for m in range(n_i):
-            j_star = n_i - 1 - m
             p = v[i] * ipow(q, m)
-
-            def t_hat(k, i=i, j_star=j_star, p=p):
-                k = k + j_star + 1  # poles exist only for k > j_star
-                t = (1.0 - p * p) * (1.0 - ipow(q, 2 * k + 1) * p * p) * ipow(w, k)
-                for lam in lams:
-                    den = qpoch(lam * p, k + 1, ctx)
-                    if abs(den) < ctx.pole_guard:
-                        raise PoleError("residue term denominator inside pole guard")
-                    t *= qpoch(q * p / lam, k, ctx) / den
-                for j in range(len(u)):
-                    den = qpoch(p * v[j], k + 1, ctx)
-                    if j == i:
-                        den *= _qpoch_skip(q * p / u[j], k, j_star, ctx)
-                    else:
-                        den *= qpoch(q * p / u[j], k, ctx)
-                    if abs(den) < ctx.pole_guard:
-                        raise PoleError("residue term denominator inside pole guard")
-                    t *= qpoch(p * u[j], k + 1, ctx) * qpoch(q * p / v[j], k, ctx) / den
-                return t
-
-            res_total += eval_kshifted_sum(t_hat, ctx).value
+            terms = _residue_terms(p, i, n_i - 1 - m, lams, u, v, w, ctx)
+            res_total += _sum_series(terms, ctx).value
     if res_total == 0.0:
         return 0.0 + 0.0j
     om = omega(a, b, c, d, u, v, N, ctx)

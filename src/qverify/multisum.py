@@ -6,14 +6,14 @@ M_s = m_1 + ... + m_s, and the term factors into a final-coordinate
 block depending on (m_n, M_n) and per-coordinate blocks depending on
 (s, m_s, M_s) for s < n.  Every instance is terminating by construction
 (a constraint plants a (q^{-N};q)_m base), so the sums are computed
-exactly with no truncation policy.
+exactly with no truncation policy.  ``block_multisum`` is the one
+evaluator of this pattern: ``omega``, ``milne_rhs_block`` and the
+Theorem C/D product sides in ``identities`` pass it their base lists.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable
 
 from .qcore import (
     ConstraintViolation,
@@ -23,59 +23,15 @@ from .qcore import (
     qpoch,
 )
 
-__all__ = ["MultiIndexSpec", "compositions", "milne_multisum", "milne_rhs_block", "omega"]
+__all__ = ["block_multisum", "compositions", "milne_rhs_block", "omega"]
 
 # relative tolerance for verifying ratio constraints of the form u/v = q^N
 CONSTRAINT_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MultiIndexSpec:
-    """A structured multi-index sum.
-
-    ``limits`` are the per-coordinate bounds N_1..N_n; ``final_factor``
-    maps (m_n, M_n) to the last-coordinate block and ``partial_factor``
-    maps (s, m_s, M_s), s = 0..n-2, to the interior blocks.  n = 0 is the
-    empty sum with value 1.
-    """
-
-    limits: tuple
-    final_factor: Callable[[int, int], complex] | None = None
-    partial_factor: Callable[[int, int, int], complex] | None = None
-
-    def __post_init__(self):
-        limits = tuple(int(N) for N in self.limits)
-        object.__setattr__(self, "limits", limits)
-        if any(N < 0 for N in limits):
-            raise ValueError("all limits must be >= 0")
-        if limits and self.final_factor is None:
-            raise ValueError("final_factor required when n >= 1")
-        if len(limits) > 1 and self.partial_factor is None:
-            raise ValueError("partial_factor required when n >= 2")
-
-
 def compositions(limits):
     """Every vector with 0 <= m_i <= limits[i], in lexicographic order."""
     return itertools.product(*(range(int(N) + 1) for N in limits))
-
-
-def milne_multisum(spec: MultiIndexSpec, ctx: QContext) -> complex:
-    """Exact finite sum of the block-structured terms of ``spec``.
-
-    Accumulation follows the lexicographic composition order, so the value
-    is deterministic.
-    """
-    n = len(spec.limits)
-    if n == 0:
-        return 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    for m in compositions(spec.limits):
-        M = list(itertools.accumulate(m))
-        t = spec.final_factor(m[-1], M[-1])
-        for s in range(n - 1):
-            t *= spec.partial_factor(s, m[s], M[s])
-        total += t
-    return total
 
 
 def check_qpow_ratio(num: complex, den: complex, n: int, ctx: QContext, what: str):
@@ -88,27 +44,36 @@ def check_qpow_ratio(num: complex, den: complex, n: int, ctx: QContext, what: st
         )
 
 
-def block_spec(limits, a_bases, final_num, final_den, mid_num, mid_den, weights, ctx):
-    """Assemble the shared block pattern into a MultiIndexSpec.
+def block_multisum(limits, a_bases, final_num, final_den, mid_num, mid_den, weights, ctx):
+    """Exact finite sum of the shared block pattern over every composition.
 
     Term = (a_n;q)_{m_n}/(q;q)_{m_n} * [final_num;q]_{M_n}/[final_den;q]_{M_n} * q^{M_n}
          * prod_{s<n-1} (a_s;q)_{m_s}/(q;q)_{m_s}
                         * [mid_num[s];q]_{M_s}/[mid_den[s];q]_{M_s} * weights[s]^{M_s}
+
+    ``limits`` are the per-coordinate bounds N_1..N_n (each >= 0); n = 0 is
+    the empty sum with value 1.  Accumulation follows the lexicographic
+    composition order, so the value is deterministic.
     """
+    limits = [int(N) for N in limits]
+    if any(N < 0 for N in limits):
+        raise ValueError("all limits must be >= 0")
+    n = len(limits)
+    if n == 0:
+        return 1.0 + 0.0j
     q = ctx.q
-    a_bases = [complex(a) for a in a_bases]
-
-    def final_factor(m_n, M_n):
-        t = qpoch(a_bases[-1], m_n, ctx) / qpoch(q, m_n, ctx)
-        t *= qfrac(final_num, final_den, M_n, ctx)
-        return t * ipow(q, M_n)
-
-    def partial_factor(s, m_s, M_s):
-        t = qpoch(a_bases[s], m_s, ctx) / qpoch(q, m_s, ctx)
-        t *= qfrac(mid_num[s], mid_den[s], M_s, ctx)
-        return t * ipow(weights[s], M_s)
-
-    return MultiIndexSpec(tuple(limits), final_factor, partial_factor)
+    total = 0.0 + 0.0j
+    for m in compositions(limits):
+        M = list(itertools.accumulate(m))
+        t = qpoch(a_bases[-1], m[-1], ctx) / qpoch(q, m[-1], ctx)
+        t *= qfrac(final_num, final_den, M[-1], ctx)
+        t *= ipow(q, M[-1])
+        for s in range(n - 1):
+            f = qpoch(a_bases[s], m[s], ctx) / qpoch(q, m[s], ctx)
+            f *= qfrac(mid_num[s], mid_den[s], M[s], ctx)
+            t *= f * ipow(weights[s], M[s])
+        total += t
+    return total
 
 
 def milne_rhs_block(a, b, c, d, e, x, y, N, ctx: QContext) -> complex:
@@ -126,7 +91,7 @@ def milne_rhs_block(a, b, c, d, e, x, y, N, ctx: QContext) -> complex:
     for i in range(n):
         check_qpow_ratio(x[i] * y[i], a, 1 + int(N[i]), ctx, f"x_{i+1} y_{i+1} / a")
     a_bases = [q * a / (x[i] * y[i]) for i in range(n)]
-    spec = block_spec(
+    return block_multisum(
         N,
         a_bases,
         [b * e / a, c * e / a, d * e / a],
@@ -136,7 +101,6 @@ def milne_rhs_block(a, b, c, d, e, x, y, N, ctx: QContext) -> complex:
         [q * a / (x[s + 1] * y[s + 1]) for s in range(n - 1)],
         ctx,
     )
-    return milne_multisum(spec, ctx)
 
 
 def omega(a, b, c, d, u, v, N, ctx: QContext) -> complex:
@@ -153,7 +117,7 @@ def omega(a, b, c, d, u, v, N, ctx: QContext) -> complex:
     for i in range(n):
         check_qpow_ratio(u[i], v[i], int(N[i]), ctx, f"u_{i+1} / v_{i+1}")
     a_bases = [v[i] / u[i] for i in range(n)]
-    spec = block_spec(
+    return block_multisum(
         N,
         a_bases,
         [q / (a * d), q / (b * d), q / (c * d)],
@@ -163,4 +127,3 @@ def omega(a, b, c, d, u, v, N, ctx: QContext) -> complex:
         [v[s + 1] / u[s + 1] for s in range(n - 1)],
         ctx,
     )
-    return milne_multisum(spec, ctx)

@@ -26,7 +26,6 @@ ends is an exact cut, with the floor as its only error.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +45,6 @@ __all__ = [
     "eval_phi",
     "eval_psi",
     "eval_bilateral_split",
-    "eval_kshifted_sum",
 ]
 
 
@@ -309,13 +307,3 @@ def eval_bilateral_split(spec: SeriesSpec, ctx: QContext):
     )
     return first, second
 
-
-def eval_kshifted_sum(termfn, ctx: QContext) -> SeriesResult:
-    """Sum termfn(k) over k >= 0 under the standard truncation policy.
-
-    For sums whose Pochhammer bases depend on k, with each term computed
-    from k alone; termfn is called with k = 0, 1, 2, ... until the policy
-    stops.  Sums that carry running products from term to term are
-    written as iterators instead (as the identity difference streams are).
-    """
-    return _sum_series(map(termfn, itertools.count()), ctx)

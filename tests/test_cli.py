@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from qverify import cli
 from qverify.cli import main, load_param_file, params_from_file_map
 from qverify.identities import get_case
+from qverify.qcore import SamplingExhausted
 
 
 def write(tmp_path, name, text):
@@ -115,6 +117,25 @@ class TestExitCodes:
     def test_sweep_unknown_identity_exit_3(self):
         assert main(["sweep", "--identity", "bogus", "--samples", "1"]) == 3
 
+    def test_sweep_repeated_identity_exit_3(self):
+        assert main(["sweep", "--identity", "watson", "watson", "--samples", "2",
+                     "--q", "0.5"]) == 3
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_bad_jobs_exit_3(self, jobs):
+        assert main(["sweep", "--identity", "watson", "--samples", "1", "--q", "0.5",
+                     "--jobs", jobs]) == 3
+
+    def test_sweep_negative_q_list(self, tmp_path):
+        # a list that starts with a minus sign must be attached with "=":
+        # argparse reads a separate "-0.5,0.9" as an option flag
+        out = str(tmp_path / "r.json")
+        assert main(["sweep", "--identity", "watson", "--samples", "1",
+                     "--q=-0.5,0.9", "--out", out]) == 0
+        assert json.load(open(out))["config"]["q"] == [-0.5, 0.9]
+        with pytest.raises(SystemExit):
+            main(["sweep", "--identity", "watson", "--samples", "1", "--q", "-0.5,0.9"])
+
     def test_sweep_exit_1_on_fail(self, tmp_path):
         # the multi-variable integral cases fail for N >= 1 (paper defect,
         # see the decisions ledger); a sweep containing them must exit 1
@@ -151,6 +172,26 @@ class TestDeterminism:
         d1 = json.dumps(_strip_elapsed(json.load(open(out1))), sort_keys=True)
         d2 = json.dumps(_strip_elapsed(json.load(open(out2))), sort_keys=True)
         assert d1 == d2
+
+
+class TestSweepCell:
+    def test_sampling_exhausted_cell(self, monkeypatch):
+        # a slot whose draw finds no admissible point is a skipped cell with
+        # the same keys, in the same order, as every other cell
+        def exhausted(case_id, seed, ctx, mode=None):
+            raise SamplingExhausted("no admissible point")
+
+        drawn = cli.run_sweep_cell("watson", 0, 5, 0.5, None, "complex")
+        monkeypatch.setattr(cli, "sample", exhausted)
+        cell = cli.run_sweep_cell("watson", 1, 5, 0.5, None, "complex")
+        assert list(cell) == list(drawn)
+        assert cell == {
+            "id": "watson", "sample_seed": 1005, "params": {},
+            "lhs": [0.0, 0.0], "rhs": [0.0, 0.0],
+            "abs_residual": 0.0, "rel_residual": 0.0, "verdict": "skipped",
+            "reason": "sampling: no admissible point", "elapsed": 0.0,
+            "q": 0.5, "slot": 1,
+        }
 
 
 class TestEnvOverride:

@@ -6,10 +6,11 @@ import pytest
 
 from qverify.qcore import QContext, UnknownParam, ipow
 from qverify.identities import (
+    _pair_rhs,
+    _swap_diff,
     case_ids,
     check,
     get_case,
-    idem,
     registry,
     sample,
     serialize_params,
@@ -71,12 +72,15 @@ class TestRegistry:
 
 
 class TestIdem:
+    """The paper's "idem" idiom: an expression repeated with two parameters
+    interchanged, subtracted termwise (``_swap_diff``) or added (``_pair_rhs``)."""
+
     def test_subtractive_of_symmetric_is_zero(self):
-        ev = idem(lambda p, ctx: p["x"] * p["y"], "x", "y")
+        ev = _swap_diff(lambda x, y, ctx: iter([x * y, x + y]), "xy")
         assert ev({"x": 2.0, "y": 5.0}, CTX) == 0.0
 
     def test_additive_flavor(self):
-        ev = idem(lambda p, ctx: p["x"] - 2 * p["y"], "x", "y", mode="add")
+        ev = _pair_rhs(lambda p, ctx: p["x"] - 2 * p["y"], "x", "y")
         assert ev({"x": 2.0, "y": 5.0}, CTX) == -1.0 * (2 + 5)
 
     def test_double_swap_is_identity(self):
@@ -93,7 +97,7 @@ class TestIdem:
 
         ctx = QContext(0.3)
         p = sample("thm-a-7var", 2, ctx)
-        ev = idem(_thma_rhs_piece, "f", "g", mode="add")
+        ev = _pair_rhs(_thma_rhs_piece, "f", "g")
         want = _thma_rhs_piece(p, ctx) + _thma_rhs_piece(swap_params(p, "f", "g"), ctx)
         assert ev(p, ctx) == want
 
@@ -196,13 +200,13 @@ class TestCheck:
     def test_kang_agrees_with_andrews(self):
         # the two forms share one right-hand side, so their left sides must
         # agree wherever both are defined
-        from qverify.identities import _andrews_lhs, _kang_lhs
-
+        andrews_lhs = get_case("andrews-4var").lhs
+        kang_lhs = get_case("kang-equivalent").lhs
         for seed in range(6):
             ctx = QContext(0.4)
             p = sample("andrews-4var", seed, ctx)
-            a = _andrews_lhs(p, ctx)
-            k = _kang_lhs(p, ctx)
+            a = andrews_lhs(p, ctx)
+            k = kang_lhs(p, ctx)
             assert abs(a - k) < 1e-10 * max(abs(a), abs(k), 1e-20)
 
     def test_ma_and_chu_zhang_agree_at_shared_points(self):

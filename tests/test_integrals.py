@@ -1,12 +1,15 @@
 """Tests for the h-function, the spectral quadrature and the closed forms."""
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from qverify.qcore import QContext, ipow, qpoch_inf
+from qverify import integrals
+from qverify.qcore import QContext, ipow, qpoch, qpoch_inf
+from qverify.series import _sum_series
 from qverify.integrals import (
     AWIntegrandSpec,
     _aw_integrand,
@@ -140,6 +143,51 @@ class TestClosedForms:
         assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
 
+def _qpoch_skip_ref(x, k, skip, q):
+    """(x;q)_k with the single factor at index ``skip`` removed."""
+    p = 1.0 + 0.0j
+    qi = 1.0 + 0.0j
+    for i in range(k):
+        if i != skip:
+            p *= 1.0 - x * qi
+        qi *= q
+    return p
+
+
+def _residue_term_ref(k, p, i, j_star, lams, u, v, w, ctx):
+    """Residue term number k at the pole p, every product rebuilt from scratch."""
+    q = ctx.q
+    k = k + j_star + 1
+    t = (1.0 - p * p) * (1.0 - ipow(q, 2 * k + 1) * p * p) * ipow(w, k)
+    for lam in lams:
+        t *= qpoch(q * p / lam, k, ctx) / qpoch(lam * p, k + 1, ctx)
+    for j in range(len(u)):
+        den = qpoch(p * v[j], k + 1, ctx)
+        if j == i:
+            den *= _qpoch_skip_ref(q * p / u[j], k, j_star, q)
+        else:
+            den *= qpoch(q * p / u[j], k, ctx)
+        t *= qpoch(p * u[j], k + 1, ctx) * qpoch(q * p / v[j], k, ctx) / den
+    return t
+
+
+def _residue_sum_ref(a, b, c, d, u, v, N, ctx):
+    """Sum over the poles v_i q^m of the from-scratch residue series."""
+    q = ctx.q
+    w = a * b * c * d * ipow(q, -(sum(N) + 1))
+    total = 0.0 + 0.0j
+    for i, n_i in enumerate(N):
+        for m in range(n_i):
+            j_star = n_i - 1 - m
+            p = v[i] * ipow(q, m)
+            terms = (
+                _residue_term_ref(k, p, i, j_star, (a, b, c, d), u, v, w, ctx)
+                for k in itertools.count()
+            )
+            total += _sum_series(terms, ctx).value
+    return total
+
+
 class TestMultiVariableIntegralDefect:
     """The stated multi-variable closed form vs the residue-corrected value.
 
@@ -165,6 +213,23 @@ class TestMultiVariableIntegralDefect:
         assert abs(lhs - corrected.real) < 1e-9 * abs(lhs)
         # and the stated form genuinely misses the residues here
         assert abs(lhs - stated.real) > 1e-6 * abs(lhs)
+
+    @pytest.mark.parametrize("q", [0.5, -0.5, 0.95])
+    @pytest.mark.parametrize("vs,N", [((0.3,), (2,)), ((0.3, 0.2), (1, 2))])
+    def test_ladders_match_from_scratch_terms(self, monkeypatch, q, vs, N):
+        # the running products multiply qpoch's factors in qpoch's order, so
+        # the sum is bit-identical to rebuilding every term from scratch.  The
+        # product-side constants are set to 1: at q = 0.95 their absolute
+        # pole guard raises, and they are not what is compared here
+        monkeypatch.setattr(integrals, "_thm_e_products", lambda *args: 1.0)
+        monkeypatch.setattr(integrals, "omega", lambda *args: 1.0)
+        ctx = QContext(q)
+        a, b, c, d = 0.3, 0.2, 0.1, 0.4
+        us = tuple(vv * ipow(ctx.q, n) for vv, n in zip(vs, N))
+        got = aw_residue_correction(a, b, c, d, us, vs, N, ctx)
+        want = -2.0 * math.pi * _residue_sum_ref(a, b, c, d, us, vs, N, ctx)
+        assert got != 0.0
+        assert got == want
 
     def test_correction_vanishes_for_zero_offsets(self):
         got = aw_residue_correction(0.3, 0.2, 0.1, 0.4, (0.45,), (0.45,), (0,), CTX)

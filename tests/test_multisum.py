@@ -8,10 +8,8 @@ import pytest
 
 from qverify.qcore import ConstraintViolation, QContext, ipow, qfrac, qpoch
 from qverify.multisum import (
-    MultiIndexSpec,
-    block_spec,
+    block_multisum,
     compositions,
-    milne_multisum,
     milne_rhs_block,
     omega,
 )
@@ -42,20 +40,20 @@ class TestCompositions:
 
 
 class TestMilneMultisum:
+    """``block_multisum``, the one evaluator of the Milne-type block sums."""
+
     def test_empty_is_one(self):
         ctx = QContext(0.5)
-        assert milne_multisum(MultiIndexSpec(()), ctx) == 1.0
+        assert block_multisum((), [], [], [], [], [], [], ctx) == 1.0
 
     def test_single_zero_limit(self):
         ctx = QContext(0.5)
-        spec = MultiIndexSpec((0,), final_factor=lambda m, M: 99.0 if m else 1.0)
-        assert milne_multisum(spec, ctx) == 1.0
+        assert block_multisum((0,), [0.3], [0.2], [0.7], [], [], [], ctx) == 1.0
 
     def test_validation(self):
+        # limits come from parameter files, so a negative one is an input error
         with pytest.raises(ValueError):
-            MultiIndexSpec((-1,), final_factor=lambda m, M: 1.0)
-        with pytest.raises(ValueError):
-            MultiIndexSpec((1,))
+            block_multisum((-1,), [0.3], [0.2], [0.7], [], [], [], QContext(0.5))
 
 
 class TestMilneBlock:
@@ -157,7 +155,7 @@ class TestOmega:
         N = [2]
         u = [v[0] * ipow(ctx.q, N[0])]
         base = omega(a, b, c, d, u, v, N, ctx)
-        spec = block_spec(
+        extended = block_multisum(
             [N[0] + 3],
             [v[0] / u[0]],
             [q / (a * d), q / (b * d), q / (c * d)],
@@ -165,5 +163,4 @@ class TestOmega:
             [], [], [],
             ctx,
         )
-        extended = milne_multisum(spec, ctx)
         assert extended == base

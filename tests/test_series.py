@@ -1,6 +1,7 @@
 """Tests for the unilateral and bilateral series engines."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -11,9 +12,9 @@ from qverify.qcore import DivergentSeries, QContext, ipow, qfrac, INF
 from qverify.series import (
     _ROUND_FLOOR,
     SeriesSpec,
+    _sum_series,
     _sum_stream,
     eval_bilateral_split,
-    eval_kshifted_sum,
     eval_phi,
     eval_psi,
 )
@@ -191,14 +192,16 @@ def qpoch_ref(x, n, q):
 
 
 class TestKShiftedSum:
+    """``_sum_series`` on a term stream t_0, t_1, ... computed from k alone."""
+
     def test_single_term(self):
         ctx = QContext(0.5)
-        r = eval_kshifted_sum(lambda k: 1.0 if k == 0 else 0.0, ctx)
+        r = _sum_series((1.0 if k == 0 else 0.0 for k in itertools.count()), ctx)
         assert r.value == 1.0
 
     def test_matches_geometric(self):
         ctx = QContext(0.5)
-        r = eval_kshifted_sum(lambda k: 0.25 ** k, ctx)
+        r = _sum_series((0.25 ** k for k in itertools.count()), ctx)
         assert abs(r.value - 4.0 / 3.0) < 1e-12
 
 
