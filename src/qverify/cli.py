@@ -7,8 +7,9 @@ Subcommands:
 * ``qverify sweep [...] --out r.json``  -- seeded multi-identity sweep
 
 Parameter files are TOML: complex values as two-element arrays
-``[re, im]`` or bare reals, integers bare.  Vector parameters use
-numbered keys (``x1``, ``x2``, ``N1``, ...) with ``n`` giving the count.
+``[re, im]`` or bare reals, integers (``n``, ``N<i>``, ``m<i>``) bare and
+non-negative.  Vector parameters use numbered keys (``x1``, ``x2``,
+``N1``, ...) with ``n`` giving the count.
 Exit codes: 0 pass, 1 fail, 2 skipped / domain, 3 input error.
 """
 
@@ -16,14 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import tomllib
 from dataclasses import dataclass
 
 from .qcore import QContext, QVerifyError
-from .identities import VerificationReport, case_ids, check, get_case, sample
+from .identities import _INTEGER_PARAMS, VerificationReport, case_ids, check, get_case, sample
 
 _EXIT_PASS = 0
 _EXIT_FAIL = 1
@@ -40,7 +40,7 @@ def load_param_file(path: str) -> dict:
         return tomllib.load(fh)
 
 
-def _coerce_scalar(val):
+def _coerce_scalar(name, val):
     if isinstance(val, bool):
         raise ValueError("boolean parameter values are not supported")
     if isinstance(val, int):
@@ -51,7 +51,13 @@ def _coerce_scalar(val):
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
     ):
         return complex(float(val[0]), float(val[1]))
-    raise ValueError(f"cannot interpret parameter value {val!r}")
+    raise ValueError(f"cannot interpret parameter {name!r} value {val!r}")
+
+
+def _coerce_count(name, val):
+    if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+        raise ValueError(f"parameter {name!r} must be a non-negative integer, got {val!r}")
+    return val
 
 
 def params_from_file_map(case, raw: dict) -> dict:
@@ -65,19 +71,17 @@ def params_from_file_map(case, raw: dict) -> dict:
     for name in case.param_names:
         if name not in raw:
             raise ValueError(f"missing parameter {name!r}")
-        val = raw[name]
-        params[name] = int(val) if name == "n" else _coerce_scalar(val)
+        coerce = _coerce_count if name in _INTEGER_PARAMS else _coerce_scalar
+        params[name] = coerce(name, raw[name])
         used.add(name)
     for name in case.vector_names:
+        coerce = _coerce_count if name in _INTEGER_PARAMS else _coerce_scalar
         vec = []
         i = 1
         while f"{name}{i}" in raw:
-            item = raw[f"{name}{i}"]
-            used.add(f"{name}{i}")
-            if name in ("N", "m"):
-                vec.append(int(item))
-            else:
-                vec.append(_coerce_scalar(item))
+            key = f"{name}{i}"
+            used.add(key)
+            vec.append(coerce(key, raw[key]))
             i += 1
         params[name] = vec
     unknown = set(raw) - used
@@ -93,11 +97,7 @@ def params_from_file_map(case, raw: dict) -> dict:
 
 
 def _make_ctx(q: float, tol: float | None) -> QContext:
-    max_terms = int(os.environ.get("QVERIFY_MAX_TERMS", 0)) or 10000
-    kwargs = {"q": q, "max_terms": max_terms}
-    if tol is not None:
-        kwargs["identity_tol"] = tol
-    return QContext(**kwargs)
+    return QContext(q) if tol is None else QContext(q, identity_tol=tol)
 
 
 def _print_human(report) -> None:

@@ -13,12 +13,12 @@ Numerical notes that shape the evaluators:
   is often orders of magnitude below each half.  They are summed as a
   single termwise-differenced stream, so the truncation rule acts on the
   difference itself and the a = b diagonal cancels to an exact zero.
-* The q-power weights (q^{k(k+1)/2}, q^{k(5k+3)/2}, ...) and the
-  k-dependent bases q^{-k} b/y advance by exact integer-exponent ladders;
-  no logarithms are involved anywhere.
-* The sums with k-dependent Pochhammer bases pair each descending factor
-  with one power of q from the quadratic weight, so no intermediate
-  quantity ever overflows.
+* The q-power weights (q^{k(k+1)/2}, q^{2k+1}, ...) advance by exact
+  integer-exponent ladders; no logarithms are involved anywhere.
+* Every Pochhammer product comes from ``series._ascending_terms``; the
+  sums with k-dependent bases use (q^{-k} w;q)_k = (-w)^k q^{-k(k+1)/2}
+  (q/w;q)_k, whose q-power cancels the quadratic weight.  At |q| near 1
+  a running product can overflow; the sum then raises DivergentSeries.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .qcore import (
     SamplingExhausted,
     UnknownParam,
     ipow,
-    q_power_index,
     qfrac,
     qpoch,
 )
@@ -89,6 +88,10 @@ _SKIP_ERRORS = (
 # convergence-domain slack: sampled |z| stays below this fraction of the
 # paper's strict bound so truncated tails stay within the error budget
 _SLACK = 0.92
+
+# the integer parameters (counts and q-power offsets); every other parameter
+# is a free complex value that the evaluators divide by
+_INTEGER_PARAMS = ("n", "N", "m")
 
 # margin (relative to |q^j|) by which denominator bases must clear the
 # q-power grid; closer approaches are rejected by the domain predicate
@@ -215,86 +218,63 @@ def _swap_diff(half, names):
     return evaluator
 
 
+def _shifted_terms(const, c, ups, lows, lows1, z, ctx):
+    """const (1 - c q^{2k+1}) prod (ups;q)_k / [prod (lows;q)_k prod (lows1;q)_{k+1}] z^k.
+
+    Every (x;q)_{k+1} in ``lows1`` is folded into const as 1/(1-x) and a
+    ladder base qx, so one ``_ascending_terms`` stream carries all the
+    Pochhammer products.  The leading factors are pole-checked here, before
+    the stream is returned.
+    """
+    q = ctx.q
+    shifted = []
+    for x in lows1:
+        f = 1.0 - x
+        if abs(f) < ctx.pole_guard:
+            raise PoleError(f"(x;q)_(k+1) leading factor below pole guard (base {x!r})")
+        const /= f
+        shifted.append(q * x)
+    ladder = _ascending_terms(ups, list(lows) + shifted, z, ctx)
+
+    def terms():
+        p = q  # q^{2k+1}
+        for t in ladder:
+            yield const * (t * (1.0 - c * p))
+            p *= q * q
+
+    return terms()
+
+
 def _rho_terms(a, b, ups, low_shift, z, ctx, inv_b_power=1):
     """Term stream of the reciprocity-family sums.
 
     (1/b^p) (1 - a q^{2k+1}/b) (-1/b;q)_{k+1}/(-qa;q)_k
         * prod (ups;q)_k / prod (low_shift;q)_{k+1} * z^k
 
-    with every (x;q)_{k+1} folded into a constant (1-x) and a shifted
-    ladder base qx.  ``ups``/``low_shift`` hold the raw bases (signs
-    included, e.g. -q*a/c and -c/b).  The leading factors are pole-checked
-    here, before the stream is returned.
+    ``ups``/``low_shift`` hold the raw bases (signs included, e.g. -q*a/c
+    and -c/b).
     """
     q = ctx.q
     const = ipow(1.0 / b, inv_b_power) * (1.0 + 1.0 / b)
-    shifted = []
-    for x in low_shift:
-        f = 1.0 - x
-        if abs(f) < ctx.pole_guard:
-            raise PoleError(f"(x;q)_(k+1) leading factor below pole guard (base {x!r})")
-        const /= f
-        shifted.append(q * x)
-    coef = a / b
-    ladder = _ascending_terms(list(ups) + [-q / b], [-q * a] + shifted, z, ctx)
-
-    def terms():
-        p = q  # q^{2k+1}
-        for t in ladder:
-            yield const * (t * (1.0 - coef * p))
-            p *= q * q
-
-    return terms()
+    return _shifted_terms(const, a / b, list(ups) + [-q / b], [-q * a], low_shift, z, ctx)
 
 
-def _jacobi_terms(v_coef, asc0, desc, desc_off, lows, quad_coef, z, ctx):
+def _jacobi_terms(v, asc0, desc, lows, z, ctx):
     """Term stream of the triple/quintuple-product family sums.
 
-    term_k = (1 - v_coef q^{2k+1}) (asc0;q)_k
-             * prod_i (q^{-k-off_i} w_i;q)_k / prod_j (lows_j;q)_{k+1}
-             * q^{((2p+3)k^2 + (2p+1)k)/2} * z^k        with 2p+3 = len(desc).
+    term_k = (1 - v q^{2k+1}) (asc0;q)_k
+             * prod_i (q^{-k} w_i;q)_k / prod_j (lows_j;q)_{k+1}
+             * q^{(D k^2 + (D-2) k)/2} * z^k        with D = len(desc).
 
-    Each descending factor is paired with one q^{k+1} from the quadratic
-    weight, so all intermediates stay bounded.  quad_coef is len(desc) and
-    must equal the k^2-coefficient of the weight.  The leading factors are
-    pole-checked here, before the stream is returned.
+    Since (q^{-k} w;q)_k = (-w)^k q^{-k(k+1)/2} (q/w;q)_k, the weight
+    cancels to q^{-k}: the sum is a ``_shifted_terms`` stream over
+    (asc0, q/w_i) and (lows_j) with argument z prod(-w_i) / q.
     """
     q = ctx.q
-    if quad_coef != len(desc):
-        raise ValueError("quadratic weight must match the descending factor count")
-    wprime = [w * ipow(q, -off) for w, off in zip(desc, desc_off)]
-    # exact-zero positions: w' = q^{m}, m >= 1 makes the step factor at
-    # k+1 = m vanish identically, terminating the sum exactly
-    zero_step = [q_power_index(w, q, 1, ctx.max_terms) for w in wprime]
-    asc0_zero = q_power_index(asc0, q, -ctx.max_terms, 0)
-    u = 1.0 + 0.0j
-    for l in lows:
-        f = 1.0 - l
-        if abs(f) < ctx.pole_guard:
-            raise PoleError(f"(x;q)_(k+1) leading factor below pole guard (base {l!r})")
-        u /= f
-
-    def terms(u):
-        qk, qk1, q2k1 = 1.0 + 0.0j, q, q  # q^k, q^{k+1}, q^{2k+1}
-        for k in itertools.count():
-            t = (1.0 - v_coef * q2k1) * u
-            # advance to k+1 before yielding term k: a pole there raises with term k
-            ratio = z / q
-            ratio *= 0.0 if asc0_zero is not None and -asc0_zero == k else 1.0 - asc0 * qk
-            for i, w in enumerate(wprime):
-                ratio *= 0.0 if zero_step[i] == k + 1 else qk1 - w
-            for l in lows:
-                f = 1.0 - l * qk1
-                if abs(f) < ctx.pole_guard:
-                    raise PoleError(f"ladder factor below pole guard (base {l!r}, k={k})")
-                ratio /= f
-            u *= ratio
-            qk *= q
-            qk1 *= q
-            q2k1 *= q * q
-            yield t
-
-    return terms(u)
+    arg = z / q
+    for w in desc:
+        arg *= -w
+    return _shifted_terms(1.0, v, [asc0] + [q / w for w in desc], [], lows, arg, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -1138,12 +1118,12 @@ def _thmb_lhs(p, ctx):
     x, y, b, c, d, e, f = (p[k] for k in ("x", "y", "b", "c", "d", "e", "f"))
     ps = (b, c, d, e, f)
     t1 = _jacobi_terms(
-        1.0 / x, q / (x * y), [t / y for t in ps], [0] * 5,
-        [y] + [t / (x * y) for t in ps], 5, -y / (x * x), ctx
+        1.0 / x, q / (x * y), [t / y for t in ps],
+        [y] + [t / (x * y) for t in ps], -y / (x * x), ctx
     )
     t2 = _jacobi_terms(
-        x, q / y, [t / (x * y) for t in ps], [0] * 5,
-        [x * y] + [t / y for t in ps], 5, -x ** 3 * y, ctx
+        x, q / y, [t / (x * y) for t in ps],
+        [x * y] + [t / y for t in ps], -x ** 3 * y, ctx
     )
     return _diff_sum(t1, (x * x * t for t in t2), ctx)
 
@@ -1190,16 +1170,16 @@ def _corlb_lhs(p, ctx):
     x, y, b, c, d, e, n = (p[k] for k in ("x", "y", "b", "c", "d", "e", "n"))
     t1 = _jacobi_terms(
         1.0 / x, q / (x * y),
-        [b / y, c / y, d / y, e / y, x * y / e], [0, 0, 0, 0, n],
+        [b / y, c / y, d / y, e / y, x * y / e * ipow(q, -n)],
         [y, b / (x * y), c / (x * y), d / (x * y), e / (x * y),
          ipow(q, -n) * y / e],
-        5, -y / (x * x), ctx,
+        -y / (x * x), ctx,
     )
     t2 = _jacobi_terms(
         x, q / y,
-        [b / (x * y), c / (x * y), d / (x * y), e / (x * y), y / e], [0, 0, 0, 0, n],
+        [b / (x * y), c / (x * y), d / (x * y), e / (x * y), y / e * ipow(q, -n)],
         [x * y, b / y, c / y, d / y, e / y, ipow(q, -n) * x * y / e],
-        5, -x ** 3 * y, ctx,
+        -x ** 3 * y, ctx,
     )
     return _diff_sum(t1, (x * x * t for t in t2), ctx)
 
@@ -1446,15 +1426,15 @@ def _thmd_lhs(p, ctx):
     pair1l = [t / (x * y) for i in range(n) for t in (xs[i], ys[i])]
     t1 = _jacobi_terms(
         1.0 / x, q / (x * y),
-        [b / y, c / y, d / y] + pair1, [0] * (3 + 2 * n),
+        [b / y, c / y, d / y] + pair1,
         [y, b / (x * y), c / (x * y), d / (x * y)] + pair1l,
-        3 + 2 * n, -y / ipow(x, n + 1), ctx,
+        -y / ipow(x, n + 1), ctx,
     )
     t2 = _jacobi_terms(
         x, q / y,
-        [b / (x * y), c / (x * y), d / (x * y)] + pair1l, [0] * (3 + 2 * n),
+        [b / (x * y), c / (x * y), d / (x * y)] + pair1l,
         [x * y, b / y, c / y, d / y] + pair1,
-        3 + 2 * n, -ipow(x, n + 2) * y, ctx,
+        -ipow(x, n + 2) * y, ctx,
     )
     scale = ipow(x, n + 1)
     return _diff_sum(t1, (scale * t for t in t2), ctx)
@@ -1756,8 +1736,9 @@ def sample(case_id: str, seed: int, ctx: QContext, mode: str | None = None) -> d
 def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) -> VerificationReport:
     """Evaluate both sides of one identity at one point and classify the result.
 
-    Domain and pole conditions never raise: they yield a skipped verdict.
-    Any other evaluator failure is reported as fail with a diagnostic.
+    Domain and pole conditions never raise: they yield a skipped verdict,
+    and a zero-valued free parameter is outside every domain.  Any other
+    evaluator failure is reported as fail with a diagnostic.
     """
     case = get_case(case_id)
     start = time.perf_counter()
@@ -1776,8 +1757,10 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
             elapsed=time.perf_counter() - start,
         )
 
+    free = (v for name, val in params.items() if name not in _INTEGER_PARAMS
+            for v in (val if isinstance(val, (list, tuple)) else (val,)))
     try:
-        in_domain = case.domain(params, ctx)
+        in_domain = all(v != 0 for v in free) and case.domain(params, ctx)
     except _SKIP_ERRORS as exc:
         return report(0j, 0j, 0.0, 0.0, "skipped", f"domain: {exc}")
     if not in_domain:

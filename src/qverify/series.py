@@ -6,16 +6,17 @@
                 * [(-1)^k q^{k(k-1)/2}]^{s-r} * z^k
 
 and ``eval_psi`` the bilateral one over all integers k, split into a
-nonnegative branch and a negative branch computed through reciprocal
-Pochhammers of negative order.  ``eval_bilateral_split`` exposes the
-split itself: the k <= -1 sum re-indexed to a k >= 0 series with its
-prefactor, so the algebraic step used by the reciprocity proofs is
-directly testable.
+nonnegative branch and a negative branch.  The negative branch is summed
+as its reflection: the k <= -1 sum re-indexed to a k >= 0 series in the
+bases q^2/l, q^2/u, times a prefactor.  ``eval_bilateral_split`` exposes
+that split itself, so the algebraic step used by the reciprocity proofs
+is directly testable.
 
-Running products carry each Pochhammer factor across consecutive k
-(same factors, same order as a from-scratch product; no divisions are
-introduced, so exact zeros from snapped q^{-n} bases are preserved).
-Term streams are plain iterators, and ``_sum_stream`` is the one
+``_ascending_terms`` is the one Pochhammer ladder, here and for every
+term stream in ``identities``: running products carry each factor across
+consecutive k (same factors, same order as a from-scratch product; no
+divisions are introduced, so exact zeros from snapped q^{-n} bases are
+preserved).  Term streams are plain iterators, and ``_sum_stream`` is the one
 summation kernel for them and for the reciprocity difference streams in
 ``identities``: stop after 3 consecutive terms below
 series_tol * |partial sum|, and report the geometric tail
@@ -116,49 +117,6 @@ def _ascending_terms(upper, lower, z, ctx, sign_exp=0):
         k += 1
 
 
-def _descending_terms(upper, lower, z, ctx):
-    """Yield the k <= -1 terms t_{-1}, t_{-2}, ... of a bilateral series.
-
-    Uses the running ratio t_{-j} / t_{-j+1} =
-    prod_l (1 - l q^{-j}) / [prod_u (1 - u q^{-j}) * z], with each factor
-    pair evaluated as (q^j - l) / (q^j - u) so nothing grows with j.  A
-    lower base snapped onto q^{+m} forces the factor at j = m to exact
-    zero, after which every remaining term vanishes and the stream ends.
-    """
-    q = ctx.q
-    guard = ctx.pole_guard
-    upper = [complex(u) for u in upper]
-    lower = [complex(b) for b in lower]
-    if len(upper) != len(lower):
-        raise ValueError("descending branch requires equal parameter counts")
-    z = complex(z)
-    if z == 0.0:
-        raise DivergentSeries("bilateral series needs a nonzero argument")
-    zero_at = [q_power_index(b, q, 1, ctx.max_terms) for b in lower]
-    t = 1.0 + 0.0j
-    qj = 1.0 + 0.0j
-    j = 1
-    while True:
-        qj *= q
-        numf = 1.0 + 0.0j
-        for i, b in enumerate(lower):
-            numf *= 0.0 if zero_at[i] == j else qj - b
-        if numf == 0.0:
-            return
-        denf = 1.0 + 0.0j
-        for u in upper:
-            f = qj - u
-            if abs(f) < guard * abs(qj):
-                raise PoleError(
-                    f"upper-parameter factor |1 - a q^{{-j}}| below pole guard "
-                    f"at k = {-j} (base {u!r})"
-                )
-            denf *= f
-        t *= numf / (denf * z)
-        yield t
-        j += 1
-
-
 # rounding-floor coefficient: every summed term carries a few ulps of the
 # magnitude w_k it is computed from, so _ROUND_FLOOR * sum of w_k bounds the
 # accumulated roundoff
@@ -237,6 +195,50 @@ def eval_phi(spec: SeriesSpec, ctx: QContext) -> SeriesResult:
     return _sum_series(stream, ctx)
 
 
+def _split(spec: SeriesSpec, ctx: QContext):
+    """The k >= 0 branch and the reflected k <= -1 branch of a bilateral sum.
+
+    Zero parameters drop out, since (0;q)_k = 1 at every k.  With
+    s = #upper - #lower of the rest and w = prod(-l) / (prod(-u) z), the
+    reflected sum of ``eval_bilateral_split`` gains the factor q^s, the
+    weight [(-1)^k q^C(k,2)]^s and the argument (-q^2)^s w.
+    """
+    q = ctx.q
+    z = spec.argument
+    first = _sum_series(_ascending_terms(spec.upper, spec.lower, z, ctx), ctx)
+    if z == 0.0:
+        raise DivergentSeries("bilateral series needs a nonzero argument")
+    upper = [u for u in spec.upper if u != 0.0]
+    lower = [b for b in spec.lower if b != 0.0]
+    pref = 1.0 + 0.0j
+    for b in lower:
+        pref *= 0.0 if q_power_index(b, q, 1, 1) == 1 else 1.0 - q / b
+    if pref == 0.0:
+        return first, SeriesResult(0.0 + 0.0j, 0.0, 0, True)
+    num = 1.0 + 0.0j
+    den = 1.0 + 0.0j
+    for u in upper:
+        f = 1.0 - q / u
+        if abs(f) < ctx.pole_guard:
+            raise PoleError(f"reflected prefactor factor below pole guard (base {u!r})")
+        den *= f
+        num *= -u
+    w = 1.0 + 0.0j
+    for b in lower:
+        w *= -b
+    w /= num * z
+    pref = pref / den * w
+    s = len(upper) - len(lower)
+    if s:
+        pref *= ipow(q, s)
+        w *= ipow(-q * q, s)
+    stream = _ascending_terms([q * q / b for b in lower], [q * q / u for u in upper], w, ctx, s)
+    ref = _sum_series(stream, ctx)
+    return first, SeriesResult(
+        pref * ref.value, abs(pref) * ref.abs_error_estimate, ref.terms_used, ref.terminated
+    )
+
+
 def eval_psi(spec: SeriesSpec, ctx: QContext) -> SeriesResult:
     """Evaluate a bilateral r-psi-r series as nonnegative + negative branch.
 
@@ -246,8 +248,7 @@ def eval_psi(spec: SeriesSpec, ctx: QContext) -> SeriesResult:
     """
     if spec.kind != "bilateral":
         raise ValueError("eval_psi expects a bilateral SeriesSpec")
-    pos = _sum_series(_ascending_terms(spec.upper, spec.lower, spec.argument, ctx), ctx)
-    neg = _sum_series(_descending_terms(spec.upper, spec.lower, spec.argument, ctx), ctx)
+    pos, neg = _split(spec, ctx)
     return SeriesResult(
         pos.value + neg.value,
         pos.abs_error_estimate + neg.abs_error_estimate,
@@ -267,43 +268,11 @@ def eval_bilateral_split(spec: SeriesSpec, ctx: QContext):
           * sum_{k>=0} prod(q^2/l;q)_k / prod(q^2/u;q)_k * w^k,
 
     with w = prod(l) / (prod(u) * z) -- the reflected form used by the
-    reciprocity proofs.  The components sum to eval_psi's value within the
-    combined error estimates; a lower parameter equal to q makes the second
-    component exactly zero.
+    reciprocity proofs (zero parameters are dropped first; see ``_split``
+    for the weight they leave).  The components sum to eval_psi's value;
+    a lower parameter equal to q makes the second component an exact zero
+    of 0 terms.
     """
     if spec.kind != "bilateral":
         raise ValueError("eval_bilateral_split expects a bilateral SeriesSpec")
-    q = ctx.q
-    first = _sum_series(_ascending_terms(spec.upper, spec.lower, spec.argument, ctx), ctx)
-    pref = 1.0 + 0.0j
-    for b in spec.lower:
-        pref *= 0.0 if q_power_index(b, q, 1, 1) == 1 else 1.0 - q / b
-    if pref == 0.0:
-        return first, SeriesResult(0.0 + 0.0j, 0.0, 1, True)
-    num = 1.0 + 0.0j
-    den = 1.0 + 0.0j
-    for u in spec.upper:
-        f = 1.0 - q / u
-        if abs(f) < ctx.pole_guard:
-            raise PoleError(f"reflected prefactor factor below pole guard (base {u!r})")
-        den *= f
-        num *= u
-    w = 1.0 + 0.0j
-    for b in spec.lower:
-        w *= b
-    w /= num * spec.argument
-    pref = pref / den * w
-    ref = _sum_series(
-        _ascending_terms(
-            [q * q / b for b in spec.lower],
-            [q * q / u for u in spec.upper],
-            w,
-            ctx,
-        ),
-        ctx,
-    )
-    second = SeriesResult(
-        pref * ref.value, abs(pref) * ref.abs_error_estimate, ref.terms_used, ref.terminated
-    )
-    return first, second
-
+    return _split(spec, ctx)

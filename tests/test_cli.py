@@ -56,6 +56,15 @@ name = "x"
             params_from_file_map(case, {"a": 0.5})
 
 
+# points with one free parameter at zero
+ZERO_POINTS = {
+    "lemma-milne": "a = 0.3\nb = 0.8\nc = 0.7\nd = 0.75\ne = 0.65\nn = 1\n"
+                   "x1 = 0.0\ny1 = 0.15\nN1 = 1\n",
+    "ramanujan-reciprocity": "a = 0.0\nb = 0.4\n",
+    "bailey-6psi6": "a = 0.0\nb = 0.9\nc = 0.8\nd = 0.7\ne = 0.6\n",
+}
+
+
 class TestExitCodes:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -91,6 +100,25 @@ class TestExitCodes:
 
     def test_sweep_bad_tol_exit_3(self):
         assert main(["sweep", "--identity", "watson", "--samples", "1", "--tol", "0"]) == 3
+
+    @pytest.mark.parametrize("value", ["2.5", "true", "[1, 2]", "-1"])
+    def test_check_bad_integer_exit_3(self, tmp_path, value):
+        # n must be a non-negative TOML integer: no rounding, no bool, no list
+        path = write(tmp_path, "w.toml",
+                     f"a = 0.5\nb = 0.4\nc = 0.3\nd = 0.2\ne = 0.6\nn = {value}\n")
+        assert main(["check", "watson", "--params", path]) == 3
+
+    def test_check_bad_vector_integer_exit_3(self, tmp_path):
+        path = write(tmp_path, "m.toml", "a = 0.3\nb = 0.8\nc = 0.7\nd = 0.75\n"
+                     "e = 0.65\nn = 1\nx1 = 0.5\ny1 = 0.15\nN1 = 1.5\n")
+        assert main(["check", "lemma-milne", "--params", path]) == 3
+
+    @pytest.mark.parametrize("case_id", sorted(ZERO_POINTS))
+    def test_check_zero_free_parameter_exit_2(self, tmp_path, capsys, case_id):
+        # every case divides by its free parameters: a zero is outside the domain
+        path = write(tmp_path, "zero.toml", ZERO_POINTS[case_id])
+        assert main(["check", case_id, "--params", path]) == 2
+        assert "outside convergence domain" in capsys.readouterr().out
 
     def test_check_unknown_identity_exit_3(self, tmp_path):
         path = write(tmp_path, "x.toml", "a = 0.1\n")
@@ -195,14 +223,6 @@ class TestSweepCell:
 
 
 class TestEnvOverride:
-    def test_max_terms_env_var(self, monkeypatch):
-        from qverify.cli import _make_ctx
-
-        monkeypatch.setenv("QVERIFY_MAX_TERMS", "1234")
-        assert _make_ctx(0.5, None).max_terms == 1234
-        monkeypatch.delenv("QVERIFY_MAX_TERMS")
-        assert _make_ctx(0.5, None).max_terms == 10000
-
     def test_worker_pool_matches_serial(self, tmp_path):
         args = ["sweep", "--identity", "watson", "bailey-6psi6", "thm-e-integral",
                 "--samples", "4", "--seed", "9", "--q", "0.5"]

@@ -1,10 +1,13 @@
 """Tests for the identity registry, sampler and check harness."""
 
+import cmath
+import itertools
+import math
 import random
 
 import pytest
 
-from qverify.qcore import QContext, UnknownParam, ipow
+from qverify.qcore import QContext, UnknownParam, ipow, qpoch
 from qverify.identities import (
     _pair_rhs,
     _swap_diff,
@@ -318,3 +321,101 @@ class TestSFunctionReductions:
             assert abs(lhs - factor * tl) < 1e-9 * max(abs(lhs), 1e-20)
             assert abs(rhs - factor * tr) < 1e-9 * max(abs(rhs), 1e-20)
             done += 1
+
+
+def jacobi_halves(case_id, p, q):
+    """(v, asc0, w, lows, z, scale) of both halves of a Jacobi-family left side.
+
+    Half h sums scale (1 - v q^{2k+1}) (asc0;q)_k prod (q^{-k} w_i;q)_k
+    / prod (lows_j;q)_{k+1} q^{(D k^2 + (D-2) k)/2} z^k over k >= 0, with
+    D = len(w); the left side is half 1 minus half 2.
+    """
+    x, y, b, c, d = (p[k] for k in "xybcd")
+    if case_id == "thm-b":
+        ps = (b, c, d, p["e"], p["f"])
+        up, low, n = [t / y for t in ps], [t / (x * y) for t in ps], 0
+    elif case_id == "corl-b":
+        e, n = p["e"], p["n"]
+        up = [b / y, c / y, d / y, e / y, x * y / e * ipow(q, -n)]
+        low = [b / (x * y), c / (x * y), d / (x * y), e / (x * y), y / e * ipow(q, -n)]
+        n = 0
+    else:
+        pairs = [t for i in range(p["n"]) for t in (p["xv"][i], p["yv"][i])]
+        up = [t / y for t in (b, c, d, *pairs)]
+        low = [t / (x * y) for t in (b, c, d, *pairs)]
+        n = p["n"] - 1
+    return (
+        (1 / x, q / (x * y), up, [y] + low, -y / ipow(x, n + 2), 1.0),
+        (x, q / y, low, [x * y] + up, -ipow(x, n + 3) * y, ipow(x, n + 2)),
+    )
+
+
+def jacobi_reference(half, ctx):
+    """The half's terms, each from scratch, until two fall below 1e-18 of the sum.
+
+    The weight is split as q^{-k} times one q^{k(k+1)/2} per (q^{-k} w;q)_k,
+    and each such pair is the product of its factors q^j - w, j = 1..k, so
+    that nothing leaves the double range; the other products come from qpoch.
+    """
+    v, asc0, ws, lows, z, scale = half
+    q = ctx.q
+    terms, small = [], 0
+    for k in range(400):
+        t = scale * (1 - v * ipow(q, 2 * k + 1)) * qpoch(asc0, k, ctx) * ipow(z / q, k)
+        for w in ws:
+            t *= math.prod((ipow(q, j) - w for j in range(1, k + 1)), start=1 + 0j)
+        for low in lows:
+            t /= qpoch(low, k + 1, ctx)
+        assert cmath.isfinite(t)
+        terms.append(t)
+        small = small + 1 if abs(t) < 1e-18 * abs(sum(terms)) else 0
+        if small == 2 or t == 0:
+            return terms
+    raise AssertionError("reference terms did not converge")
+
+
+def jacobi_streams(case_id, p, ctx, monkeypatch):
+    """The two half streams the case's left side hands to ``_diff_sum``."""
+    import qverify.identities as identities
+
+    seen = []
+    monkeypatch.setattr(identities, "_diff_sum", lambda t1, t2, ctx: seen.append((t1, t2)))
+    get_case(case_id).lhs(p, ctx)
+    return seen[0]
+
+
+def jacobi_point(case_id, ctx, n=None):
+    for seed in range(200):
+        p = sample(case_id, seed, ctx)
+        if n is None or p["n"] == n:
+            return p
+    raise AssertionError("no sample with the requested n")
+
+
+class TestJacobiHalves:
+    """thm-b, corl-b and thm-d halves against their term formula, from scratch."""
+
+    @pytest.mark.parametrize("q", [0.5, -0.5, 0.95, 0.5 + 0.3j])
+    @pytest.mark.parametrize("case_id, n", [("thm-b", None), ("corl-b", 1),
+                                            ("corl-b", 2), ("thm-d-multivar", 2)])
+    def test_halves_match_term_formula(self, case_id, n, q, monkeypatch):
+        ctx = QContext(q)
+        p = jacobi_point(case_id, ctx, n)
+        streams = jacobi_streams(case_id, p, ctx, monkeypatch)
+        for stream, half in zip(streams, jacobi_halves(case_id, p, ctx.q)):
+            want = jacobi_reference(half, ctx)
+            got = list(itertools.islice(stream, len(want)))
+            scale = sum(abs(t) for t in want)
+            assert abs(sum(got) - sum(want)) < 1e-13 * scale
+
+    def test_terminating_half(self, monkeypatch):
+        # b = y q^2 makes the first half's base w = q^2: (q^{-k} w;q)_k = 0 for
+        # k >= 2, so that stream ends after two terms
+        ctx = QContext(0.5)
+        p = dict(sample("thm-b", 3, ctx))
+        p["b"] = p["y"] * ctx.q ** 2
+        first, _ = jacobi_streams("thm-b", p, ctx, monkeypatch)
+        got = list(itertools.islice(first, 50))
+        want = jacobi_reference(jacobi_halves("thm-b", p, ctx.q)[0], ctx)
+        assert len(got) == 2 and abs(want[2]) < 1e-14 * abs(want[0])
+        assert all(abs(g - w) < 1e-14 * abs(w) for g, w in zip(got, want))

@@ -8,7 +8,7 @@ import random
 import mpmath as mp
 import pytest
 
-from qverify.qcore import DivergentSeries, QContext, ipow, qfrac, INF
+from qverify.qcore import DivergentSeries, QContext, ipow, qfrac, qpoch, INF
 from qverify.series import (
     _ROUND_FLOOR,
     SeriesSpec,
@@ -146,7 +146,7 @@ class TestBilateralSplit:
         spec = SeriesSpec(upper=[0.4, 0.2], lower=[ctx.q, 0.35], argument=0.25,
                           kind="bilateral")
         first, second = eval_bilateral_split(spec, ctx)
-        assert second.value == 0.0 and second.terminated
+        assert second.value == 0.0 and second.terminated and second.terms_used == 0
 
     def test_matches_displayed_reflected_sum(self):
         # the reflected k >= 0 form of the negative branch, with prefactor
@@ -179,6 +179,82 @@ class TestBilateralSplit:
                 break
         want = pref * total
         assert abs(second.value - want) < 1e-11 * abs(want)
+
+
+def psi_direct(upper, lower, z, ctx):
+    """sum over all k of prod (u;q)_k / prod (l;q)_k z^k, each term from qpoch at its sign.
+
+    Each direction stops after two terms below 1e-18 of the running total.
+    """
+    total = 0.0 + 0.0j
+    for ks in (itertools.count(0), itertools.count(-1, -1)):
+        small = 0
+        for k in ks:
+            t = ipow(z, k)
+            for u in upper:
+                t *= qpoch(u, k, ctx)
+            for b in lower:
+                t /= qpoch(b, k, ctx)
+            total += t
+            small = small + 1 if abs(t) < 1e-18 * abs(total) else 0
+            if small == 2:
+                break
+    return total
+
+
+def psi_point(rng, r, lower_zeros=0):
+    """upper, lower, z of an r-psi-r; without zero parameters |prod(l) / (prod(u) z)| <= 0.25."""
+    while True:
+        upper = [rand_complex(rng, 0.6, 0.9) for _ in range(r)]
+        lower = [0j] * lower_zeros + [rand_complex(rng, 0.1, 0.5) for _ in range(r - lower_zeros)]
+        z = rand_complex(rng, 0.3, 0.5)
+        w = math.prod(abs(b) for b in lower) / (math.prod(abs(u) for u in upper) * abs(z))
+        if lower_zeros or w <= 0.25:
+            return upper, lower, z
+
+
+class TestPsiAgainstDirectSum:
+    """eval_psi against the two-sided sum of qpoch quotients, both signs of k."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.8, -0.5, 0.5 + 0.3j])
+    @pytest.mark.parametrize("r, zeros", [(3, 0), (2, 1), (2, 2)])
+    def test_matches_direct_sum(self, q, r, zeros):
+        ctx = QContext(q)
+        rng = random.Random(10 * r + zeros)
+        for _ in range(3):
+            upper, lower, z = psi_point(rng, r, zeros)
+            spec = SeriesSpec(upper=upper, lower=lower, argument=z, kind="bilateral")
+            got = eval_psi(spec, ctx)
+            want = psi_direct(upper, lower, z, ctx)
+            # the branches may cancel: the bound is the claimed error plus 1e-12
+            tol = got.abs_error_estimate + 1e-12 * abs(want)
+            assert abs(got.value - want) < tol
+            first, second = eval_bilateral_split(spec, ctx)
+            assert abs(first.value + second.value - want) < tol
+            assert got.branch_terms == (first.terms_used, second.terms_used)
+
+    def test_zero_lower_parameters(self):
+        # more upper than lower parameters once the zeros drop out: the
+        # reflected branch carries the weight [(-1)^k q^C(k,2)]^s
+        ctx = QContext(0.5)
+        for lower, want in (([0.0, 0.6], 40.77779633709134), ([0.0, 0.0], -7699.971546445549)):
+            spec = SeriesSpec(upper=[0.2, 0.3], lower=lower, argument=0.3, kind="bilateral")
+            got = eval_psi(spec, ctx).value
+            assert abs(got - want) < 1e-12 * abs(want)
+            assert abs(got - psi_direct([0.2, 0.3], lower, 0.3, ctx)) < 1e-12 * abs(want)
+
+    def test_zero_upper_parameter_diverges(self):
+        ctx = QContext(0.5)
+        spec = SeriesSpec(upper=[0.0, 0.3], lower=[0.4, 0.6], argument=0.3, kind="bilateral")
+        with pytest.raises(DivergentSeries):
+            eval_psi(spec, ctx)
+
+    @pytest.mark.parametrize("evaluate", [eval_psi, eval_bilateral_split])
+    def test_zero_argument_diverges(self, evaluate):
+        ctx = QContext(0.5)
+        spec = SeriesSpec(upper=[0.2, 0.3], lower=[0.4, 0.6], argument=0.0, kind="bilateral")
+        with pytest.raises(DivergentSeries):
+            evaluate(spec, ctx)
 
 
 def qpoch_ref(x, n, q):
