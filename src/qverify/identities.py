@@ -4,8 +4,13 @@ Every identity is an :class:`IdentityCase`: named free parameters with
 sampling annuli, integer parameters with ranges, derived-parameter rules,
 a convergence-domain predicate, and a left/right evaluator pair.
 ``check`` runs one case at one parameter point and produces a
-:class:`VerificationReport`; ``sample`` draws admissible points
+:class:`VerificationReport`; ``sample`` draws points inside the domain
 deterministically from a seed.
+
+A domain holds convergence conditions only.  Poles are found by the
+evaluation itself: while ``check`` evaluates a point, qcore records the base
+x of every divisor factor 1 - x q^j met, and a point with a recorded base
+near a power of q is skipped, never judged.
 
 Numerical notes that shape the evaluators:
 
@@ -45,6 +50,9 @@ from .qcore import (
     QContext,
     SamplingExhausted,
     UnknownParam,
+    _one_minus,
+    _record,
+    _recording,
     ipow,
     qfrac,
     qpoch,
@@ -93,8 +101,8 @@ _SLACK = 0.92
 # is a free complex value that the evaluators divide by
 _INTEGER_PARAMS = ("n", "N", "m")
 
-# margin (relative to |q^j|) by which denominator bases must clear the
-# q-power grid; closer approaches are rejected by the domain predicate
+# margin (relative to |q^j|) by which divisor bases must clear the
+# q-power grid; ``check`` skips a point with a base closer than that
 _POLE_MARGIN = 1e-5
 
 
@@ -112,34 +120,31 @@ def swap_params(params: dict, x: str, y: str) -> dict:
     return out
 
 
-def _grid_clear(values, ctx, lo=-60, hi=60, margin=_POLE_MARGIN):
-    """True when no value sits *near* a power q^j, lo <= j <= hi.
+def _grid_clear(values, ctx):
+    """The first value that sits *near* a power q^j, -60 <= j <= 60, else None.
 
-    Guards bases against the q-power grid, where ladder factors vanish and
-    residuals lose meaning.  A value that snaps *onto* the grid (within the
-    exact-zero detection tolerance) is allowed through: such points are
-    degenerate by construction (e.g. the a = b diagonal) and evaluate
-    exactly; only the ill-conditioned annulus around a grid point rejects.
+    Divisor bases are tested against the q-power grid, where ladder factors
+    vanish and residuals lose meaning.  A value that snaps *onto* the grid
+    (to SNAP_RTOL) is let through: such points are degenerate by
+    construction (e.g. the a = b diagonal) and evaluate exactly.
     """
     q = ctx.q
     aq = abs(q)
     if aq == 0.0:
-        return True
+        return None
     llog = math.log(aq)
     for v in values:
         av = abs(v)
         if av == 0.0 or not math.isfinite(av):
             continue
-        jf = math.log(av) / llog
-        j0 = math.floor(jf)
+        j0 = math.floor(math.log(av) / llog)
         for j in (j0 - 1, j0, j0 + 1, j0 + 2):
-            if lo <= j <= hi:
+            if -60 <= j <= 60:
                 ref = ipow(q, j)
-                dist = abs(v - ref)
                 scale = max(abs(ref), 1e-12)
-                if SNAP_RTOL * scale < dist < margin * scale:
-                    return False
-    return True
+                if SNAP_RTOL * scale < abs(v - ref) < _POLE_MARGIN * scale:
+                    return v
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +234,7 @@ def _shifted_terms(const, c, ups, lows, lows1, z, ctx):
     q = ctx.q
     shifted = []
     for x in lows1:
-        f = 1.0 - x
+        f = _one_minus(x)
         if abs(f) < ctx.pole_guard:
             raise PoleError(f"(x;q)_(k+1) leading factor below pole guard (base {x!r})")
         const /= f
@@ -410,7 +415,7 @@ class IdentityCase:
     id: str
     family: str                       # "series" | "reciprocity" | "integral"
     sampler: Callable                 # (rng, ctx, mode) -> params dict
-    domain: Callable                  # (params, ctx) -> bool
+    domain: Callable                  # (params, ctx) -> bool, convergence conditions only
     lhs: Callable                     # (params, ctx) -> complex
     rhs: Callable                     # (params, ctx) -> complex
     param_names: tuple = ()
@@ -547,19 +552,11 @@ def _watson_rhs(p, ctx):
     return lead * _guarded_series_value(phi, ctx)
 
 
-def _watson_domain(p, ctx):
-    q = ctx.q
-    a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    guards = [q * a / b, q * a / c, q * a / d, q * a / e,
-              ipow(q, 1 + p["n"]) * a, d * e * ipow(q, -p["n"]) / a, a]
-    return _grid_clear(guards, ctx)
-
-
 _register(IdentityCase(
     id="watson",
     family="series",
     sampler=_scalar_sampler("abcde", ints={"n": (0, 1, 2, 3, 5, 8)}),
-    domain=_watson_domain,
+    domain=lambda p, ctx: True,
     lhs=_watson_lhs,
     rhs=_watson_rhs,
     param_names=("a", "b", "c", "d", "e", "n"),
@@ -567,13 +564,6 @@ _register(IdentityCase(
 
 
 # -- bailey-6psi6 -------------------------------------------------------
-
-def _bailey_denominators(p, ctx):
-    q = ctx.q
-    a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    return [q / b, q / c, q / d, q / e, q * a / b, q * a / c, q * a / d, q * a / e,
-            q * a * a / (b * c * d * e), b, c, d, e, a]
-
 
 def _bailey_lhs(p, ctx):
     q = ctx.q
@@ -603,8 +593,7 @@ def _bailey_rhs(p, ctx):
 
 def _bailey_domain(p, ctx):
     a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    z = ctx.q * a * a / (b * c * d * e)
-    return _conv_ok(z) and _grid_clear(_bailey_denominators(p, ctx), ctx)
+    return _conv_ok(ctx.q * a * a / (b * c * d * e))
 
 
 _register(IdentityCase(
@@ -642,7 +631,7 @@ _register(IdentityCase(
     id="ramanujan-reciprocity",
     family="reciprocity",
     sampler=_scalar_sampler("ab"),
-    domain=lambda p, ctx: _grid_clear([-p["a"], -p["b"], p["a"] / p["b"]], ctx),
+    domain=lambda p, ctx: True,
     lhs=_swap_diff(_rama_half, "ab"),
     rhs=_rama_rhs,
     param_names=("a", "b"),
@@ -653,7 +642,7 @@ _register(IdentityCase(
 
 def _andrews_half(a, b, c, d, ctx):
     q = ctx.q
-    f = 1.0 + c / b
+    f = _one_minus(-c / b)
     if abs(f) < ctx.pole_guard:
         raise PoleError("1 + c/b below pole guard")
     const = (1.0 + 1.0 / b) / f
@@ -673,11 +662,7 @@ def _andrews_rhs(p, ctx):
 
 
 def _andrews_domain(p, ctx):
-    q = ctx.q
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    return _conv_ok(d / a, d / b) and _grid_clear(
-        [-q * a, -q * b, -c / a, -c / b, -d / a, -d / b], ctx
-    )
+    return _conv_ok(p["d"] / p["a"], p["d"] / p["b"])
 
 
 _register(IdentityCase(
@@ -695,7 +680,7 @@ _register(IdentityCase(
 
 def _kang_half(a, b, c, d, ctx):
     q = ctx.q
-    f = (1.0 + c / b) * (1.0 + d / b)
+    f = _one_minus(-c / b) * _one_minus(-d / b)
     if abs(f) < ctx.pole_guard:
         raise PoleError("(1 + c/b)(1 + d/b) below pole guard")
     const = (1.0 + 1.0 / b) / f
@@ -750,11 +735,7 @@ def _ma_rhs(p, ctx):
 
 def _ma_domain(p, ctx):
     a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    z = c * d * e / (ctx.q * a * b)
-    return _conv_ok(z) and _grid_clear(
-        [-ctx.q * a, -ctx.q * b, -c / a, -c / b, -d / a, -d / b, -e / a, -e / b, z],
-        ctx,
-    )
+    return _conv_ok(c * d * e / (ctx.q * a * b))
 
 
 _register(IdentityCase(
@@ -772,7 +753,7 @@ _register(IdentityCase(
 
 def _cz_half(a, b, c, d, e, ctx):
     q = ctx.q
-    f = 1.0 + c / b
+    f = _one_minus(-c / b)
     if abs(f) < ctx.pole_guard:
         raise PoleError("1 + c/b below pole guard")
     const = (1.0 + 1.0 / b) / f
@@ -825,20 +806,11 @@ def _cz_rhs(p, ctx):
     )
 
 
-def _cz_domain(p, ctx):
-    a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    z = c * d * e / (ctx.q * a * b)
-    guards = [-ctx.q * a, -ctx.q * b, -c / a, -c / b, -d / a, -d / b, -e / a, -e / b,
-              z, ctx.q * ctx.q * a * b / (d * e), -d * e / a, -d * e / b,
-              -c * d * e / (a * b * b), -c * d * e / (b * a * a)]
-    return _conv_ok(z) and _grid_clear(guards, ctx)
-
-
 _register(IdentityCase(
     id="chu-zhang-equivalent",
     family="reciprocity",
     sampler=_scalar_sampler("abcde"),
-    domain=_cz_domain,
+    domain=_ma_domain,
     lhs=_swap_diff(_cz_half, "abcde"),
     rhs=_cz_rhs,
     param_names=("a", "b", "c", "d", "e"),
@@ -885,9 +857,7 @@ def _gr2101_domain(p, ctx):
     q = ctx.q
     a, b, c, d, e, f = (p[k] for k in "abcdef")
     lam = q * a * a / (b * c * d)
-    guards = [q * a / b, q * a / c, q * a / d, q * a / e, q * a / f,
-              q * lam, q * lam / e, q * lam / f, q * lam / (e * f), a, lam]
-    return _conv_ok(q * a / (e * f), q * lam / (e * f)) and _grid_clear(guards, ctx)
+    return _conv_ok(q * a / (e * f), q * lam / (e * f))
 
 
 _register(IdentityCase(
@@ -945,19 +915,9 @@ def _gr561_piece(p, ctx):
     return pref * _guarded_series_value(phi, ctx)
 
 
-def _psi8_guards(p, ctx):
-    q = ctx.q
-    a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
-    vals = [a, g / f, f / g, f * g / a, q * f * f / a, q * g * g / a]
-    for t in (b, c, d, e, f, g):
-        vals += [q * a / t, q / t, t]
-    return vals
-
-
 def _gr561_domain(p, ctx):
     a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
-    z = ctx.q ** 2 * a ** 3 / (b * c * d * e * f * g)
-    return _conv_ok(z) and _grid_clear(_psi8_guards(p, ctx), ctx)
+    return _conv_ok(ctx.q ** 2 * a ** 3 / (b * c * d * e * f * g))
 
 
 _register(IdentityCase(
@@ -1007,13 +967,7 @@ def _lemma_piece(p, ctx):
 def _lemma_domain(p, ctx):
     q = ctx.q
     a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
-    z = q * q * a ** 3 / (b * c * d * e * f * g)
-    guards = _psi8_guards(p, ctx) + [
-        q * q * a * f / (d * e * g), q * q * a * g / (d * e * f),
-        q * q * a * a / (b * d * e * g), q * q * a * a / (c * d * e * g),
-        q * q * a * a / (b * d * e * f), q * q * a * a / (c * d * e * f),
-    ]
-    return _conv_ok(z, q * a / (b * c)) and _grid_clear(guards, ctx)
+    return _conv_ok(q * q * a ** 3 / (b * c * d * e * f * g), q * a / (b * c))
 
 
 _register(IdentityCase(
@@ -1038,17 +992,8 @@ def _thma_rhs_piece(p, ctx):
 
 
 def _thma_domain(p, ctx):
-    q = ctx.q
     a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
-    z = c * d * e * f * g / (q * a * a * b * b)
-    guards = [-q * a, -q * b]
-    for t in (c, d, e, f, g):
-        guards += [-t / a, -t / b]
-    for ff, gg in ((f, g), (g, f)):
-        guards += [ff / gg, q * a * b / (ff * gg), q * d * e * gg / (a * b * ff),
-                   z, d * e * gg / (a * b * ff),
-                   d * e * gg / (a * b), c * d * e * gg / (a * a * b * b)]
-    return _conv_ok(z, c) and _grid_clear(guards, ctx)
+    return _conv_ok(c * d * e * f * g / (ctx.q * a * a * b * b), c)
 
 
 _register(IdentityCase(
@@ -1070,6 +1015,7 @@ def _corla_rhs(p, ctx):
     lead = _ma_rhs({"a": a, "b": b, "c": c, "d": d, "e": e}, ctx)
     lead *= f * ipow(q, n) / (a * b)
     lead *= qfrac([q * f / e, e * f / (a * b)], [], n, ctx)
+    _record([-f / a, -f / b])
     lead /= qpoch(-f / a, n + 1, ctx) * qpoch(-f / b, n + 1, ctx)
     phi = eval_phi(
         SeriesSpec(
@@ -1084,15 +1030,8 @@ def _corla_rhs(p, ctx):
 
 
 def _corla_domain(p, ctx):
-    a, b, c, d, e, f, n = (p[k] for k in ("a", "b", "c", "d", "e", "f", "n"))
-    q = ctx.q
-    z = c * d * e / (a * b * ipow(q, n + 1))
-    guards = [-q * a, -q * b, -c / a, -c / b, -d / a, -d / b, -e / a, -e / b,
-              -f / a, -f / b, -a / (f * ipow(q, n)), -b / (f * ipow(q, n)),
-              c * d * e / (q * a * b),
-              ipow(q, 1 - n) * a * b / (e * f), q * f / e,
-              q * q * a * b / (c * d * e)]
-    return _conv_ok(z) and _grid_clear(guards, ctx)
+    a, b, c, d, e, n = (p[k] for k in "abcden")
+    return _conv_ok(c * d * e / (a * b * ipow(ctx.q, n + 1)))
 
 
 _register(IdentityCase(
@@ -1133,19 +1072,8 @@ def _thmb_rhs_piece(p, ctx):
 
 
 def _thmb_domain(p, ctx):
-    q = ctx.q
-    x, y, b, c, d, e, f = (p[k] for k in ("x", "y", "b", "c", "d", "e", "f"))
-    xy2 = x * y * y
-    z1 = b * c * d * e * f / (q * x * x * y ** 4)
-    z2 = b * c / xy2
-    guards = [x, y, x * y]
-    for t in (b, c, d, e, f):
-        guards += [t / y, t / (x * y)]
-    for ee, ff in ((e, f), (f, e)):
-        guards += [ee / ff, q * d * ff / ee, q * xy2 / (ee * ff), z1,
-                   q * ff / ee, q * d / ee, q * xy2 / ee,
-                   b * d * ff / xy2, c * d * ff / xy2, d * ff / ee]
-    return _conv_ok(z1, z2) and _grid_clear(guards, ctx)
+    x, y, b, c, d, e, f = (p[k] for k in "xybcdef")
+    return _conv_ok(b * c * d * e * f / (ctx.q * x * x * y ** 4), b * c / (x * y * y))
 
 
 _register(IdentityCase(
@@ -1197,6 +1125,7 @@ def _corlb_rhs(p, ctx):
     )
     lead *= e * ipow(q, n) / (-y)
     lead *= qfrac([e, q * e / xy2], [], n, ctx)
+    _record([e / y, e / (x * y)])
     lead /= qpoch(e / y, n + 1, ctx) * qpoch(e / (x * y), n + 1, ctx)
     phi = eval_phi(
         SeriesSpec(
@@ -1210,17 +1139,8 @@ def _corlb_rhs(p, ctx):
 
 
 def _corlb_domain(p, ctx):
-    q = ctx.q
-    x, y, b, c, d, e, n = (p[k] for k in ("x", "y", "b", "c", "d", "e", "n"))
-    xy2 = x * y * y
-    z = b * c * d / (xy2 * ipow(q, n + 1))
-    guards = [x, y, x * y, e / y, e / (x * y),
-              ipow(q, -n) * y / e, ipow(q, -n) * x * y / e,
-              ipow(q, 1 - n) / e, q * e / xy2, q * q * xy2 / (b * c * d),
-              b * c * d / (q * xy2)]
-    for t in (b, c, d):
-        guards += [t / y, t / (x * y)]
-    return _conv_ok(z) and _grid_clear(guards, ctx)
+    x, y, b, c, d, n = (p[k] for k in "xybcdn")
+    return _conv_ok(b * c * d / (x * y * y * ipow(ctx.q, n + 1)))
 
 
 _register(IdentityCase(
@@ -1293,16 +1213,8 @@ def _milne_rhs(p, ctx):
 
 
 def _milne_domain(p, ctx):
-    q = ctx.q
     a, b, c, d, e = (p[k] for k in "abcde")
-    xs, ys, N = p["x"], p["y"], p["N"]
-    z = ipow(q, 1 - sum(N)) * a * a / (b * c * d * e)
-    guards = _bailey_denominators(p, ctx)
-    for i in range(len(xs)):
-        guards += [xs[i], ys[i], q * a / xs[i], q * a / ys[i],
-                   xs[i] / e, e * xs[i] / a, q / ys[i],
-                   q * e / xs[i], q * e / ys[i], b * c * d * e / (a * a)]
-    return _conv_ok(z) and _grid_clear(guards, ctx)
+    return _conv_ok(ipow(ctx.q, 1 - sum(p["N"])) * a * a / (b * c * d * e))
 
 
 _register(IdentityCase(
@@ -1371,18 +1283,8 @@ def _thmc_rhs(p, ctx):
 
 
 def _thmc_domain(p, ctx):
-    q = ctx.q
     a, b, c, d, e = (p[k] for k in "abcde")
-    xs, ys, N = p["x"], p["y"], p["N"]
-    z = c * d * e / (a * b * ipow(q, sum(int(t) for t in N) + 1))
-    guards = [-q * a, -q * b, -c / a, -c / b, -d / a, -d / b, -e / a, -e / b,
-              c * d * e / (q * a * b)]
-    for i in range(len(xs)):
-        guards += [-xs[i] / a, -xs[i] / b, -ys[i] / a, -ys[i] / b,
-                   e / xs[i], q * a * b / (e * xs[i]),
-                   q * xs[i] / e, q * ys[i] / e]
-    guards += [q * q * a * b / (c * d * e)]
-    return _conv_ok(z) and _grid_clear(guards, ctx)
+    return _conv_ok(c * d * e / (a * b * ipow(ctx.q, sum(int(t) for t in p["N"]) + 1)))
 
 
 _register(IdentityCase(
@@ -1478,18 +1380,8 @@ def _thmd_rhs(p, ctx):
 
 
 def _thmd_domain(p, ctx):
-    q = ctx.q
-    x, y, b, c, d = (p[k] for k in ("x", "y", "b", "c", "d"))
-    xs, ys, N = p["xv"], p["yv"], p["N"]
-    xy2 = x * y * y
-    z = b * c * d / (xy2 * ipow(q, sum(int(t) for t in N) + 1))
-    guards = [x, y, x * y, b * c * d / (q * xy2), q * q * xy2 / (b * c * d)]
-    for t in (b, c, d):
-        guards += [t / y, t / (x * y)]
-    for i in range(len(xs)):
-        guards += [xs[i] / y, xs[i] / (x * y), ys[i] / y, ys[i] / (x * y),
-                   q / xs[i], xy2 / xs[i], q * xs[i] / xy2, q * ys[i] / xy2]
-    return _conv_ok(z) and _grid_clear(guards, ctx)
+    x, y, b, c, d = (p[k] for k in "xybcd")
+    return _conv_ok(b * c * d / (x * y * y * ipow(ctx.q, sum(int(t) for t in p["N"]) + 1)))
 
 
 _register(IdentityCase(
@@ -1540,16 +1432,9 @@ def _thme_rhs(p, ctx):
 
 def _thme_domain(p, ctx):
     a, b, c, d = (p[k] for k in "abcd")
-    vals = [a, b, c, d] + list(p["v"])
-    if any(abs(t) >= 0.999 for t in vals):
+    if any(abs(t) >= 0.999 for t in (a, b, c, d, *p["v"])):
         return False
-    n_total = sum(int(t) for t in p["N"])
-    z = a * b * c * d * ipow(ctx.q, -(n_total + 1))
-    guards = [a * b * c * d / ctx.q, z]
-    for i in range(len(p["u"])):
-        guards += [d * p["u"][i], ctx.q * p["u"][i] / d,
-                   d * p["v"][i], ctx.q * p["v"][i] / d]
-    return _conv_ok(z) and _grid_clear(guards, ctx)
+    return _conv_ok(a * b * c * d * ipow(ctx.q, -(sum(int(t) for t in p["N"]) + 1)))
 
 
 _register(IdentityCase(
@@ -1587,7 +1472,7 @@ def _corlc_lhs(p, ctx):
 def _corlc_rhs(p, ctx):
     q = ctx.q
     a, b, c, d, u, n = (p[k] for k in ("a", "b", "c", "d", "u", "n"))
-    lead = 1.0 - a * b * c * d * ipow(q, -(n + 1))
+    lead = _one_minus(a * b * c * d * ipow(q, -(n + 1)))
     if abs(lead) < ctx.pole_guard:
         raise PoleError("1 - abcd/q^{n+1} inside the pole guard")
     value = 2.0 * math.pi / lead
@@ -1597,6 +1482,7 @@ def _corlc_rhs(p, ctx):
         INF,
         ctx,
     )
+    _record([d * u, q * u / d])
     value /= qpoch(d * u, n, ctx) * qpoch(q * u / d, n, ctx)
     phi = eval_phi(
         SeriesSpec(
@@ -1616,10 +1502,7 @@ def _corlc_domain(p, ctx):
     a, b, c, d, u = (p[k] for k in ("a", "b", "c", "d", "u"))
     if any(abs(t) >= 0.999 for t in (a, b, c, d, u)):
         return False
-    z = a * b * c * d * ipow(ctx.q, -(p["n"] + 1))
-    guards = [d * u, ctx.q * u / d, ipow(ctx.q, 1 - p["n"]) / (d * u),
-              ctx.q * ctx.q / (a * b * c * d), a * b * c * d / ctx.q]
-    return _conv_ok(z) and _grid_clear(guards, ctx)
+    return _conv_ok(a * b * c * d * ipow(ctx.q, -(p["n"] + 1)))
 
 
 _register(IdentityCase(
@@ -1661,17 +1544,9 @@ def _corle_rhs(p, ctx):
 
 def _corle_domain(p, ctx):
     a, b, c = p["a"], p["b"], p["c"]
-    if abs(ctx.q / a) >= 0.999 or any(abs(t) >= 0.999 for t in (a, b, c)):
+    if abs(ctx.q / a) >= 0.999 or any(abs(t) >= 0.999 for t in (a, b, c, *p["v"])):
         return False
-    if any(abs(t) >= 0.999 for t in p["v"]):
-        return False
-    m_total = sum(int(t) for t in p["m"])
-    z = b * c * ipow(ctx.q, -m_total)
-    guards = [a * b, a * c, ctx.q * b / a, ctx.q * c / a, z]
-    for i in range(len(p["v"])):
-        guards += [a * p["u"][i], ctx.q * p["u"][i] / a,
-                   a * p["v"][i], ctx.q * p["v"][i] / a]
-    return _conv_ok(z) and _grid_clear(guards, ctx)
+    return _conv_ok(b * c * ipow(ctx.q, -sum(int(t) for t in p["m"])))
 
 
 _register(IdentityCase(
@@ -1715,10 +1590,12 @@ def _seed_rng(case_id: str, seed: int, mode: str, q: complex) -> random.Random:
 
 
 def sample(case_id: str, seed: int, ctx: QContext, mode: str | None = None) -> dict:
-    """Deterministic admissible parameter draw (rejection-resampled).
+    """Deterministic parameter draw inside the case's domain (rejection-resampled).
 
-    Integral-family cases always sample real parameters; other families
-    follow ``mode`` ("complex" default for series, may be forced "real").
+    The domain holds only the convergence conditions, so a draw may still
+    sit near a pole; ``check`` skips such a point.  Integral-family cases
+    always sample real parameters; other families follow ``mode``
+    ("complex" default for series, may be forced "real").
     """
     case = get_case(case_id)
     if case.family == "integral":
@@ -1737,8 +1614,10 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
     """Evaluate both sides of one identity at one point and classify the result.
 
     Domain and pole conditions never raise: they yield a skipped verdict,
-    and a zero-valued free parameter is outside every domain.  Any other
-    evaluator failure is reported as fail with a diagnostic.
+    and a zero-valued free parameter is outside every domain.  So does a
+    point where a divisor base recorded during the evaluation lies near a
+    power of q, and a side that is not finite.  Any other evaluator failure
+    is reported as fail with a diagnostic.
     """
     case = get_case(case_id)
     start = time.perf_counter()
@@ -1759,11 +1638,7 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
 
     free = (v for name, val in params.items() if name not in _INTEGER_PARAMS
             for v in (val if isinstance(val, (list, tuple)) else (val,)))
-    try:
-        in_domain = all(v != 0 for v in free) and case.domain(params, ctx)
-    except _SKIP_ERRORS as exc:
-        return report(0j, 0j, 0.0, 0.0, "skipped", f"domain: {exc}")
-    if not in_domain:
+    if not (all(v != 0 for v in free) and case.domain(params, ctx)):
         return report(0j, 0j, 0.0, 0.0, "skipped", "outside convergence domain")
     # tighten the working series tolerance so per-side truncation stays well
     # inside the identity error budget even when the geometric tail factor
@@ -1771,14 +1646,25 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
     eval_ctx = dataclasses.replace(
         ctx, series_tol=max(1e-15, 0.1 * ctx.series_tol * (1.0 - abs(ctx.q)))
     )
-    try:  # the closed-form side first: a point it skips costs no quadrature
-        rhs = complex(case.rhs(params, eval_ctx))
-        lhs = complex(case.lhs(params, eval_ctx))
-    except _SKIP_ERRORS as exc:
-        return report(0j, 0j, 0.0, 0.0, "skipped", f"{type(exc).__name__}: {exc}")
-    except Exception as exc:  # a genuine evaluator bug, not a domain condition
+    error = None
+    with _recording() as bases:
+        try:  # the closed-form side first: a point it skips costs no quadrature
+            rhs = complex(case.rhs(params, eval_ctx))
+            lhs = complex(case.lhs(params, eval_ctx))
+        except _SKIP_ERRORS as exc:
+            return report(0j, 0j, 0.0, 0.0, "skipped", f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # judged below, once the pole test has run
+            error = exc
+    near = _grid_clear(dict.fromkeys(bases), ctx)
+    if near is not None:
+        return report(0j, 0j, 0.0, 0.0, "skipped",
+                      f"divisor base {near!r} lies within {_POLE_MARGIN:g} of a power of q")
+    if error is not None:  # a genuine evaluator bug, not a domain condition
         return report(0j, 0j, math.inf, math.inf, "fail",
-                      f"evaluator error: {type(exc).__name__}: {exc}")
+                      f"evaluator error: {type(error).__name__}: {error}")
+    for side, value in (("rhs", rhs), ("lhs", lhs)):
+        if not cmath.isfinite(value):
+            return report(0j, 0j, 0.0, 0.0, "skipped", f"{side} is not finite: {value!r}")
     abs_res = abs(lhs - rhs)
     rel_res = abs_res / max(1e-300, abs(lhs) + abs(rhs))
     if rel_res < ctx.identity_tol:

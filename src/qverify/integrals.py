@@ -30,6 +30,7 @@ from .qcore import (
     NoConvergence,
     PoleError,
     QContext,
+    _one_minus,
     ipow,
     qfrac,
     qpoch_inf_many,
@@ -242,7 +243,7 @@ def thm_e_rhs(a, b, c, d, u, v, N, ctx: QContext) -> complex:
     for i in range(len(u)):
         check_qpow_ratio(u[i], v[i], int(N[i]), ctx, f"u_{i+1} / v_{i+1}")
     n_total = sum(int(x) for x in N)
-    lead = 1.0 - a * b * c * d * ipow(q, -(n_total + 1))
+    lead = _one_minus(a * b * c * d * ipow(q, -(n_total + 1)))
     if abs(lead) < ctx.pole_guard:
         raise PoleError("1 - abcd/q^{N+1} is inside the pole guard")
     value = TWO_PI / lead * _thm_e_products(a, b, c, d, u, v, ctx)
@@ -356,7 +357,7 @@ def corl_e_rhs(a, b, c, u, v, m, ctx: QContext) -> complex:
     for i in range(len(u)):
         check_qpow_ratio(u[i], v[i], int(m[i]), ctx, f"u_{i+1} / v_{i+1}")
     m_total = sum(int(x) for x in m)
-    lead = 1.0 - b * c * ipow(q, -m_total)
+    lead = _one_minus(b * c * ipow(q, -m_total))
     if abs(lead) < ctx.pole_guard:
         raise PoleError("1 - q^{-m} bc is inside the pole guard")
     value = TWO_PI / lead

@@ -23,6 +23,7 @@ numerical policy knob (tolerances, caps, pole guard).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,32 @@ SNAP_RTOL = 1e-13
 
 # entries x factors per block of qpoch_inf_many: a block stays in cache, all entries do not
 _BLOCK = 1 << 14
+
+# bases x of the divisor factors 1 - x q^j met inside ``_recording``; None outside it
+_recorded = None
+
+
+def _record(bases):
+    """Note the bases of divisor factors 1 - x q^j while a recording is on."""
+    if _recorded is not None:
+        _recorded.extend(bases)
+
+
+def _one_minus(x):
+    """The divisor factor 1 - x, its base x noted while a recording is on."""
+    _record((x,))
+    return 1.0 - x
+
+
+@contextlib.contextmanager
+def _recording():
+    """Collect, in a list, the divisor bases of every evaluation inside the block."""
+    global _recorded
+    _recorded = bases = []
+    try:
+        yield bases
+    finally:
+        _recorded = None
 
 
 class QVerifyError(Exception):
@@ -292,8 +319,9 @@ def qfrac(numer, denom, n, ctx: QContext) -> complex:
 
     With n = INF one qpoch_inf_many call evaluates both lists.
     """
+    denom = list(denom)
+    _record(denom)
     if n == INF:
-        denom = list(denom)
         values = qpoch_inf_many(denom + list(numer), ctx)[0].tolist()
         den = math.prod(values[:len(denom)], start=1.0 + 0.0j)
         num = math.prod(values[len(denom):], start=1.0 + 0.0j)

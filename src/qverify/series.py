@@ -35,6 +35,8 @@ from .qcore import (
     PoleError,
     QContext,
     SeriesResult,
+    _one_minus,
+    _record,
     ipow,
     q_power_index,
     terminating_order,
@@ -84,6 +86,7 @@ def _ascending_terms(upper, lower, z, ctx, sign_exp=0):
     guard = ctx.pole_guard
     upper = [complex(u) for u in upper]
     lower = [complex(b) for b in lower]
+    _record(lower)
     z = complex(z)
     zero_at = [terminating_order(u, ctx) for u in upper]
     num = 1.0 + 0.0j
@@ -218,7 +221,7 @@ def _split(spec: SeriesSpec, ctx: QContext):
     num = 1.0 + 0.0j
     den = 1.0 + 0.0j
     for u in upper:
-        f = 1.0 - q / u
+        f = _one_minus(q / u)
         if abs(f) < ctx.pole_guard:
             raise PoleError(f"reflected prefactor factor below pole guard (base {u!r})")
         den *= f

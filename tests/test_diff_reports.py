@@ -1,0 +1,40 @@
+"""tools/diff_reports.py: sweep reports compared modulo ``elapsed``."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "diff_reports.py"
+
+
+def cell(verdict, elapsed):
+    return {"id": "watson", "sample_seed": 3, "params": {"a": 0.5}, "lhs": [1.0, 0.0],
+            "rhs": [1.0, 0.0], "abs_residual": 0.0, "rel_residual": 0.0,
+            "verdict": verdict, "reason": "", "elapsed": elapsed, "q": 0.5, "slot": 3}
+
+
+def report(verdict, elapsed):
+    return {"config": {"seed": 0}, "summary": {"watson": {verdict: 1}},
+            "reports": [cell(verdict, elapsed)], "elapsed": elapsed}
+
+
+def run(tmp_path, old, new):
+    paths = []
+    for name, doc in (("old.json", old), ("new.json", new)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    return subprocess.run([sys.executable, str(TOOL), *map(str, paths)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_identical_modulo_elapsed(tmp_path):
+    proc = run(tmp_path, report("pass", 0.1), report("pass", 7.0))
+    assert proc.returncode == 0, proc.stdout
+
+
+def test_flipped_verdict_names_the_cell(tmp_path):
+    proc = run(tmp_path, report("pass", 0.1), report("fail", 0.1))
+    assert proc.returncode == 1
+    assert "('watson', 3, 0.5)" in proc.stdout and "verdict" in proc.stdout
+    assert "summary watson" in proc.stdout

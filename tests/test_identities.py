@@ -5,8 +5,11 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from qverify import qcore
+from qverify.cli import main
 from qverify.qcore import QContext, UnknownParam, ipow, qpoch
 from qverify.identities import (
     _pair_rhs,
@@ -419,3 +422,73 @@ class TestJacobiHalves:
         want = jacobi_reference(jacobi_halves("thm-b", p, ctx.q)[0], ctx)
         assert len(got) == 2 and abs(want[2]) < 1e-14 * abs(want[0])
         assert all(abs(g - w) < 1e-14 * abs(w) for g, w in zip(got, want))
+
+
+def near_pole_thma_point(ctx):
+    """A thm-a point whose eval_R lower parameter q e/f sits 3e-7 from q^{-1}."""
+    p = dict(sample("thm-a-7var", 0, ctx))
+    p["f"] = 0.3 * p["f"] / abs(p["f"])
+    p["e"] = p["f"] * ipow(ctx.q, -2) * (1.0 + 3e-7)
+    return p
+
+
+def rand_complex(rng, lo, hi):
+    r = rng.uniform(lo, hi)
+    return r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+
+class TestNearPole:
+    """``check`` skips a point where a base the evaluators divide by lies near
+    a power of q; the bases are recorded by qcore only while ``check`` runs."""
+
+    def test_recorded_divisor_base_near_pole_skips(self):
+        ctx = QContext(0.5)
+        p = near_pole_thma_point(ctx)
+        assert get_case("thm-a-7var").domain(p, ctx)
+        r = check("thm-a-7var", p, ctx)
+        assert r.verdict == "skipped"
+        assert repr(ctx.q * p["e"] / p["f"]) in r.reason
+
+    def test_cli_check_of_near_pole_point_exits_2(self, tmp_path, capsys):
+        p = near_pole_thma_point(QContext(0.5))
+        path = tmp_path / "near.toml"
+        path.write_text("".join(f"{k} = [{v.real!r}, {v.imag!r}]\n" for k, v in p.items()))
+        assert main(["check", "thm-a-7var", "--params", str(path), "--q", "0.5"]) == 2
+        assert "divisor base" in capsys.readouterr().out
+
+    def test_recorder_is_off_outside_check(self, monkeypatch):
+        ctx = QContext(0.3)
+        bailey = {"a": 0.5, "b": 0.9, "c": 0.8, "d": 0.7, "e": 0.6}
+        thme = {"a": 0.3, "b": 0.4, "c": 0.35, "d": 0.45, "n": 1, "N": [0],
+                "u": [0.5], "v": [0.5]}
+        rhs = get_case("bailey-6psi6").rhs
+        before = rhs(bailey, ctx)
+        assert check("thm-e-integral", thme, QContext(0.95)).reason.startswith("PoleError")
+        assert qcore._recorded is None
+        assert check("bailey-6psi6", bailey, ctx).verdict == "pass"
+        assert qcore._recorded is None
+
+        def broken(spec, ctx):
+            raise ZeroDivisionError("planted")
+
+        monkeypatch.setattr("qverify.identities.integrate_aw", broken)
+        r = check("thm-e-integral", thme, ctx)
+        assert r.verdict == "fail" and "evaluator error" in r.reason
+        assert qcore._recorded is None
+        assert rhs(bailey, ctx) == before
+        assert qcore._recorded is None
+
+    def test_non_finite_side_is_never_judged(self):
+        # the thm-b limit smoke's draw at q = 0.8: b = c = e = 1e-6 stand-ins
+        # overflow the closed form's products to nan
+        ctx = QContext(0.8)
+        rng = random.Random(43)
+        for _ in range(6):
+            x = rand_complex(rng, 0.55, 0.85)
+            y = rand_complex(rng, 0.6, 0.9)
+            d = rand_complex(rng, 0.2, 0.5)
+            p = {"x": x, "y": y, "b": 1e-6, "c": 1e-6, "d": d, "e": 1e-6,
+                 "f": x * y * y / d}
+            with np.errstate(all="ignore"):
+                r = check("thm-b", p, ctx)
+            assert r.verdict == "pass" or (r.verdict == "skipped" and r.reason), r

@@ -1,0 +1,59 @@
+"""Compare two ``qverify sweep`` JSON reports modulo every ``elapsed`` key.
+
+Usage: python3 tools/diff_reports.py OLD.json NEW.json.  Prints the
+differences in ``config`` and ``summary``, then each differing cell, keyed
+by (id, slot, q), with the fields that differ and the relative move of lhs
+and rhs.  Exits 0 when the reports are identical, else 1.
+"""
+
+import functools
+import json
+import sys
+
+canon = functools.partial(json.dumps, sort_keys=True)
+
+
+def strip(obj):
+    """obj without any key named ``elapsed``, at any depth."""
+    if isinstance(obj, dict):
+        return {k: strip(v) for k, v in obj.items() if k != "elapsed"}
+    if isinstance(obj, list):
+        return [strip(v) for v in obj]
+    return obj
+
+
+def rel_move(old, new) -> float:
+    return abs(complex(*new) - complex(*old)) / max(abs(complex(*old)), 1e-300)
+
+
+def diff(old: dict, new: dict) -> list:
+    """Lines describing the differences between two stripped reports."""
+    lines = []
+    for section in ("config", "summary"):
+        parts = old.get(section, {}), new.get(section, {})
+        for key in sorted(parts[0].keys() | parts[1].keys()):
+            a, b = (canon(part.get(key)) for part in parts)
+            if a != b:
+                lines.append(f"{section} {key}: {a} -> {b}")
+    cells = [{(r["id"], r["slot"], r["q"]): r for r in doc.get("reports", [])}
+             for doc in (old, new)]
+    for key in sorted(cells[0].keys() | cells[1].keys()):
+        a, b = (c.get(key) for c in cells)
+        if a is None or b is None:
+            lines.append(f"cell {key}: only in {'NEW' if a is None else 'OLD'}")
+        elif canon(a) != canon(b):
+            fields = sorted(k for k in a.keys() | b.keys() if canon(a.get(k)) != canon(b.get(k)))
+            moves = ", ".join(f"{s} moved {rel_move(a[s], b[s]):.3g}" for s in ("lhs", "rhs"))
+            lines.append(f"cell {key}: {', '.join(fields)} differ; {moves}")
+    return lines
+
+
+def main(argv) -> int:
+    old, new = (strip(json.load(open(path, encoding="utf-8"))) for path in argv[1:3])
+    lines = diff(old, new) or ([] if canon(old) == canon(new) else ["other keys differ"])
+    print("\n".join(lines) if lines else "identical modulo elapsed")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
