@@ -121,12 +121,12 @@ def swap_params(params: dict, x: str, y: str) -> dict:
 
 
 def _grid_clear(values, ctx):
-    """The first value that sits *near* a power q^j, -60 <= j <= 60, else None.
+    """The first value that sits *near* a power q^j, -60 <= j <= 0, else None.
 
-    Divisor bases are tested against the q-power grid, where ladder factors
-    vanish and residuals lose meaning.  A value that snaps *onto* the grid
-    (to SNAP_RTOL) is let through: such points are degenerate by
-    construction (e.g. the a = b diagonal) and evaluate exactly.
+    Divisor bases are tested against the grid q^{-k}, k >= 0, where their
+    factors 1 - x q^k vanish and residuals lose meaning.  A value that snaps
+    *onto* the grid (to SNAP_RTOL) is let through: such points are
+    degenerate by construction (e.g. the a = b diagonal) and evaluate exactly.
     """
     q = ctx.q
     aq = abs(q)
@@ -139,9 +139,9 @@ def _grid_clear(values, ctx):
             continue
         j0 = math.floor(math.log(av) / llog)
         for j in (j0 - 1, j0, j0 + 1, j0 + 2):
-            if -60 <= j <= 60:
+            if -60 <= j <= 0:
                 ref = ipow(q, j)
-                scale = max(abs(ref), 1e-12)
+                scale = abs(ref)
                 if SNAP_RTOL * scale < abs(v - ref) < _POLE_MARGIN * scale:
                     return v
     return None

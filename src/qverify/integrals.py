@@ -9,8 +9,9 @@ function of t this extends to an even, 2*pi-periodic analytic function,
 so the composite trapezoidal rule with panel doubling converges
 spectrally; nodes are reused across refinements, and all infinite
 products of a batch of nodes come from one call of
-qcore.qpoch_inf_many.  Closed-form right-hand sides for the q-beta integral
-and its multi-variable generalizations live here as well.
+qcore.qpoch_inf_many, which at real q and real lam computes only one row
+of each conjugate pair.  Closed-form right-hand sides for the q-beta
+integral and its multi-variable generalizations live here as well.
 """
 
 from __future__ import annotations
@@ -138,21 +139,28 @@ def hfun_multi(x: float, lambdas, ctx: QContext) -> complex:
 def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):
     """Vectorized integrand over theta arrays; returns (f, n_factors).
 
-    f gets every (x;q)_oo of its nodes from one qpoch_inf_many call.
-    n_factors counts the h-functions involved, which scales the product
-    error floor of each node value.
+    f gets every (x;q)_oo of its nodes from one qpoch_inf_many call, in rows
+    e^{+-2it}, then lam e^{+-it} per lam; at real q and real lam it computes
+    one row of each conjugate pair, since the other is its exact conjugate
+    (the same factors in the same order).  n_factors counts the h-functions
+    involved, which scales the product error floor of each node value.
     """
     lams_den = (spec.a, spec.b, spec.c, spec.d) + spec.v
-    lams_num = spec.u
+    lams = spec.u + lams_den
+    real = all(z.imag == 0.0 for z in (ctx.q,) + lams)
 
     def f(thetas: np.ndarray) -> np.ndarray:
         e = np.exp(1j * thetas)
-        rows = [lam * z for lam in lams_num + lams_den for z in (e, np.conj(e))]
-        vals = qpoch_inf_many(np.array([e * e, np.conj(e * e)] + rows), ctx)[0]
-        split = 2 + 2 * len(lams_num)
+        if real:
+            half = qpoch_inf_many(np.array([e * e] + [lam * e for lam in lams]), ctx)[0]
+            vals = np.stack([half, np.conj(half)], axis=1).reshape(-1, *e.shape)
+        else:
+            rows = [lam * z for lam in lams for z in (e, np.conj(e))]
+            vals = qpoch_inf_many(np.array([e * e, np.conj(e * e)] + rows), ctx)[0]
+        split = 2 + 2 * len(spec.u)
         return np.prod(vals[:split], axis=0) / np.prod(vals[split:], axis=0)
 
-    return f, 2 * (1 + len(lams_den) + len(lams_num))
+    return f, 2 * (1 + len(lams))
 
 
 def _trapezoid_doubling(f, ctx: QContext, n_factors: int, n0: int = 8, n_max: int = 2 ** 18):

@@ -15,7 +15,8 @@ Scalars are Python complex numbers, arrays numpy complex128 (IEEE double,
 log/exp, so complex q never touches a branch cut.  A base that coincides
 with a power of q (to 1e-13 relative) is *snapped*: the corresponding
 product factor is forced to exactly zero, which is what makes terminating
-series terminate exactly downstream.
+series terminate exactly downstream.  ``qpoch_inf_many`` serves each call
+a prefix of one cached q^k table per q, for the last ``_TABLE_QS`` (4) q.
 
 All functions are pure; a :class:`QContext` carries q together with every
 numerical policy knob (tolerances, caps, pole guard).
@@ -37,6 +38,9 @@ SNAP_RTOL = 1e-13
 
 # entries x factors per block of qpoch_inf_many: a block stays in cache, all entries do not
 _BLOCK = 1 << 14
+
+# q^k tables of the last _TABLE_QS q used by qpoch_inf_many, least recent first
+_TABLES, _TABLE_QS = {}, 4
 
 # bases x of the divisor factors 1 - x q^j met inside ``_recording``; None outside it
 _recorded = None
@@ -233,6 +237,23 @@ def qpoch(x: complex, n: int, ctx: QContext) -> complex:
     return 1.0 / p
 
 
+def _powers(q: complex, width: int):
+    """q^0 .. q^width, a read-only prefix of the cached table for q.
+
+    The table is q^k = q^{k-1} * q (never pow), rebuilt longer on demand; a
+    prefix of a longer running product is bit-equal, so no value depends on
+    the calls before.  repr keys keep q = x+0j and x-0j apart."""
+    key = repr(q)
+    table = _TABLES.pop(key, None)
+    if table is None or table.size <= width:
+        table = np.multiply.accumulate(np.concatenate([[1.0], np.full(width, q)]))
+        table.flags.writeable = False
+    if len(_TABLES) >= _TABLE_QS:  # drop the least recently used q
+        del _TABLES[next(iter(_TABLES))]
+    _TABLES[key] = table
+    return table[:width + 1]
+
+
 def qpoch_inf_many(xs, ctx: QContext):
     """(x;q)_oo for every entry of an array of bases, of any shape.
 
@@ -258,16 +279,16 @@ def qpoch_inf_many(xs, ctx: QContext):
     near = np.flatnonzero(ax >= 1.0 - 2.0 * SNAP_RTOL)
     if near.size:
         m = np.rint(np.log(ax[near]) / lq).astype(int)
-        powers, inverse = np.unique(np.clip(m, -cap, 0), return_inverse=True)
-        ref = np.array([ipow(q, int(k)) for k in powers], dtype=complex)[inverse]
+        ks = [min(max(k, -cap), 0) for k in m.tolist()]
+        powers = {k: ipow(q, k) for k in set(ks)}
+        ref = np.array([powers[k] for k in ks], dtype=complex)
         hit = (m >= -cap) & (m <= 0) & (np.abs(x[near] - ref) <= SNAP_RTOL * np.abs(ref))
         value[near[hit]], used[near[hit]] = 0.0, 1 - m[hit]
     live = np.flatnonzero((ax > 0.0) & (value != 0.0))
     # enough factors for the largest base: |x q^k| drops below tol no later
     # than below gate < tol, then 3 small deviations, and 1 spare for rounding
     width = min(cap, max(3, math.floor(math.log(gate / ax[live].max(initial=tol)) / lq) + 5))
-    # q^0 .. q^width by repeated multiplication, q^k = q^{k-1} * q, never pow
-    table = np.multiply.accumulate(np.concatenate([[1.0], np.full(width, q)]))
+    table = _powers(q, width)
     step = max(1, _BLOCK // width)
     for r in range(0, live.size, step):
         rows = live[r:r + step]

@@ -456,6 +456,13 @@ class TestNearPole:
         assert main(["check", "thm-a-7var", "--params", str(path), "--q", "0.5"]) == 2
         assert "divisor base" in capsys.readouterr().out
 
+    def test_base_near_a_positive_power_is_not_a_pole(self):
+        # 1 - x q^k, k >= 0, vanishes only at x = q^{-k}: the divisor base
+        # 0.250000025 next to q^2 divides by nothing small
+        p = {"a": -0.5 * (1 + 1e-7), "b": 0.6, "c": 0.3, "d": 0.4, "e": 0.35}
+        r = check("ma-5var", {k: complex(v) for k, v in p.items()}, QContext(0.5))
+        assert r.verdict == "pass" and r.rel_residual < 1e-15, r
+
     def test_recorder_is_off_outside_check(self, monkeypatch):
         ctx = QContext(0.3)
         bailey = {"a": 0.5, "b": 0.9, "c": 0.8, "d": 0.7, "e": 0.6}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qverify import integrals
-from qverify.qcore import QContext, ipow, qpoch, qpoch_inf
+from qverify.qcore import QContext, ipow, qpoch, qpoch_inf, qpoch_inf_many
 from qverify.series import _sum_series
 from qverify.integrals import (
     AWIntegrandSpec,
@@ -99,6 +99,49 @@ class TestQuadrature:
                 r = integrate_aw(AWIntegrandSpec(a, b, c, d), ctx)
                 cf = aw_closed_form(a, b, c, d, ctx).real
                 assert abs(r.value - cf) < 1e-9 * abs(cf)
+
+
+def full_rows_integrand(spec, ctx):
+    """The integrand with every conjugate row computed: the oracle of _aw_integrand."""
+    lams_num, lams_den = spec.u, (spec.a, spec.b, spec.c, spec.d) + spec.v
+
+    def f(thetas):
+        e = np.exp(1j * thetas)
+        rows = [lam * z for lam in lams_num + lams_den for z in (e, np.conj(e))]
+        vals = qpoch_inf_many(np.array([e * e, np.conj(e * e)] + rows), ctx)[0]
+        split = 2 + 2 * len(lams_num)
+        return np.prod(vals[:split], axis=0) / np.prod(vals[split:], axis=0)
+
+    return f
+
+
+class TestConjugateRows:
+    """At real q and real parameters only one row of each conjugate pair is
+    computed; every node value stays bit-identical to the full-row integrand."""
+
+    SPECS = [
+        (0.3, -0.45, 0.6, 0.2, (), ()),
+        (0.3, -0.45, 0.6, 0.2, (0.7,), (0.15,)),
+        (0.3, -0.45, 0.6, 0.2, (0.7, -0.5), (0.15, 0.55)),
+    ]
+
+    @staticmethod
+    def assert_nodes_equal(spec, ctx):
+        got, want = _aw_integrand(spec, ctx)[0], full_rows_integrand(spec, ctx)
+        nodes = [np.linspace(0.0, math.pi, 9)]
+        nodes += [np.linspace(0.0, math.pi, 2 * n + 1)[1::2] for n in (8, 16)]
+        for thetas in nodes:
+            assert np.array_equal(got(thetas), want(thetas))
+
+    @pytest.mark.parametrize("q", [0.3, 0.8, -0.5, 0.95, 0.5 + 0.3j])
+    @pytest.mark.parametrize("a,b,c,d,u,v", SPECS)
+    def test_real_parameters(self, q, a, b, c, d, u, v):
+        self.assert_nodes_equal(AWIntegrandSpec(a, b, c, d, u, v), QContext(q))
+
+    @pytest.mark.parametrize("q", [0.3, 0.8])
+    @pytest.mark.parametrize("a,b,c,d,u,v", SPECS[1:])
+    def test_one_complex_parameter(self, q, a, b, c, d, u, v):
+        self.assert_nodes_equal(AWIntegrandSpec(a, b + 0.2j, c, d, u, v), QContext(q))
 
 
 class TestClosedForms:

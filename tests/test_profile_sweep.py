@@ -1,0 +1,28 @@
+"""tools/profile_sweep.py: the per-layer split of one sweep, in-process."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "profile_sweep.py"
+
+
+def test_smoke():
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--identity", "watson", "thm-e-integral", "--samples", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("wall ") and "6 cells" in lines[0]
+    rows = {line.rsplit(None, 2)[0]: line.split()[-2:] for line in lines[1:]}
+    assert int(rows["qpoch_inf_many [integrand]"][0]) > 0
+    assert int(rows["qpoch_inf_many [other]"][0]) > 0
+    assert rows["_grid_clear"][0] == "6" and int(rows["sample"][0]) >= 6
+    assert {"watson", "thm-e-integral"} <= rows.keys()
+
+
+def test_input_error_exits_3():
+    proc = subprocess.run([sys.executable, str(TOOL), "--identity", "nope"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3 and "unknown identities" in proc.stderr

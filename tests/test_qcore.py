@@ -254,6 +254,52 @@ class TestQpochInfMany:
         assert qfrac(numer, denom, INF, ctx) == oracle(numer) / oracle(denom)
 
 
+class TestPowerTableCache:
+    """The cached q^k tables change no value, whatever the calls before."""
+
+    XS = [0.3, 0.2 - 0.5j, -0.7, 1.6, 0.9j]
+
+    @staticmethod
+    def fresh(monkeypatch, xs, ctx):
+        monkeypatch.setattr(qcore, "_TABLES", {})
+        return qpoch_inf_many(xs, ctx)
+
+    @staticmethod
+    def assert_same(got, want):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("q", [0.95, -0.5, 0.5 + 0.3j])
+    def test_grown_table_serves_equal_values(self, monkeypatch, q):
+        ctx = QContext(q)
+        want = self.fresh(monkeypatch, self.XS, ctx)
+        wide = self.fresh(monkeypatch, [-4.0, 1j], ctx)  # wider than any base of XS
+        assert qcore._TABLES[repr(ctx.q)].size > want[2].max() + 1
+        self.assert_same(qpoch_inf_many(self.XS, ctx), want)
+        # and a narrow table grown by the wide call afterwards
+        self.fresh(monkeypatch, [0.01], ctx)
+        self.assert_same(qpoch_inf_many([-4.0, 1j], ctx), wide)
+
+    def test_tables_of_different_q_do_not_mix(self, monkeypatch):
+        qs = (0.3, 0.8, complex(0.8, -0.0), -0.8)
+        want = [self.fresh(monkeypatch, self.XS, QContext(q)) for q in qs]
+        monkeypatch.setattr(qcore, "_TABLES", {})
+        for _ in range(2):
+            for q, w in zip(qs, want):
+                self.assert_same(qpoch_inf_many(self.XS, QContext(q)), w)
+        assert len(qcore._TABLES) == len(qs)
+
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(qcore, "_TABLES", {})
+        qs = [0.1 * k for k in range(1, 10)]
+        for q in qs:
+            qpoch_inf_many(self.XS, QContext(q))
+            assert len(qcore._TABLES) <= qcore._TABLE_QS
+        assert list(qcore._TABLES) == [repr(complex(q)) for q in qs[-qcore._TABLE_QS:]]
+        with pytest.raises(ValueError):  # served tables are read-only
+            qcore._TABLES[repr(complex(qs[-1]))][0] = 2.0
+
+
 class TestHelpers:
     def test_ipow_matches_builtin_for_small_exponents(self):
         rng = random.Random(5)
