@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -57,7 +58,7 @@ from .qcore import (
     qfrac,
     qpoch,
 )
-from .qcore import SNAP_RTOL
+from .qcore import _TABLE_QS, SNAP_RTOL
 from .series import SeriesSpec, _ascending_terms, _sum_series, _sum_stream, eval_phi, eval_psi
 from .multisum import block_multisum, check_qpow_ratio, milne_rhs_block
 from .integrals import (
@@ -120,6 +121,12 @@ def swap_params(params: dict, x: str, y: str) -> dict:
     return out
 
 
+@functools.lru_cache(maxsize=_TABLE_QS)
+def _grid(key, q):
+    """ipow(q, -i) at index i = 0..60, once per q (keyed by repr(q): x+0j and x-0j stay apart)."""
+    return tuple(ipow(q, -i) for i in range(61))
+
+
 def _grid_clear(values, ctx):
     """The first value that sits *near* a power q^j, -60 <= j <= 0, else None.
 
@@ -133,6 +140,7 @@ def _grid_clear(values, ctx):
     if aq == 0.0:
         return None
     llog = math.log(aq)
+    grid = _grid(repr(q), q)
     for v in values:
         av = abs(v)
         if av == 0.0 or not math.isfinite(av):
@@ -140,7 +148,7 @@ def _grid_clear(values, ctx):
         j0 = math.floor(math.log(av) / llog)
         for j in (j0 - 1, j0, j0 + 1, j0 + 2):
             if -60 <= j <= 0:
-                ref = ipow(q, j)
+                ref = grid[-j]
                 scale = abs(ref)
                 if SNAP_RTOL * scale < abs(v - ref) < _POLE_MARGIN * scale:
                     return v

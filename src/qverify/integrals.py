@@ -35,6 +35,7 @@ from .qcore import (
     ipow,
     qfrac,
     qpoch_inf_many,
+    qpoch_multi,
     terminating_order,
 )
 from .multisum import check_qpow_ratio, omega
@@ -133,7 +134,7 @@ def hfun_multi(x: float, lambdas, ctx: QContext) -> complex:
     s = math.sqrt(max(0.0, 1.0 - x * x))
     e = complex(x, s)
     bases = [b for lam in lambdas for b in (lam * e, lam * e.conjugate())]
-    return math.prod(qpoch_inf_many(bases, ctx)[0].tolist(), start=1.0 + 0.0j)
+    return qpoch_multi(bases, INF, ctx)
 
 
 def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):

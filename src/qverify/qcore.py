@@ -15,8 +15,10 @@ Scalars are Python complex numbers, arrays numpy complex128 (IEEE double,
 log/exp, so complex q never touches a branch cut.  A base that coincides
 with a power of q (to 1e-13 relative) is *snapped*: the corresponding
 product factor is forced to exactly zero, which is what makes terminating
-series terminate exactly downstream.  ``qpoch_inf_many`` serves each call
-a prefix of one cached q^k table per q, for the last ``_TABLE_QS`` (4) q.
+series terminate exactly downstream; only |x| >= 1 - 2e-13 can snap, so
+the snap tests run on those bases alone.  ``qpoch_inf_many`` serves each
+call a prefix of one cached q^k table per q, for the last ``_TABLE_QS`` (4)
+q.  A product of (x;q)_oo that overflows is redone as mantissa x 2^e.
 
 All functions are pure; a :class:`QContext` carries q together with every
 numerical policy knob (tolerances, caps, pole guard).
@@ -24,6 +26,7 @@ numerical policy knob (tolerances, caps, pole guard).
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import math
 from dataclasses import dataclass
@@ -196,6 +199,8 @@ def q_power_index(x: complex, q: complex, lo: int, hi: int) -> int | None:
 
 def terminating_order(x: complex, ctx: QContext) -> int | None:
     """n >= 0 such that x = q^{-n} (so (x;q)_k = 0 exactly for k > n), else None."""
+    if abs(x) < 1.0 - 2.0 * SNAP_RTOL:  # |q^{-n}| >= 1: no snap, no log needed
+        return None
     idx = q_power_index(x, ctx.q, -ctx.max_terms, 0)
     return None if idx is None else -idx
 
@@ -271,44 +276,49 @@ def qpoch_inf_many(xs, ctx: QContext):
     q, aq, cap, tol = ctx.q, abs(ctx.q), ctx.max_product_factors, ctx.product_tol
     gate, lq = tol * (1.0 - aq), math.log(aq) if aq else -math.inf
     ax = np.abs(x)
-    if not np.isfinite(ax).all():
+    top = float(ax.max(initial=0.0))
+    if not math.isfinite(top):
         raise CapExceeded(f"base {complex(x[~np.isfinite(ax)][0])!r} is not finite")
     value, err, used = np.ones(x.size, complex), np.zeros(x.size), np.ones(x.size, int)
     # |q^{-m}| >= 1 for m >= 0, so only |x| >= 1 - SNAP_RTOL can snap, and
-    # only onto the power of q nearest in modulus
-    near = np.flatnonzero(ax >= 1.0 - 2.0 * SNAP_RTOL)
-    if near.size:
-        m = np.rint(np.log(ax[near]) / lq).astype(int)
-        ks = [min(max(k, -cap), 0) for k in m.tolist()]
-        powers = {k: ipow(q, k) for k in set(ks)}
-        ref = np.array([powers[k] for k in ks], dtype=complex)
-        hit = (m >= -cap) & (m <= 0) & (np.abs(x[near] - ref) <= SNAP_RTOL * np.abs(ref))
-        value[near[hit]], used[near[hit]] = 0.0, 1 - m[hit]
-    live = np.flatnonzero((ax > 0.0) & (value != 0.0))
+    # only onto the power of q nearest in modulus; such bases are few
+    snapped = False
+    if top >= 1.0 - 2.0 * SNAP_RTOL:
+        near = np.flatnonzero(ax >= 1.0 - 2.0 * SNAP_RTOL)
+        for i, xi, axi in zip(near.tolist(), x[near].tolist(), ax[near].tolist()):
+            m = round(math.log(axi) / lq)
+            if -cap <= m <= 0 and abs(xi - (ref := ipow(q, m))) <= SNAP_RTOL * abs(ref):
+                value[i], used[i], snapped = 0.0, 1 - m, True
+    if snapped or ax.min(initial=1.0) == 0.0:
+        live = np.flatnonzero((ax > 0.0) & (value != 0.0))
+        top = float(ax[live].max(initial=tol))
+    else:  # every base is live: blocks are slices
+        live, top = None, max(top, tol)
     # enough factors for the largest base: |x q^k| drops below tol no later
     # than below gate < tol, then 3 small deviations, and 1 spare for rounding
-    width = min(cap, max(3, math.floor(math.log(gate / ax[live].max(initial=tol)) / lq) + 5))
+    width = min(cap, max(3, math.floor(math.log(gate / top) / lq) + 5))
     table = _powers(q, width)
     step = max(1, _BLOCK // width)
-    for r in range(0, live.size, step):
-        rows = live[r:r + step]
-        u = x[rows, None] * table[:-1]
+    for r in range(0, x.size if live is None else live.size, step):
+        rows = slice(r, r + step) if live is None else live[r:r + step]
+        xr, axr = x[rows], ax[rows]
+        u = xr[:, None] * table[:-1]
         prods = np.multiply.accumulate(1.0 - u, axis=1)
         # no entry can stop before the head gate holds for the smallest base
-        k0 = max(2, math.floor(math.log(gate / ax[rows].min()) / lq) - 1)
+        k0 = max(2, math.floor(math.log(gate / axr.min()) / lq) - 1)
         small = np.abs(u[:, k0 - 2:]) < tol
-        head = ax[rows, None] * np.abs(table[k0 + 1:])
+        head = axr[:, None] * np.abs(table[k0 + 1:])
         stop = small[:, 2:] & small[:, 1:-1] & small[:, :-2] & (head < gate)
         done = stop.any(axis=1)
         if not done.all():
-            bad = rows[~done][0]
+            bad = (~done).argmax()
             raise CapExceeded(
-                f"base {complex(x[bad])!r}: (x;q)_oo did not converge within {cap} "
-                f"factors (|x| = {ax[bad]:.3g}, |q| = {aq:.6g})"
+                f"base {complex(xr[bad])!r}: (x;q)_oo did not converge within {cap} "
+                f"factors (|x| = {axr[bad]:.3g}, |q| = {aq:.6g})"
             )
-        k, at = stop.argmax(axis=1), np.arange(rows.size)
-        value[rows], h, used[rows] = prods[at, k0 + k], head[at, k], k0 + k + 1
-        err[rows] = np.abs(value[rows]) * np.expm1(h / (1.0 - aq) / np.maximum(1.0 - h, 0.5))
+        k, at = stop.argmax(axis=1), np.arange(xr.size)
+        v, h, used[rows] = prods[at, k0 + k], head[at, k], k0 + k + 1
+        value[rows], err[rows] = v, np.abs(v) * np.expm1(h / (1.0 - aq) / np.maximum(1.0 - h, 0.5))
     return value.reshape(shape), err.reshape(shape), used.reshape(shape)
 
 
@@ -325,7 +335,7 @@ def qpoch_multi(bases, n, ctx: QContext) -> complex:
     offending base identified.
     """
     if n == INF:
-        return math.prod(qpoch_inf_many(list(bases), ctx)[0].tolist(), start=1.0 + 0.0j)
+        return _ldexp(*_prod(qpoch_inf_many(list(bases), ctx)[0].tolist()))
     p = 1.0 + 0.0j
     for b in bases:
         try:
@@ -338,16 +348,40 @@ def qpoch_multi(bases, n, ctx: QContext) -> complex:
 def qfrac(numer, denom, n, ctx: QContext) -> complex:
     """qpoch_multi(numer, n) / qpoch_multi(denom, n), pole-guarded.
 
-    With n = INF one qpoch_inf_many call evaluates both lists.
+    With n = INF one qpoch_inf_many call evaluates both lists, and products
+    that overflow are carried as mantissa x 2^e (``_prod``) into the ratio.
     """
     denom = list(denom)
     _record(denom)
     if n == INF:
         values = qpoch_inf_many(denom + list(numer), ctx)[0].tolist()
-        den = math.prod(values[:len(denom)], start=1.0 + 0.0j)
-        num = math.prod(values[len(denom):], start=1.0 + 0.0j)
+        (den, e), (num, f) = _prod(values[:len(denom)]), _prod(values[len(denom):])
     else:
-        den, num = qpoch_multi(denom, n, ctx), None
-    if abs(den) < ctx.pole_guard:
-        raise PoleError(f"denominator product magnitude {abs(den):.3g} below pole guard")
-    return (qpoch_multi(numer, n, ctx) if num is None else num) / den
+        (den, e), (num, f) = (qpoch_multi(denom, n, ctx), 0), (None, 0)
+    if abs(_ldexp(den, e)) < ctx.pole_guard:
+        raise PoleError(f"denominator product magnitude {abs(_ldexp(den, e)):.3g} below pole guard")
+    return _ldexp((qpoch_multi(numer, n, ctx) if num is None else num) / den, f - e)
+
+
+def _prod(values):
+    """math.prod of complex factors as (m, e), the value m 2^e: e = 0 unless that
+    product overflows (inf, or nan from inf - inf) while every factor is finite;
+    then each factor and partial product is scaled by a power of 2 (exact)."""
+    p = math.prod(values, start=1.0 + 0.0j)
+    if cmath.isfinite(p) or not all(map(cmath.isfinite, values)):
+        return p, 0
+    m, e = 1.0 + 0.0j, 0
+    for v in values:
+        s = math.frexp(max(abs(v.real), abs(v.imag)))[1]
+        m *= _ldexp(v, -s)
+        t = math.frexp(max(abs(m.real), abs(m.imag)))[1]
+        m, e = _ldexp(m, -t), e + s + t
+    return m, e
+
+
+def _ldexp(z, e):
+    """z 2^e, overflowing to inf and underflowing to 0 as a product would."""
+    if not e:
+        return z
+    e = min(max(e, -2000), 2000)  # past that, every |z| <= 2 saturates
+    return z * math.ldexp(1.0, e // 2) * math.ldexp(1.0, e - e // 2)

@@ -16,10 +16,11 @@ is directly testable.
 term stream in ``identities``: running products carry each factor across
 consecutive k (same factors, same order as a from-scratch product; no
 divisions are introduced, so exact zeros from snapped q^{-n} bases are
-preserved).  Term streams are plain iterators, and ``_sum_stream`` is the one
-summation kernel for them and for the reciprocity difference streams in
-``identities``: stop after 3 consecutive terms below
-series_tol * |partial sum|, and report the geometric tail
+preserved).  Its pole guard is tested only at the orders k where a lower
+factor can fall inside it.  Term streams are plain iterators, and
+``_sum_stream`` is the one summation kernel for them and for the
+reciprocity difference streams in ``identities``: stop after 3 consecutive
+terms below series_tol * |partial sum|, and report the geometric tail
 |t_last| * rho / (1 - rho) of the observed ratio rho plus a roundoff
 floor proportional to the summed per-term magnitudes.  A stream that
 ends is an exact cut, with the floor as its only error.
@@ -81,6 +82,9 @@ def _ascending_terms(upper, lower, z, ctx, sign_exp=0):
     The stream ends (without yielding further terms) as soon as the running
     numerator is exactly zero, which happens precisely when some upper base
     snapped onto q^{-n} and k passed n: all later terms vanish identically.
+    As |1 - b q^k| >= 1 - |b q^k|, the pole guard is tested only while some
+    lower |b| |q|^k > (1 - pole_guard) / 2 (a factor 2 of margin over rounding),
+    and always for a non-finite b or a pole_guard of 1 or more.
     """
     q = ctx.q
     guard = ctx.pole_guard
@@ -89,11 +93,17 @@ def _ascending_terms(upper, lower, z, ctx, sign_exp=0):
     _record(lower)
     z = complex(z)
     zero_at = [terminating_order(u, ctx) for u in upper]
-    num = 1.0 + 0.0j
-    den = 1.0 + 0.0j
-    zk = 1.0 + 0.0j
-    w = 1.0 + 0.0j
-    qk = 1.0 + 0.0j
+    snaps = any(n is not None for n in zero_at)
+    # orders k the guard can reach: |b| |q|^k > reach for the largest |b|
+    mags, reach = [abs(b) for b in lower], 0.5 * (1.0 - guard)
+    top, aq = max(mags, default=0.0), abs(q)
+    if guard >= 1.0 or not math.isfinite(sum(mags)):
+        guarded = math.inf  # from logs: a loop on an infinite |b| would never end
+    elif top <= reach or aq == 0.0:  # q = 0: q^k = 0 for every k >= 1
+        guarded = int(top > reach)
+    else:
+        guarded = math.floor((math.log(top) - math.log(reach)) / -math.log(aq)) + 1
+    num = den = zk = w = qk = 1.0 + 0.0j
     k = 0
     while True:
         t = num / den * zk
@@ -101,13 +111,17 @@ def _ascending_terms(upper, lower, z, ctx, sign_exp=0):
             t *= w
         yield t
         # advance every ladder from order k to k+1
-        for i, u in enumerate(upper):
-            num *= 0.0 if zero_at[i] == k else 1.0 - u * qk
+        if snaps:
+            for i, u in enumerate(upper):
+                num *= 0.0 if zero_at[i] == k else 1.0 - u * qk
+        else:
+            for u in upper:
+                num *= 1.0 - u * qk
         if num == 0.0:
             return
         for b in lower:
             f = 1.0 - b * qk
-            if abs(f) < guard:
+            if k < guarded and abs(f) < guard:
                 raise PoleError(
                     f"lower-parameter factor |1 - b q^k| = {abs(f):.3g} below pole "
                     f"guard at k = {k} (base {b!r})"

@@ -437,6 +437,19 @@ def rand_complex(rng, lo, hi):
     return r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
 
 
+def thmb_limit_points(count):
+    """The first thm-b limit-smoke points: b = c = e = 1e-6 stand-ins, f = x y^2 / d."""
+    rng = random.Random(43)
+    points = []
+    for _ in range(count):
+        x = rand_complex(rng, 0.55, 0.85)
+        y = rand_complex(rng, 0.6, 0.9)
+        d = rand_complex(rng, 0.2, 0.5)
+        points.append({"x": x, "y": y, "b": 1e-6, "c": 1e-6, "d": d, "e": 1e-6,
+                       "f": x * y * y / d})
+    return points
+
+
 class TestNearPole:
     """``check`` skips a point where a base the evaluators divide by lies near
     a power of q; the bases are recorded by qcore only while ``check`` runs."""
@@ -485,17 +498,45 @@ class TestNearPole:
         assert rhs(bailey, ctx) == before
         assert qcore._recorded is None
 
-    def test_non_finite_side_is_never_judged(self):
+    def test_non_finite_side_is_never_judged(self, monkeypatch):
         # the thm-b limit smoke's draw at q = 0.8: b = c = e = 1e-6 stand-ins
-        # overflow the closed form's products to nan
+        # take the closed form's products past 1e308
         ctx = QContext(0.8)
-        rng = random.Random(43)
-        for _ in range(6):
-            x = rand_complex(rng, 0.55, 0.85)
-            y = rand_complex(rng, 0.6, 0.9)
-            d = rand_complex(rng, 0.2, 0.5)
-            p = {"x": x, "y": y, "b": 1e-6, "c": 1e-6, "d": d, "e": 1e-6,
-                 "f": x * y * y / d}
+        for p in thmb_limit_points(6):
             with np.errstate(all="ignore"):
                 r = check("thm-b", p, ctx)
             assert r.verdict == "pass" or (r.verdict == "skipped" and r.reason), r
+        monkeypatch.setattr("qverify.identities.qfrac", lambda *args: complex("nan"))
+        bailey = {"a": 0.5, "b": 0.9, "c": 0.8, "d": 0.7, "e": 0.6}
+        r = check("bailey-6psi6", bailey, QContext(0.3))
+        assert r.verdict == "skipped" and r.reason.startswith("rhs is not finite"), r
+
+    def test_grid_of_q_powers_is_read_from_one_tuple_per_q(self):
+        from qverify.identities import _POLE_MARGIN, _grid, _grid_clear
+
+        def oracle(values, q):  # ipow(q, j) at every probe
+            for v in values:
+                j0 = math.floor(math.log(abs(v)) / math.log(abs(q)))
+                for j in (j0 - 1, j0, j0 + 1, j0 + 2):
+                    ref, tol = ipow(q, j), qcore.SNAP_RTOL
+                    if -60 <= j <= 0 and tol * abs(ref) < abs(v - ref) < _POLE_MARGIN * abs(ref):
+                        return v
+            return None
+
+        rng = random.Random(44)
+        for q in (0.5, -0.8, 0.5 + 0.3j, complex(0.8, -0.0), 0.95):
+            ctx = QContext(q)
+            assert _grid(repr(ctx.q), ctx.q) == tuple(ipow(ctx.q, -i) for i in range(61))
+            for _ in range(200):
+                v = ipow(ctx.q, -rng.randint(0, 70)) * (1.0 + rng.choice((1e-14, 1e-9, 1e-6, 1e-3)))
+                assert _grid_clear([v], ctx) == oracle([v], ctx.q)
+        assert _grid.cache_info().maxsize == qcore._TABLE_QS
+
+    def test_overflowing_closed_form_is_judged(self):
+        # there the plain products of (x;q)_oo overflow to nan; qfrac's
+        # mantissa x 2^e fallback keeps the ratio, so 5 of the 6 points pass
+        ctx = QContext(0.8)
+        reports = [check("thm-b", p, ctx) for p in thmb_limit_points(6)]
+        assert [r.verdict for r in reports] == ["pass"] * 3 + ["skipped"] + ["pass"] * 2
+        assert max(r.rel_residual for r in reports) < 1e-13
+        assert reports[3].reason.startswith("IllConditioned")

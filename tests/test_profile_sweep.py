@@ -9,17 +9,24 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "profile_sweep.py"
 
 def test_smoke():
     proc = subprocess.run(
-        [sys.executable, str(TOOL), "--identity", "watson", "thm-e-integral", "--samples", "1"],
+        [sys.executable, str(TOOL), "--identity", "watson", "thm-e-integral",
+         "ramanujan-reciprocity", "--samples", "1"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].startswith("wall ") and "6 cells" in lines[0]
+    assert lines[0].startswith("wall ") and "9 cells" in lines[0]
     rows = {line.rsplit(None, 2)[0]: line.split()[-2:] for line in lines[1:]}
     assert int(rows["qpoch_inf_many [integrand]"][0]) > 0
     assert int(rows["qpoch_inf_many [other]"][0]) > 0
-    assert rows["_grid_clear"][0] == "6" and int(rows["sample"][0]) >= 6
-    assert {"watson", "thm-e-integral"} <= rows.keys()
+    assert rows["_grid_clear"][0] == "9" and int(rows["sample"][0]) >= 9
+    assert {"watson", "thm-e-integral", "ramanujan-reciprocity"} <= rows.keys()
+    # the stream layer: calls, terms and time of each kind of _sum_stream
+    streams = {line.split()[1]: line.split()[2:] for line in lines
+               if line.startswith("_sum_stream [")}
+    assert streams.keys() == {"[series]", "[difference]"}
+    for calls, terms, _ in streams.values():
+        assert 0 < int(calls) <= int(terms)
 
 
 def test_input_error_exits_3():

@@ -349,3 +349,150 @@ class TestMultiAndFrac:
     def test_qfrac_pole(self):
         with pytest.raises(PoleError):
             qfrac([0.3], [1.0], INF, CTX5)  # (1;q)_inf = 0 in the denominator
+
+
+def kernel_oracle(xs, ctx):
+    """qpoch_inf_many with the numpy snap stage and gathered rows: the oracle of its fast paths."""
+    x = np.asarray(xs, dtype=complex)
+    shape, x = x.shape, x.ravel()
+    q, aq, cap, tol = ctx.q, abs(ctx.q), ctx.max_product_factors, ctx.product_tol
+    gate, lq = tol * (1.0 - aq), math.log(aq) if aq else -math.inf
+    ax = np.abs(x)
+    if not np.isfinite(ax).all():
+        raise CapExceeded(f"base {complex(x[~np.isfinite(ax)][0])!r} is not finite")
+    value, err, used = np.ones(x.size, complex), np.zeros(x.size), np.ones(x.size, int)
+    near = np.flatnonzero(ax >= 1.0 - 2.0 * qcore.SNAP_RTOL)
+    if near.size:
+        m = np.rint(np.log(ax[near]) / lq).astype(int)
+        ks = [min(max(k, -cap), 0) for k in m.tolist()]
+        powers = {k: ipow(q, k) for k in set(ks)}
+        ref = np.array([powers[k] for k in ks], dtype=complex)
+        hit = (m >= -cap) & (m <= 0) & (np.abs(x[near] - ref) <= qcore.SNAP_RTOL * np.abs(ref))
+        value[near[hit]], used[near[hit]] = 0.0, 1 - m[hit]
+    live = np.flatnonzero((ax > 0.0) & (value != 0.0))
+    width = min(cap, max(3, math.floor(math.log(gate / ax[live].max(initial=tol)) / lq) + 5))
+    table = np.multiply.accumulate(np.concatenate([[1.0], np.full(width, q)]))
+    step = max(1, qcore._BLOCK // width)
+    for r in range(0, live.size, step):
+        rows = live[r:r + step]
+        u = x[rows, None] * table[:-1]
+        prods = np.multiply.accumulate(1.0 - u, axis=1)
+        k0 = max(2, math.floor(math.log(gate / ax[rows].min()) / lq) - 1)
+        small = np.abs(u[:, k0 - 2:]) < tol
+        head = ax[rows, None] * np.abs(table[k0 + 1:])
+        stop = small[:, 2:] & small[:, 1:-1] & small[:, :-2] & (head < gate)
+        done = stop.any(axis=1)
+        if not done.all():
+            bad = rows[~done][0]
+            raise CapExceeded(
+                f"base {complex(x[bad])!r}: (x;q)_oo did not converge within {cap} "
+                f"factors (|x| = {ax[bad]:.3g}, |q| = {aq:.6g})"
+            )
+        k, at = stop.argmax(axis=1), np.arange(rows.size)
+        value[rows], h, used[rows] = prods[at, k0 + k], head[at, k], k0 + k + 1
+        err[rows] = np.abs(value[rows]) * np.expm1(h / (1.0 - aq) / np.maximum(1.0 - h, 0.5))
+    return value.reshape(shape), err.reshape(shape), used.reshape(shape)
+
+
+def kernel_outcome(fn, xs, ctx):
+    try:
+        return fn(xs, ctx)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+class TestKernelBitIdentity:
+    """qpoch_inf_many's snap loop and slice path change no bit, error or message."""
+
+    QS = [0.3, 0.5, 0.8, -0.5, 0.95, 0.9, 0.5 + 0.3j, 0.6j, 0.0]
+
+    def assert_same(self, xs, ctx):
+        with np.errstate(all="ignore"):
+            got = kernel_outcome(qpoch_inf_many, xs, ctx)
+            want = kernel_outcome(kernel_oracle, xs, ctx)
+        if isinstance(want, str):
+            assert got == want
+            return
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert np.array_equal(g, w, equal_nan=True)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_edge_cases(self, q):
+        ctx = QContext(q)
+        snapped = [ipow(ctx.q, -m) for m in (0, 1, 5)] if q else [1.0]
+        thetas = np.linspace(0.0, math.pi, 9)
+        e = np.exp(1j * thetas)
+        cases = [
+            [], np.zeros((2, 0)), 0.4 - 0.1j, [0.0], [0.0, 0.3, 0.0],
+            snapped, snapped + [0.3, 0.0, 2.5j], [1.7 + 0.4j, 0.2, 1e3],
+            [x * (1.0 + d) for x in snapped for d in (5e-14, 3e-13, 1e-10)],
+            np.array([e * e, 0.3 * e, 0.5 * np.conj(e), 1.2 * e]),  # integrand rows, 2-D
+            [0.5, complex("nan")], [complex(math.inf, 1.0), 0.2], [1e300 + 1e300j],
+        ]
+        for xs in cases:
+            self.assert_same(xs, ctx)
+        self.assert_same([0.0, 0.5, 0.7], QContext(q, max_product_factors=5))
+        self.assert_same(snapped + [0.9], QContext(q, max_product_factors=3))
+
+    @pytest.mark.parametrize("q", QS)
+    def test_random_calls(self, q):
+        ctx = QContext(q)
+        rng = random.Random(12)
+        for _ in range(30):
+            hi = rng.choice((1.0, 3.0, 1e4))
+            xs = [rand_complex(rng, 0.0, hi) for _ in range(rng.randint(1, 28))]
+            if q and rng.random() < 0.5:
+                xs[rng.randrange(len(xs))] = ipow(ctx.q, -rng.randint(0, 8))
+            if rng.random() < 0.2:
+                xs[rng.randrange(len(xs))] = 0.0
+            self.assert_same(np.array(xs).reshape(-1, len(xs) // rng.choice((1, len(xs)))), ctx)
+
+    def test_blocks(self):
+        ctx = QContext(0.8)
+        xs = rand_bases(random.Random(13), 1500, hi=1.0)
+        self.assert_same(xs, ctx)
+        self.assert_same(xs + [ipow(ctx.q, -2), 0.0], ctx)
+
+
+class TestTerminatingOrder:
+    def test_agrees_with_the_power_index_at_the_cut(self):
+        # |x| < 1 - 2 SNAP_RTOL returns None at once; above it the full test runs
+        for q in (0.5, -0.5, 0.5 + 0.3j, 0.95):
+            ctx = QContext(q)
+            for r in (0.3, 1 - 3e-13, 1 - 2e-13, 1 - 1e-13, 1 - 5e-14, 1.0, 1 + 5e-14, 1 + 2e-13):
+                for x in (r, r * ipow(ctx.q, -2), complex(0.0, r)):
+                    m = q_power_index(x, ctx.q, -ctx.max_terms, 0)
+                    assert terminating_order(x, ctx) == (None if m is None else -m)
+
+
+class TestOverflowFallback:
+    """A product of finite (x;q)_oo that overflows is redone as mantissa x 2^e."""
+
+    CTX = QContext(0.8)
+    BIG = [5e5 * cmath.exp(1j * t) for t in (0.3, 1.9, -2.4)]  # (x;q)_oo up to 1e174
+
+    def test_ratio_of_overflowing_products(self):
+        values = qpoch_inf_many(self.BIG, self.CTX)[0].tolist()
+        assert all(map(cmath.isfinite, values))
+        assert not cmath.isfinite(math.prod(values))  # the plain product is lost
+        assert qfrac(self.BIG, self.BIG, INF, self.CTX) == 1.0
+        got = qfrac(self.BIG + [0.3], self.BIG[:2] + [0.6], INF, self.CTX)
+        want = values[2] * qpoch_inf(0.3, self.CTX).value / qpoch_inf(0.6, self.CTX).value
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_product_saturates_instead_of_nan(self):
+        got = qpoch_multi(self.BIG, INF, self.CTX)
+        assert not cmath.isnan(got) and cmath.isinf(got)
+
+    def test_mantissa_product(self):
+        values = [1e200 + 1e200j, 1e200 - 1e200j, 1e-300]
+        m, e = qcore._prod(values)
+        assert qcore._ldexp(m, e) == pytest.approx(2e100, rel=1e-15)
+        assert qcore._prod([0.5 + 1j, 2.0]) == (1 + 2j, 0)  # finite: the plain product
+        assert cmath.isnan(qcore._prod([complex("nan"), 1e300])[0])  # non-finite factor: as is
+
+    def test_zero_denominator_is_a_pole(self):
+        # a snapped (exactly zero) factor next to overflowing ones
+        with pytest.raises(PoleError):
+            qfrac([0.5], self.BIG + [ipow(self.CTX.q, -2)], INF, self.CTX)

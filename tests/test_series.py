@@ -8,9 +8,12 @@ import random
 import mpmath as mp
 import pytest
 
-from qverify.qcore import DivergentSeries, QContext, ipow, qfrac, qpoch, INF
+from qverify.qcore import (
+    INF, DivergentSeries, PoleError, QContext, ipow, q_power_index, qfrac, qpoch,
+)
 from qverify.series import (
     _ROUND_FLOOR,
+    _ascending_terms,
     SeriesSpec,
     _sum_series,
     _sum_stream,
@@ -305,3 +308,109 @@ class TestSumStream:
         assert terminated and n == 3
         assert abs(value - 7e-3) < 1e-18
         assert err == _ROUND_FLOOR * 7.0
+
+
+def ladder_oracle(upper, lower, z, ctx, sign_exp=0):
+    """The ladder with the pole guard on every lower factor: the oracle of _ascending_terms."""
+    q = ctx.q
+    upper = [complex(u) for u in upper]
+    lower = [complex(b) for b in lower]
+    z = complex(z)
+    zero_at = [q_power_index(u, q, -ctx.max_terms, 0) for u in upper]
+    zero_at = [None if m is None else -m for m in zero_at]
+    num = den = zk = w = qk = 1.0 + 0.0j
+    k = 0
+    while True:
+        t = num / den * zk
+        if sign_exp:
+            t *= w
+        yield t
+        for i, u in enumerate(upper):
+            num *= 0.0 if zero_at[i] == k else 1.0 - u * qk
+        if num == 0.0:
+            return
+        for b in lower:
+            f = 1.0 - b * qk
+            if abs(f) < ctx.pole_guard:
+                raise PoleError(
+                    f"lower-parameter factor |1 - b q^k| = {abs(f):.3g} below pole "
+                    f"guard at k = {k} (base {b!r})"
+                )
+            den *= f
+        if sign_exp:
+            w *= ipow(-qk, sign_exp)
+        zk *= z
+        qk *= q
+        k += 1
+
+
+def drained(stream, n=400):
+    """repr of the first n terms (bit-exact, nan and signed zeros included), then any error."""
+    out = []
+    try:
+        out.extend(map(repr, itertools.islice(stream, n)))
+    except (PoleError, ZeroDivisionError) as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+class TestLadderBitIdentity:
+    """_ascending_terms tests the pole guard only where it can fire, and changes no bit."""
+
+    QS = [0.3, 0.8, 0.95, -0.5, 0.5 + 0.3j]
+
+    def same(self, upper, lower, z, ctx, sign_exp=0):
+        got = drained(_ascending_terms(upper, lower, z, ctx, sign_exp))
+        assert got == drained(ladder_oracle(upper, lower, z, ctx, sign_exp))
+        return got
+
+    @pytest.mark.parametrize("q", QS)
+    def test_guard_hit_at_later_order(self, q):
+        ctx = QContext(q)
+        for k in (1, 3, 6):
+            b = ipow(ctx.q, -k) * (1.0 + 3e-9j)
+            got = self.same([0.4, -0.2j], [0.3, b, ctx.q], 0.6, ctx)
+            assert len(got) == k + 2 and got[-1].startswith("PoleError") and f"k = {k} " in got[-1]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_snapped_upper_base_ends_the_stream(self, q):
+        ctx = QContext(q)
+        got = self.same([0.3, ipow(ctx.q, -4), 0.7j], [0.2, ctx.q], 0.9, ctx)
+        assert len(got) == 5
+
+    @pytest.mark.parametrize("q", QS)
+    def test_sign_weights(self, q):
+        ctx = QContext(q)
+        for sign_exp in (-1, 1, 2):
+            self.same([0.3, 1.7j], [0.25, 2.2, ctx.q], 0.4 - 0.3j, ctx, sign_exp)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_wide_pole_guard(self, q):
+        ctx = QContext(q, pole_guard=0.5)
+        for b in (0.8 * ipow(ctx.q, -2), 1.4, 0.45, 3.0 + 1.0j):
+            self.same([0.5], [b, ctx.q], 0.3, ctx)
+        self.same([0.5], [0.3, 2.5], 0.3, QContext(q, pole_guard=1.5))
+
+    @pytest.mark.parametrize("q", QS)
+    def test_non_finite_bases(self, q):
+        ctx = QContext(q)
+        for bad in (complex(math.inf, 0.0), complex(math.nan, 0.0), 1e300):
+            self.same([0.3, bad], [0.4, ctx.q], 0.5, ctx)
+            self.same([0.3], [bad, ctx.q], 0.5, ctx)
+
+    def test_zero_q(self):
+        # q^k = 0 for k >= 1, so only the order k = 0 can reach the guard
+        ctx = QContext(0.0)
+        assert self.same([0.5], [1.0 + 1e-10, 0.2], 0.3, ctx)[-1].startswith("PoleError")
+        assert len(self.same([0.5], [0.7, 3.0], 0.3, ctx)) == 400
+
+    @pytest.mark.parametrize("q", QS)
+    def test_random_streams(self, q):
+        ctx = QContext(q)
+        rng = random.Random(11)
+        for _ in range(40):
+            upper = [rand_complex(rng, 0.0, 3.0) for _ in range(rng.randint(0, 4))]
+            lower = [rand_complex(rng, 0.0, 3.0) for _ in range(rng.randint(0, 4))]
+            if rng.random() < 0.3:
+                lower.append(ipow(ctx.q, -rng.randint(0, 5)) * (1.0 + 1e-9))
+            self.same(upper, lower, rand_complex(rng, 0.0, 1.2), ctx, rng.choice((0, 0, 1, -2)))

@@ -8,7 +8,9 @@ counted here), and prints its wall time, the summed ``elapsed`` of its
 cells, ms per cell for each identity, and the time and calls of
 ``qcore.qpoch_inf_many`` (split into Askey-Wilson integrand calls, whose
 input is 2-D, and all others), ``identities._grid_clear`` and
-``identities.sample``.  A layer's time includes the layers it calls.
+``identities.sample``, then the stream layer: the calls, terms and time of
+``series._sum_stream``, split into plain series and the reciprocity
+difference streams.  A layer's time includes the layers it calls.
 """
 
 import contextlib
@@ -22,21 +24,23 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from qverify import cli, identities, qcore  # noqa: E402
+from qverify import cli, identities, qcore, series  # noqa: E402
 
 
-def instrument(fn, kind=lambda args: ""):
-    """Replace fn in every qverify module that binds it; returns {kind: [calls, s]}."""
-    stats = defaultdict(lambda: [0, 0.0])
+def instrument(fn, kind=lambda args: "", work=lambda result: 0):
+    """Replace fn in every qverify module that binds it; returns {kind: [calls, s, work]}."""
+    stats = defaultdict(lambda: [0, 0.0, 0])
 
     def timed(*args, **kwargs):
-        start = time.perf_counter()
+        start, result = time.perf_counter(), None
         try:
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            return result
         finally:
             entry = stats[kind(args)]
             entry[0] += 1
             entry[1] += time.perf_counter() - start
+            entry[2] += 0 if result is None else work(result)
 
     for mod in list(sys.modules.values()):
         if mod.__name__.startswith("qverify") and getattr(mod, fn.__name__, None) is fn:
@@ -51,6 +55,10 @@ def main(argv) -> int:
         "_grid_clear": instrument(identities._grid_clear),
         "sample": instrument(identities.sample),
     }
+    # plain series reach _sum_stream through series._sum_series, difference streams directly
+    streams = instrument(series._sum_stream, lambda args: (
+        "series" if args[0].gi_code.co_qualname.startswith("_sum_series") else "difference"),
+        lambda result: result[2])
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
         start = time.perf_counter()
@@ -71,8 +79,12 @@ def main(argv) -> int:
     print(f"{'layer':32s} {'calls':>8s} {'s':>9s}")
     for name, stats in layers.items():
         for kind in sorted(stats) or [""]:
-            calls, secs = stats[kind]
+            calls, secs, _ = stats[kind]
             print(f"{name + (f' [{kind}]' if kind else ''):32s} {calls:8d} {secs:9.3f}")
+    print(f"{'stream':32s} {'calls':>8s} {'terms':>9s} {'s':>9s}")
+    for kind in ("series", "difference"):
+        calls, secs, terms = streams[kind]
+        print(f"{f'_sum_stream [{kind}]':32s} {calls:8d} {terms:9d} {secs:9.3f}")
     return 0
 
 
