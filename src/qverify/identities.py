@@ -20,10 +20,11 @@ Numerical notes that shape the evaluators:
   difference itself and the a = b diagonal cancels to an exact zero.
 * The q-power weights (q^{k(k+1)/2}, q^{2k+1}, ...) advance by exact
   integer-exponent ladders; no logarithms are involved anywhere.
-* Every Pochhammer product comes from ``series._ascending_terms``; the
-  sums with k-dependent bases use (q^{-k} w;q)_k = (-w)^k q^{-k(k+1)/2}
-  (q/w;q)_k, whose q-power cancels the quadratic weight.  At |q| near 1
-  a running product can overflow; the sum then raises DivergentSeries.
+* Every Pochhammer product comes from ``series._ascending_terms``, the
+  (1 - c q^{2k+1}) sums through ``series._shifted_terms``; the sums with
+  k-dependent bases use (q^{-k} w;q)_k = (-w)^k q^{-k(k+1)/2} (q/w;q)_k,
+  whose q-power cancels the quadratic weight.  At |q| near 1 a running
+  product can overflow; the sum then raises DivergentSeries.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ from .qcore import (
     qpoch,
 )
 from .qcore import _TABLE_QS, SNAP_RTOL
-from .series import SeriesSpec, _ascending_terms, _sum_series, _sum_stream, eval_phi, eval_psi
+from .series import SeriesSpec, _ascending_terms, _shifted_terms, _sum_series, _sum_stream
+from .series import eval_phi, eval_psi
 from .multisum import block_multisum, check_qpow_ratio, milne_rhs_block
 from .integrals import (
     AWIntegrandSpec,
@@ -229,33 +231,6 @@ def _swap_diff(half, names):
         return _diff_sum(half(a, b, *rest, ctx), half(b, a, *rest, ctx), ctx)
 
     return evaluator
-
-
-def _shifted_terms(const, c, ups, lows, lows1, z, ctx):
-    """const (1 - c q^{2k+1}) prod (ups;q)_k / [prod (lows;q)_k prod (lows1;q)_{k+1}] z^k.
-
-    Every (x;q)_{k+1} in ``lows1`` is folded into const as 1/(1-x) and a
-    ladder base qx, so one ``_ascending_terms`` stream carries all the
-    Pochhammer products.  The leading factors are pole-checked here, before
-    the stream is returned.
-    """
-    q = ctx.q
-    shifted = []
-    for x in lows1:
-        f = _one_minus(x)
-        if abs(f) < ctx.pole_guard:
-            raise PoleError(f"(x;q)_(k+1) leading factor below pole guard (base {x!r})")
-        const /= f
-        shifted.append(q * x)
-    ladder = _ascending_terms(ups, list(lows) + shifted, z, ctx)
-
-    def terms():
-        p = q  # q^{2k+1}
-        for t in ladder:
-            yield const * (t * (1.0 - c * p))
-            p *= q * q
-
-    return terms()
 
 
 def _rho_terms(a, b, ups, low_shift, z, ctx, inv_b_power=1):

@@ -11,14 +11,13 @@ spectrally; nodes are reused across refinements, and all infinite
 products of a batch of nodes come from one call of
 qcore.qpoch_inf_many, which at real q and real lam computes only one row
 of each conjugate pair.  Closed-form right-hand sides for the q-beta
-integral and its multi-variable generalizations live here as well.
+integral and its multi-variable generalizations live here as well, and
+the residue sum that the stated multi-variable form misses.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +35,9 @@ from .qcore import (
     qfrac,
     qpoch_inf_many,
     qpoch_multi,
-    terminating_order,
 )
 from .multisum import check_qpow_ratio, omega
-from .series import _sum_series
+from .series import _shifted_terms, _sum_series
 
 __all__ = [
     "AWIntegrandSpec",
@@ -262,50 +260,27 @@ def thm_e_rhs(a, b, c, d, u, v, N, ctx: QContext) -> complex:
     return value / div
 
 
-def _ladder(x, start, ctx: QContext, skip=None):
-    """(x;q)_start, (x;q)_{start+1}, ... as one running product.
-
-    The factors are qpoch's, in qpoch's order (q^j by repeated
-    multiplication), with its exact zero past a base snapped onto q^{-n};
-    the factor at index ``skip`` is left out.
-    """
-    q = ctx.q
-    zero_at = terminating_order(x, ctx)
-    p = qj = 1.0 + 0.0j
-    for j in itertools.count():
-        if j >= start:
-            yield p
-        if j != skip:
-            p *= 0.0 if zero_at == j else 1.0 - x * qj
-        qj *= q
-
-
 def _residue_terms(p, i, j_star, lams, u, v, w, ctx: QContext):
-    """The residues T_k, k = j*+1, j*+2, ..., at the pole z = p = v_i q^m.
+    """The residues T_k, k = k0 + n with k0 = j*+1, at the pole z = p = v_i q^m.
 
-    Every (x;q)_k and (x;q)_{k+1} is a running product (_ladder); the one
-    of (qp/u_i;q)_k leaves out its vanishing factor at index j*, the pole.
+    Each (x;q)_{k0+n} is (x;q)_{k0} (x q^{k0};q)_n and each (x;q)_{k0+n+1}
+    is (x;q)_{k0+1} (x q^{k0+1};q)_n; (qp/u_i;q)_k without its vanishing
+    factor at index j* (the pole) is (qp/u_i;q)_{j*} (x q^{k0};q)_n.  So the
+    terms are one series._shifted_terms stream in n, with c = q^{2k0} p^2,
+    and the constants come from qfrac, which records its denominators.
     """
     q = ctx.q
     k0 = j_star + 1  # poles exist only for k > j_star
-    ladders = [
-        zip(_ladder(q * p / lam, k0, ctx), _ladder(lam * p, k0 + 1, ctx)) for lam in lams
-    ]
-    ladders += [
-        zip(
-            map(operator.mul, _ladder(p * u[j], k0 + 1, ctx), _ladder(q * p / v[j], k0, ctx)),
-            map(operator.mul, _ladder(p * v[j], k0 + 1, ctx),
-                _ladder(q * p / u[j], k0, ctx, j_star if j == i else None)),
-        )
-        for j in range(len(u))
-    ]
-    for k in itertools.count(k0):
-        t = (1.0 - p * p) * (1.0 - ipow(q, 2 * k + 1) * p * p) * ipow(w, k)
-        for num, den in map(next, ladders):
-            if abs(den) < ctx.pole_guard:
-                raise PoleError("residue term denominator inside pole guard")
-            t *= num / den
-        yield t
+    pole = q * p / u[i]
+    up0 = [q * p / x for x in (*lams, *v)]  # (x;q)_k rows
+    low0 = [q * p / x for j, x in enumerate(u) if j != i]
+    up1, low1 = [p * x for x in u], [p * x for x in (*lams, *v)]  # (x;q)_{k+1} rows
+    const = (1.0 - p * p) * ipow(w, k0) * qfrac([], [pole], j_star, ctx)
+    const *= qfrac(up0, low0, k0, ctx) * qfrac(up1, low1, k0 + 1, ctx)
+    s0, s1 = ipow(q, k0), ipow(q, k0 + 1)
+    ups = [x * s0 for x in up0] + [x * s1 for x in up1]
+    lows = [x * s0 for x in low0 + [pole]] + [x * s1 for x in low1]
+    return _shifted_terms(const, s0 * s0 * p * p, ups, lows, [], w, ctx)
 
 
 def aw_residue_correction(a, b, c, d, u, v, N, ctx: QContext) -> complex:
@@ -327,11 +302,10 @@ def aw_residue_correction(a, b, c, d, u, v, N, ctx: QContext) -> complex:
 
         integral  =  thm_e_rhs  +  aw_residue_correction.
 
-    Each pole's residues form one term stream, _residue_terms, whose
-    Pochhammer products are running ladders (K terms cost O(K) factors),
-    summed by series._sum_series under the standard truncation policy.
-    Zero when every N_i = 0.  Assumes the poles v_i q^m are pairwise
-    distinct (generic parameters).
+    Each pole's residues are one _residue_terms stream over the series
+    ladder (K terms cost O(K) factors), summed by series._sum_series under
+    the standard truncation policy.  Zero when every N_i = 0.  Assumes the
+    poles v_i q^m are pairwise distinct (generic parameters).
     """
     q = ctx.q
     for i in range(len(u)):

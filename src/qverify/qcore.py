@@ -177,7 +177,10 @@ def q_power_index(x: complex, q: complex, lo: int, hi: int) -> int | None:
     """Integer m in [lo, hi] with x = q^m to SNAP_RTOL relative, else None.
 
     The candidate exponent comes from moduli; the full complex distance is
-    then checked, so a complex q with the wrong phase never snaps.
+    then checked, so a complex q with the wrong phase never snaps.  Nor
+    does a reference that overflows or underflows, or a modulus 1e-9 (in
+    log) off |q|^m0: a match needs 1e-13, ipow is good to ~1e-12 for
+    |m| <= max_terms, and m0 +- 1 are farther off still.
     """
     ax = abs(x)
     if ax == 0.0:
@@ -185,14 +188,19 @@ def q_power_index(x: complex, q: complex, lo: int, hi: int) -> int | None:
     aq = abs(q)
     if aq == 0.0:
         return 0 if (lo <= 0 <= hi and abs(x - 1.0) <= SNAP_RTOL) else None
-    est = math.log(ax) / math.log(aq)
+    est = (lx := math.log(ax)) / (lq := math.log(aq))
     if not math.isfinite(est):
         return None
     m0 = round(est)
+    if abs(lx - m0 * lq) > 1e-9:
+        return None
     for m in (m0, m0 - 1, m0 + 1):
         if lo <= m <= hi:
-            ref = ipow(q, m)
-            if abs(x - ref) <= SNAP_RTOL * abs(ref):
+            try:
+                ref = ipow(q, m)
+            except ZeroDivisionError:  # q^|m| underflowed to 0
+                continue
+            if 0.0 < abs(ref) < math.inf and abs(x - ref) <= SNAP_RTOL * abs(ref):
                 return m
     return None
 

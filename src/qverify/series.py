@@ -12,12 +12,14 @@ bases q^2/l, q^2/u, times a prefactor.  ``eval_bilateral_split`` exposes
 that split itself, so the algebraic step used by the reciprocity proofs
 is directly testable.
 
-``_ascending_terms`` is the one Pochhammer ladder, here and for every
-term stream in ``identities``: running products carry each factor across
-consecutive k (same factors, same order as a from-scratch product; no
-divisions are introduced, so exact zeros from snapped q^{-n} bases are
-preserved).  Its pole guard is tested only at the orders k where a lower
-factor can fall inside it.  Term streams are plain iterators, and
+``_ascending_terms`` is the one Pochhammer ladder, here and for every term
+stream in ``identities`` and ``integrals``: running products carry each
+factor across consecutive k (same factors, same order as a from-scratch
+product; no divisions are introduced, so exact zeros from snapped q^{-n}
+bases are preserved).  Its pole guard is tested only at the orders k where
+a lower factor can fall inside it.  ``_shifted_terms`` adds a factor
+(1 - c q^{2k+1}) and (x;q)_{k+1} rows to it (reciprocity, Jacobi-family
+and integral residue sums).  Term streams are plain iterators, and
 ``_sum_stream`` is the one summation kernel for them and for the
 reciprocity difference streams in ``identities``: stop after 3 consecutive
 terms below series_tol * |partial sum|, and report the geometric tail
@@ -132,6 +134,33 @@ def _ascending_terms(upper, lower, z, ctx, sign_exp=0):
         zk *= z
         qk *= q
         k += 1
+
+
+def _shifted_terms(const, c, ups, lows, lows1, z, ctx):
+    """const (1 - c q^{2k+1}) prod (ups;q)_k / [prod (lows;q)_k prod (lows1;q)_{k+1}] z^k.
+
+    Every (x;q)_{k+1} in ``lows1`` is folded into const as 1/(1-x) and a
+    ladder base qx, so one ``_ascending_terms`` stream carries all the
+    Pochhammer products.  The leading factors are pole-checked here, before
+    the stream is returned.
+    """
+    q = ctx.q
+    shifted = []
+    for x in lows1:
+        f = _one_minus(x)
+        if abs(f) < ctx.pole_guard:
+            raise PoleError(f"(x;q)_(k+1) leading factor below pole guard (base {x!r})")
+        const /= f
+        shifted.append(q * x)
+    ladder = _ascending_terms(ups, list(lows) + shifted, z, ctx)
+
+    def terms():
+        p = q  # q^{2k+1}
+        for t in ladder:
+            yield const * (t * (1.0 - c * p))
+            p *= q * q
+
+    return terms()
 
 
 # rounding-floor coefficient: every summed term carries a few ulps of the

@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from qverify import integrals
+from qverify import integrals, qcore
+from qverify.identities import _grid_clear
 from qverify.qcore import QContext, ipow, qpoch, qpoch_inf, qpoch_inf_many
 from qverify.series import _sum_series
 from qverify.integrals import (
@@ -258,12 +259,15 @@ class TestMultiVariableIntegralDefect:
         assert abs(lhs - stated.real) > 1e-6 * abs(lhs)
 
     @pytest.mark.parametrize("q", [0.5, -0.5, 0.95])
-    @pytest.mark.parametrize("vs,N", [((0.3,), (2,)), ((0.3, 0.2), (1, 2))])
+    @pytest.mark.parametrize(
+        "vs,N", [((0.3,), (2,)), ((0.3, 0.2), (1, 2)), ((0.45, -0.3), (1, 2))]
+    )
     def test_ladders_match_from_scratch_terms(self, monkeypatch, q, vs, N):
-        # the running products multiply qpoch's factors in qpoch's order, so
-        # the sum is bit-identical to rebuilding every term from scratch.  The
-        # product-side constants are set to 1: at q = 0.95 their absolute
-        # pole guard raises, and they are not what is compared here
+        # each pole's residues are one stream over the series ladder, re-indexed
+        # from k0 = j*+1, so its products are reassociated against rebuilding
+        # every term from scratch and agree to roundoff.  The product-side
+        # constants are set to 1: at q = 0.95 their absolute pole guard
+        # raises, and they are not what is compared here
         monkeypatch.setattr(integrals, "_thm_e_products", lambda *args: 1.0)
         monkeypatch.setattr(integrals, "omega", lambda *args: 1.0)
         ctx = QContext(q)
@@ -272,7 +276,19 @@ class TestMultiVariableIntegralDefect:
         got = aw_residue_correction(a, b, c, d, us, vs, N, ctx)
         want = -2.0 * math.pi * _residue_sum_ref(a, b, c, d, us, vs, N, ctx)
         assert got != 0.0
-        assert got == want
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_recorder_sees_the_residue_bases(self):
+        # q p/u_2 sits 1e-7 relative from q^-3 (N = (1, 0), the pole p = v_1):
+        # a divisor base of the residue stream that the grid test must flag
+        q = 0.8
+        ctx = QContext(q)
+        vs = (0.45, 0.45 * q ** 4 / (1 + 1e-7))
+        us = (0.45 * q, vs[1])
+        with qcore._recording() as bases:
+            aw_residue_correction(0.3, 0.2, 0.1, 0.4, us, vs, (1, 0), ctx)
+        flagged = [x for x in bases if _grid_clear([x], ctx) is not None]
+        assert any(abs(x - q ** -3) <= 1e-6 * q ** -3 for x in flagged)
 
     def test_correction_vanishes_for_zero_offsets(self):
         got = aw_residue_correction(0.3, 0.2, 0.1, 0.4, (0.45,), (0.45,), (0,), CTX)

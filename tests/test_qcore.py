@@ -26,6 +26,26 @@ from qverify.qcore import (
 CTX5 = QContext(0.5)
 
 
+def _q_power_index_ref(x, q, lo, hi):
+    """q_power_index without its modulus early-out: every candidate is tested."""
+    if abs(x) == 0.0:
+        return None
+    if abs(q) == 0.0:
+        return 0 if (lo <= 0 <= hi and abs(x - 1.0) <= qcore.SNAP_RTOL) else None
+    est = math.log(abs(x)) / math.log(abs(q))
+    if not math.isfinite(est):
+        return None
+    for m in (round(est), round(est) - 1, round(est) + 1):
+        if lo <= m <= hi:
+            try:
+                ref = ipow(q, m)
+            except ZeroDivisionError:
+                continue
+            if 0.0 < abs(ref) < math.inf and abs(x - ref) <= qcore.SNAP_RTOL * abs(ref):
+                return m
+    return None
+
+
 def rand_complex(rng, lo=0.1, hi=0.9):
     r = rng.uniform(lo, hi)
     ph = rng.uniform(0.0, 2.0 * math.pi)
@@ -313,11 +333,42 @@ class TestHelpers:
         for m in (-7, -1, 0, 1, 9):
             assert q_power_index(ipow(q, m), q, -20, 20) == m
         assert q_power_index(0.123 + 0.456j, q, -20, 20) is None
+        # a reference q^m that overflows (q^|m| underflowed) or is 0 matches nothing
+        assert q_power_index(1e308, 0.5 + 0.3j, -10000, 0) is None
+        assert q_power_index(1e308, 1e-300, -10000, 0) is None
+        assert _q_power_index_ref(1e308, 0.5 + 0.3j, -10000, 0) is None
+        assert _q_power_index_ref(1e308, 1e-300, -10000, 0) is None
 
     def test_terminating_order(self):
         assert terminating_order(ipow(CTX5.q, -4), CTX5) == 4
         assert terminating_order(1.0, CTX5) == 0
         assert terminating_order(0.37, CTX5) is None
+        assert terminating_order(1e308, QContext(0.5 + 0.3j)) is None
+
+    def test_q_power_index_modulus_early_out_is_exact(self):
+        # the early-out on |log|x| - m0 log|q|| only skips inputs that match no
+        # candidate: same result as testing every candidate, on and near the grid
+        rng = random.Random(17)
+        qs = [0.5, -0.5, 0.3, 0.8, 0.95, 0.999, 0.5 + 0.3j, 0.6j, -0.7 + 0.2j, 1e-300, 1e-3]
+        ranges = [(-10000, 0), (1, 1), (-20, 20)]
+        hits = 0
+        for _ in range(20000):
+            q, (lo, hi) = rng.choice(qs), rng.choice(ranges)
+            kind = rng.random()
+            if kind < 0.6:  # near a power of q, up to just past the snap tolerance
+                rel = rng.choice((0.0, 1e-14, 9e-14, 1.1e-13, 1e-12, 1e-10, 1e-9, 1e-7))
+                try:
+                    x = ipow(q, rng.randint(lo, hi)) * (1 + rel * cmath.exp(1j * rng.uniform(0, 6.3)))
+                except ZeroDivisionError:  # q^|m| underflowed to 0
+                    continue
+            elif kind < 0.9:  # anywhere in the double range
+                x = 10.0 ** rng.uniform(-300, 308) * cmath.exp(1j * rng.choice((0.0, rng.uniform(0, 6.3))))
+            else:
+                x = rng.choice((1e308, -1e308, 1e-320, 1.0, complex(0.0, 1e300)))
+            want = _q_power_index_ref(x, q, lo, hi)
+            assert q_power_index(x, q, lo, hi) == want, (x, q, lo, hi)
+            hits += want is not None
+        assert hits > 3000
 
 
 class TestMultiAndFrac:
