@@ -283,8 +283,16 @@ def _sweep_cell_star(packed):
     return run_sweep_cell(*packed)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 3 (input error), not 2 (skipped)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(_EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qverify", description=__doc__.splitlines()[0])
+    ap = _Parser(prog="qverify", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="print the identity registry").set_defaults(func=cmd_list)

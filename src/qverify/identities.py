@@ -52,12 +52,11 @@ from .qcore import (
     QContext,
     SamplingExhausted,
     UnknownParam,
+    _divisor,
     _one_minus,
-    _record,
     _recording,
     ipow,
     qfrac,
-    qpoch,
 )
 from .qcore import _TABLE_QS, SNAP_RTOL
 from .series import SeriesSpec, _ascending_terms, _shifted_terms, _sum_series, _sum_stream
@@ -625,10 +624,7 @@ _register(IdentityCase(
 
 def _andrews_half(a, b, c, d, ctx):
     q = ctx.q
-    f = _one_minus(-c / b)
-    if abs(f) < ctx.pole_guard:
-        raise PoleError("1 + c/b below pole guard")
-    const = (1.0 + 1.0 / b) / f
+    const = (1.0 + 1.0 / b) / _one_minus(-c / b, ctx)
     ladder = _ascending_terms([c, -q * a / d], [-q * a, -q * c / b], -d / b, ctx)
     return (const * t for t in ladder)
 
@@ -663,10 +659,7 @@ _register(IdentityCase(
 
 def _kang_half(a, b, c, d, ctx):
     q = ctx.q
-    f = _one_minus(-c / b) * _one_minus(-d / b)
-    if abs(f) < ctx.pole_guard:
-        raise PoleError("(1 + c/b)(1 + d/b) below pole guard")
-    const = (1.0 + 1.0 / b) / f
+    const = (1.0 + 1.0 / b) / (_one_minus(-c / b, ctx) * _one_minus(-d / b, ctx))
     coef = -c * d / b
     ladder = _ascending_terms(
         [c, d, c * d / (a * b)], [-q * a, -q * c / b, -q * d / b], -a / b, ctx
@@ -736,10 +729,7 @@ _register(IdentityCase(
 
 def _cz_half(a, b, c, d, e, ctx):
     q = ctx.q
-    f = _one_minus(-c / b)
-    if abs(f) < ctx.pole_guard:
-        raise PoleError("1 + c/b below pole guard")
-    const = (1.0 + 1.0 / b) / f
+    const = (1.0 + 1.0 / b) / _one_minus(-c / b, ctx)
     ladder = _ascending_terms(
         [c, -q * a / d, -q * a / e],
         [-q * a, q * q * (a * b) / (d * e), -q * c / b],
@@ -998,8 +988,7 @@ def _corla_rhs(p, ctx):
     lead = _ma_rhs({"a": a, "b": b, "c": c, "d": d, "e": e}, ctx)
     lead *= f * ipow(q, n) / (a * b)
     lead *= qfrac([q * f / e, e * f / (a * b)], [], n, ctx)
-    _record([-f / a, -f / b])
-    lead /= qpoch(-f / a, n + 1, ctx) * qpoch(-f / b, n + 1, ctx)
+    lead *= qfrac([], [-f / a, -f / b], n + 1, ctx)
     phi = eval_phi(
         SeriesSpec(
             upper=[ipow(q, -n), q / e, q * a * b / (c * e), q * a * b / (d * e)],
@@ -1108,8 +1097,7 @@ def _corlb_rhs(p, ctx):
     )
     lead *= e * ipow(q, n) / (-y)
     lead *= qfrac([e, q * e / xy2], [], n, ctx)
-    _record([e / y, e / (x * y)])
-    lead /= qpoch(e / y, n + 1, ctx) * qpoch(e / (x * y), n + 1, ctx)
+    lead *= qfrac([], [e / y, e / (x * y)], n + 1, ctx)
     phi = eval_phi(
         SeriesSpec(
             upper=[ipow(q, -n), q / b, q / c, q / d],
@@ -1455,18 +1443,14 @@ def _corlc_lhs(p, ctx):
 def _corlc_rhs(p, ctx):
     q = ctx.q
     a, b, c, d, u, n = (p[k] for k in ("a", "b", "c", "d", "u", "n"))
-    lead = _one_minus(a * b * c * d * ipow(q, -(n + 1)))
-    if abs(lead) < ctx.pole_guard:
-        raise PoleError("1 - abcd/q^{n+1} inside the pole guard")
-    value = 2.0 * math.pi / lead
+    value = 2.0 * math.pi / _one_minus(a * b * c * d * ipow(q, -(n + 1)), ctx)
     value *= qfrac(
         [a * b * c * d / q],
         [q, a * b, a * c, a * d, b * c, b * d, c * d],
         INF,
         ctx,
     )
-    _record([d * u, q * u / d])
-    value /= qpoch(d * u, n, ctx) * qpoch(q * u / d, n, ctx)
+    value *= qfrac([], [d * u, q * u / d], n, ctx)
     phi = eval_phi(
         SeriesSpec(
             upper=[ipow(q, -n), q / (a * d), q / (b * d), q / (c * d)],
@@ -1475,10 +1459,7 @@ def _corlc_rhs(p, ctx):
         ),
         ctx,
     )
-    div = _guarded_series_value(phi, ctx)
-    if abs(div) < ctx.pole_guard:
-        raise DivisionByNearZero("terminating series divisor near zero")
-    return value / div
+    return value / _divisor(_guarded_series_value(phi, ctx), "terminating series divisor", ctx)
 
 
 def _corlc_domain(p, ctx):
@@ -1600,9 +1581,13 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
     and a zero-valued free parameter is outside every domain.  So does a
     point where a divisor base recorded during the evaluation lies near a
     power of q, and a side that is not finite.  Any other evaluator failure
-    is reported as fail with a diagnostic.
+    is reported as fail with a diagnostic.  A missing parameter raises
+    UnknownParam, naming it.
     """
     case = get_case(case_id)
+    missing = [name for name in (*case.param_names, *case.vector_names) if name not in params]
+    if missing:
+        raise UnknownParam(f"{case_id!r} is missing parameters {missing}")
     start = time.perf_counter()
 
     def report(lhs, rhs, abs_r, rel_r, verdict, reason=""):

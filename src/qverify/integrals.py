@@ -26,10 +26,9 @@ from .qcore import (
     INF,
     CapExceeded,
     ConstraintViolation,
-    DivisionByNearZero,
     NoConvergence,
-    PoleError,
     QContext,
+    _divisor,
     _one_minus,
     ipow,
     qfrac,
@@ -250,14 +249,9 @@ def thm_e_rhs(a, b, c, d, u, v, N, ctx: QContext) -> complex:
     for i in range(len(u)):
         check_qpow_ratio(u[i], v[i], int(N[i]), ctx, f"u_{i+1} / v_{i+1}")
     n_total = sum(int(x) for x in N)
-    lead = _one_minus(a * b * c * d * ipow(q, -(n_total + 1)))
-    if abs(lead) < ctx.pole_guard:
-        raise PoleError("1 - abcd/q^{N+1} is inside the pole guard")
+    lead = _one_minus(a * b * c * d * ipow(q, -(n_total + 1)), ctx)
     value = TWO_PI / lead * _thm_e_products(a, b, c, d, u, v, ctx)
-    div = omega(a, b, c, d, u, v, N, ctx)
-    if abs(div) < ctx.pole_guard:
-        raise DivisionByNearZero(f"terminating multi-sum magnitude {abs(div):.3g}")
-    return value / div
+    return value / _divisor(omega(a, b, c, d, u, v, N, ctx), "terminating multi-sum", ctx)
 
 
 def _residue_terms(p, i, j_star, lams, u, v, w, ctx: QContext):
@@ -323,9 +317,7 @@ def aw_residue_correction(a, b, c, d, u, v, N, ctx: QContext) -> complex:
             res_total += _sum_series(terms, ctx).value
     if res_total == 0.0:
         return 0.0 + 0.0j
-    om = omega(a, b, c, d, u, v, N, ctx)
-    if abs(om) < ctx.pole_guard:
-        raise DivisionByNearZero(f"terminating multi-sum magnitude {abs(om):.3g}")
+    om = _divisor(omega(a, b, c, d, u, v, N, ctx), "terminating multi-sum", ctx)
     return -TWO_PI * res_total * _thm_e_products(a, b, c, d, u, v, ctx) / om
 
 
@@ -340,10 +332,7 @@ def corl_e_rhs(a, b, c, u, v, m, ctx: QContext) -> complex:
     for i in range(len(u)):
         check_qpow_ratio(u[i], v[i], int(m[i]), ctx, f"u_{i+1} / v_{i+1}")
     m_total = sum(int(x) for x in m)
-    lead = _one_minus(b * c * ipow(q, -m_total))
-    if abs(lead) < ctx.pole_guard:
-        raise PoleError("1 - q^{-m} bc is inside the pole guard")
-    value = TWO_PI / lead
+    value = TWO_PI / _one_minus(b * c * ipow(q, -m_total), ctx)
     value *= qfrac(
         [],
         [q, q, a * b, a * c, q * b / a, q * c / a],

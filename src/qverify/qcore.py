@@ -22,6 +22,11 @@ q.  A product of (x;q)_oo that overflows is redone as mantissa x 2^e.
 
 All functions are pure; a :class:`QContext` carries q together with every
 numerical policy knob (tolerances, caps, pole guard).
+
+The pole policy lives here: every divisor meets the absolute ``pole_guard`` in
+``_one_minus`` (a factor 1 - x), ``qfrac`` (a denominator product), ``_divisor``
+(a summed divisor: DivisionByNearZero) or the ``series._ascending_terms`` ladder;
+the factor tests record their bases for the near-pole test of ``identities.check``.
 """
 
 from __future__ import annotations
@@ -55,10 +60,20 @@ def _record(bases):
         _recorded.extend(bases)
 
 
-def _one_minus(x):
-    """The divisor factor 1 - x, its base x noted while a recording is on."""
+def _one_minus(x, ctx):
+    """The divisor factor 1 - x, its base x recorded; PoleError naming x if |1 - x| < guard."""
     _record((x,))
-    return 1.0 - x
+    if abs(f := 1.0 - x) < ctx.pole_guard:
+        raise PoleError(f"factor |1 - x| = {abs(f):.3g} below pole guard (base {complex(x)!r})")
+    return f
+
+
+def _divisor(value, what, ctx):
+    """value, a summed divisor such as a terminating series; DivisionByNearZero
+    naming ``what`` if |value| < guard."""
+    if abs(value) < ctx.pole_guard:
+        raise DivisionByNearZero(f"{what} magnitude {abs(value):.3g} below pole guard")
+    return value
 
 
 @contextlib.contextmanager
@@ -239,13 +254,7 @@ def qpoch(x: complex, n: int, ctx: QContext) -> complex:
     p = 1.0 + 0.0j
     qj = ipow(q, n)
     for _ in range(-n):
-        f = 1.0 - x * qj
-        if abs(f) < ctx.pole_guard:
-            raise PoleError(
-                f"reciprocal factor |1 - x q^j| = {abs(f):.3g} below pole guard "
-                f"for base {x!r}, order {n}"
-            )
-        p *= f
+        p *= _one_minus(x * qj, ctx)
         qj *= q
     return 1.0 / p
 

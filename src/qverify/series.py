@@ -141,16 +141,13 @@ def _shifted_terms(const, c, ups, lows, lows1, z, ctx):
 
     Every (x;q)_{k+1} in ``lows1`` is folded into const as 1/(1-x) and a
     ladder base qx, so one ``_ascending_terms`` stream carries all the
-    Pochhammer products.  The leading factors are pole-checked here, before
-    the stream is returned.
+    Pochhammer products.  The leading factors go through ``qcore._one_minus``
+    (pole test and recording) before the stream is returned.
     """
     q = ctx.q
     shifted = []
     for x in lows1:
-        f = _one_minus(x)
-        if abs(f) < ctx.pole_guard:
-            raise PoleError(f"(x;q)_(k+1) leading factor below pole guard (base {x!r})")
-        const /= f
+        const /= _one_minus(x, ctx)
         shifted.append(q * x)
     ladder = _ascending_terms(ups, list(lows) + shifted, z, ctx)
 
@@ -264,10 +261,7 @@ def _split(spec: SeriesSpec, ctx: QContext):
     num = 1.0 + 0.0j
     den = 1.0 + 0.0j
     for u in upper:
-        f = _one_minus(q / u)
-        if abs(f) < ctx.pole_guard:
-            raise PoleError(f"reflected prefactor factor below pole guard (base {u!r})")
-        den *= f
+        den *= _one_minus(q / u, ctx)
         num *= -u
     w = 1.0 + 0.0j
     for b in lower:

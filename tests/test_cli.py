@@ -98,6 +98,17 @@ class TestExitCodes:
     def test_sweep_bad_q_exit_3(self):
         assert main(["sweep", "--identity", "watson", "--samples", "1", "--q", "1.5"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "watson"],  # --params is required
+        ["sweep", "--mode", "bogus"],
+        ["sweep", "--samples", "x"],
+        ["sweep", "--q", "-0.5,0.9"],  # the list is read as a flag
+    ])
+    def test_usage_error_exit_3(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+
     def test_sweep_bad_tol_exit_3(self):
         assert main(["sweep", "--identity", "watson", "--samples", "1", "--tol", "0"]) == 3
 

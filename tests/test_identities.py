@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,14 @@ class TestIdem:
     def test_unknown_param(self):
         with pytest.raises(UnknownParam):
             swap_params({"x": 1.0}, "x", "w")
+
+    @pytest.mark.parametrize("case_id, params, missing", [
+        ("watson", dict(a=0.1, b=0.2, c=0.3, d=0.4, e=0.5), "['n']"),  # no verdict
+        ("bailey-6psi6", dict(a=0.5, b=0.9), "['c', 'd', 'e']"),  # not in the domain
+    ])
+    def test_check_names_missing_params(self, case_id, params, missing):
+        with pytest.raises(UnknownParam, match=re.escape(missing)):
+            check(case_id, params, QContext(0.5))
 
     def test_additive_idem_reproduces_two_term_rhs(self):
         # the R(...;f,g) + R(...;g,f) structure of the seven-variable formula

@@ -1,16 +1,19 @@
 """Unit tests for q-shifted factorials and product combinators."""
 
+import ast
 import cmath
 import math
+import pathlib
 import random
 
 import numpy as np
 import pytest
 
-from qverify import qcore
+from qverify import identities, integrals, qcore, series
 from qverify.qcore import (
     INF,
     CapExceeded,
+    DivisionByNearZero,
     PoleError,
     QContext,
     ipow,
@@ -547,3 +550,47 @@ class TestOverflowFallback:
         # a snapped (exactly zero) factor next to overflowing ones
         with pytest.raises(PoleError):
             qfrac([0.5], self.BIG + [ipow(self.CTX.q, -2)], INF, self.CTX)
+
+
+# every hand-written pole test outside qcore and the ladder is one of these
+# qcore._one_minus calls; at q = 0.5 each point makes a factor 1 - x vanish at x = 1
+POLE_SITES = {
+    "andrews": lambda ctx: identities._andrews_half(0.3, 0.4, -0.4, 0.2, ctx),
+    "kang": lambda ctx: identities._kang_half(0.3, 0.4, 0.2, -0.4, ctx),
+    "chu-zhang": lambda ctx: identities._cz_half(0.3, 0.4, -0.4, 0.2, 0.6, ctx),
+    "shifted": lambda ctx: series._shifted_terms(1.0, 0.0, [], [], [1.0], 0.5, ctx),
+    "reflected": lambda ctx: series.eval_psi(
+        series.SeriesSpec([0.5, 0.3], [0.2, 0.4], 0.5, "bilateral"), ctx),
+    "thm-e": lambda ctx: integrals.thm_e_rhs(0.5, 2.0, 0.5, 1.0, [0.5], [0.5], [0], ctx),
+    "corl-e": lambda ctx: integrals.corl_e_rhs(0.3, 2.0, 0.5, [0.5], [0.5], [0], ctx),
+    "corl-c": lambda ctx: identities._corlc_rhs(
+        dict(a=0.5, b=2.0, c=0.5, d=1.0, u=0.3, n=0), ctx),
+    "qpoch": lambda ctx: qpoch(0.5, -1, ctx),
+}
+
+
+class TestPolePolicy:
+    @pytest.mark.parametrize("site", POLE_SITES)
+    def test_routed_site_raises_and_records(self, site):
+        with qcore._recording() as bases, pytest.raises(PoleError) as exc:
+            POLE_SITES[site](CTX5)
+        assert "(base (1+0j))" in str(exc.value)
+        assert 1.0 in bases
+
+    def test_summed_divisor(self):
+        assert qcore._divisor(1e-3, "series", CTX5) == 1e-3
+        with pytest.raises(DivisionByNearZero, match="series magnitude 1e-09"):
+            qcore._divisor(1e-9, "series", CTX5)
+
+    def test_only_qcore_and_series_hold_pole_tests(self):
+        # the pole policy has one home: no other module reads pole_guard or
+        # records bases itself
+        src = pathlib.Path(qcore.__file__).parent
+        holders = set()
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute) and node.attr == "pole_guard"
+                        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_record"):
+                    holders.add(path.name)
+        assert holders == {"qcore.py", "series.py"}
