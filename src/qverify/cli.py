@@ -34,6 +34,11 @@ _EXIT_INPUT = 3
 # fresh derived seeds, never counted toward the requested total
 _RESAMPLE_CAP = 40
 
+# a parallel sweep hands each worker about this many chunks of cells: few
+# enough that the parent's round trips stay cheap, enough that the last
+# chunks still even out cells of unequal cost
+_CHUNKS_PER_WORKER = 16
+
 
 def load_param_file(path: str) -> dict:
     with open(path, "rb") as fh:
@@ -187,6 +192,9 @@ class SweepConfig:
             raise ValueError("jobs must be >= 1")
         if not self.q_values:
             raise ValueError("at least one q value required")
+        repeated = list(dict.fromkeys(q for q in self.q_values if self.q_values.count(q) > 1))
+        if repeated:
+            raise ValueError(f"repeated q values {repeated}")
         for q in self.q_values:
             _make_ctx(q, self.tol)  # raises ValueError for |q| >= 1 or tol <= 0
 
@@ -199,17 +207,19 @@ def run_sweep(config: SweepConfig) -> tuple[dict, int]:
         for slot in range(config.samples)
         for q in config.q_values
     ]
-    t0 = time.time()
-    if config.jobs > 1:
+    workers = min(config.jobs, len(cells))
+    t0 = time.perf_counter()
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        chunksize = max(1, len(cells) // (_CHUNKS_PER_WORKER * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
                     _sweep_cell_star,
                     [(cid, slot, config.seed, q, config.tol, config.mode)
                      for cid, slot, q in cells],
-                    chunksize=4,
+                    chunksize=chunksize,
                 )
             )
     else:
@@ -217,7 +227,7 @@ def run_sweep(config: SweepConfig) -> tuple[dict, int]:
             run_sweep_cell(cid, slot, config.seed, q, config.tol, config.mode)
             for cid, slot, q in cells
         ]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
 
     results.sort(key=lambda r: (r["id"], r["slot"], r["q"]))
     summary = {}
@@ -314,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--tol", type=float, default=None)
     swp.add_argument("--q", default="0.3,0.5,0.8", help="comma-separated q values")
     swp.add_argument("--out", default=None, help="JSON report path")
-    swp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    swp.add_argument("--jobs", type=int, default=1,
+                     help="worker processes (at most one per cell)")
     swp.set_defaults(func=cmd_sweep)
     return ap
 

@@ -160,6 +160,13 @@ class TestExitCodes:
         assert main(["sweep", "--identity", "watson", "watson", "--samples", "2",
                      "--q", "0.5"]) == 3
 
+    @pytest.mark.parametrize("qs", ["0.5,0.5", "0.5,0.3,0.50", "0.3,.3"])
+    def test_sweep_repeated_q_exit_3(self, qs):
+        # equal as floats, however written: each repetition would sweep the
+        # same cells with the same seeds and count them twice
+        assert main(["sweep", "--identity", "watson", "--samples", "1",
+                     "--q", qs]) == 3
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_sweep_bad_jobs_exit_3(self, jobs):
         assert main(["sweep", "--identity", "watson", "--samples", "1", "--q", "0.5",
@@ -233,14 +240,83 @@ class TestSweepCell:
         }
 
 
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """ProcessPoolExecutor replaced by an in-process fake; returns the pools made."""
+    import concurrent.futures
+
+    made = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.chunksize = None
+            made.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            self.chunksize = chunksize
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return made
+
+
+class TestRunSweep:
+    def _sweep(self, samples, q, jobs):
+        config = cli.SweepConfig(identities=("watson",), samples=samples, seed=5,
+                                 q_values=q, jobs=jobs)
+        return cli.run_sweep(config)
+
+    def test_workers_capped_at_cells(self, fake_pools):
+        doc, rc = self._sweep(samples=1, q=(0.3, 0.5, 0.8), jobs=8)
+        assert rc == 0 and len(doc["reports"]) == 3
+        assert [(p.max_workers, p.chunksize) for p in fake_pools] == [(3, 1)]
+
+    def test_chunks_sized_from_plan(self, fake_pools):
+        # 67 cells over 2 workers: 67 // (16 * 2) = 2 cells a chunk
+        doc, rc = self._sweep(samples=67, q=(0.5,), jobs=2)
+        assert rc == 0 and len(doc["reports"]) == 67
+        assert [(p.max_workers, p.chunksize) for p in fake_pools] == [(2, 2)]
+
+    @pytest.mark.parametrize("identities, jobs", [(("watson",), 4), ((), 2)])
+    def test_one_cell_or_none_runs_serially(self, fake_pools, identities, jobs):
+        config = cli.SweepConfig(identities=identities, samples=1, q_values=(0.5,),
+                                 jobs=jobs)
+        doc, rc = cli.run_sweep(config)
+        assert rc == 0 and len(doc["reports"]) == len(identities)
+        assert fake_pools == []
+
+    def test_elapsed_ignores_wall_clock_steps(self, monkeypatch):
+        # the wall clock stepping back (an NTP adjustment) must not give a
+        # negative sweep time
+        clock = iter(range(10**9, 0, -3600))
+        monkeypatch.setattr(cli.time, "time", lambda: float(next(clock)))
+        doc, _ = self._sweep(samples=1, q=(0.5,), jobs=1)
+        assert doc["elapsed"] >= 0.0
+
+
 class TestEnvOverride:
-    def test_worker_pool_matches_serial(self, tmp_path):
-        args = ["sweep", "--identity", "watson", "bailey-6psi6", "thm-e-integral",
-                "--samples", "4", "--seed", "9", "--q", "0.5"]
+    @pytest.mark.parametrize("args, jobs", [
+        # the original case: three identities, 4 slots, one q
+        (["--identity", "watson", "bailey-6psi6", "thm-e-integral",
+          "--samples", "4", "--seed", "9", "--q", "0.5"], "2"),
+        # chunks of 2 cells, and 67 cells is not a multiple of 2
+        (["--identity", "watson", "--samples", "67", "--seed", "4", "--q", "0.5"], "2"),
+        # fewer cells than --jobs
+        (["--identity", "watson", "--samples", "2", "--seed", "6", "--q", "0.5"], "3"),
+    ], ids=["three-ids", "uneven-chunks", "fewer-cells-than-jobs"])
+    def test_worker_pool_matches_serial(self, tmp_path, args, jobs):
+        args = ["sweep", *args]
         out1 = str(tmp_path / "serial.json")
         out2 = str(tmp_path / "pool.json")
         rc = main(args + ["--out", out1, "--jobs", "1"])
-        assert main(args + ["--out", out2, "--jobs", "2"]) == rc
+        assert main(args + ["--out", out2, "--jobs", jobs]) == rc
         assert _failed_ids(out1) <= {"thm-e-integral"}
         assert rc == (1 if _failed_ids(out1) else 0)
         d1 = json.dumps(_strip_elapsed(json.load(open(out1))), sort_keys=True)
