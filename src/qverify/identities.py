@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import hashlib
 import itertools
 import math
@@ -53,12 +52,12 @@ from .qcore import (
     SamplingExhausted,
     UnknownParam,
     _divisor,
+    _near_pole,
     _one_minus,
     _recording,
     ipow,
     qfrac,
 )
-from .qcore import _TABLE_QS, SNAP_RTOL
 from .series import SeriesSpec, _ascending_terms, _shifted_terms, _sum_series, _sum_stream
 from .series import eval_phi, eval_psi
 from .multisum import block_multisum, check_qpow_ratio, milne_rhs_block
@@ -103,10 +102,6 @@ _SLACK = 0.92
 # is a free complex value that the evaluators divide by
 _INTEGER_PARAMS = ("n", "N", "m")
 
-# margin (relative to |q^j|) by which divisor bases must clear the
-# q-power grid; ``check`` skips a point with a base closer than that
-_POLE_MARGIN = 1e-5
-
 
 # ---------------------------------------------------------------------------
 # parameter-map utilities
@@ -120,40 +115,6 @@ def swap_params(params: dict, x: str, y: str) -> dict:
     out = dict(params)
     out[x], out[y] = params[y], params[x]
     return out
-
-
-@functools.lru_cache(maxsize=_TABLE_QS)
-def _grid(key, q):
-    """ipow(q, -i) at index i = 0..60, once per q (keyed by repr(q): x+0j and x-0j stay apart)."""
-    return tuple(ipow(q, -i) for i in range(61))
-
-
-def _grid_clear(values, ctx):
-    """The first value that sits *near* a power q^j, -60 <= j <= 0, else None.
-
-    Divisor bases are tested against the grid q^{-k}, k >= 0, where their
-    factors 1 - x q^k vanish and residuals lose meaning.  A value that snaps
-    *onto* the grid (to SNAP_RTOL) is let through: such points are
-    degenerate by construction (e.g. the a = b diagonal) and evaluate exactly.
-    """
-    q = ctx.q
-    aq = abs(q)
-    if aq == 0.0:
-        return None
-    llog = math.log(aq)
-    grid = _grid(repr(q), q)
-    for v in values:
-        av = abs(v)
-        if av == 0.0 or not math.isfinite(av):
-            continue
-        j0 = math.floor(math.log(av) / llog)
-        for j in (j0 - 1, j0, j0 + 1, j0 + 2):
-            if -60 <= j <= 0:
-                ref = grid[-j]
-                scale = abs(ref)
-                if SNAP_RTOL * scale < abs(v - ref) < _POLE_MARGIN * scale:
-                    return v
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +585,7 @@ _register(IdentityCase(
 
 def _andrews_half(a, b, c, d, ctx):
     q = ctx.q
-    const = (1.0 + 1.0 / b) / _one_minus(-c / b, ctx)
+    const = (1.0 + 1.0 / b) / _one_minus(-c / b)
     ladder = _ascending_terms([c, -q * a / d], [-q * a, -q * c / b], -d / b, ctx)
     return (const * t for t in ladder)
 
@@ -659,7 +620,7 @@ _register(IdentityCase(
 
 def _kang_half(a, b, c, d, ctx):
     q = ctx.q
-    const = (1.0 + 1.0 / b) / (_one_minus(-c / b, ctx) * _one_minus(-d / b, ctx))
+    const = (1.0 + 1.0 / b) / (_one_minus(-c / b) * _one_minus(-d / b))
     coef = -c * d / b
     ladder = _ascending_terms(
         [c, d, c * d / (a * b)], [-q * a, -q * c / b, -q * d / b], -a / b, ctx
@@ -729,7 +690,7 @@ _register(IdentityCase(
 
 def _cz_half(a, b, c, d, e, ctx):
     q = ctx.q
-    const = (1.0 + 1.0 / b) / _one_minus(-c / b, ctx)
+    const = (1.0 + 1.0 / b) / _one_minus(-c / b)
     ladder = _ascending_terms(
         [c, -q * a / d, -q * a / e],
         [-q * a, q * q * (a * b) / (d * e), -q * c / b],
@@ -1443,7 +1404,7 @@ def _corlc_lhs(p, ctx):
 def _corlc_rhs(p, ctx):
     q = ctx.q
     a, b, c, d, u, n = (p[k] for k in ("a", "b", "c", "d", "u", "n"))
-    value = 2.0 * math.pi / _one_minus(a * b * c * d * ipow(q, -(n + 1)), ctx)
+    value = 2.0 * math.pi / _one_minus(a * b * c * d * ipow(q, -(n + 1)))
     value *= qfrac(
         [a * b * c * d / q],
         [q, a * b, a * c, a * d, b * c, b * d, c * d],
@@ -1459,7 +1420,7 @@ def _corlc_rhs(p, ctx):
         ),
         ctx,
     )
-    return value / _divisor(_guarded_series_value(phi, ctx), "terminating series divisor", ctx)
+    return value / _divisor(_guarded_series_value(phi, ctx), "terminating series divisor")
 
 
 def _corlc_domain(p, ctx):
@@ -1623,10 +1584,9 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
             return report(0j, 0j, 0.0, 0.0, "skipped", f"{type(exc).__name__}: {exc}")
         except Exception as exc:  # judged below, once the pole test has run
             error = exc
-    near = _grid_clear(dict.fromkeys(bases), ctx)
+    near = _near_pole(dict.fromkeys(bases), ctx.q)
     if near is not None:
-        return report(0j, 0j, 0.0, 0.0, "skipped",
-                      f"divisor base {near!r} lies within {_POLE_MARGIN:g} of a power of q")
+        return report(0j, 0j, 0.0, 0.0, "skipped", near)
     if error is not None:  # a genuine evaluator bug, not a domain condition
         return report(0j, 0j, math.inf, math.inf, "fail",
                       f"evaluator error: {type(error).__name__}: {error}")

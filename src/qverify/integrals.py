@@ -24,6 +24,8 @@ import numpy as np
 
 from .qcore import (
     INF,
+    MAX_PRODUCT_FACTORS,
+    PRODUCT_TOL,
     CapExceeded,
     ConstraintViolation,
     NoConvergence,
@@ -114,11 +116,11 @@ def hfun_product(x: float, lam: complex, ctx: QContext) -> complex:
     p = 1.0 + 0.0j
     qk = 1.0 + 0.0j
     small = 0
-    gate = 0.5 * ctx.product_tol * (1.0 - aq)
-    for k in range(ctx.max_product_factors):
+    gate = 0.5 * PRODUCT_TOL * (1.0 - aq)
+    for k in range(MAX_PRODUCT_FACTORS):
         w = qk * lam
         p *= 1.0 - 2.0 * w * x + w * w
-        small = small + 1 if abs(w) * (2.0 + abs(w)) < ctx.product_tol else 0
+        small = small + 1 if abs(w) * (2.0 + abs(w)) < PRODUCT_TOL else 0
         qk *= q
         if small >= 3 and al * abs(qk) < gate:
             return p
@@ -175,7 +177,7 @@ def _trapezoid_doubling(f, ctx: QContext, n_factors: int, n0: int = 8, n_max: in
     total = h * (0.5 * vals[0] + vals[1:-1].sum() + 0.5 * vals[-1])
     n = n0
     deltas = []
-    floor_rel = 10.0 * n_factors * ctx.product_tol
+    floor_rel = 10.0 * n_factors * PRODUCT_TOL
     while n < n_max:
         mid = np.linspace(0.0, math.pi, 2 * n + 1)[1::2]
         total_new = 0.5 * total + 0.5 * h * f(mid).sum()
@@ -198,7 +200,7 @@ def integrate_aw(spec: AWIntegrandSpec, ctx: QContext) -> QuadratureResult:
     """
     f, n_factors = _aw_integrand(spec, ctx)
     total, delta, n, _ = _trapezoid_doubling(f, ctx, n_factors)
-    floor = 10.0 * n_factors * ctx.product_tol * max(1.0, abs(total))
+    floor = 10.0 * n_factors * PRODUCT_TOL * max(1.0, abs(total))
     err = delta + floor + abs(total.imag)
     return QuadratureResult(float(total.real), float(err), int(n))
 
@@ -249,9 +251,9 @@ def thm_e_rhs(a, b, c, d, u, v, N, ctx: QContext) -> complex:
     for i in range(len(u)):
         check_qpow_ratio(u[i], v[i], int(N[i]), ctx, f"u_{i+1} / v_{i+1}")
     n_total = sum(int(x) for x in N)
-    lead = _one_minus(a * b * c * d * ipow(q, -(n_total + 1)), ctx)
+    lead = _one_minus(a * b * c * d * ipow(q, -(n_total + 1)))
     value = TWO_PI / lead * _thm_e_products(a, b, c, d, u, v, ctx)
-    return value / _divisor(omega(a, b, c, d, u, v, N, ctx), "terminating multi-sum", ctx)
+    return value / _divisor(omega(a, b, c, d, u, v, N, ctx), "terminating multi-sum")
 
 
 def _residue_terms(p, i, j_star, lams, u, v, w, ctx: QContext):
@@ -317,7 +319,7 @@ def aw_residue_correction(a, b, c, d, u, v, N, ctx: QContext) -> complex:
             res_total += _sum_series(terms, ctx).value
     if res_total == 0.0:
         return 0.0 + 0.0j
-    om = _divisor(omega(a, b, c, d, u, v, N, ctx), "terminating multi-sum", ctx)
+    om = _divisor(omega(a, b, c, d, u, v, N, ctx), "terminating multi-sum")
     return -TWO_PI * res_total * _thm_e_products(a, b, c, d, u, v, ctx) / om
 
 
@@ -332,7 +334,7 @@ def corl_e_rhs(a, b, c, u, v, m, ctx: QContext) -> complex:
     for i in range(len(u)):
         check_qpow_ratio(u[i], v[i], int(m[i]), ctx, f"u_{i+1} / v_{i+1}")
     m_total = sum(int(x) for x in m)
-    value = TWO_PI / _one_minus(b * c * ipow(q, -m_total), ctx)
+    value = TWO_PI / _one_minus(b * c * ipow(q, -m_total))
     value *= qfrac(
         [],
         [q, q, a * b, a * c, q * b / a, q * c / a],

@@ -20,13 +20,16 @@ the snap tests run on those bases alone.  ``qpoch_inf_many`` serves each
 call a prefix of one cached q^k table per q, for the last ``_TABLE_QS`` (4)
 q.  A product of (x;q)_oo that overflows is redone as mantissa x 2^e.
 
-All functions are pure; a :class:`QContext` carries q together with every
-numerical policy knob (tolerances, caps, pole guard).
+All functions are pure; a :class:`QContext` carries q and the two tolerances
+that callers set (the series and identity tolerances).  The other numerical
+limits are the module constants ``PRODUCT_TOL``, ``MAX_TERMS``,
+``MAX_PRODUCT_FACTORS`` and ``POLE_GUARD``.
 
-The pole policy lives here: every divisor meets the absolute ``pole_guard`` in
+The pole policy lives here: every divisor meets the absolute ``POLE_GUARD`` in
 ``_one_minus`` (a factor 1 - x), ``qfrac`` (a denominator product), ``_divisor``
 (a summed divisor: DivisionByNearZero) or the ``series._ascending_terms`` ladder;
-the factor tests record their bases for the near-pole test of ``identities.check``.
+the factor tests record their bases, and ``_near_pole`` finds a recorded base
+near a power of q, for the near-pole test of ``identities.check``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,19 @@ INF = math.inf
 # Relative tolerance for snapping a base onto the q-power grid.
 SNAP_RTOL = 1e-13
 
+# (x;q)_oo stops after 3 factors with |x q^k| below PRODUCT_TOL, within
+# MAX_PRODUCT_FACTORS factors; a series must settle within MAX_TERMS terms
+PRODUCT_TOL = 1e-14
+MAX_PRODUCT_FACTORS = 4000
+MAX_TERMS = 10000
+
+# absolute pole guard: a divisor below it raises PoleError or DivisionByNearZero
+POLE_GUARD = 1e-8
+
+# margin (relative to |q^j|) by which recorded divisor bases must clear the
+# q-power grid q^j, -60 <= j <= 0; see _near_pole
+_POLE_MARGIN = 1e-5
+
 # entries x factors per block of qpoch_inf_many: a block stays in cache, all entries do not
 _BLOCK = 1 << 14
 
@@ -60,18 +76,33 @@ def _record(bases):
         _recorded.extend(bases)
 
 
-def _one_minus(x, ctx):
+def _near_pole(bases, q):
+    """The reason to skip a point, naming the first base near a power q^j,
+    -60 <= j <= 0 (within _POLE_MARGIN relative), else None.
+
+    There a factor 1 - x q^{-j} nearly vanishes and residuals lose meaning.
+    A base that snaps *onto* the grid is let through: such points are
+    degenerate by construction (e.g. the a = b diagonal) and evaluate exactly.
+    """
+    for v in bases:
+        m = q_power_index(v, q, -60, 0, _POLE_MARGIN)
+        if m is not None and q_power_index(v, q, m, m) is None:
+            return f"divisor base {v!r} lies within {_POLE_MARGIN:g} of a power of q"
+    return None
+
+
+def _one_minus(x):
     """The divisor factor 1 - x, its base x recorded; PoleError naming x if |1 - x| < guard."""
     _record((x,))
-    if abs(f := 1.0 - x) < ctx.pole_guard:
+    if abs(f := 1.0 - x) < POLE_GUARD:
         raise PoleError(f"factor |1 - x| = {abs(f):.3g} below pole guard (base {complex(x)!r})")
     return f
 
 
-def _divisor(value, what, ctx):
+def _divisor(value, what):
     """value, a summed divisor such as a terminating series; DivisionByNearZero
     naming ``what`` if |value| < guard."""
-    if abs(value) < ctx.pole_guard:
+    if abs(value) < POLE_GUARD:
         raise DivisionByNearZero(f"{what} magnitude {abs(value):.3g} below pole guard")
     return value
 
@@ -96,11 +127,11 @@ class PoleError(QVerifyError):
 
 
 class CapExceeded(QVerifyError):
-    """An infinite product hit max_product_factors before converging."""
+    """An infinite product hit MAX_PRODUCT_FACTORS before converging."""
 
 
 class DivergentSeries(QVerifyError):
-    """A series showed no empirical decay within max_terms."""
+    """A series showed no empirical decay within MAX_TERMS."""
 
 
 class NoConvergence(QVerifyError):
@@ -129,30 +160,23 @@ class IllConditioned(QVerifyError):
 
 @dataclass(frozen=True)
 class QContext:
-    """Base q plus the numerical policy used by every operation.
+    """Base q plus the two tolerances that callers set.
 
-    q must satisfy |q| < 1 strictly; all tolerances are positive and all
-    caps at least 1.
+    q must satisfy |q| < 1 strictly, and both tolerances are positive:
+    series_tol truncates series, identity_tol judges an identity.
     """
 
     q: complex
     series_tol: float = 1e-12
-    product_tol: float = 1e-14
-    max_terms: int = 10000
-    max_product_factors: int = 4000
-    pole_guard: float = 1e-8
     identity_tol: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "q", complex(self.q))
         if not abs(self.q) < 1.0:
             raise ValueError(f"|q| < 1 required, got |q| = {abs(self.q):.6g}")
-        for name in ("series_tol", "product_tol", "pole_guard", "identity_tol"):
+        for name in ("series_tol", "identity_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("max_terms", "max_product_factors"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -188,26 +212,30 @@ def ipow(x: complex, n: int) -> complex:
     return result
 
 
-def q_power_index(x: complex, q: complex, lo: int, hi: int) -> int | None:
-    """Integer m in [lo, hi] with x = q^m to SNAP_RTOL relative, else None.
+def q_power_index(x: complex, q: complex, lo: int, hi: int, rtol: float = SNAP_RTOL) -> int | None:
+    """Integer m in [lo, hi] with x = q^m to rtol relative, else None.
 
-    The candidate exponent comes from moduli; the full complex distance is
-    then checked, so a complex q with the wrong phase never snaps.  Nor
-    does a reference that overflows or underflows, or a modulus 1e-9 (in
-    log) off |q|^m0: a match needs 1e-13, ipow is good to ~1e-12 for
-    |m| <= max_terms, and m0 +- 1 are farther off still.
+    This is the one test that places a value on the grid q^m: with the
+    default rtol it is the snap (a base that terminates a product), with a
+    wider rtol the near-pole test of ``_near_pole``.  The candidate
+    exponent comes from moduli; the full complex distance is then checked,
+    so a complex q with the wrong phase never matches.  Nor does a
+    reference that overflows or underflows, or a modulus more than
+    max(1e-9, 2 rtol) (in log) off |q|^m0: a match within rtol moves
+    log|x| by about rtol at most, ipow is good to ~1e-12 for
+    |m| <= MAX_TERMS, and m0 +- 1 are farther off still.
     """
     ax = abs(x)
     if ax == 0.0:
         return None
     aq = abs(q)
     if aq == 0.0:
-        return 0 if (lo <= 0 <= hi and abs(x - 1.0) <= SNAP_RTOL) else None
+        return 0 if (lo <= 0 <= hi and abs(x - 1.0) <= rtol) else None
     est = (lx := math.log(ax)) / (lq := math.log(aq))
     if not math.isfinite(est):
         return None
     m0 = round(est)
-    if abs(lx - m0 * lq) > 1e-9:
+    if abs(lx - m0 * lq) > max(1e-9, 2.0 * rtol):
         return None
     for m in (m0, m0 - 1, m0 + 1):
         if lo <= m <= hi:
@@ -215,7 +243,7 @@ def q_power_index(x: complex, q: complex, lo: int, hi: int) -> int | None:
                 ref = ipow(q, m)
             except ZeroDivisionError:  # q^|m| underflowed to 0
                 continue
-            if 0.0 < abs(ref) < math.inf and abs(x - ref) <= SNAP_RTOL * abs(ref):
+            if 0.0 < abs(ref) < math.inf and abs(x - ref) <= rtol * abs(ref):
                 return m
     return None
 
@@ -224,7 +252,7 @@ def terminating_order(x: complex, ctx: QContext) -> int | None:
     """n >= 0 such that x = q^{-n} (so (x;q)_k = 0 exactly for k > n), else None."""
     if abs(x) < 1.0 - 2.0 * SNAP_RTOL:  # |q^{-n}| >= 1: no snap, no log needed
         return None
-    idx = q_power_index(x, ctx.q, -ctx.max_terms, 0)
+    idx = q_power_index(x, ctx.q, -MAX_TERMS, 0)
     return None if idx is None else -idx
 
 
@@ -254,7 +282,7 @@ def qpoch(x: complex, n: int, ctx: QContext) -> complex:
     p = 1.0 + 0.0j
     qj = ipow(q, n)
     for _ in range(-n):
-        p *= _one_minus(x * qj, ctx)
+        p *= _one_minus(x * qj)
         qj *= q
     return 1.0 / p
 
@@ -282,29 +310,28 @@ def qpoch_inf_many(xs, ctx: QContext):
     Returns the values, absolute error bounds and factors used, as arrays
     of that shape.  Each entry follows the scalar rule: factors 1 - x q^k
     in order (q^k from one table of repeated products) up to the first k
-    with |x| |q|^{k+1} < product_tol * (1 - |q|) after 3 deviations
-    |x q^k| below product_tol; the bound is |P_K| * (e^T - 1), T the
+    with |x| |q|^{k+1} < PRODUCT_TOL * (1 - |q|) after 3 deviations
+    |x q^k| below PRODUCT_TOL; the bound is |P_K| * (e^T - 1), T the
     geometric tail of the log-factors.  x = 0 gives 1 and a base snapped
-    onto q^{-m}, m >= 0, exactly 0, both with a zero bound.  CapExceeded
-    names the first base that needs more than max_product_factors.
+    onto q^{-m}, m >= 0 (``q_power_index``), exactly 0, both with a zero
+    bound.  CapExceeded names the first base that needs more than
+    MAX_PRODUCT_FACTORS.
     """
     x = np.asarray(xs, dtype=complex)
     shape, x = x.shape, x.ravel()
-    q, aq, cap, tol = ctx.q, abs(ctx.q), ctx.max_product_factors, ctx.product_tol
+    q, aq, cap, tol = ctx.q, abs(ctx.q), MAX_PRODUCT_FACTORS, PRODUCT_TOL
     gate, lq = tol * (1.0 - aq), math.log(aq) if aq else -math.inf
     ax = np.abs(x)
     top = float(ax.max(initial=0.0))
     if not math.isfinite(top):
         raise CapExceeded(f"base {complex(x[~np.isfinite(ax)][0])!r} is not finite")
     value, err, used = np.ones(x.size, complex), np.zeros(x.size), np.ones(x.size, int)
-    # |q^{-m}| >= 1 for m >= 0, so only |x| >= 1 - SNAP_RTOL can snap, and
-    # only onto the power of q nearest in modulus; such bases are few
+    # |q^{-m}| >= 1 for m >= 0, so only |x| >= 1 - SNAP_RTOL can snap; such bases are few
     snapped = False
     if top >= 1.0 - 2.0 * SNAP_RTOL:
         near = np.flatnonzero(ax >= 1.0 - 2.0 * SNAP_RTOL)
-        for i, xi, axi in zip(near.tolist(), x[near].tolist(), ax[near].tolist()):
-            m = round(math.log(axi) / lq)
-            if -cap <= m <= 0 and abs(xi - (ref := ipow(q, m))) <= SNAP_RTOL * abs(ref):
+        for i, xi in zip(near.tolist(), x[near].tolist()):
+            if (m := q_power_index(xi, q, -cap, 0)) is not None:
                 value[i], used[i], snapped = 0.0, 1 - m, True
     if snapped or ax.min(initial=1.0) == 0.0:
         live = np.flatnonzero((ax > 0.0) & (value != 0.0))
@@ -375,7 +402,7 @@ def qfrac(numer, denom, n, ctx: QContext) -> complex:
         (den, e), (num, f) = _prod(values[:len(denom)]), _prod(values[len(denom):])
     else:
         (den, e), (num, f) = (qpoch_multi(denom, n, ctx), 0), (None, 0)
-    if abs(_ldexp(den, e)) < ctx.pole_guard:
+    if abs(_ldexp(den, e)) < POLE_GUARD:
         raise PoleError(f"denominator product magnitude {abs(_ldexp(den, e)):.3g} below pole guard")
     return _ldexp((qpoch_multi(numer, n, ctx) if num is None else num) / den, f - e)
 

@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass
 
 from .qcore import (
+    MAX_TERMS,
+    POLE_GUARD,
     DivergentSeries,
     PoleError,
     QContext,
@@ -85,11 +87,11 @@ def _ascending_terms(upper, lower, z, ctx, sign_exp=0):
     numerator is exactly zero, which happens precisely when some upper base
     snapped onto q^{-n} and k passed n: all later terms vanish identically.
     As |1 - b q^k| >= 1 - |b q^k|, the pole guard is tested only while some
-    lower |b| |q|^k > (1 - pole_guard) / 2 (a factor 2 of margin over rounding),
-    and always for a non-finite b or a pole_guard of 1 or more.
+    lower |b| |q|^k > (1 - POLE_GUARD) / 2 (a factor 2 of margin over rounding),
+    and always for a non-finite b.
     """
     q = ctx.q
-    guard = ctx.pole_guard
+    guard = POLE_GUARD
     upper = [complex(u) for u in upper]
     lower = [complex(b) for b in lower]
     _record(lower)
@@ -99,7 +101,7 @@ def _ascending_terms(upper, lower, z, ctx, sign_exp=0):
     # orders k the guard can reach: |b| |q|^k > reach for the largest |b|
     mags, reach = [abs(b) for b in lower], 0.5 * (1.0 - guard)
     top, aq = max(mags, default=0.0), abs(q)
-    if guard >= 1.0 or not math.isfinite(sum(mags)):
+    if not math.isfinite(sum(mags)):
         guarded = math.inf  # from logs: a loop on an infinite |b| would never end
     elif top <= reach or aq == 0.0:  # q = 0: q^k = 0 for every k >= 1
         guarded = int(top > reach)
@@ -147,7 +149,7 @@ def _shifted_terms(const, c, ups, lows, lows1, z, ctx):
     q = ctx.q
     shifted = []
     for x in lows1:
-        const /= _one_minus(x, ctx)
+        const /= _one_minus(x)
         shifted.append(q * x)
     ladder = _ascending_terms(ups, list(lows) + shifted, z, ctx)
 
@@ -184,7 +186,7 @@ def _sum_stream(terms, ctx):
     w_sum = 0.0
     n = 0
     it = iter(terms)
-    for _ in range(ctx.max_terms):
+    for _ in range(MAX_TERMS):
         try:
             t, w = next(it)
         except StopIteration:
@@ -206,7 +208,7 @@ def _sum_stream(terms, ctx):
         else:
             small = 0
     raise DivergentSeries(
-        f"no convergence within max_terms = {ctx.max_terms} "
+        f"no convergence within MAX_TERMS = {MAX_TERMS} "
         f"(last |term| = {last:.3g})"
     )
 
@@ -261,7 +263,7 @@ def _split(spec: SeriesSpec, ctx: QContext):
     num = 1.0 + 0.0j
     den = 1.0 + 0.0j
     for u in upper:
-        den *= _one_minus(q / u, ctx)
+        den *= _one_minus(q / u)
         num *= -u
     w = 1.0 + 0.0j
     for b in lower:

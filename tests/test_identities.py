@@ -521,7 +521,7 @@ class TestNearPole:
         assert r.verdict == "skipped" and r.reason.startswith("rhs is not finite"), r
 
     def test_grid_of_q_powers_is_read_from_one_tuple_per_q(self):
-        from qverify.identities import _POLE_MARGIN, _grid, _grid_clear
+        from qverify.qcore import _POLE_MARGIN, _near_pole
 
         def oracle(values, q):  # ipow(q, j) at every probe
             for v in values:
@@ -535,11 +535,24 @@ class TestNearPole:
         rng = random.Random(44)
         for q in (0.5, -0.8, 0.5 + 0.3j, complex(0.8, -0.0), 0.95):
             ctx = QContext(q)
-            assert _grid(repr(ctx.q), ctx.q) == tuple(ipow(ctx.q, -i) for i in range(61))
             for _ in range(200):
                 v = ipow(ctx.q, -rng.randint(0, 70)) * (1.0 + rng.choice((1e-14, 1e-9, 1e-6, 1e-3)))
-                assert _grid_clear([v], ctx) == oracle([v], ctx.q)
-        assert _grid.cache_info().maxsize == qcore._TABLE_QS
+                want = oracle([v], ctx.q)
+                got = _near_pole([v], ctx.q)
+                assert got == (None if want is None else
+                               f"divisor base {want!r} lies within 1e-05 of a power of q")
+
+    @pytest.mark.parametrize("case_id", ["ramanujan-reciprocity", "watson", "bailey-6psi6"])
+    def test_tiny_q_is_judged(self, case_id):
+        # q^60 underflows at |q| = 1e-6: the grid test skips those powers instead of
+        # dividing by zero
+        ctx = QContext(1e-6)
+        r = check(case_id, sample(case_id, 1, ctx), ctx)
+        assert r.verdict in ("pass", "skipped"), r
+
+    def test_tiny_q_sweep_exits_0(self, tmp_path):
+        assert main(["sweep", "--identity", "ramanujan-reciprocity", "watson", "bailey-6psi6",
+                     "--samples", "2", "--q", "1e-6", "--out", str(tmp_path / "r.json")]) == 0
 
     def test_overflowing_closed_form_is_judged(self):
         # there the plain products of (x;q)_oo overflow to nan; qfrac's

@@ -19,7 +19,7 @@ def test_smoke():
     rows = {line.rsplit(None, 2)[0]: line.split()[-2:] for line in lines[1:]}
     assert int(rows["qpoch_inf_many [integrand]"][0]) > 0
     assert int(rows["qpoch_inf_many [other]"][0]) > 0
-    assert rows["_grid_clear"][0] == "9" and int(rows["sample"][0]) >= 9
+    assert rows["_near_pole"][0] == "9" and int(rows["sample"][0]) >= 9
     assert {"watson", "thm-e-integral", "ramanujan-reciprocity"} <= rows.keys()
     # the stream layer: calls, terms and time of each kind of _sum_stream
     streams = {line.split()[1]: line.split()[2:] for line in lines

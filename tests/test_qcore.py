@@ -2,6 +2,7 @@
 
 import ast
 import cmath
+import dataclasses
 import math
 import pathlib
 import random
@@ -66,7 +67,14 @@ class TestQContext:
         with pytest.raises(ValueError):
             QContext(0.5, series_tol=0.0)
         with pytest.raises(ValueError):
-            QContext(0.5, max_terms=0)
+            QContext(0.5, identity_tol=-1e-8)
+
+    def test_fields_are_q_and_the_two_tolerances(self):
+        # the product tolerance, caps and pole guard are qcore constants
+        fields = [f.name for f in dataclasses.fields(QContext)]
+        assert fields == ["q", "series_tol", "identity_tol"]
+        with pytest.raises(TypeError):
+            QContext(0.5, max_terms=10)
 
     def test_complex_q_allowed(self):
         ctx = QContext(0.3 + 0.2j)
@@ -161,18 +169,19 @@ class TestQpochInf:
                          + 1e-13)
                 assert abs(ratio - fin) <= bound * abs(fin) + 1e-300
 
-    def test_error_bound_is_honest(self):
-        ctx = QContext(0.8, product_tol=1e-10)
-        tight = QContext(0.8)
-        for x in (0.7, -0.55 + 0.3j):
+    def test_error_bound_is_honest(self, monkeypatch):
+        ctx = QContext(0.8)
+        refs = [qpoch_inf(x, ctx) for x in (0.7, -0.55 + 0.3j)]
+        monkeypatch.setattr(qcore, "PRODUCT_TOL", 1e-10)
+        for x, ref in zip((0.7, -0.55 + 0.3j), refs):
             loose = qpoch_inf(x, ctx)
-            ref = qpoch_inf(x, tight)
+            assert loose.terms_used < ref.terms_used
             assert abs(loose.value - ref.value) <= loose.abs_error_estimate + 1e-15
 
     def test_cap_exceeded(self):
-        ctx = QContext(0.9, max_product_factors=5)
+        # at q = 0.999, (0.5;q)_oo needs about 38,000 factors
         with pytest.raises(CapExceeded):
-            qpoch_inf(0.5, ctx)
+            qpoch_inf(0.5, QContext(0.999))
 
 
 def scalar_qpoch_inf(x, ctx):
@@ -186,17 +195,17 @@ def scalar_qpoch_inf(x, ctx):
     q = ctx.q
     aq = abs(q)
     ax = abs(x)
-    m = q_power_index(x, q, -ctx.max_product_factors, 0)
+    m = q_power_index(x, q, -qcore.MAX_PRODUCT_FACTORS, 0)
     if m is not None:
         return 0.0 + 0.0j, 0.0, -m + 1
     p = 1.0 + 0.0j
     qk = 1.0 + 0.0j
     small = 0
-    tail_gate = ctx.product_tol * (1.0 - aq)
-    for k in range(ctx.max_product_factors):
+    tail_gate = qcore.PRODUCT_TOL * (1.0 - aq)
+    for k in range(qcore.MAX_PRODUCT_FACTORS):
         u = x * qk
         p *= 1.0 - u
-        small = small + 1 if abs(u) < ctx.product_tol else 0
+        small = small + 1 if abs(u) < qcore.PRODUCT_TOL else 0
         qk *= q
         head = ax * abs(qk)
         if small >= 3 and head < tail_gate:
@@ -257,7 +266,7 @@ class TestQpochInfMany:
         assert all(v == scalar_qpoch_inf(x, ctx)[0] for x, v in zip(xs, values))
 
     def test_cap_exceeded_names_the_base(self):
-        ctx = QContext(0.9, max_product_factors=5)
+        ctx = QContext(0.999)
         with pytest.raises(CapExceeded, match=r"base \(0\.5"):
             qpoch_inf_many([0.0, 0.5, 0.7], ctx)
         with pytest.raises(CapExceeded, match=r"base \(0\.7"):
@@ -409,7 +418,7 @@ def kernel_oracle(xs, ctx):
     """qpoch_inf_many with the numpy snap stage and gathered rows: the oracle of its fast paths."""
     x = np.asarray(xs, dtype=complex)
     shape, x = x.shape, x.ravel()
-    q, aq, cap, tol = ctx.q, abs(ctx.q), ctx.max_product_factors, ctx.product_tol
+    q, aq, cap, tol = ctx.q, abs(ctx.q), qcore.MAX_PRODUCT_FACTORS, qcore.PRODUCT_TOL
     gate, lq = tol * (1.0 - aq), math.log(aq) if aq else -math.inf
     ax = np.abs(x)
     if not np.isfinite(ax).all():
@@ -466,10 +475,11 @@ class TestKernelBitIdentity:
             want = kernel_outcome(kernel_oracle, xs, ctx)
         if isinstance(want, str):
             assert got == want
-            return
+            return got
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.dtype == w.dtype
             assert np.array_equal(g, w, equal_nan=True)
+        return got
 
     @pytest.mark.parametrize("q", QS)
     def test_edge_cases(self, q):
@@ -486,8 +496,16 @@ class TestKernelBitIdentity:
         ]
         for xs in cases:
             self.assert_same(xs, ctx)
-        self.assert_same([0.0, 0.5, 0.7], QContext(q, max_product_factors=5))
-        self.assert_same(snapped + [0.9], QContext(q, max_product_factors=3))
+
+    def test_at_the_factor_cap(self):
+        # at q = 0.999 only |x| below about 5e-16 converges within MAX_PRODUCT_FACTORS,
+        # and q^-cap is the last power that snaps
+        ctx, cap = QContext(0.999), qcore.MAX_PRODUCT_FACTORS
+        assert self.assert_same([0.0, 0.5, 0.7], ctx).startswith("base (0.5")
+        values, _, used = self.assert_same([ipow(ctx.q, -m) for m in (0, 1, cap)] + [1e-17], ctx)
+        assert list(values[:3]) == [0.0] * 3 and list(used[:3]) == [1, 2, cap + 1]
+        got = self.assert_same([ipow(ctx.q, -m) for m in (0, 1, cap, cap + 1)] + [0.9], ctx)
+        assert got.startswith(f"base {ipow(ctx.q, -cap - 1)!r}")
 
     @pytest.mark.parametrize("q", QS)
     def test_random_calls(self, q):
@@ -509,6 +527,48 @@ class TestKernelBitIdentity:
         self.assert_same(xs + [ipow(ctx.q, -2), 0.0], ctx)
 
 
+class TestSnapOnTheGrid:
+    """qpoch_inf_many zeroes an entry exactly where q_power_index(x, q, -cap, 0) places it."""
+
+    def assert_zero_iff_on_grid(self, xs, ctx):
+        with np.errstate(all="ignore"):
+            values = qpoch_inf_many(xs, ctx)[0].tolist()
+        for x, v in zip(xs, values):
+            on_grid = q_power_index(x, ctx.q, -qcore.MAX_PRODUCT_FACTORS, 0) is not None
+            assert (v == 0.0) == on_grid, (x, v)
+
+    @pytest.mark.parametrize("q", [0.5, -0.5, 0.25, 0.8, 0.5 + 0.3j, 0.95])
+    def test_random_bases(self, q):
+        ctx = QContext(q)
+        rng = random.Random(21)
+        xs = [rand_complex(rng, 0.0, 3.0) for _ in range(60)]
+        xs += [ipow(ctx.q, -rng.randint(0, 40)) * (1.0 + rng.choice((0.0, 5e-14, 3e-13, 1e-9)))
+               for _ in range(60)]
+        self.assert_zero_iff_on_grid(xs, ctx)
+
+    @pytest.mark.parametrize("q", [0.5, -0.5, 0.25])
+    def test_overflowing_reference_never_snaps(self, q):
+        # the nearest power q^m of 1.7e308 overflows to inf: no match, so the
+        # product is not an exact zero, and neither is a ratio built on it
+        ctx = QContext(q)
+        self.assert_zero_iff_on_grid([1.7e308], ctx)
+        assert q_power_index(1.7e308, ctx.q, -qcore.MAX_PRODUCT_FACTORS, 0) is None
+        with np.errstate(all="ignore"):
+            assert qfrac([1.7e308], [0.5], INF, ctx) != 0.0
+
+
+class TestNearPoleLocator:
+    def test_small_q_has_no_reachable_grid(self):
+        # q^60 underflows for |q| below about 4e-6: those powers are skipped, not divided by
+        ctx = QContext(1e-6)
+        assert qcore._near_pole([1.0 + 1e-7, 1e6 * (1.0 + 1e-7), 0.5], ctx.q) is not None
+        assert qcore._near_pole([1e300, 2.0, 1e-3], ctx.q) is None
+
+    def test_zero_q_flags_only_the_base_near_one(self):
+        assert qcore._near_pole([1.0 + 1e-7], 0.0) is not None
+        assert qcore._near_pole([1.0, 1.0 + 1e-4, 0.5], 0.0) is None
+
+
 class TestTerminatingOrder:
     def test_agrees_with_the_power_index_at_the_cut(self):
         # |x| < 1 - 2 SNAP_RTOL returns None at once; above it the full test runs
@@ -516,7 +576,7 @@ class TestTerminatingOrder:
             ctx = QContext(q)
             for r in (0.3, 1 - 3e-13, 1 - 2e-13, 1 - 1e-13, 1 - 5e-14, 1.0, 1 + 5e-14, 1 + 2e-13):
                 for x in (r, r * ipow(ctx.q, -2), complex(0.0, r)):
-                    m = q_power_index(x, ctx.q, -ctx.max_terms, 0)
+                    m = q_power_index(x, ctx.q, -qcore.MAX_TERMS, 0)
                     assert terminating_order(x, ctx) == (None if m is None else -m)
 
 
@@ -578,19 +638,27 @@ class TestPolePolicy:
         assert 1.0 in bases
 
     def test_summed_divisor(self):
-        assert qcore._divisor(1e-3, "series", CTX5) == 1e-3
+        assert qcore._divisor(1e-3, "series") == 1e-3
         with pytest.raises(DivisionByNearZero, match="series magnitude 1e-09"):
-            qcore._divisor(1e-9, "series", CTX5)
+            qcore._divisor(1e-9, "series")
 
     def test_only_qcore_and_series_hold_pole_tests(self):
-        # the pole policy has one home: no other module reads pole_guard or
-        # records bases itself
+        # the pole policy has one home: no other module names POLE_GUARD or
+        # records bases itself, and only qcore names the grid tolerances
         src = pathlib.Path(qcore.__file__).parent
-        holders = set()
+        holders, grid = set(), set()
+
+        def names(node):
+            return {getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None), getattr(node, "asname", None)}
+
         for path in sorted(src.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
-                if (isinstance(node, ast.Attribute) and node.attr == "pole_guard"
+                if ("POLE_GUARD" in names(node)
                         or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                         and node.func.id == "_record"):
                     holders.add(path.name)
+                if names(node) & {"SNAP_RTOL", "_POLE_MARGIN"}:
+                    grid.add(path.name)
         assert holders == {"qcore.py", "series.py"}
+        assert grid == {"qcore.py"}

@@ -9,7 +9,8 @@ import mpmath as mp
 import pytest
 
 from qverify.qcore import (
-    INF, DivergentSeries, PoleError, QContext, ipow, q_power_index, qfrac, qpoch,
+    INF, MAX_TERMS, POLE_GUARD, DivergentSeries, PoleError, QContext, ipow, q_power_index,
+    qfrac, qpoch,
 )
 from qverify.series import (
     _ROUND_FLOOR,
@@ -67,9 +68,10 @@ class TestEvalPhi:
         assert abs(got - want) < 1e-11 * max(1.0, abs(want))
 
     def test_divergent_raises(self):
-        ctx = QContext(0.5, max_terms=500)
-        spec = SeriesSpec(upper=[0.3, 0.4], lower=[0.2], argument=1.5)
-        with pytest.raises(DivergentSeries):
+        # |z| > 1, and the partial sums stay finite for MAX_TERMS terms: the cap stops the sum
+        ctx = QContext(0.5)
+        spec = SeriesSpec(upper=[0.3, 0.4], lower=[0.2], argument=1.05)
+        with pytest.raises(DivergentSeries, match=f"MAX_TERMS = {MAX_TERMS} "):
             eval_phi(spec, ctx)
 
     def test_kind_mismatch(self):
@@ -316,7 +318,7 @@ def ladder_oracle(upper, lower, z, ctx, sign_exp=0):
     upper = [complex(u) for u in upper]
     lower = [complex(b) for b in lower]
     z = complex(z)
-    zero_at = [q_power_index(u, q, -ctx.max_terms, 0) for u in upper]
+    zero_at = [q_power_index(u, q, -MAX_TERMS, 0) for u in upper]
     zero_at = [None if m is None else -m for m in zero_at]
     num = den = zk = w = qk = 1.0 + 0.0j
     k = 0
@@ -331,7 +333,7 @@ def ladder_oracle(upper, lower, z, ctx, sign_exp=0):
             return
         for b in lower:
             f = 1.0 - b * qk
-            if abs(f) < ctx.pole_guard:
+            if abs(f) < POLE_GUARD:
                 raise PoleError(
                     f"lower-parameter factor |1 - b q^k| = {abs(f):.3g} below pole "
                     f"guard at k = {k} (base {b!r})"
@@ -383,13 +385,6 @@ class TestLadderBitIdentity:
         ctx = QContext(q)
         for sign_exp in (-1, 1, 2):
             self.same([0.3, 1.7j], [0.25, 2.2, ctx.q], 0.4 - 0.3j, ctx, sign_exp)
-
-    @pytest.mark.parametrize("q", QS)
-    def test_wide_pole_guard(self, q):
-        ctx = QContext(q, pole_guard=0.5)
-        for b in (0.8 * ipow(ctx.q, -2), 1.4, 0.45, 3.0 + 1.0j):
-            self.same([0.5], [b, ctx.q], 0.3, ctx)
-        self.same([0.5], [0.3, 2.5], 0.3, QContext(q, pole_guard=1.5))
 
     @pytest.mark.parametrize("q", QS)
     def test_non_finite_bases(self, q):

@@ -7,10 +7,10 @@ Runs the sweep once, serially (``--jobs 1`` is forced, so every call is
 counted here), and prints its wall time, the summed ``elapsed`` of its
 cells, ms per cell for each identity, and the time and calls of
 ``qcore.qpoch_inf_many`` (split into Askey-Wilson integrand calls, whose
-input is 2-D, and all others), ``identities._grid_clear`` and
-``identities.sample``, then the stream layer: the calls, terms and time of
-``series._sum_stream``, split into plain series and the reciprocity
-difference streams.  A layer's time includes the layers it calls.
+input is 2-D, and all others), ``qcore._near_pole`` (the near-pole test
+of every check) and ``identities.sample``, then the stream layer: the
+calls, terms and time of ``series._sum_stream``, split into plain series
+and the reciprocity difference streams.  A layer's time includes the layers it calls.
 """
 
 import contextlib
@@ -52,7 +52,7 @@ def main(argv) -> int:
     layers = {
         "qpoch_inf_many": instrument(qcore.qpoch_inf_many, lambda args: (
             "integrand" if getattr(args[0], "ndim", 0) == 2 else "other")),
-        "_grid_clear": instrument(identities._grid_clear),
+        "_near_pole": instrument(qcore._near_pole),
         "sample": instrument(identities.sample),
     }
     # plain series reach _sum_stream through series._sum_series, difference streams directly
