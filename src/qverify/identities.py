@@ -140,19 +140,26 @@ def _guarded_series_value(result, ctx: QContext) -> complex:
     return _require_verifiable(result.value, result.abs_error_estimate, ctx)
 
 
-def _sum_with_guard(parts, ctx: QContext) -> complex:
-    """Sum closed-form pieces, skipping when they cancel beyond verifiability.
+def _with_claim(pref, phi, ctx: QContext):
+    """(pref * the series value, |pref| * the error the series claims)."""
+    return pref * _guarded_series_value(phi, ctx), abs(pref) * phi.abs_error_estimate
 
-    Each piece carries a relative error around series_tol, so the sum's
-    floor is series_tol times the magnitude scale of the pieces.
+
+def _sum_with_guard(parts, ctx: QContext) -> complex:
+    """Sum closed-form pieces (value, claimed error), skipping when they
+    cancel beyond verifiability.
+
+    The sum's floor is the errors the pieces claim plus 1e-12 times the
+    magnitude scale of the pieces, for their products and roundoff.
     """
-    total = sum(parts)
-    scale = sum(abs(p) for p in parts)
-    return _require_verifiable(total, 1e-12 * scale, ctx)
+    total = sum(v for v, _ in parts)
+    floor = 1e-12 * sum(abs(v) for v, _ in parts) + sum(err for _, err in parts)
+    return _require_verifiable(total, floor, ctx)
 
 
 def _pair_rhs(piece, x: str, y: str):
-    """R(...;x,y) + R(...;y,x) with a cancellation guard."""
+    """R(...;x,y) + R(...;y,x) with a cancellation guard; ``piece`` returns
+    (value, claimed error)."""
 
     def evaluator(params, ctx):
         a = piece(params, ctx)
@@ -244,6 +251,11 @@ def eval_rho(a, b, c, d, e, f, g, ctx: QContext) -> complex:
 
 def eval_R(a, b, c, d, e, f, g, ctx: QContext) -> complex:
     """Closed-form block on the right of the seven-variable reciprocity formula."""
+    return _R_block(a, b, c, d, e, f, g, ctx)[0]
+
+
+def _R_block(a, b, c, d, e, f, g, ctx):
+    """eval_R's value and the error its 8phi7 claims, through the prefactor."""
     q = ctx.q
     a0 = d * e * g / (a * b * f)
     s0 = cmath.sqrt(a0)
@@ -278,7 +290,7 @@ def eval_R(a, b, c, d, e, f, g, ctx: QContext) -> complex:
         ),
         ctx,
     )
-    return pref * _guarded_series_value(phi, ctx)
+    return _with_claim(pref, phi, ctx)
 
 
 def _rho_prime_terms(a, b, c, d, e, f, n, ctx):
@@ -296,6 +308,11 @@ def eval_rho_prime(a, b, c, d, e, f, n, ctx: QContext) -> complex:
 
 def eval_S(x, y, b, c, d, e, f, ctx: QContext) -> complex:
     """Closed-form block of the triple/quintuple-product generalization."""
+    return _S_block(x, y, b, c, d, e, f, ctx)[0]
+
+
+def _S_block(x, y, b, c, d, e, f, ctx):
+    """eval_S's value and the error its 8phi7 claims, through the prefactor."""
     q = ctx.q
     xy2 = x * y * y
     pref = x * x * y / f
@@ -326,7 +343,7 @@ def eval_S(x, y, b, c, d, e, f, ctx: QContext) -> complex:
         ),
         ctx,
     )
-    return pref * _guarded_series_value(phi, ctx)
+    return _with_claim(pref, phi, ctx)
 
 
 def _multivar_rho_terms(a, b, c, d, e, xs, ys, N, ctx):
@@ -718,7 +735,7 @@ def _cz_correction(a, b, c, d, e, ctx):
         ),
         ctx,
     )
-    return pref * _guarded_series_value(phi, ctx)
+    return _with_claim(pref, phi, ctx)
 
 
 def _cz_rhs(p, ctx):
@@ -734,10 +751,8 @@ def _cz_rhs(p, ctx):
         INF,
         ctx,
     )
-    return _sum_with_guard(
-        (main, _cz_correction(a, b, c, d, e, ctx), -_cz_correction(b, a, c, d, e, ctx)),
-        ctx,
-    )
+    swapped, err = _cz_correction(b, a, c, d, e, ctx)
+    return _sum_with_guard(((main, 0.0), _cz_correction(a, b, c, d, e, ctx), (-swapped, err)), ctx)
 
 
 _register(IdentityCase(
@@ -846,7 +861,7 @@ def _gr561_piece(p, ctx):
         ),
         ctx,
     )
-    return pref * _guarded_series_value(phi, ctx)
+    return _with_claim(pref, phi, ctx)
 
 
 def _gr561_domain(p, ctx):
@@ -895,7 +910,7 @@ def _lemma_piece(p, ctx):
         ),
         ctx,
     )
-    return pref * _guarded_series_value(phi, ctx)
+    return _with_claim(pref, phi, ctx)
 
 
 def _lemma_domain(p, ctx):
@@ -922,7 +937,7 @@ _register(IdentityCase(
 # -- thm-a-7var --------------------------------------------------------------
 
 def _thma_rhs_piece(p, ctx):
-    return eval_R(p["a"], p["b"], p["c"], p["d"], p["e"], p["f"], p["g"], ctx)
+    return _R_block(p["a"], p["b"], p["c"], p["d"], p["e"], p["f"], p["g"], ctx)
 
 
 def _thma_domain(p, ctx):
@@ -1001,7 +1016,7 @@ def _thmb_lhs(p, ctx):
 
 
 def _thmb_rhs_piece(p, ctx):
-    return eval_S(p["x"], p["y"], p["b"], p["c"], p["d"], p["e"], p["f"], ctx)
+    return _S_block(p["x"], p["y"], p["b"], p["c"], p["d"], p["e"], p["f"], ctx)
 
 
 def _thmb_domain(p, ctx):

@@ -11,9 +11,10 @@ import pytest
 
 from qverify import qcore
 from qverify.cli import main
-from qverify.qcore import QContext, UnknownParam, ipow, qpoch
+from qverify.qcore import IllConditioned, QContext, UnknownParam, ipow, qpoch
 from qverify.identities import (
     _pair_rhs,
+    _sum_with_guard,
     _swap_diff,
     case_ids,
     check,
@@ -87,7 +88,7 @@ class TestIdem:
         assert ev({"x": 2.0, "y": 5.0}, CTX) == 0.0
 
     def test_additive_flavor(self):
-        ev = _pair_rhs(lambda p, ctx: p["x"] - 2 * p["y"], "x", "y")
+        ev = _pair_rhs(lambda p, ctx: (p["x"] - 2 * p["y"], 0.0), "x", "y")
         assert ev({"x": 2.0, "y": 5.0}, CTX) == -1.0 * (2 + 5)
 
     def test_double_swap_is_identity(self):
@@ -106,6 +107,20 @@ class TestIdem:
         with pytest.raises(UnknownParam, match=re.escape(missing)):
             check(case_id, params, QContext(0.5))
 
+    def test_pair_sum_counts_the_error_each_piece_claims(self):
+        ctx = QContext(0.5)
+        assert _sum_with_guard(((1.0, 1e-12), (-0.99, 0.0)), ctx) == 1.0 - 0.99
+        with pytest.raises(IllConditioned):
+            _sum_with_guard(((1.0, 1e-9), (-0.99, 0.0)), ctx)
+
+    def test_cancelling_pieces_with_claimed_error_are_skipped(self):
+        # the two gr-5-6-1 pieces (|.| ~ 1600) cancel to 7.7 here, and the swapped
+        # piece's 8phi7 claims 1.1e-10 relative: a floor of 1.9e-7 cannot attest
+        # 1e-8 of 7.7, so the point is skipped; summed without the claims it failed
+        ctx = QContext(0.8)
+        r = check("gr-5-6-1", sample("gr-5-6-1", 5932, ctx), ctx)
+        assert r.verdict == "skipped" and r.reason.startswith("IllConditioned"), r
+
     def test_additive_idem_reproduces_two_term_rhs(self):
         # the R(...;f,g) + R(...;g,f) structure of the seven-variable formula
         from qverify.identities import _thma_rhs_piece
@@ -113,7 +128,7 @@ class TestIdem:
         ctx = QContext(0.3)
         p = sample("thm-a-7var", 2, ctx)
         ev = _pair_rhs(_thma_rhs_piece, "f", "g")
-        want = _thma_rhs_piece(p, ctx) + _thma_rhs_piece(swap_params(p, "f", "g"), ctx)
+        want = _thma_rhs_piece(p, ctx)[0] + _thma_rhs_piece(swap_params(p, "f", "g"), ctx)[0]
         assert ev(p, ctx) == want
 
 
@@ -300,8 +315,8 @@ class TestSFunctionReductions:
                  "f": x * y * y / d}
             try:
                 lhs = _thmb_lhs(p, ctx)
-                rhs = (_thmb_rhs_piece(p, ctx)
-                       + _thmb_rhs_piece(swap_params(p, "e", "f"), ctx))
+                rhs = (_thmb_rhs_piece(p, ctx)[0]
+                       + _thmb_rhs_piece(swap_params(p, "e", "f"), ctx)[0])
             except Exception:
                 continue
             # independently coded five-parameter target
