@@ -35,9 +35,6 @@ from .integrals import (
     aw_closed_form,
     aw_residue_correction,
     corl_e_rhs,
-    hfun,
-    hfun_multi,
-    hfun_product,
     integrate_aw,
     thm_e_rhs,
 )
@@ -46,11 +43,6 @@ from .identities import (
     VerificationReport,
     case_ids,
     check,
-    eval_R,
-    eval_S,
-    eval_multivar_rho,
-    eval_rho,
-    eval_rho_prime,
     get_case,
     registry,
     sample,
@@ -90,9 +82,6 @@ __all__ = [
     "compositions",
     "milne_rhs_block",
     "omega",
-    "hfun",
-    "hfun_product",
-    "hfun_multi",
     "integrate_aw",
     "aw_closed_form",
     "thm_e_rhs",
@@ -104,10 +93,5 @@ __all__ = [
     "check",
     "sample",
     "swap_params",
-    "eval_rho",
-    "eval_R",
-    "eval_rho_prime",
-    "eval_S",
-    "eval_multivar_rho",
     "__version__",
 ]

@@ -58,7 +58,7 @@ from .qcore import (
     ipow,
     qfrac,
 )
-from .series import SeriesSpec, _ascending_terms, _shifted_terms, _sum_series, _sum_stream
+from .series import SeriesSpec, _ascending_terms, _shifted_terms, _sum_stream
 from .series import eval_phi, eval_psi
 from .multisum import block_multisum, check_qpow_ratio, milne_rhs_block
 from .integrals import (
@@ -77,11 +77,6 @@ __all__ = [
     "check",
     "sample",
     "swap_params",
-    "eval_rho",
-    "eval_R",
-    "eval_rho_prime",
-    "eval_S",
-    "eval_multivar_rho",
 ]
 
 _SKIP_ERRORS = (
@@ -232,11 +227,63 @@ def _jacobi_terms(v, asc0, desc, lows, z, ctx):
     return _shifted_terms(1.0, v, [asc0] + [q / w for w in desc], [], lows, arg, ctx)
 
 
+def _wp_psi(a, ups, z, ctx):
+    """The very-well-poised bilateral sum at z: (q sqrt(a), -q sqrt(a), *ups) over
+    (sqrt(a), -sqrt(a), q a/u for u in ups), the left side of 6psi6, 8psi8 and Milne."""
+    q = ctx.q
+    sa = cmath.sqrt(a)
+    spec = SeriesSpec(
+        upper=[q * sa, -q * sa, *ups],
+        lower=[sa, -sa] + [q * a / u for u in ups],
+        argument=z,
+        kind="bilateral",
+    )
+    return _guarded_series_value(eval_psi(spec, ctx), ctx)
+
+
+def _jacobi_lhs(x, y, bcd, xs, ys, ctx):
+    """Left side of the triple/quintuple-product family with the pairs (xs, ys):
+    thm-d-multivar's, and thm-b's with the one pair (e, f)."""
+    q = ctx.q
+    b, c, d = bcd
+    n = len(xs)
+    pair1 = [t / y for i in range(n) for t in (xs[i], ys[i])]
+    pair1l = [t / (x * y) for i in range(n) for t in (xs[i], ys[i])]
+    t1 = _jacobi_terms(
+        1.0 / x, q / (x * y),
+        [b / y, c / y, d / y] + pair1,
+        [y, b / (x * y), c / (x * y), d / (x * y)] + pair1l,
+        -y / ipow(x, n + 1), ctx,
+    )
+    t2 = _jacobi_terms(
+        x, q / y,
+        [b / (x * y), c / (x * y), d / (x * y)] + pair1l,
+        [x * y, b / y, c / y, d / y] + pair1,
+        -ipow(x, n + 2) * y, ctx,
+    )
+    scale = ipow(x, n + 1)
+    return _diff_sum(t1, (scale * t for t in t2), ctx)
+
+
+def _jacobi_products(x, y, b, c, d, ctx):
+    """The infinite products that lead the right sides of corl-b and thm-d."""
+    q = ctx.q
+    xy2 = x * y * y
+    return qfrac(
+        [q, x, q / x, b, c, d, b * c / xy2, b * d / xy2, c * d / xy2],
+        [y, x * y, b / y, c / y, d / y, b / (x * y), c / (x * y), d / (x * y),
+         b * c * d / (q * xy2)],
+        INF,
+        ctx,
+    )
+
+
 # ---------------------------------------------------------------------------
-# named evaluators for the "where" blocks
+# named blocks of the "where" clauses
 
 
 def _rho7_terms(a, b, c, d, e, f, g, ctx):
+    """Term stream of the seven-variable reciprocity sum (weight (cdefg/q a^2 b^2)^k)."""
     q = ctx.q
     ab = a * b  # (a*b) grouping keeps z bitwise a<->b symmetric
     z = c * d * e * f * g / (q * ab * ab)
@@ -244,19 +291,10 @@ def _rho7_terms(a, b, c, d, e, f, g, ctx):
     return _rho_terms(a, b, [-q * a / t for t in ks], [-t / b for t in ks], z, ctx, 1)
 
 
-def eval_rho(a, b, c, d, e, f, g, ctx: QContext) -> complex:
-    """The seven-variable reciprocity sum (weight (cdefg/q a^2 b^2)^k)."""
-    return _sum_series(_rho7_terms(a, b, c, d, e, f, g, ctx), ctx).value
-
-
-def eval_R(a, b, c, d, e, f, g, ctx: QContext) -> complex:
-    """Closed-form block on the right of the seven-variable reciprocity formula."""
-    return _R_block(a, b, c, d, e, f, g, ctx)[0]
-
-
-def _R_block(a, b, c, d, e, f, g, ctx):
-    """eval_R's value and the error its 8phi7 claims, through the prefactor."""
+def _R_block(p, ctx):
+    """R, the seven-variable reciprocity formula's block: (value, its 8phi7's claimed error)."""
     q = ctx.q
+    a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
     a0 = d * e * g / (a * b * f)
     s0 = cmath.sqrt(a0)
     pref = (1.0 / g) * (1.0 / b - 1.0 / a)
@@ -294,6 +332,7 @@ def _R_block(a, b, c, d, e, f, g, ctx):
 
 
 def _rho_prime_terms(a, b, c, d, e, f, n, ctx):
+    """Term stream of the terminating-flavoured reciprocity sum of the q^n corollary."""
     q = ctx.q
     z = c * d * e / (a * b * ipow(q, n + 1))
     ups = [-q * a / c, -q * a / d, -q * a / e, -q * a / f, -ipow(q, 1 + n) * f / b]
@@ -301,19 +340,10 @@ def _rho_prime_terms(a, b, c, d, e, f, n, ctx):
     return _rho_terms(a, b, ups, lows, z, ctx, 1)
 
 
-def eval_rho_prime(a, b, c, d, e, f, n, ctx: QContext) -> complex:
-    """The terminating-flavoured reciprocity sum of the q^n corollary."""
-    return _sum_series(_rho_prime_terms(a, b, c, d, e, f, n, ctx), ctx).value
-
-
-def eval_S(x, y, b, c, d, e, f, ctx: QContext) -> complex:
-    """Closed-form block of the triple/quintuple-product generalization."""
-    return _S_block(x, y, b, c, d, e, f, ctx)[0]
-
-
-def _S_block(x, y, b, c, d, e, f, ctx):
-    """eval_S's value and the error its 8phi7 claims, through the prefactor."""
+def _S_block(p, ctx):
+    """S, the triple/quintuple-product formula's block: (value, its 8phi7's claimed error)."""
     q = ctx.q
+    x, y, b, c, d, e, f = (p[k] for k in "xybcdef")
     xy2 = x * y * y
     pref = x * x * y / f
     pref *= qfrac(
@@ -347,6 +377,8 @@ def _S_block(x, y, b, c, d, e, f, ctx):
 
 
 def _multivar_rho_terms(a, b, c, d, e, xs, ys, N, ctx):
+    """Term stream of the multi-pair reciprocity sum (weight (cde/ab q^{N+1})^k,
+    prefactor b^-n); with no pairs, the five-variable sum of ma-5var."""
     q = ctx.q
     n = len(xs)
     n_total = sum(int(t) for t in N)
@@ -357,11 +389,6 @@ def _multivar_rho_terms(a, b, c, d, e, xs, ys, N, ctx):
         ups += [-q * a / xs[i], -q * a / ys[i]]
         lows += [-xs[i] / b, -ys[i] / b]
     return _rho_terms(a, b, ups, lows, z, ctx, n)
-
-
-def eval_multivar_rho(a, b, c, d, e, xs, ys, N, ctx: QContext) -> complex:
-    """The multi-pair reciprocity sum (weight (cde/ab q^{N+1})^k, prefactor b^-n)."""
-    return _sum_series(_multivar_rho_terms(a, b, c, d, e, xs, ys, N, ctx), ctx).value
 
 
 # ---------------------------------------------------------------------------
@@ -526,16 +553,8 @@ _register(IdentityCase(
 # -- bailey-6psi6 -------------------------------------------------------
 
 def _bailey_lhs(p, ctx):
-    q = ctx.q
     a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    sa = cmath.sqrt(a)
-    spec = SeriesSpec(
-        upper=[q * sa, -q * sa, b, c, d, e],
-        lower=[sa, -sa, q * a / b, q * a / c, q * a / d, q * a / e],
-        argument=q * a * a / (b * c * d * e),
-        kind="bilateral",
-    )
-    return _guarded_series_value(eval_psi(spec, ctx), ctx)
+    return _wp_psi(a, [b, c, d, e], ctx.q * a * a / (b * c * d * e), ctx)
 
 
 def _bailey_rhs(p, ctx):
@@ -667,13 +686,6 @@ _register(IdentityCase(
 
 # -- ma-5var --------------------------------------------------------------
 
-def _ma_half(a, b, c, d, e, ctx):
-    q = ctx.q
-    ks = (c, d, e)
-    z = c * d * e / (q * (a * b))  # (a*b) grouping keeps z bitwise a<->b symmetric
-    return _rho_terms(a, b, [-q * a / p for p in ks], [-p / b for p in ks], z, ctx, 0)
-
-
 def _ma_rhs(p, ctx):
     q = ctx.q
     a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
@@ -697,7 +709,9 @@ _register(IdentityCase(
     family="reciprocity",
     sampler=_scalar_sampler("abcde"),
     domain=_ma_domain,
-    lhs=_swap_diff(_ma_half, "abcde"),
+    lhs=_swap_diff(
+        lambda a, b, c, d, e, ctx: _multivar_rho_terms(a, b, c, d, e, (), (), (), ctx), "abcde"
+    ),
     rhs=_ma_rhs,
     param_names=("a", "b", "c", "d", "e"),
 ))
@@ -829,14 +843,7 @@ _register(IdentityCase(
 def _psi8_lhs(p, ctx):
     q = ctx.q
     a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
-    sa = cmath.sqrt(a)
-    spec = SeriesSpec(
-        upper=[q * sa, -q * sa, b, c, d, e, f, g],
-        lower=[sa, -sa, q * a / b, q * a / c, q * a / d, q * a / e, q * a / f, q * a / g],
-        argument=q * q * a ** 3 / (b * c * d * e * f * g),
-        kind="bilateral",
-    )
-    return _guarded_series_value(eval_psi(spec, ctx), ctx)
+    return _wp_psi(a, [b, c, d, e, f, g], q * q * a ** 3 / (b * c * d * e * f * g), ctx)
 
 
 def _gr561_piece(p, ctx):
@@ -936,10 +943,6 @@ _register(IdentityCase(
 
 # -- thm-a-7var --------------------------------------------------------------
 
-def _thma_rhs_piece(p, ctx):
-    return _R_block(p["a"], p["b"], p["c"], p["d"], p["e"], p["f"], p["g"], ctx)
-
-
 def _thma_domain(p, ctx):
     a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
     return _conv_ok(c * d * e * f * g / (ctx.q * a * a * b * b), c)
@@ -951,7 +954,7 @@ _register(IdentityCase(
     sampler=_scalar_sampler("abcdefg", boxes={"a": (0.35, 0.9), "b": (0.35, 0.9)}),
     domain=_thma_domain,
     lhs=_swap_diff(_rho7_terms, "abcdefg"),
-    rhs=_pair_rhs(_thma_rhs_piece, "f", "g"),
+    rhs=_pair_rhs(_R_block, "f", "g"),
     param_names=("a", "b", "c", "d", "e", "f", "g"),
 ))
 
@@ -1001,22 +1004,7 @@ _register(IdentityCase(
 # -- thm-b -------------------------------------------------------------------
 
 def _thmb_lhs(p, ctx):
-    q = ctx.q
-    x, y, b, c, d, e, f = (p[k] for k in ("x", "y", "b", "c", "d", "e", "f"))
-    ps = (b, c, d, e, f)
-    t1 = _jacobi_terms(
-        1.0 / x, q / (x * y), [t / y for t in ps],
-        [y] + [t / (x * y) for t in ps], -y / (x * x), ctx
-    )
-    t2 = _jacobi_terms(
-        x, q / y, [t / (x * y) for t in ps],
-        [x * y] + [t / y for t in ps], -x ** 3 * y, ctx
-    )
-    return _diff_sum(t1, (x * x * t for t in t2), ctx)
-
-
-def _thmb_rhs_piece(p, ctx):
-    return _S_block(p["x"], p["y"], p["b"], p["c"], p["d"], p["e"], p["f"], ctx)
+    return _jacobi_lhs(p["x"], p["y"], (p["b"], p["c"], p["d"]), (p["e"],), (p["f"],), ctx)
 
 
 def _thmb_domain(p, ctx):
@@ -1034,7 +1022,7 @@ _register(IdentityCase(
     ),
     domain=_thmb_domain,
     lhs=_thmb_lhs,
-    rhs=_pair_rhs(_thmb_rhs_piece, "e", "f"),
+    rhs=_pair_rhs(_S_block, "e", "f"),
     param_names=("x", "y", "b", "c", "d", "e", "f"),
 ))
 
@@ -1064,13 +1052,7 @@ def _corlb_rhs(p, ctx):
     q = ctx.q
     x, y, b, c, d, e, n = (p[k] for k in ("x", "y", "b", "c", "d", "e", "n"))
     xy2 = x * y * y
-    lead = qfrac(
-        [q, x, q / x, b, c, d, b * c / xy2, b * d / xy2, c * d / xy2],
-        [y, x * y, b / y, c / y, d / y, b / (x * y), c / (x * y), d / (x * y),
-         b * c * d / (q * xy2)],
-        INF,
-        ctx,
-    )
+    lead = _jacobi_products(x, y, b, c, d, ctx)
     lead *= e * ipow(q, n) / (-y)
     lead *= qfrac([e, q * e / xy2], [], n, ctx)
     lead *= qfrac([], [e / y, e / (x * y)], n + 1, ctx)
@@ -1128,20 +1110,10 @@ def _milne_params(rng, ctx, mode):
 
 
 def _milne_lhs(p, ctx):
-    q = ctx.q
     a, b, c, d, e = (p[k] for k in "abcde")
     xs, ys, N = p["x"], p["y"], p["N"]
-    sa = cmath.sqrt(a)
-    z = ipow(q, 1 - sum(N)) * a * a / (b * c * d * e)
-    upper = [q * sa, -q * sa, b, c, d, e]
-    lower = [sa, -sa, q * a / b, q * a / c, q * a / d, q * a / e]
-    for i in range(len(xs)):
-        upper += [xs[i], ys[i]]
-        lower += [q * a / xs[i], q * a / ys[i]]
-    return _guarded_series_value(
-        eval_psi(SeriesSpec(upper=upper, lower=lower, argument=z, kind="bilateral"), ctx),
-        ctx,
-    )
+    ups = [b, c, d, e] + [t for i in range(len(xs)) for t in (xs[i], ys[i])]
+    return _wp_psi(a, ups, ipow(ctx.q, 1 - sum(N)) * a * a / (b * c * d * e), ctx)
 
 
 def _milne_rhs(p, ctx):
@@ -1267,26 +1239,7 @@ def _thmd_params(rng, ctx, mode):
 
 
 def _thmd_lhs(p, ctx):
-    q = ctx.q
-    x, y, b, c, d = (p[k] for k in ("x", "y", "b", "c", "d"))
-    xs, ys = p["xv"], p["yv"]
-    n = len(xs)
-    pair1 = [t / y for i in range(n) for t in (xs[i], ys[i])]
-    pair1l = [t / (x * y) for i in range(n) for t in (xs[i], ys[i])]
-    t1 = _jacobi_terms(
-        1.0 / x, q / (x * y),
-        [b / y, c / y, d / y] + pair1,
-        [y, b / (x * y), c / (x * y), d / (x * y)] + pair1l,
-        -y / ipow(x, n + 1), ctx,
-    )
-    t2 = _jacobi_terms(
-        x, q / y,
-        [b / (x * y), c / (x * y), d / (x * y)] + pair1l,
-        [x * y, b / y, c / y, d / y] + pair1,
-        -ipow(x, n + 2) * y, ctx,
-    )
-    scale = ipow(x, n + 1)
-    return _diff_sum(t1, (scale * t for t in t2), ctx)
+    return _jacobi_lhs(p["x"], p["y"], (p["b"], p["c"], p["d"]), p["xv"], p["yv"], ctx)
 
 
 def _thmd_rhs(p, ctx):
@@ -1297,13 +1250,7 @@ def _thmd_rhs(p, ctx):
     xy2 = x * y * y
     for i in range(n):
         check_qpow_ratio(xy2, xs[i] * ys[i], N[i], ctx, f"x y^2 / (x_{i+1} y_{i+1})")
-    value = ipow(-x * y, n) * qfrac(
-        [q, x, q / x, b, c, d, b * c / xy2, b * d / xy2, c * d / xy2],
-        [y, x * y, b / y, c / y, d / y, b / (x * y), c / (x * y), d / (x * y),
-         b * c * d / (q * xy2)],
-        INF,
-        ctx,
-    )
+    value = ipow(-x * y, n) * _jacobi_products(x, y, b, c, d, ctx)
     for i in range(n):
         value /= xs[i]
         value *= qfrac(

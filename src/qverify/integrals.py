@@ -1,4 +1,4 @@
-"""h-function evaluation and Askey-Wilson-type quadrature.
+"""Askey-Wilson-type quadrature and the closed forms it is checked against.
 
 The integrand family lives on [0, pi]:
 
@@ -24,9 +24,7 @@ import numpy as np
 
 from .qcore import (
     INF,
-    MAX_PRODUCT_FACTORS,
     PRODUCT_TOL,
-    CapExceeded,
     ConstraintViolation,
     NoConvergence,
     QContext,
@@ -35,7 +33,6 @@ from .qcore import (
     ipow,
     qfrac,
     qpoch_inf_many,
-    qpoch_multi,
 )
 from .multisum import check_qpow_ratio, omega
 from .series import _shifted_terms, _sum_series
@@ -43,9 +40,6 @@ from .series import _shifted_terms, _sum_series
 __all__ = [
     "AWIntegrandSpec",
     "QuadratureResult",
-    "hfun",
-    "hfun_product",
-    "hfun_multi",
     "integrate_aw",
     "aw_closed_form",
     "thm_e_rhs",
@@ -95,45 +89,6 @@ class QuadratureResult:
     def __post_init__(self):
         if self.abs_error_estimate < 0.0:
             raise ValueError("abs_error_estimate must be >= 0")
-
-
-def hfun(x: float, lam: complex, ctx: QContext) -> complex:
-    """h(x; lam) = (lam e^{it}, lam e^{-it}; q)_oo with x = cos t, x in [-1, 1]."""
-    return hfun_multi(x, [lam], ctx)
-
-
-def hfun_product(x: float, lam: complex, ctx: QContext) -> complex:
-    """h(x; lam) via the real product prod_k (1 - 2 q^k lam x + q^{2k} lam^2).
-
-    Independent evaluation path kept as a cross-check oracle for hfun.
-    """
-    lam = complex(lam)
-    if lam == 0.0:
-        return 1.0 + 0.0j
-    q = ctx.q
-    aq = abs(q)
-    al = abs(lam)
-    p = 1.0 + 0.0j
-    qk = 1.0 + 0.0j
-    small = 0
-    gate = 0.5 * PRODUCT_TOL * (1.0 - aq)
-    for k in range(MAX_PRODUCT_FACTORS):
-        w = qk * lam
-        p *= 1.0 - 2.0 * w * x + w * w
-        small = small + 1 if abs(w) * (2.0 + abs(w)) < PRODUCT_TOL else 0
-        qk *= q
-        if small >= 3 and al * abs(qk) < gate:
-            return p
-    raise CapExceeded("h-function product did not converge within the factor cap")
-
-
-def hfun_multi(x: float, lambdas, ctx: QContext) -> complex:
-    """h(x; alpha, beta, ..., gamma) = product of single-parameter h values."""
-    x = float(x)
-    s = math.sqrt(max(0.0, 1.0 - x * x))
-    e = complex(x, s)
-    bases = [b for lam in lambdas for b in (lam * e, lam * e.conjugate())]
-    return qpoch_multi(bases, INF, ctx)
 
 
 def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):

@@ -127,7 +127,7 @@ class PoleError(QVerifyError):
 
 
 class CapExceeded(QVerifyError):
-    """An infinite product hit MAX_PRODUCT_FACTORS before converging."""
+    """An infinite product hit MAX_PRODUCT_FACTORS before converging, or is not finite."""
 
 
 class DivergentSeries(QVerifyError):
@@ -315,7 +315,7 @@ def qpoch_inf_many(xs, ctx: QContext):
     geometric tail of the log-factors.  x = 0 gives 1 and a base snapped
     onto q^{-m}, m >= 0 (``q_power_index``), exactly 0, both with a zero
     bound.  CapExceeded names the first base that needs more than
-    MAX_PRODUCT_FACTORS.
+    MAX_PRODUCT_FACTORS, or whose product overflows.
     """
     x = np.asarray(xs, dtype=complex)
     shape, x = x.shape, x.ravel()
@@ -362,6 +362,8 @@ def qpoch_inf_many(xs, ctx: QContext):
             )
         k, at = stop.argmax(axis=1), np.arange(xr.size)
         v, h, used[rows] = prods[at, k0 + k], head[at, k], k0 + k + 1
+        if not (finite := np.isfinite(v)).all():
+            raise CapExceeded(f"base {complex(xr[finite.argmin()])!r}: (x;q)_oo is not finite")
         value[rows], err[rows] = v, np.abs(v) * np.expm1(h / (1.0 - aq) / np.maximum(1.0 - h, 0.5))
     return value.reshape(shape), err.reshape(shape), used.reshape(shape)
 

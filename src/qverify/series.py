@@ -30,6 +30,7 @@ ends is an exact cut, with the floor as its only error.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -190,7 +191,7 @@ def _sum_stream(terms, ctx):
         try:
             t, w = next(it)
         except StopIteration:
-            return total, _ROUND_FLOOR * w_sum, n, True
+            return _finite(total, n), _ROUND_FLOOR * w_sum, n, True
         total += t
         n += 1
         at = abs(t)
@@ -204,13 +205,20 @@ def _sum_stream(terms, ctx):
             if small >= 3:
                 rho = min(last / prev, 0.99) if prev > 0.0 else 0.0
                 err = last * rho / (1.0 - rho) + _ROUND_FLOOR * w_sum
-                return total, err, n, False
+                return _finite(total, n), err, n, False
         else:
             small = 0
     raise DivergentSeries(
         f"no convergence within MAX_TERMS = {MAX_TERMS} "
         f"(last |term| = {last:.3g})"
     )
+
+
+def _finite(total, n):
+    """The partial sum, unless it overflowed although every term was finite."""
+    if not cmath.isfinite(total):
+        raise DivergentSeries(f"partial sum not finite after {n} terms")
+    return total
 
 
 def _sum_series(terms, ctx) -> SeriesResult:

@@ -438,7 +438,7 @@ def test_criterion_4_reduction_web():
 
     # limit-flavoured reduction: b, c, e -> 0 stand-ins at 1e-6, f = xy^2/d,
     # smoke-checked on the identity itself at the widened tolerance
-    from qverify.identities import _thmb_lhs, _thmb_rhs_piece
+    from qverify.identities import _thmb_lhs, _S_block
 
     rng = random.Random(43)
     done = 0
@@ -451,8 +451,8 @@ def test_criterion_4_reduction_web():
              "f": x * y * y / d}
         try:
             lhs = _thmb_lhs(p, ctx)
-            rhs = (_thmb_rhs_piece(p, ctx)[0]
-                   + _thmb_rhs_piece(swap_params(p, "e", "f"), ctx)[0])
+            rhs = (_S_block(p, ctx)[0]
+                   + _S_block(swap_params(p, "e", "f"), ctx)[0])
         except Exception:
             continue
         assert abs(lhs - rhs) < 1e-4 * max(abs(lhs), abs(rhs))

@@ -123,12 +123,12 @@ class TestIdem:
 
     def test_additive_idem_reproduces_two_term_rhs(self):
         # the R(...;f,g) + R(...;g,f) structure of the seven-variable formula
-        from qverify.identities import _thma_rhs_piece
+        from qverify.identities import _R_block
 
         ctx = QContext(0.3)
         p = sample("thm-a-7var", 2, ctx)
-        ev = _pair_rhs(_thma_rhs_piece, "f", "g")
-        want = _thma_rhs_piece(p, ctx)[0] + _thma_rhs_piece(swap_params(p, "f", "g"), ctx)[0]
+        ev = _pair_rhs(_R_block, "f", "g")
+        want = _R_block(p, ctx)[0] + _R_block(swap_params(p, "f", "g"), ctx)[0]
         assert ev(p, ctx) == want
 
 
@@ -260,37 +260,57 @@ class TestCheck:
         assert doc["id"] == "watson"
 
 
+SHARED_SUM_QS = (0.3, 0.8, -0.5, 0.5 + 0.3j)
+
+
+def outcome(evaluator, params, ctx):
+    """The value of one side, or the type and message of the error it raised."""
+    try:
+        return evaluator(params, ctx)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestNamedEvaluators:
     def test_rho_difference_matches_case_lhs(self):
-        from qverify.identities import eval_rho
+        from qverify.identities import _rho7_terms
         from qverify.identities import get_case as gc
+        from qverify.series import _sum_series
 
         ctx = QContext(0.3)
         p = sample("thm-a-7var", 4, ctx)
-        direct = eval_rho(p["a"], p["b"], p["c"], p["d"], p["e"], p["f"], p["g"], ctx) - \
-            eval_rho(p["b"], p["a"], p["c"], p["d"], p["e"], p["f"], p["g"], ctx)
+        a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
+        direct = _sum_series(_rho7_terms(a, b, c, d, e, f, g, ctx), ctx).value - \
+            _sum_series(_rho7_terms(b, a, c, d, e, f, g, ctx), ctx).value
         case_lhs = gc("thm-a-7var").lhs(p, ctx)
         assert abs(direct - case_lhs) < 1e-9 * max(abs(direct), 1e-20)
 
     def test_rho_prime_reduces_to_rho_family_at_n0(self):
-        from qverify.identities import eval_rho_prime
+        from qverify.identities import _rho_prime_terms
+        from qverify.series import _sum_series
 
         ctx = QContext(0.5)
         p = sample("corl-a", 7, ctx)
-        v = eval_rho_prime(p["a"], p["b"], p["c"], p["d"], p["e"], p["f"], 0, ctx)
+        a, b, c, d, e, f = (p[k] for k in "abcdef")
+        v = _sum_series(_rho_prime_terms(a, b, c, d, e, f, 0, ctx), ctx).value
         assert v == v  # smoke: defined and finite
         assert abs(v) < 1e6
 
     def test_multivar_rho_empty_pairs_is_ma_summand(self):
-        from qverify.identities import eval_multivar_rho, _ma_half
-        from qverify.series import _sum_series
+        # the ma-5var left side is the thm-c-multivar one with no pairs, bit for bit
+        ma, thmc = get_case("ma-5var").lhs, get_case("thm-c-multivar").lhs
+        for ctx, seed in itertools.product(map(QContext, SHARED_SUM_QS), range(10)):
+            p = sample("ma-5var", seed, ctx)
+            no_pairs = dict(p, x=[], y=[], N=[], n=0)
+            assert outcome(ma, p, ctx) == outcome(thmc, no_pairs, ctx), (ctx.q, seed)
 
-        ctx = QContext(0.5)
-        p = sample("ma-5var", 9, ctx)
-        a, b, c, d, e = (p[k] for k in "abcde")
-        got = eval_multivar_rho(a, b, c, d, e, [], [], [], ctx)
-        want = _sum_series(_ma_half(a, b, c, d, e, ctx), ctx).value
-        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+    def test_thmb_lhs_is_thmd_lhs_with_one_pair(self):
+        # the thm-b left side is the thm-d-multivar one with the pair (e, f), bit for bit
+        thmb, thmd = get_case("thm-b").lhs, get_case("thm-d-multivar").lhs
+        for ctx, seed in itertools.product(map(QContext, SHARED_SUM_QS), range(10)):
+            p = sample("thm-b", seed, ctx)
+            one_pair = dict(p, xv=[p["e"]], yv=[p["f"]], N=[0], n=1)
+            assert outcome(thmb, p, ctx) == outcome(thmd, one_pair, ctx), (ctx.q, seed)
 
 
 class TestSFunctionReductions:
@@ -300,7 +320,7 @@ class TestSFunctionReductions:
         # 1 / ((1 - d/xy)(1 - y/d)) connecting both sides
         import random
         from qverify.qcore import qfrac, qpoch, INF
-        from qverify.identities import _thmb_lhs, _thmb_rhs_piece
+        from qverify.identities import _thmb_lhs, _S_block
 
         rng = random.Random(47)
         ctx = QContext(0.5)
@@ -315,8 +335,8 @@ class TestSFunctionReductions:
                  "f": x * y * y / d}
             try:
                 lhs = _thmb_lhs(p, ctx)
-                rhs = (_thmb_rhs_piece(p, ctx)[0]
-                       + _thmb_rhs_piece(swap_params(p, "e", "f"), ctx)[0])
+                rhs = (_S_block(p, ctx)[0]
+                       + _S_block(swap_params(p, "e", "f"), ctx)[0])
             except Exception:
                 continue
             # independently coded five-parameter target

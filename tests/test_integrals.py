@@ -1,5 +1,6 @@
-"""Tests for the h-function, the spectral quadrature and the closed forms."""
+"""Tests for the integrand, the spectral quadrature and the closed forms."""
 
+import cmath
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from qverify import integrals, qcore
-from qverify.qcore import QContext, ipow, qpoch, qpoch_inf, qpoch_inf_many
+from qverify.qcore import CapExceeded, QContext, ipow, qpoch, qpoch_inf, qpoch_inf_many
 from qverify.series import _sum_series
 from qverify.integrals import (
     AWIntegrandSpec,
@@ -17,9 +18,6 @@ from qverify.integrals import (
     aw_closed_form,
     aw_residue_correction,
     corl_e_rhs,
-    hfun,
-    hfun_multi,
-    hfun_product,
     integrate_aw,
     thm_e_rhs,
 )
@@ -27,35 +25,93 @@ from qverify.integrals import (
 CTX = QContext(0.5)
 
 
+def h_product(x: float, lam: complex, ctx: QContext) -> complex:
+    """h(x; lam) via the real product prod_k (1 - 2 q^k lam x + q^{2k} lam^2).
+
+    An evaluation path independent of qcore.qpoch_inf_many, kept as the
+    oracle of the integrand's node values.
+    """
+    lam = complex(lam)
+    if lam == 0.0:
+        return 1.0 + 0.0j
+    q = ctx.q
+    aq = abs(q)
+    al = abs(lam)
+    p = 1.0 + 0.0j
+    qk = 1.0 + 0.0j
+    small = 0
+    gate = 0.5 * qcore.PRODUCT_TOL * (1.0 - aq)
+    for k in range(qcore.MAX_PRODUCT_FACTORS):
+        w = qk * lam
+        p *= 1.0 - 2.0 * w * x + w * w
+        small = small + 1 if abs(w) * (2.0 + abs(w)) < qcore.PRODUCT_TOL else 0
+        qk *= q
+        if small >= 3 and al * abs(qk) < gate:
+            return p
+    raise CapExceeded("h-function product did not converge within the factor cap")
+
+
+def h_integrand(spec: AWIntegrandSpec, theta: float, ctx: QContext) -> complex:
+    """h(cos 2t; 1) / h(cos t; a, b, c, d) * prod_i h(cos t; u_i) / h(cos t; v_i) by h_product."""
+    x = math.cos(theta)
+    value = h_product(math.cos(2.0 * theta), 1.0, ctx)
+    for lam in (spec.a, spec.b, spec.c, spec.d, *spec.v):
+        value /= h_product(x, lam, ctx)
+    for lam in spec.u:
+        value *= h_product(x, lam, ctx)
+    return value
+
+
 class TestHFunction:
+    """The integrand's node values against h-products written out in h_product."""
+
     def test_zero_parameter(self):
-        assert hfun(0.3, 0.0, CTX) == 1.0
+        # h(x; 0) = 1 exactly: a zero (u, v) pair leaves every node value as it is
+        thetas = np.linspace(0.1, 3.0, 7)
+        got = _aw_integrand(AWIntegrandSpec(0.3, 0.0, 0.2, 0.0, (0.0,), (0.0,)), CTX)[0](thetas)
+        plain = AWIntegrandSpec(0.3, 0.0, 0.2, 0.0)
+        assert np.array_equal(got, _aw_integrand(plain, CTX)[0](thetas))
+        for theta, v in zip(thetas, got):
+            assert abs(v - h_integrand(plain, theta, CTX)) < 1e-12 * max(1.0, abs(v))
 
     def test_endpoint_collapses_to_square(self):
+        # at x = 1, h(x; lam) = (lam;q)_oo^2; h(cos 2t; 1) vanishes at both endpoints
         lam = 0.37
         want = qpoch_inf(lam, CTX).value ** 2
-        assert abs(hfun(1.0, lam, CTX) - want) < 1e-14
+        assert abs(h_product(1.0, lam, CTX) - want) < 1e-14
+        f = _aw_integrand(AWIntegrandSpec(lam, 0.2, -0.3, 0.1, (0.5,), (lam,)), CTX)[0]
+        assert np.array_equal(f(np.array([0.0, math.pi])), np.zeros(2))
 
     def test_dual_path_agreement(self):
+        # a real spec at real q takes the one-row-per-conjugate-pair branch,
+        # a complex one computes every row
         rng = random.Random(17)
-        for q in (0.3, 0.5, 0.8):
+
+        def lam(real):
+            r = rng.uniform(0.05, 0.9)
+            phase = rng.choice((1.0, -1.0)) if real else cmath.exp(2j * math.pi * rng.random())
+            return r * phase
+
+        for q in (0.3, 0.5, 0.8, 0.5 + 0.3j):
             ctx = QContext(q)
-            for _ in range(34):
-                x = rng.uniform(-1.0, 1.0)
-                lam = rng.uniform(0.05, 0.9) * complex(
-                    math.cos(rng.uniform(0, 2 * math.pi)),
-                    math.sin(rng.uniform(0, 2 * math.pi)),
-                )
-                v1 = hfun(x, lam, ctx)
-                v2 = hfun_product(x, lam, ctx)
-                assert abs(v1 - v2) < 1e-12 * max(1.0, abs(v1))
+            for real in (True, False):
+                a, b, c, d, u, v = (lam(real) for _ in range(6))
+                spec = AWIntegrandSpec(a, b, c, d, (u,), (v,))
+                thetas = np.array([rng.uniform(0.0, math.pi) for _ in range(34)])
+                for theta, v1 in zip(thetas, _aw_integrand(spec, ctx)[0](thetas)):
+                    v2 = h_integrand(spec, theta, ctx)
+                    assert abs(v1 - v2) < 1e-12 * max(1.0, abs(v1))
 
     def test_multi(self):
-        assert hfun_multi(0.4, [], CTX) == 1.0
-        assert hfun_multi(0.4, [0.3], CTX) == hfun(0.4, 0.3, CTX)
-        got = hfun_multi(0.4, [0.2, 0.3], CTX)
-        want = hfun(0.4, 0.2, CTX) * hfun(0.4, 0.3, CTX)
-        assert abs(got - want) < 1e-14 * abs(want)
+        # each (u, v) pair multiplies the node values by h(x; u) / h(x; v)
+        one = AWIntegrandSpec(0.3, -0.45, 0.6, 0.2, (0.7,), (0.15,))
+        two = AWIntegrandSpec(0.3, -0.45, 0.6, 0.2, (0.7, -0.5 + 0.2j), (0.15, 0.55))
+        thetas = np.linspace(0.1, 3.0, 7)
+        got, base = _aw_integrand(two, CTX)[0](thetas), _aw_integrand(one, CTX)[0](thetas)
+        for theta, g, b in zip(thetas, got, base):
+            x = math.cos(theta)
+            want = b * h_product(x, -0.5 + 0.2j, CTX) / h_product(x, 0.55, CTX)
+            assert abs(g - want) < 1e-14 * abs(want)
 
 
 class TestQuadrature:

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import pathlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -453,6 +454,9 @@ def kernel_oracle(xs, ctx):
             )
         k, at = stop.argmax(axis=1), np.arange(rows.size)
         value[rows], h, used[rows] = prods[at, k0 + k], head[at, k], k0 + k + 1
+        if not np.isfinite(value[rows]).all():
+            bad = rows[~np.isfinite(value[rows])][0]
+            raise CapExceeded(f"base {complex(x[bad])!r}: (x;q)_oo is not finite")
         err[rows] = np.abs(value[rows]) * np.expm1(h / (1.0 - aq) / np.maximum(1.0 - h, 0.5))
     return value.reshape(shape), err.reshape(shape), used.reshape(shape)
 
@@ -531,11 +535,15 @@ class TestSnapOnTheGrid:
     """qpoch_inf_many zeroes an entry exactly where q_power_index(x, q, -cap, 0) places it."""
 
     def assert_zero_iff_on_grid(self, xs, ctx):
-        with np.errstate(all="ignore"):
-            values = qpoch_inf_many(xs, ctx)[0].tolist()
-        for x, v in zip(xs, values):
+        for x in xs:  # one base a call: a product that overflows raises
+            try:
+                with np.errstate(all="ignore"):
+                    zero = qpoch_inf_many([x], ctx)[0][0] == 0.0
+            except CapExceeded as exc:
+                assert str(exc).endswith("(x;q)_oo is not finite"), exc
+                zero = False
             on_grid = q_power_index(x, ctx.q, -qcore.MAX_PRODUCT_FACTORS, 0) is not None
-            assert (v == 0.0) == on_grid, (x, v)
+            assert zero == on_grid, x
 
     @pytest.mark.parametrize("q", [0.5, -0.5, 0.25, 0.8, 0.5 + 0.3j, 0.95])
     def test_random_bases(self, q):
@@ -549,12 +557,17 @@ class TestSnapOnTheGrid:
     @pytest.mark.parametrize("q", [0.5, -0.5, 0.25])
     def test_overflowing_reference_never_snaps(self, q):
         # the nearest power q^m of 1.7e308 overflows to inf: no match, so the
-        # product is not an exact zero, and neither is a ratio built on it
+        # product is not an exact zero; it overflows, and raises rather than
+        # return NaN, and so does a ratio built on it
         ctx = QContext(q)
         self.assert_zero_iff_on_grid([1.7e308], ctx)
         assert q_power_index(1.7e308, ctx.q, -qcore.MAX_PRODUCT_FACTORS, 0) is None
+        message = re.escape("base (1.7e+308+0j): (x;q)_oo is not finite")
         with np.errstate(all="ignore"):
-            assert qfrac([1.7e308], [0.5], INF, ctx) != 0.0
+            with pytest.raises(CapExceeded, match=message):
+                qpoch_inf_many([1.7e308], ctx)
+            with pytest.raises(CapExceeded, match=message):
+                qfrac([1.7e308], [0.5], INF, ctx)
 
 
 class TestNearPoleLocator:

@@ -74,6 +74,13 @@ class TestEvalPhi:
         with pytest.raises(DivergentSeries, match=f"MAX_TERMS = {MAX_TERMS} "):
             eval_phi(spec, ctx)
 
+    def test_overflowing_partial_sum_raises(self):
+        # every term stays finite, but the partial sum overflows; an ending stream as well
+        with pytest.raises(DivergentSeries, match="partial sum not finite after 1751 terms"):
+            eval_phi(SeriesSpec([0.3, 0.4], [0.2], 1.5), QContext(0.5))
+        with pytest.raises(DivergentSeries, match="partial sum not finite after 2 terms"):
+            _sum_series([1e308 + 0j, 1e308 + 0j], QContext(0.5))
+
     def test_kind_mismatch(self):
         spec = SeriesSpec(upper=[0.1, 0.2], lower=[0.3, 0.4], argument=0.5,
                           kind="bilateral")
