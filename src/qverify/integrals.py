@@ -7,8 +7,10 @@ The integrand family lives on [0, pi]:
 where h(x; lam) = (lam e^{it}, lam e^{-it}; q)_oo with x = cos t.  As a
 function of t this extends to an even, 2*pi-periodic analytic function,
 so the composite trapezoidal rule with panel doubling converges
-spectrally; nodes are reused across refinements, and all infinite
-products of a batch of nodes come from one call of
+spectrally; nodes are reused across refinements, and a node value that
+is not finite stops it.  The rows (e^{+-2it};q)_oo of h(cos 2t; 1) depend
+on q and the nodes alone, so they come from a memo per q and node array
+(``_unit_rows``); the lam rows of a batch of nodes come from one call of
 qcore.qpoch_inf_many, which at real q and real lam computes only one row
 of each conjugate pair.  Closed-form right-hand sides for the q-beta
 integral and its multi-variable generalizations live here as well, and
@@ -48,6 +50,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# {repr(q): {node array: (e^{+-2it};q)_oo rows}} of the last _UNIT_ROW_QS q, least recent first
+_UNIT_ROWS, _UNIT_ROW_QS = {}, 4
 
 
 @dataclass(frozen=True)
@@ -91,14 +96,39 @@ class QuadratureResult:
             raise ValueError("abs_error_estimate must be >= 0")
 
 
+def _unit_rows(thetas: np.ndarray, e: np.ndarray, ctx: QContext) -> np.ndarray:
+    """(e^{2it};q)_oo and (e^{-2it};q)_oo at the nodes, e = e^{it}, read-only.
+
+    Every quadrature at one q meets the same nodes on each refinement level,
+    and these rows are the integrand's dearest (all bases on |x| = 1 run the
+    snap test), so they are memoized per node array for the last _UNIT_ROW_QS
+    q, keyed by repr(q) as qcore._powers keys its tables.  Each entry's
+    product depends on its base alone, so one call of their own gives them
+    bit for bit as a call that holds every row.
+    """
+    key = repr(ctx.q)
+    memo = _UNIT_ROWS.pop(key, {})
+    if len(_UNIT_ROWS) >= _UNIT_ROW_QS:  # drop the least recently used q
+        del _UNIT_ROWS[next(iter(_UNIT_ROWS))]
+    _UNIT_ROWS[key] = memo
+    nodes = (thetas.shape, thetas.tobytes())
+    rows = memo.get(nodes)
+    if rows is None:
+        e2 = e * e
+        rows = memo[nodes] = qpoch_inf_many(np.array([e2, np.conj(e2)]), ctx)[0]
+        rows.flags.writeable = False
+    return rows
+
+
 def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):
     """Vectorized integrand over theta arrays; returns (f, n_factors).
 
-    f gets every (x;q)_oo of its nodes from one qpoch_inf_many call, in rows
-    e^{+-2it}, then lam e^{+-it} per lam; at real q and real lam it computes
-    one row of each conjugate pair, since the other is its exact conjugate
-    (the same factors in the same order).  n_factors counts the h-functions
-    involved, which scales the product error floor of each node value.
+    f multiplies the rows e^{+-2it} (from the ``_unit_rows`` memo), then the
+    rows lam e^{+-it} per lam from one qpoch_inf_many call; at real q and
+    real lam that call computes one row of each conjugate pair, since the
+    other is its exact conjugate (the same factors in the same order).
+    n_factors counts the h-functions involved, which scales the product
+    error floor of each node value.
     """
     lams_den = (spec.a, spec.b, spec.c, spec.d) + spec.v
     lams = spec.u + lams_den
@@ -107,15 +137,25 @@ def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):
     def f(thetas: np.ndarray) -> np.ndarray:
         e = np.exp(1j * thetas)
         if real:
-            half = qpoch_inf_many(np.array([e * e] + [lam * e for lam in lams]), ctx)[0]
-            vals = np.stack([half, np.conj(half)], axis=1).reshape(-1, *e.shape)
+            half = qpoch_inf_many(np.array([lam * e for lam in lams]), ctx)[0]
+            pairs = np.stack([half, np.conj(half)], axis=1).reshape(-1, *e.shape)
         else:
             rows = [lam * z for lam in lams for z in (e, np.conj(e))]
-            vals = qpoch_inf_many(np.array([e * e, np.conj(e * e)] + rows), ctx)[0]
+            pairs = qpoch_inf_many(np.array(rows), ctx)[0]
+        vals = np.concatenate([_unit_rows(thetas, e, ctx), pairs])
         split = 2 + 2 * len(spec.u)
         return np.prod(vals[:split], axis=0) / np.prod(vals[split:], axis=0)
 
     return f, 2 * (1 + len(lams))
+
+
+def _finite_nodes(f, thetas: np.ndarray) -> np.ndarray:
+    """f(thetas); NoConvergence naming the first node whose value is not finite."""
+    vals = f(thetas)
+    if not (finite := np.isfinite(vals)).all():
+        theta = float(thetas[finite.argmin()])
+        raise NoConvergence(f"integrand is not finite at theta = {theta!r}")
+    return vals
 
 
 def _trapezoid_doubling(f, ctx: QContext, n_factors: int, n0: int = 8, n_max: int = 2 ** 18):
@@ -124,18 +164,19 @@ def _trapezoid_doubling(f, ctx: QContext, n_factors: int, n0: int = 8, n_max: in
     Stops when successive refinements agree within
     max(1e-12 * scale, 10 * product error floor); returns
     (complex value, |last delta|, panels, deltas) with the refinement
-    history exposed for spectral-behaviour checks.
+    history exposed for spectral-behaviour checks.  A node value that is
+    not finite raises NoConvergence at once: no refinement can settle then.
     """
     h = math.pi / n0
     nodes = np.linspace(0.0, math.pi, n0 + 1)
-    vals = f(nodes)
+    vals = _finite_nodes(f, nodes)
     total = h * (0.5 * vals[0] + vals[1:-1].sum() + 0.5 * vals[-1])
     n = n0
     deltas = []
     floor_rel = 10.0 * n_factors * PRODUCT_TOL
     while n < n_max:
         mid = np.linspace(0.0, math.pi, 2 * n + 1)[1::2]
-        total_new = 0.5 * total + 0.5 * h * f(mid).sum()
+        total_new = 0.5 * total + 0.5 * h * _finite_nodes(f, mid).sum()
         h *= 0.5
         n *= 2
         delta = abs(total_new - total)

@@ -304,6 +304,8 @@ def _powers(q: complex, width: int):
     return table[:width + 1]
 
 
+# a product that overflows is caught by the kernel's own isfinite test, so numpy need not warn
+@np.errstate(over="ignore", invalid="ignore")
 def qpoch_inf_many(xs, ctx: QContext):
     """(x;q)_oo for every entry of an array of bases, of any shape.
 

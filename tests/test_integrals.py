@@ -4,12 +4,13 @@ import cmath
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from qverify import integrals, qcore
-from qverify.qcore import CapExceeded, QContext, ipow, qpoch, qpoch_inf, qpoch_inf_many
+from qverify.qcore import CapExceeded, NoConvergence, QContext, ipow, qpoch, qpoch_inf, qpoch_inf_many
 from qverify.series import _sum_series
 from qverify.integrals import (
     AWIntegrandSpec,
@@ -121,6 +122,20 @@ class TestQuadrature:
         )
         assert abs(value - math.pi) < 1e-12
 
+    def test_non_finite_node_stops_the_refinement(self):
+        # |t - 1| converges as h^2 only, so the refinement is still running
+        # when the level of 32 panels meets the planted NaN
+        bad = np.linspace(0.0, math.pi, 65)[1::2][5]
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.where(t == bad, np.nan, np.abs(t - 1.0)).astype(complex)
+
+        with pytest.raises(NoConvergence, match=re.escape(f"not finite at theta = {float(bad)!r}")):
+            _trapezoid_doubling(f, CTX, n_factors=1)
+        assert calls == [9, 8, 16, 32]
+
     def test_all_zero_parameters(self):
         # integral of h(cos 2t; 1) alone = 2 pi / (q;q)_inf
         r = integrate_aw(AWIntegrandSpec(0, 0, 0, 0), CTX)
@@ -198,6 +213,68 @@ class TestConjugateRows:
     @pytest.mark.parametrize("a,b,c,d,u,v", SPECS[1:])
     def test_one_complex_parameter(self, q, a, b, c, d, u, v):
         self.assert_nodes_equal(AWIntegrandSpec(a, b + 0.2j, c, d, u, v), QContext(q))
+
+
+class TestUnitRowMemo:
+    """The rows (e^{+-2it};q)_oo come from a memo per q and node array: a warm
+    memo gives the node values of a cold one, bit for bit, and holds at most
+    _UNIT_ROW_QS q."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(integrals, "_UNIT_ROWS", {})
+
+    @staticmethod
+    def count_unit_row_calls(monkeypatch):
+        calls = []
+
+        def counted(xs, ctx):
+            calls.append(len(xs) == 2)
+            return qpoch_inf_many(xs, ctx)
+
+        monkeypatch.setattr(integrals, "qpoch_inf_many", counted)
+        return calls
+
+    @pytest.mark.parametrize("q", [0.3, 0.8, -0.5, 0.95, 0.5 + 0.3j])
+    @pytest.mark.parametrize("b", [-0.45, -0.45 + 0.2j])
+    def test_cold_then_warm(self, monkeypatch, q, b):
+        spec = AWIntegrandSpec(0.3, b, 0.6, 0.2, (0.7, -0.5), (0.15, 0.55))
+        TestConjugateRows.assert_nodes_equal(spec, QContext(0.6))  # another q first
+        ctx = QContext(q)
+        assert repr(ctx.q) not in integrals._UNIT_ROWS
+        calls = self.count_unit_row_calls(monkeypatch)
+        TestConjugateRows.assert_nodes_equal(spec, ctx)
+        assert sum(calls) == 3 and len(integrals._UNIT_ROWS[repr(ctx.q)]) == 3
+        calls.clear()
+        TestConjugateRows.assert_nodes_equal(spec, ctx)
+        assert calls and not any(calls)  # every unit row from the memo
+
+    def test_bounded_by_the_last_q(self):
+        spec = AWIntegrandSpec(0.3, -0.45, 0.6, 0.2)
+        thetas = np.linspace(0.0, math.pi, 9)
+        qs = [0.1 * k for k in range(1, 10)]
+        for k, q in enumerate(qs):
+            _aw_integrand(spec, QContext(q))[0](thetas)
+            assert len(integrals._UNIT_ROWS) == min(k + 1, integrals._UNIT_ROW_QS)
+        kept = [repr(complex(q)) for q in qs[-integrals._UNIT_ROW_QS:]]
+        assert list(integrals._UNIT_ROWS) == kept
+        _aw_integrand(spec, QContext(qs[-integrals._UNIT_ROW_QS]))[0](thetas)  # a hit moves its q last
+        assert list(integrals._UNIT_ROWS) == kept[1:] + kept[:1]
+
+    def test_rows_are_read_only(self):
+        _aw_integrand(AWIntegrandSpec(0.3, -0.45, 0.6, 0.2), CTX)[0](np.linspace(0.0, math.pi, 9))
+        (rows,) = integrals._UNIT_ROWS[repr(CTX.q)].values()
+        with pytest.raises(ValueError):
+            rows[0, 1] = 1.0
+
+    @pytest.mark.parametrize("q", [0.3, 0.5 + 0.3j])
+    def test_warm_endpoints_stay_zero(self, q):
+        ctx = QContext(q)
+        f = _aw_integrand(AWIntegrandSpec(0.37, 0.2, -0.3, 0.1, (0.5,), (0.37,)), ctx)[0]
+        nodes = np.linspace(0.0, math.pi, 9)
+        cold, warm = f(nodes), f(nodes)
+        assert np.array_equal(warm, cold)
+        assert warm[0] == 0.0 and warm[-1] == 0.0
 
 
 class TestClosedForms:

@@ -7,6 +7,7 @@ import math
 import pathlib
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -568,6 +569,19 @@ class TestSnapOnTheGrid:
                 qpoch_inf_many([1.7e308], ctx)
             with pytest.raises(CapExceeded, match=message):
                 qfrac([1.7e308], [0.5], INF, ctx)
+
+    def test_overflow_raises_without_warnings(self):
+        # the kernel tests its products itself, so numpy's overflow and
+        # invalid-value warnings stay off the caller's stderr
+        ctx = QContext(0.5)
+        message = re.escape("base (1.7e+308+0j): (x;q)_oo is not finite")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapExceeded, match=message):
+                qpoch_inf_many([1.7e308], ctx)
+            with pytest.raises(CapExceeded, match=message):
+                qfrac([1.7e308], [0.5], INF, ctx)
+        assert np.geterr()["over"] == np.geterr()["invalid"] == "warn"  # the caller's state is back
 
 
 class TestNearPoleLocator:

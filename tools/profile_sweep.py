@@ -6,9 +6,12 @@ e.g.   python3 tools/profile_sweep.py --identity watson thm-e-integral --samples
 Runs the sweep once, serially (``--jobs 1`` is forced, so every call is
 counted here), and prints its wall time, the summed ``elapsed`` of its
 cells, ms per cell for each identity, and the time and calls of
-``qcore.qpoch_inf_many`` (split into Askey-Wilson integrand calls, whose
-input is 2-D, and all others), ``qcore._near_pole`` (the near-pole test
-of every check) and ``identities.sample``, then the stream layer: the
+``qcore.qpoch_inf_many`` (split into the Askey-Wilson integrand's calls,
+whose input is 2-D: [unit rows] for the (e^{+-2it};q)_oo rows, computed
+on a miss of the ``integrals._unit_rows`` memo, and [lam rows] for the
+rest of each integrand call; and [other] for all other calls),
+``qcore._near_pole`` (the near-pole test of every check) and
+``identities.sample``, then the stream layer: the
 calls, terms and time of ``series._sum_stream``, split into plain series
 and the reciprocity difference streams.  A layer's time includes the layers it calls.
 """
@@ -48,10 +51,17 @@ def instrument(fn, kind=lambda args: "", work=lambda result: 0):
     return stats
 
 
+def qpoch_kind(args):
+    """An integrand call has a 2-D input: two unit rows, or four or more lam rows."""
+    xs = args[0]
+    if getattr(xs, "ndim", 0) != 2:
+        return "other"
+    return "unit rows" if len(xs) == 2 else "lam rows"
+
+
 def main(argv) -> int:
     layers = {
-        "qpoch_inf_many": instrument(qcore.qpoch_inf_many, lambda args: (
-            "integrand" if getattr(args[0], "ndim", 0) == 2 else "other")),
+        "qpoch_inf_many": instrument(qcore.qpoch_inf_many, qpoch_kind),
         "_near_pole": instrument(qcore._near_pole),
         "sample": instrument(identities.sample),
     }
