@@ -201,11 +201,13 @@ class SweepConfig:
 
 def run_sweep(config: SweepConfig) -> tuple[dict, int]:
     """Execute a sweep; returns (report document, exit code)."""
+    # q outermost: the memos per q (qcore._keep_recent) hold the last few q,
+    # so a sweep over any number of q meets each q in one stretch
     cells = [
         (cid, slot, q)
+        for q in config.q_values
         for cid in sorted(config.identities)
         for slot in range(config.samples)
-        for q in config.q_values
     ]
     workers = min(config.jobs, len(cells))
     t0 = time.perf_counter()

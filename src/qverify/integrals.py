@@ -31,6 +31,7 @@ from .qcore import (
     NoConvergence,
     QContext,
     _divisor,
+    _keep_recent,
     _one_minus,
     ipow,
     qfrac,
@@ -51,8 +52,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# {repr(q): {node array: (e^{+-2it};q)_oo rows}} of the last _UNIT_ROW_QS q, least recent first
-_UNIT_ROWS, _UNIT_ROW_QS = {}, 4
+# {repr(q): {node array: (e^{+-2it};q)_oo rows}}, kept by qcore._keep_recent,
+# for node arrays of at most _UNIT_ROW_NODES nodes (levels up to 8,192 panels)
+_UNIT_ROWS, _UNIT_ROW_NODES = {}, 1 << 12
 
 
 @dataclass(frozen=True)
@@ -101,22 +103,27 @@ def _unit_rows(thetas: np.ndarray, e: np.ndarray, ctx: QContext) -> np.ndarray:
 
     Every quadrature at one q meets the same nodes on each refinement level,
     and these rows are the integrand's dearest (all bases on |x| = 1 run the
-    snap test), so they are memoized per node array for the last _UNIT_ROW_QS
-    q, keyed by repr(q) as qcore._powers keys its tables.  Each entry's
-    product depends on its base alone, so one call of their own gives them
-    bit for bit as a call that holds every row.
+    snap test), so they are memoized per node array for the q that
+    qcore keeps its q^k tables for (``_keep_recent``).  Deeper levels, met
+    only by quadratures that refine past 8,192 panels, are not kept: at
+    2^18 panels they would hold 10 MB per q.  Each entry's product depends
+    on its base alone, so one call of their own gives them bit for bit as
+    a call that holds every row; at real q the second row is the exact
+    conjugate of the first, as in the real branch of ``_aw_integrand``.
     """
-    key = repr(ctx.q)
-    memo = _UNIT_ROWS.pop(key, {})
-    if len(_UNIT_ROWS) >= _UNIT_ROW_QS:  # drop the least recently used q
-        del _UNIT_ROWS[next(iter(_UNIT_ROWS))]
-    _UNIT_ROWS[key] = memo
+    memo = _keep_recent(_UNIT_ROWS, ctx.q, _UNIT_ROWS.get(repr(ctx.q), {}))
     nodes = (thetas.shape, thetas.tobytes())
     rows = memo.get(nodes)
     if rows is None:
         e2 = e * e
-        rows = memo[nodes] = qpoch_inf_many(np.array([e2, np.conj(e2)]), ctx)[0]
+        if ctx.q.imag == 0.0:
+            rows = qpoch_inf_many(e2[None], ctx)[0]
+            rows = np.concatenate([rows, np.conj(rows)])
+        else:
+            rows = qpoch_inf_many(np.array([e2, np.conj(e2)]), ctx)[0]
         rows.flags.writeable = False
+        if thetas.size <= _UNIT_ROW_NODES:
+            memo[nodes] = rows
     return rows
 
 

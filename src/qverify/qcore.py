@@ -63,7 +63,8 @@ _POLE_MARGIN = 1e-5
 # entries x factors per block of qpoch_inf_many: a block stays in cache, all entries do not
 _BLOCK = 1 << 14
 
-# q^k tables of the last _TABLE_QS q used by qpoch_inf_many, least recent first
+# q^k tables of the last _TABLE_QS q used by qpoch_inf_many, least recent first;
+# every memo per q (also integrals._UNIT_ROWS) keeps that many q through _keep_recent
 _TABLES, _TABLE_QS = {}, 4
 
 # bases x of the divisor factors 1 - x q^j met inside ``_recording``; None outside it
@@ -293,15 +294,21 @@ def _powers(q: complex, width: int):
     The table is q^k = q^{k-1} * q (never pow), rebuilt longer on demand; a
     prefix of a longer running product is bit-equal, so no value depends on
     the calls before.  repr keys keep q = x+0j and x-0j apart."""
-    key = repr(q)
-    table = _TABLES.pop(key, None)
+    table = _TABLES.get(repr(q))
     if table is None or table.size <= width:
         table = np.multiply.accumulate(np.concatenate([[1.0], np.full(width, q)]))
         table.flags.writeable = False
-    if len(_TABLES) >= _TABLE_QS:  # drop the least recently used q
-        del _TABLES[next(iter(_TABLES))]
-    _TABLES[key] = table
-    return table[:width + 1]
+    return _keep_recent(_TABLES, q, table)[:width + 1]
+
+
+def _keep_recent(memo: dict, q: complex, value):
+    """Store value as memo[repr(q)], the most recent of the last _TABLE_QS q; return it."""
+    key = repr(q)
+    memo.pop(key, None)
+    if len(memo) >= _TABLE_QS:  # drop the least recently used q
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 # a product that overflows is caught by the kernel's own isfinite test, so numpy need not warn

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qverify import cli
+from qverify import cli, integrals, qcore
 from qverify.cli import main, load_param_file, params_from_file_map
 from qverify.identities import get_case
 from qverify.qcore import SamplingExhausted
@@ -291,6 +291,24 @@ class TestRunSweep:
         doc, rc = cli.run_sweep(config)
         assert rc == 0 and len(doc["reports"]) == len(identities)
         assert fake_pools == []
+
+    def test_each_q_in_one_stretch(self, monkeypatch):
+        # the memos per q hold the last qcore._TABLE_QS q; a sweep over more q
+        # still computes the integrand's unit rows once per q and node set
+        qs = tuple(0.1 * k for k in range(1, qcore._TABLE_QS + 3))
+        monkeypatch.setattr(integrals, "_UNIT_ROWS", {})
+        computed = []
+
+        def counted(xs, ctx):
+            if len(xs) <= 2:  # the unit rows; an integrand has 4 lam rows or more
+                computed.append((repr(ctx.q), xs.shape))
+            return qcore.qpoch_inf_many(xs, ctx)
+
+        monkeypatch.setattr(integrals, "qpoch_inf_many", counted)
+        config = cli.SweepConfig(identities=("thm-e-integral",), samples=3, seed=5, q_values=qs)
+        cli.run_sweep(config)
+        assert len(computed) == len(set(computed))
+        assert {q for q, _ in computed} == {repr(complex(q)) for q in qs}
 
     def test_elapsed_ignores_wall_clock_steps(self, monkeypatch):
         # the wall clock stepping back (an NTP adjustment) must not give a

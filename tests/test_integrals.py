@@ -217,8 +217,8 @@ class TestConjugateRows:
 
 class TestUnitRowMemo:
     """The rows (e^{+-2it};q)_oo come from a memo per q and node array: a warm
-    memo gives the node values of a cold one, bit for bit, and holds at most
-    _UNIT_ROW_QS q."""
+    memo gives the node values of a cold one, bit for bit, and holds the last
+    qcore._TABLE_QS q."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
@@ -229,7 +229,7 @@ class TestUnitRowMemo:
         calls = []
 
         def counted(xs, ctx):
-            calls.append(len(xs) == 2)
+            calls.append(len(xs) <= 2)  # the unit rows; 4 lam rows or more
             return qpoch_inf_many(xs, ctx)
 
         monkeypatch.setattr(integrals, "qpoch_inf_many", counted)
@@ -255,11 +255,22 @@ class TestUnitRowMemo:
         qs = [0.1 * k for k in range(1, 10)]
         for k, q in enumerate(qs):
             _aw_integrand(spec, QContext(q))[0](thetas)
-            assert len(integrals._UNIT_ROWS) == min(k + 1, integrals._UNIT_ROW_QS)
-        kept = [repr(complex(q)) for q in qs[-integrals._UNIT_ROW_QS:]]
+            assert len(integrals._UNIT_ROWS) == min(k + 1, qcore._TABLE_QS)
+        kept = [repr(complex(q)) for q in qs[-qcore._TABLE_QS:]]
         assert list(integrals._UNIT_ROWS) == kept
-        _aw_integrand(spec, QContext(qs[-integrals._UNIT_ROW_QS]))[0](thetas)  # a hit moves its q last
+        _aw_integrand(spec, QContext(qs[-qcore._TABLE_QS]))[0](thetas)  # a hit moves its q last
         assert list(integrals._UNIT_ROWS) == kept[1:] + kept[:1]
+
+    @pytest.mark.parametrize("q", [0.3, 0.5 + 0.3j])
+    def test_deep_levels_are_not_kept(self, q):
+        ctx = QContext(q)
+        spec = AWIntegrandSpec(0.3, -0.45 + 0.2j, 0.6, 0.2, (0.7,), (0.15,))
+        n = integrals._UNIT_ROW_NODES
+        kept, deep = (np.linspace(0.0, math.pi, 2 * m + 1)[1::2] for m in (n, 2 * n))
+        got, want = _aw_integrand(spec, ctx)[0], full_rows_integrand(spec, ctx)
+        for thetas in (kept, deep, deep):
+            assert np.array_equal(got(thetas), want(thetas))
+        assert list(integrals._UNIT_ROWS[repr(ctx.q)]) == [(kept.shape, kept.tobytes())]
 
     def test_rows_are_read_only(self):
         _aw_integrand(AWIntegrandSpec(0.3, -0.45, 0.6, 0.2), CTX)[0](np.linspace(0.0, math.pi, 9))

@@ -52,11 +52,12 @@ def instrument(fn, kind=lambda args: "", work=lambda result: 0):
 
 
 def qpoch_kind(args):
-    """An integrand call has a 2-D input: two unit rows, or four or more lam rows."""
+    """An integrand call has a 2-D input: one or two unit rows (one at real q),
+    or four or more lam rows."""
     xs = args[0]
     if getattr(xs, "ndim", 0) != 2:
         return "other"
-    return "unit rows" if len(xs) == 2 else "lam rows"
+    return "unit rows" if len(xs) <= 2 else "lam rows"
 
 
 def main(argv) -> int:
