@@ -151,7 +151,12 @@ def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):
             pairs = qpoch_inf_many(np.array(rows), ctx)[0]
         vals = np.concatenate([_unit_rows(thetas, e, ctx), pairs])
         split = 2 + 2 * len(spec.u)
-        return np.prod(vals[:split], axis=0) / np.prod(vals[split:], axis=0)
+        num, den = np.prod(vals[:split], axis=0), np.prod(vals[split:], axis=0)
+        # a zero numerator (the unit rows at t = 0, pi) is a zero node, even where den
+        # underflows; a node that is not finite is named by _finite_nodes, not numpy
+        den[num == 0] = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return num / den
 
     return f, 2 * (1 + len(lams))
 

@@ -18,7 +18,11 @@ product factor is forced to exactly zero, which is what makes terminating
 series terminate exactly downstream; only |x| >= 1 - 2e-13 can snap, so
 the snap tests run on those bases alone.  ``qpoch_inf_many`` serves each
 call a prefix of one cached q^k table per q, for the last ``_TABLE_QS`` (4)
-q.  A product of (x;q)_oo that overflows is redone as mantissa x 2^e.
+q.  It counts first: each base's factor count comes from the moduli |q^k|
+before any factor is formed; then it multiplies each block of bases in one
+masked reduce down the factor axis, with numpy's array complex multiplies
+(FMA where the machine has it), so each value depends on its base alone.
+A product of (x;q)_oo that overflows is redone as mantissa x 2^e.
 
 All functions are pure; a :class:`QContext` carries q and the two tolerances
 that callers set (the series and identity tolerances).  The other numerical
@@ -84,8 +88,12 @@ def _near_pole(bases, q):
     There a factor 1 - x q^{-j} nearly vanishes and residuals lose meaning.
     A base that snaps *onto* the grid is let through: such points are
     degenerate by construction (e.g. the a = b diagonal) and evaluate exactly.
+    |q^j| >= 1 for j <= 0, so a base with |v| < 1 - 2 _POLE_MARGIN is never
+    flagged, and the locator is not called for it.
     """
     for v in bases:
+        if abs(v) < 1.0 - 2.0 * _POLE_MARGIN:
+            continue
         m = q_power_index(v, q, -60, 0, _POLE_MARGIN)
         if m is not None and q_power_index(v, q, m, m) is None:
             return f"divisor base {v!r} lies within {_POLE_MARGIN:g} of a power of q"
@@ -318,13 +326,26 @@ def qpoch_inf_many(xs, ctx: QContext):
 
     Returns the values, absolute error bounds and factors used, as arrays
     of that shape.  Each entry follows the scalar rule: factors 1 - x q^k
-    in order (q^k from one table of repeated products) up to the first k
-    with |x| |q|^{k+1} < PRODUCT_TOL * (1 - |q|) after 3 deviations
-    |x q^k| below PRODUCT_TOL; the bound is |P_K| * (e^T - 1), T the
-    geometric tail of the log-factors.  x = 0 gives 1 and a base snapped
-    onto q^{-m}, m >= 0 (``q_power_index``), exactly 0, both with a zero
-    bound.  CapExceeded names the first base that needs more than
-    MAX_PRODUCT_FACTORS, or whose product overflows.
+    in order (q^k from one table of repeated products), k = 0 .. K, where
+    K is the first k >= 2 with 3 small deviations, |q^j| < PRODUCT_TOL / |x|
+    for j = k-2 .. k, and |q^{k+1}| < PRODUCT_TOL * (1 - |q|) / |x|; the
+    bound is |P_K| * (e^T - 1), T the geometric tail of the log-factors
+    after h = |x| |q^{K+1}|.  x = 0 gives 1 and a base snapped onto q^{-m},
+    m >= 0 (``q_power_index``), exactly 0, both with a zero bound.
+
+    Each block of entries (``_BLOCK`` entries x factors, so memory stays
+    bounded) counts first, then multiplies.  Both conditions are first hits
+    in the moduli |q^k| (their running minimum, so they stay first hits),
+    so two searches of the table give each K before any factor is formed.
+    The block is then one (factor, entry) array whose factors past their
+    entry's K are exactly 1, and one multiply.reduce down the factor axis
+    gives all its products, vectorised across entries with numpy's array
+    complex multiply (FMA where the machine has it) in the order k = 0 .. K.
+    Multiplying by 1 is exact, and a one-entry block gets a twin column
+    (a one-column reduce multiplies differently), so each entry's value
+    and count depend on its base alone, not on the call or the block.
+    CapExceeded names the first base that needs more than
+    MAX_PRODUCT_FACTORS factors, else the first whose product overflows.
     """
     x = np.asarray(xs, dtype=complex)
     shape, x = x.shape, x.ravel()
@@ -334,46 +355,59 @@ def qpoch_inf_many(xs, ctx: QContext):
     top = float(ax.max(initial=0.0))
     if not math.isfinite(top):
         raise CapExceeded(f"base {complex(x[~np.isfinite(ax)][0])!r} is not finite")
-    value, err, used = np.ones(x.size, complex), np.zeros(x.size), np.ones(x.size, int)
     # |q^{-m}| >= 1 for m >= 0, so only |x| >= 1 - SNAP_RTOL can snap; such bases are few
-    snapped = False
+    snaps = {}
     if top >= 1.0 - 2.0 * SNAP_RTOL:
         near = np.flatnonzero(ax >= 1.0 - 2.0 * SNAP_RTOL)
         for i, xi in zip(near.tolist(), x[near].tolist()):
             if (m := q_power_index(xi, q, -cap, 0)) is not None:
-                value[i], used[i], snapped = 0.0, 1 - m, True
-    if snapped or ax.min(initial=1.0) == 0.0:
-        live = np.flatnonzero((ax > 0.0) & (value != 0.0))
-        top = float(ax[live].max(initial=tol))
-    else:  # every base is live: blocks are slices
-        live, top = None, max(top, tol)
+                snaps[i] = m
+    live = None
+    if snaps or ax.min(initial=1.0) == 0.0:
+        value, err, used = np.ones(x.size, complex), np.zeros(x.size), np.ones(x.size, int)
+        keep = ax > 0.0
+        for i, m in snaps.items():
+            value[i], used[i], keep[i] = 0.0, 1 - m, False
+        live = np.flatnonzero(keep)
+        x, ax = x[live], ax[live]
+        top = float(ax.max(initial=0.0))
     # enough factors for the largest base: |x q^k| drops below tol no later
     # than below gate < tol, then 3 small deviations, and 1 spare for rounding
-    width = min(cap, max(3, math.floor(math.log(gate / top) / lq) + 5))
+    width = min(cap, max(3, math.floor(math.log(gate / max(top, tol)) / lq) + 5))
     table = _powers(q, width)
-    step = max(1, _BLOCK // width)
-    for r in range(0, x.size if live is None else live.size, step):
-        rows = slice(r, r + step) if live is None else live[r:r + step]
-        xr, axr = x[rows], ax[rows]
-        u = xr[:, None] * table[:-1]
-        prods = np.multiply.accumulate(1.0 - u, axis=1)
-        # no entry can stop before the head gate holds for the smallest base
-        k0 = max(2, math.floor(math.log(gate / axr.min()) / lq) - 1)
-        small = np.abs(u[:, k0 - 2:]) < tol
-        head = axr[:, None] * np.abs(table[k0 + 1:])
-        stop = small[:, 2:] & small[:, 1:-1] & small[:, :-2] & (head < gate)
-        done = stop.any(axis=1)
-        if not done.all():
-            bad = (~done).argmax()
+    mod = np.abs(table)
+    descending = np.minimum.accumulate(mod)[::-1]
+    vals, count, bound = np.empty(x.size, complex), np.empty(x.size, int), np.empty(x.size)
+    step = max(2, _BLOCK // width)
+    for r in range(0, x.size, step):
+        xr, ar, nr = x[r:r + step], ax[r:r + step], count[r:r + step]
+        # count: with c(b) the number of k whose running minimum of |q^k| is below b,
+        # the factors used are K + 1 = width + 4 - min(c(tol/|x|), c(gate/|x|) + 3)
+        below = np.searchsorted(descending, np.divide.outer((tol, gate), ar))
+        below[1] += 3
+        np.subtract(width + 4, np.minimum.reduce(below), out=nr)
+        lo, rows = int(np.minimum.reduce(nr)), int(np.maximum.reduce(nr))
+        if rows > width:
+            bad = (nr > width).argmax()
             raise CapExceeded(
                 f"base {complex(xr[bad])!r}: (x;q)_oo did not converge within {cap} "
-                f"factors (|x| = {axr[bad]:.3g}, |q| = {aq:.6g})"
+                f"factors (|x| = {ar[bad]:.3g}, |q| = {aq:.6g})"
             )
-        k, at = stop.argmax(axis=1), np.arange(xr.size)
-        v, h, used[rows] = prods[at, k0 + k], head[at, k], k0 + k + 1
-        if not (finite := np.isfinite(v)).all():
-            raise CapExceeded(f"base {complex(xr[finite.argmin()])!r}: (x;q)_oo is not finite")
-        value[rows], err[rows] = v, np.abs(v) * np.expm1(h / (1.0 - aq) / np.maximum(1.0 - h, 0.5))
+        # multiply: the factors k >= count of each column are ones
+        if xr.size == 1:  # a one-column reduce multiplies differently: give it a twin
+            xr, nr = np.repeat(xr, 2), np.repeat(nr, 2)
+        f = np.multiply(table[:rows, None], xr)
+        np.subtract(1.0, f, out=f)
+        if lo < rows:
+            np.copyto(f[lo:], 1.0, where=np.arange(lo, rows)[:, None] >= nr)
+        v = vals[r:r + step] = np.multiply.reduce(f, axis=0)[:x.size - r]
+        h = ar * mod[count[r:r + step]]
+        bound[r:r + step] = np.abs(v) * np.expm1(h / (1.0 - aq) / np.maximum(1.0 - h, 0.5))
+    if not (finite := np.isfinite(vals)).all():
+        raise CapExceeded(f"base {complex(x[finite.argmin()])!r}: (x;q)_oo is not finite")
+    if live is None:
+        return vals.reshape(shape), bound.reshape(shape), count.reshape(shape)
+    value[live], err[live], used[live] = vals, bound, count
     return value.reshape(shape), err.reshape(shape), used.reshape(shape)
 
 

@@ -38,3 +38,17 @@ def test_flipped_verdict_names_the_cell(tmp_path):
     assert proc.returncode == 1
     assert "('watson', 3, 0.5)" in proc.stdout and "verdict" in proc.stdout
     assert "summary watson" in proc.stdout
+
+
+def test_tally_separates_value_moves_from_other_fields(tmp_path):
+    old, new = report("pass", 0.1), report("pass", 0.1)
+    moved, flipped = cell("pass", 0.1), cell("fail", 0.1)
+    moved.update(slot=4, lhs=[1.0 + 2e-15, 0.0], abs_residual=2e-15, rel_residual=2e-15)
+    flipped.update(slot=5)
+    old["reports"] += [cell("pass", 0.1) | {"slot": 4}, cell("pass", 0.1) | {"slot": 5}]
+    new["reports"] += [moved, flipped]
+    proc = run(tmp_path, old, new)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[-1] == (
+        "tally: 1 cells differ in values only (largest lhs/rhs move 2e-15), "
+        "1 cells differ in verdict, reason, sample_seed, params or another field")

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,20 @@ class TestQuadrature:
         with pytest.raises(NoConvergence, match=re.escape(f"not finite at theta = {float(bad)!r}")):
             _trapezoid_doubling(f, CTX, n_factors=1)
         assert calls == [9, 8, 16, 32]
+
+    def test_zero_numerator_node_is_zero(self):
+        # at q = 0.99, a = 0.995, d = q/a the denominator of the node t = 0
+        # underflows while its unit rows make the numerator an exact 0: the node
+        # is 0 (not 0/0), and the first node that is not finite is t = pi/8,
+        # where the denominator underflows under a nonzero numerator
+        ctx = QContext(0.99)
+        spec = AWIntegrandSpec(0.995, 0.9, 0.5, 0.99 / 0.995, (0.495,), (0.5,))
+        f = _aw_integrand(spec, ctx)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f(np.array([0.0]))[0] == 0.0
+            with pytest.raises(NoConvergence, match=re.escape(f"not finite at theta = {math.pi / 8!r}")):
+                integrate_aw(spec, ctx)
 
     def test_all_zero_parameters(self):
         # integral of h(cos 2t; 1) alone = 2 pi / (q;q)_inf

@@ -1,27 +1,42 @@
 """tools/profile_sweep.py: the per-layer split of one sweep, in-process."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "profile_sweep.py"
 
+# a row of the identity or layer table: name, count, seconds or ms, [factors]
+ROW = re.compile(r"(.*?\S)\s+(\d+)\s+(\d+\.\d+)(?:\s+(\d+))?$")
+
+
+def table(lines):
+    """{row name: (count, time, factors or None)} of the identity and layer tables."""
+    return {m[1]: m.groups()[1:] for line in lines if (m := ROW.match(line))}
+
 
 def test_smoke():
-    proc = subprocess.run(
-        [sys.executable, str(TOOL), "--identity", "watson", "thm-e-integral",
-         "ramanujan-reciprocity", "--samples", "1"],
-        capture_output=True, text=True, timeout=120,
-    )
+    argv = [sys.executable, str(TOOL), "--identity", "watson", "thm-e-integral",
+            "ramanujan-reciprocity", "--samples", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("wall ") and "9 cells" in lines[0]
-    rows = {line.rsplit(None, 2)[0]: line.split()[-2:] for line in lines[1:]}
+    rows = table(lines[1:])
     # integrand calls: the unit rows only on a memo miss, the lam rows on every call
     unit_calls, lam_calls = (int(rows[f"qpoch_inf_many [{k}]"][0]) for k in ("unit rows", "lam rows"))
     assert 0 < unit_calls <= lam_calls
     assert int(rows["qpoch_inf_many [other]"][0]) > 0
     assert rows["_near_pole"][0] == "9" and int(rows["sample"][0]) >= 9
+    # each qpoch_inf_many row sums the factors its calls used (at least 3 an
+    # entry, 2-D integrand rows hold many), and that count repeats exactly
+    factors = {k: int(v[2]) for k, v in rows.items() if k.startswith("qpoch_inf_many [")}
+    assert factors["qpoch_inf_many [lam rows]"] > 3 * lam_calls
+    assert all(v[2] is None for k, v in rows.items() if not k.startswith("qpoch_inf_many ["))
+    again = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert {k: int(v[2]) for k, v in table(again.stdout.splitlines()[1:]).items()
+            if k.startswith("qpoch_inf_many [")} == factors
     assert {"watson", "thm-e-integral", "ramanujan-reciprocity"} <= rows.keys()
     # the stream layer: calls, terms and time of each kind of _sum_stream
     streams = {line.split()[1]: line.split()[2:] for line in lines
@@ -38,9 +53,8 @@ def test_unit_rows_come_from_the_memo():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    rows = {line.rsplit(None, 2)[0]: int(line.split()[-2]) for line in proc.stdout.splitlines()
-            if line.startswith("qpoch_inf_many [")}
-    assert 0 < rows["qpoch_inf_many [unit rows]"] < rows["qpoch_inf_many [lam rows]"]
+    rows = table(proc.stdout.splitlines())
+    assert 0 < int(rows["qpoch_inf_many [unit rows]"][0]) < int(rows["qpoch_inf_many [lam rows]"][0])
 
 
 def test_input_error_exits_3():

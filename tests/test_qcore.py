@@ -4,6 +4,7 @@ import ast
 import cmath
 import dataclasses
 import math
+import operator
 import pathlib
 import random
 import re
@@ -186,9 +187,16 @@ class TestQpochInf:
             qpoch_inf(0.5, QContext(0.999))
 
 
-def scalar_qpoch_inf(x, ctx):
+def array_times(a, b):
+    """a * b by numpy's array complex multiply, the arithmetic of qpoch_inf_many's products."""
+    return complex((np.array([a, a]) * np.array([b, b]))[0])
+
+
+def scalar_qpoch_inf(x, ctx, times=array_times):
     """(x;q)_oo by the scalar product loop, the oracle for qpoch_inf_many.
 
+    The kernel's stop rule and order of factors; ``times`` multiplies them
+    in: numpy's array multiply (the kernel's arithmetic) or Python's own.
     Returns (value, error bound, factors used).
     """
     x = complex(x)
@@ -200,17 +208,17 @@ def scalar_qpoch_inf(x, ctx):
     m = q_power_index(x, q, -qcore.MAX_PRODUCT_FACTORS, 0)
     if m is not None:
         return 0.0 + 0.0j, 0.0, -m + 1
-    p = 1.0 + 0.0j
+    p = None
     qk = 1.0 + 0.0j
     small = 0
     tail_gate = qcore.PRODUCT_TOL * (1.0 - aq)
     for k in range(qcore.MAX_PRODUCT_FACTORS):
-        u = x * qk
-        p *= 1.0 - u
-        small = small + 1 if abs(u) < qcore.PRODUCT_TOL else 0
+        f = 1.0 - x * qk
+        p = f if p is None else times(p, f)
+        small = small + 1 if abs(qk) < qcore.PRODUCT_TOL / ax else 0
         qk *= q
-        head = ax * abs(qk)
-        if small >= 3 and head < tail_gate:
+        if small >= 3 and abs(qk) < tail_gate / ax:
+            head = ax * abs(qk)
             t = head / (1.0 - aq)
             t /= max(1.0 - head, 0.5)
             return p, abs(p) * math.expm1(t), k + 1
@@ -417,7 +425,8 @@ class TestMultiAndFrac:
 
 
 def kernel_oracle(xs, ctx):
-    """qpoch_inf_many with the numpy snap stage and gathered rows: the oracle of its fast paths."""
+    """qpoch_inf_many with the numpy snap stage, gathered rows, a scan for each
+    count and one unblocked reduce: the oracle of its fast paths."""
     x = np.asarray(xs, dtype=complex)
     shape, x = x.shape, x.ravel()
     q, aq, cap, tol = ctx.q, abs(ctx.q), qcore.MAX_PRODUCT_FACTORS, qcore.PRODUCT_TOL
@@ -437,28 +446,26 @@ def kernel_oracle(xs, ctx):
     live = np.flatnonzero((ax > 0.0) & (value != 0.0))
     width = min(cap, max(3, math.floor(math.log(gate / ax[live].max(initial=tol)) / lq) + 5))
     table = np.multiply.accumulate(np.concatenate([[1.0], np.full(width, q)]))
-    step = max(1, qcore._BLOCK // width)
-    for r in range(0, live.size, step):
-        rows = live[r:r + step]
-        u = x[rows, None] * table[:-1]
-        prods = np.multiply.accumulate(1.0 - u, axis=1)
-        k0 = max(2, math.floor(math.log(gate / ax[rows].min()) / lq) - 1)
-        small = np.abs(u[:, k0 - 2:]) < tol
-        head = ax[rows, None] * np.abs(table[k0 + 1:])
-        stop = small[:, 2:] & small[:, 1:-1] & small[:, :-2] & (head < gate)
-        done = stop.any(axis=1)
-        if not done.all():
-            bad = rows[~done][0]
-            raise CapExceeded(
-                f"base {complex(x[bad])!r}: (x;q)_oo did not converge within {cap} "
-                f"factors (|x| = {ax[bad]:.3g}, |q| = {aq:.6g})"
-            )
-        k, at = stop.argmax(axis=1), np.arange(rows.size)
-        value[rows], h, used[rows] = prods[at, k0 + k], head[at, k], k0 + k + 1
-        if not np.isfinite(value[rows]).all():
-            bad = rows[~np.isfinite(value[rows])][0]
-            raise CapExceeded(f"base {complex(x[bad])!r}: (x;q)_oo is not finite")
-        err[rows] = np.abs(value[rows]) * np.expm1(h / (1.0 - aq) / np.maximum(1.0 - h, 0.5))
+    mod, xl, al = np.abs(table), x[live], ax[live]
+    # the scalar rule, scanned: 3 small |q^k| < tol/|x| in a row, and |q^{k+1}| < gate/|x|
+    small = mod[None, :-1] < (tol / al)[:, None]
+    stop = small[:, 2:] & small[:, 1:-1] & small[:, :-2] & (mod[None, 3:] < (gate / al)[:, None])
+    if not (done := stop.any(axis=1)).all():
+        bad = (~done).argmax()
+        raise CapExceeded(
+            f"base {complex(xl[bad])!r}: (x;q)_oo did not converge within {cap} "
+            f"factors (|x| = {al[bad]:.3g}, |q| = {aq:.6g})"
+        )
+    last = stop.argmax(axis=1) + 2
+    twin = np.concatenate([xl, xl]) if xl.size == 1 else xl  # one column reduces differently
+    ks = np.arange(int(last.max(initial=0)) + 1)[:, None]
+    f = np.where(ks > np.resize(last, twin.size), 1.0, 1.0 - table[ks] * twin)
+    vals = np.multiply.reduce(f, axis=0)[:xl.size]
+    if not (finite := np.isfinite(vals)).all():
+        raise CapExceeded(f"base {complex(xl[finite.argmin()])!r}: (x;q)_oo is not finite")
+    h = al * mod[last + 1]
+    value[live], used[live] = vals, last + 1
+    err[live] = np.abs(vals) * np.expm1(h / (1.0 - aq) / np.maximum(1.0 - h, 0.5))
     return value.reshape(shape), err.reshape(shape), used.reshape(shape)
 
 
@@ -531,6 +538,36 @@ class TestKernelBitIdentity:
         self.assert_same(xs, ctx)
         self.assert_same(xs + [ipow(ctx.q, -2), 0.0], ctx)
 
+    @pytest.mark.parametrize("q", QS)
+    def test_close_to_the_python_loop(self, q):
+        # Python's complex multiply rounds apart from numpy's array multiply
+        # (which may fuse its multiply-adds): the same count, within 4 ulps a factor
+        ctx = QContext(q)
+        xs = rand_bases(random.Random(14), 100)
+        values, _, used = qpoch_inf_many(xs, ctx)
+        for x, v, k in zip(xs, values, used):
+            want, _, want_k = scalar_qpoch_inf(x, ctx, operator.mul)
+            assert k == want_k
+            assert abs(v - want) <= 4 * k * 2.0 ** -52 * abs(want)
+
+    @pytest.mark.parametrize("q", [0.3, 0.8, -0.5, 0.95, 0.5 + 0.3j])
+    def test_value_depends_on_the_base_alone(self, monkeypatch, q):
+        # the same bits (signed zeros too) and count whether a base is alone in
+        # its call, one of two, in a call of several blocks, or alone in the
+        # last block of a call
+        ctx = QContext(q)
+        rng = random.Random(15)
+        xs = rand_bases(rng, 1494, hi=1.0) + [2.5, -1.7, 1.3 + 0.2j, 3.0, 0.0, ipow(ctx.q, -2)]
+        values, _, used = qpoch_inf_many(xs, ctx)
+        assert len(xs) * used.max() > 2 * qcore._BLOCK
+        monkeypatch.setattr(qcore, "_BLOCK", 1)  # blocks of two entries
+        odd = qpoch_inf_many(xs[-301:], ctx)  # its last block holds one entry
+        for i in rng.sample(range(len(xs) - 301, len(xs)), 30) + [len(xs) - 3]:
+            for got, j in ((qpoch_inf_many([xs[i]], ctx), 0),
+                           (qpoch_inf_many([xs[i], xs[i - 1]], ctx), 0),
+                           (odd, i - len(xs) + 301)):
+                assert got[0][j].tobytes() == values[i].tobytes() and got[2][j] == used[i]
+
 
 class TestSnapOnTheGrid:
     """qpoch_inf_many zeroes an entry exactly where q_power_index(x, q, -cap, 0) places it."""
@@ -594,6 +631,31 @@ class TestNearPoleLocator:
     def test_zero_q_flags_only_the_base_near_one(self):
         assert qcore._near_pole([1.0 + 1e-7], 0.0) is not None
         assert qcore._near_pole([1.0, 1.0 + 1e-4, 0.5], 0.0) is None
+
+    @pytest.mark.parametrize("q", [0.5, 0.95, -0.5, -0.9, 0.5 + 0.3j, 0.6j])
+    def test_modulus_prefilter_is_exact(self, q):
+        # bases with |v| < 1 - 2 margin skip the locator: the same reason as
+        # the loop that tests every base, on and within 1e-3 of q^j, -70 <= j <= 3,
+        # and at the cut
+        def unfiltered(bases, q):
+            for v in bases:
+                m = q_power_index(v, q, -60, 0, qcore._POLE_MARGIN)
+                if m is not None and q_power_index(v, q, m, m) is None:
+                    return f"divisor base {v!r} lies within {qcore._POLE_MARGIN:g} of a power of q"
+            return None
+
+        rng = random.Random(18)
+        cut = 1.0 - 2.0 * qcore._POLE_MARGIN
+        bases = [1.0 - 1e-5, cut * (1.0 + 1e-12), cut, cut * (1.0 - 1e-12), 1.0 - 3e-5]
+        for _ in range(3000):
+            rel = rng.choice((0.0, 10.0 ** rng.uniform(-16, -3), rng.uniform(0.0, 1e-3)))
+            bases.append(ipow(q, rng.randint(-70, 3)) * (1.0 + rel * cmath.exp(1j * rng.uniform(0.0, 6.3))))
+        flagged = 0
+        for v in bases:
+            want = unfiltered([v], q)
+            assert qcore._near_pole([v], q) == want, v
+            flagged += want is not None
+        assert flagged > 300
 
 
 class TestTerminatingOrder:

@@ -3,7 +3,10 @@
 Usage: python3 tools/diff_reports.py OLD.json NEW.json.  Prints the
 differences in ``config`` and ``summary``, then each differing cell, keyed
 by (id, slot, q), with the fields that differ and the relative move of lhs
-and rhs.  Exits 0 when the reports are identical, else 1.
+and rhs, then a tally: the cells whose values alone moved (lhs, rhs and
+the residuals), with the largest relative move of lhs or rhs, and the cells
+where anything else differs (verdict, reason, sample_seed, params, ...).
+Exits 0 when the reports are identical, else 1.
 """
 
 import functools
@@ -11,6 +14,9 @@ import json
 import sys
 
 canon = functools.partial(json.dumps, sort_keys=True)
+
+# the fields of a cell that reordered arithmetic may move without changing its verdict
+VALUES = {"lhs", "rhs", "abs_residual", "rel_residual"}
 
 
 def strip(obj):
@@ -37,14 +43,25 @@ def diff(old: dict, new: dict) -> list:
                 lines.append(f"{section} {key}: {a} -> {b}")
     cells = [{(r["id"], r["slot"], r["q"]): r for r in doc.get("reports", [])}
              for doc in (old, new)]
+    values_only, other, largest = 0, 0, 0.0
     for key in sorted(cells[0].keys() | cells[1].keys()):
         a, b = (c.get(key) for c in cells)
         if a is None or b is None:
             lines.append(f"cell {key}: only in {'NEW' if a is None else 'OLD'}")
+            other += 1
         elif canon(a) != canon(b):
             fields = sorted(k for k in a.keys() | b.keys() if canon(a.get(k)) != canon(b.get(k)))
-            moves = ", ".join(f"{s} moved {rel_move(a[s], b[s]):.3g}" for s in ("lhs", "rhs"))
-            lines.append(f"cell {key}: {', '.join(fields)} differ; {moves}")
+            moved = [rel_move(a[s], b[s]) for s in ("lhs", "rhs")]
+            lines.append(f"cell {key}: {', '.join(fields)} differ; "
+                         f"lhs moved {moved[0]:.3g}, rhs moved {moved[1]:.3g}")
+            if VALUES.issuperset(fields):
+                values_only, largest = values_only + 1, max(largest, *moved)
+            else:
+                other += 1
+    if values_only or other:
+        lines.append(f"tally: {values_only} cells differ in values only (largest lhs/rhs move "
+                     f"{largest:.3g}), {other} cells differ in verdict, reason, sample_seed, "
+                     "params or another field")
     return lines
 
 

@@ -9,7 +9,8 @@ cells, ms per cell for each identity, and the time and calls of
 ``qcore.qpoch_inf_many`` (split into the Askey-Wilson integrand's calls,
 whose input is 2-D: [unit rows] for the (e^{+-2it};q)_oo rows, computed
 on a miss of the ``integrals._unit_rows`` memo, and [lam rows] for the
-rest of each integrand call; and [other] for all other calls),
+rest of each integrand call; and [other] for all other calls, each with
+its summed factor count, which repeats exactly from run to run),
 ``qcore._near_pole`` (the near-pole test of every check) and
 ``identities.sample``, then the stream layer: the
 calls, terms and time of ``series._sum_stream``, split into plain series
@@ -62,7 +63,8 @@ def qpoch_kind(args):
 
 def main(argv) -> int:
     layers = {
-        "qpoch_inf_many": instrument(qcore.qpoch_inf_many, qpoch_kind),
+        "qpoch_inf_many": instrument(qcore.qpoch_inf_many, qpoch_kind,
+                                     lambda result: int(result[2].sum())),
         "_near_pole": instrument(qcore._near_pole),
         "sample": instrument(identities.sample),
     }
@@ -87,11 +89,12 @@ def main(argv) -> int:
     print(f"{'identity':24s} {'cells':>6s} {'ms/cell':>9s}")
     for cid in sorted(per_id):
         print(f"{cid:24s} {len(per_id[cid]):6d} {1e3 * sum(per_id[cid]) / len(per_id[cid]):9.2f}")
-    print(f"{'layer':32s} {'calls':>8s} {'s':>9s}")
+    print(f"{'layer':32s} {'calls':>8s} {'s':>9s} {'factors':>10s}")
     for name, stats in layers.items():
         for kind in sorted(stats) or [""]:
-            calls, secs, _ = stats[kind]
-            print(f"{name + (f' [{kind}]' if kind else ''):32s} {calls:8d} {secs:9.3f}")
+            calls, secs, factors = stats[kind]
+            print(f"{name + (f' [{kind}]' if kind else ''):32s} {calls:8d} {secs:9.3f}"
+                  + (f" {factors:10d}" if name == "qpoch_inf_many" else ""))
     print(f"{'stream':32s} {'calls':>8s} {'terms':>9s} {'s':>9s}")
     for kind in ("series", "difference"):
         calls, secs, terms = streams[kind]
