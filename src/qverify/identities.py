@@ -20,11 +20,15 @@ Numerical notes that shape the evaluators:
   difference itself and the a = b diagonal cancels to an exact zero.
 * The q-power weights (q^{k(k+1)/2}, q^{2k+1}, ...) advance by exact
   integer-exponent ladders; no logarithms are involved anywhere.
-* Every Pochhammer product comes from ``series._ascending_terms``, the
-  (1 - c q^{2k+1}) sums through ``series._shifted_terms``; the sums with
-  k-dependent bases use (q^{-k} w;q)_k = (-w)^k q^{-k(k+1)/2} (q/w;q)_k,
-  whose q-power cancels the quadratic weight.  At |q| near 1 a running
-  product can overflow; the sum then raises DivergentSeries.
+* Every Pochhammer product comes from the block ladder of a
+  ``series._Terms`` stream, which also applies a half's constant, its
+  (1 - c q^{2k+shift}) factor (``series._shifted_terms``) and the scale of
+  a second half; the two halves of a difference are computed in one pass.
+  The weight q^{k(k+1)/2} is the ladder's sign weight (-1)^k q^C(k,2) with
+  the argument times -q.  The sums with k-dependent bases use
+  (q^{-k} w;q)_k = (-w)^k q^{-k(k+1)/2} (q/w;q)_k, whose q-power cancels
+  the quadratic weight.  At |q| near 1 a running product can overflow;
+  the sum then raises DivergentSeries.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import hashlib
-import itertools
 import math
 import random
 import time
@@ -58,7 +61,7 @@ from .qcore import (
     ipow,
     qfrac,
 )
-from .series import SeriesSpec, _ascending_terms, _shifted_terms, _sum_stream
+from .series import SeriesSpec, _Terms, _difference, _shifted_terms, _sum_stream
 from .series import eval_phi, eval_psi
 from .multisum import block_multisum, check_qpow_ratio, milne_rhs_block
 from .integrals import (
@@ -126,7 +129,7 @@ def _require_verifiable(value, abs_err, ctx: QContext):
     """Raise IllConditioned when the error floor swamps the value."""
     if value != 0.0 and abs_err > _COND_SHARE * ctx.identity_tol * abs(value):
         raise IllConditioned(
-            f"error floor {abs_err:.2e} exceeds the budget for |value| = {abs(value):.2e}"
+            f"error floor {abs_err:.2e} exceeds {_COND_SHARE} x identity_tol x |value|"
         )
     return value
 
@@ -173,11 +176,7 @@ def _diff_sum(terms_a, terms_b, ctx: QContext) -> complex:
     IllConditioned (an exactly-zero stream, e.g. the a = b diagonal, is
     exact and passes through).  A half that ends contributes zeros.
     """
-    diffs = (
-        (ta - tb, max(abs(ta), abs(tb)))
-        for ta, tb in itertools.zip_longest(terms_a, terms_b, fillvalue=0j)
-    )
-    value, err, _, _ = _sum_stream(diffs, ctx)
+    value, err, _, _ = _sum_stream(_difference(terms_a, terms_b), ctx)
     return _require_verifiable(value, err, ctx)
 
 
@@ -262,7 +261,7 @@ def _jacobi_lhs(x, y, bcd, xs, ys, ctx):
         -ipow(x, n + 2) * y, ctx,
     )
     scale = ipow(x, n + 1)
-    return _diff_sum(t1, (scale * t for t in t2), ctx)
+    return _diff_sum(t1, t2.scaled(scale), ctx)
 
 
 def _jacobi_products(x, y, b, c, d, ctx):
@@ -589,13 +588,9 @@ _register(IdentityCase(
 # -- ramanujan-reciprocity ----------------------------------------------
 
 def _rama_half(a, b, ctx):
+    # q^{k(k+1)/2} (-a/b)^k is the ladder's sign weight (-1)^k q^C(k,2) times (qa/b)^k
     q = ctx.q
-    const = 1.0 + 1.0 / b
-    w, step = 1.0 + 0.0j, q  # q^{k(k+1)/2} and q^{k+1}
-    for t in _ascending_terms([], [-q * a], -a / b, ctx):
-        yield const * (t * w)
-        w *= step
-        step *= q
+    return _Terms([], [-q * a], q * a / b, ctx, 1, const=1.0 + 1.0 / b)
 
 
 def _rama_rhs(p, ctx):
@@ -622,8 +617,7 @@ _register(IdentityCase(
 def _andrews_half(a, b, c, d, ctx):
     q = ctx.q
     const = (1.0 + 1.0 / b) / _one_minus(-c / b)
-    ladder = _ascending_terms([c, -q * a / d], [-q * a, -q * c / b], -d / b, ctx)
-    return (const * t for t in ladder)
+    return _Terms([c, -q * a / d], [-q * a, -q * c / b], -d / b, ctx, const=const)
 
 
 def _andrews_rhs(p, ctx):
@@ -657,20 +651,9 @@ _register(IdentityCase(
 def _kang_half(a, b, c, d, ctx):
     q = ctx.q
     const = (1.0 + 1.0 / b) / (_one_minus(-c / b) * _one_minus(-d / b))
-    coef = -c * d / b
-    ladder = _ascending_terms(
-        [c, d, c * d / (a * b)], [-q * a, -q * c / b, -q * d / b], -a / b, ctx
-    )
-
-    def terms():
-        p, w, step = 1.0 + 0.0j, 1.0 + 0.0j, q  # q^{2k}, q^{k(k+1)/2}, q^{k+1}
-        for t in ladder:
-            yield const * (t * ((1.0 - coef * p) * w))
-            p *= q * q
-            w *= step
-            step *= q
-
-    return terms()
+    # (1 + cd q^{2k}/b) q^{k(k+1)/2} (-a/b)^k, the weight as in _rama_half
+    return _Terms([c, d, c * d / (a * b)], [-q * a, -q * c / b, -q * d / b], q * a / b, ctx, 1,
+                  const=const, factor=(-c * d / b, 0))
 
 
 _register(IdentityCase(
@@ -722,13 +705,13 @@ _register(IdentityCase(
 def _cz_half(a, b, c, d, e, ctx):
     q = ctx.q
     const = (1.0 + 1.0 / b) / _one_minus(-c / b)
-    ladder = _ascending_terms(
+    return _Terms(
         [c, -q * a / d, -q * a / e],
         [-q * a, q * q * (a * b) / (d * e), -q * c / b],
         q,
         ctx,
+        const=const,
     )
-    return (const * t for t in ladder)
 
 
 def _cz_correction(a, b, c, d, e, ctx):
@@ -1045,7 +1028,7 @@ def _corlb_lhs(p, ctx):
         [x * y, b / y, c / y, d / y, e / y, ipow(q, -n) * x * y / e],
         -x ** 3 * y, ctx,
     )
-    return _diff_sum(t1, (x * x * t for t in t2), ctx)
+    return _diff_sum(t1, t2.scaled(x * x), ctx)
 
 
 def _corlb_rhs(p, ctx):

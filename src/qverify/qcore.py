@@ -31,7 +31,7 @@ limits are the module constants ``PRODUCT_TOL``, ``MAX_TERMS``,
 
 The pole policy lives here: every divisor meets the absolute ``POLE_GUARD`` in
 ``_one_minus`` (a factor 1 - x), ``qfrac`` (a denominator product), ``_divisor``
-(a summed divisor: DivisionByNearZero) or the ``series._ascending_terms`` ladder;
+(a summed divisor: DivisionByNearZero) or the ``series._ladder`` block ladder;
 the factor tests record their bases, and ``_near_pole`` finds a recorded base
 near a power of q, for the near-pole test of ``identities.check``.
 """

@@ -12,27 +12,38 @@ bases q^2/l, q^2/u, times a prefactor.  ``eval_bilateral_split`` exposes
 that split itself, so the algebraic step used by the reciprocity proofs
 is directly testable.
 
-``_ascending_terms`` is the one Pochhammer ladder, here and for every term
-stream in ``identities`` and ``integrals``: running products carry each
-factor across consecutive k (same factors, same order as a from-scratch
-product; no divisions are introduced, so exact zeros from snapped q^{-n}
-bases are preserved).  Its pole guard is tested only at the orders k where
-a lower factor can fall inside it.  ``_shifted_terms`` adds a factor
-(1 - c q^{2k+1}) and (x;q)_{k+1} rows to it (reciprocity, Jacobi-family
-and integral residue sums).  Term streams are plain iterators, and
-``_sum_stream`` is the one summation kernel for them and for the
-reciprocity difference streams in ``identities``: stop after 3 consecutive
-terms below series_tol * |partial sum|, and report the geometric tail
-|t_last| * rho / (1 - rho) of the observed ratio rho plus a roundoff
-floor proportional to the summed per-term magnitudes.  A stream that
-ends is an exact cut, with the floor as its only error.
+``_Terms`` is the one term stream, here and in ``identities`` and
+``integrals``: a Pochhammer ladder, optionally times a constant, a factor
+(1 - c q^{2k+shift}) and a second constant (``_shifted_terms`` folds
+(x;q)_{k+1} rows into it for the reciprocity, Jacobi-family and integral
+residue sums).  Iterated, it yields blocks of consecutive terms, computed
+by ``_ladder`` in numpy: one product of the cached q^k table with the
+bases gives a block's factors 1 - x q^k, and multiply.accumulate runs the
+running numerator, denominator, z^k and sign weight through them, each
+factor in the order of a from-scratch product, from the values carried out
+of the block before.  So no term depends on where the blocks start, and
+exact zeros from snapped q^{-n} bases end the stream as before; the pole
+guard is tested only at the orders where a lower factor can fall inside
+it, and raises only when the block past the pole is asked for.  Blocks
+start at about as many terms as the stream's decay suggests and double.
+``_pair`` computes the two halves of a reciprocity difference in one pass.
+``_sum_stream`` is the one summation kernel, for plain streams and for the
+difference streams of ``_difference``: term by term in Python complex
+arithmetic, it stops after 3 consecutive terms below series_tol * |partial
+sum|, and reports the geometric tail |t_last| * rho / (1 - rho) of the
+observed ratio rho plus a roundoff floor proportional to the summed
+per-term magnitudes.  A stream that ends is an exact cut, with the floor
+as its only error.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .qcore import (
     MAX_TERMS,
@@ -42,6 +53,7 @@ from .qcore import (
     QContext,
     SeriesResult,
     _one_minus,
+    _powers,
     _record,
     ipow,
     q_power_index,
@@ -81,86 +93,258 @@ class SeriesSpec:
             raise ValueError("bilateral series requires equal parameter counts")
 
 
-def _ascending_terms(upper, lower, z, ctx, sign_exp=0):
-    """Yield t_k = prod(u;q)_k / prod(l;q)_k * [(-1)^k q^C(k,2)]^{sign_exp} * z^k.
+# terms in a ladder's first block when the decay of its terms gives no guess;
+# each later block doubles, up to _BLOCK_CELLS factor cells (terms x bases of
+# all rows), so that the arrays of one block stay well below 1 MB
+_FIRST_BLOCK = 32
+_BLOCK_CELLS = 1 << 12
 
-    The stream ends (without yielding further terms) as soon as the running
-    numerator is exactly zero, which happens precisely when some upper base
-    snapped onto q^{-n} and k passed n: all later terms vanish identically.
-    As |1 - b q^k| >= 1 - |b q^k|, the pole guard is tested only while some
-    lower |b| |q|^k > (1 - POLE_GUARD) / 2 (a factor 2 of margin over rounding),
-    and always for a non-finite b.
+
+class _Terms:
+    """A term stream post * (const * (t_k * (1 - c q^{2k+shift}))) over the ladder
+
+        t_k = prod(u;q)_k / prod(l;q)_k * [(-1)^k q^C(k,2)]^{sign_exp} * z^k,
+
+    const, the factor (c, shift) and post each applied only when given.
+    Iterating it yields its blocks: 1-D arrays of consecutive terms,
+    k = 0, 1, ..., computed by ``_ladder``.
     """
+
+    __slots__ = ("upper", "lower", "z", "ctx", "sign_exp", "const", "factor", "post")
+
+    def __init__(self, upper, lower, z, ctx, sign_exp=0, const=None, factor=None, post=None):
+        self.upper, self.lower, self.z, self.ctx = upper, lower, z, ctx
+        self.sign_exp, self.const, self.factor, self.post = sign_exp, const, factor, post
+
+    def __iter__(self):
+        return _delivered(blocks[0] for blocks in _ladder((self,)))
+
+    def scaled(self, post):
+        """This stream times post."""
+        return _Terms(self.upper, self.lower, self.z, self.ctx, self.sign_exp,
+                      self.const, self.factor, post)
+
+    def shape(self):
+        """What two streams share when ``_ladder`` computes them together."""
+        return (len(self.upper), len(self.lower), self.ctx, self.sign_exp,
+                self.const is None, self.factor and self.factor[1])
+
+
+def _ascending_terms(upper, lower, z, ctx, sign_exp=0):
+    """The plain ladder t_k of ``_Terms``."""
+    return _Terms(upper, lower, z, ctx, sign_exp)
+
+
+def _pair(a, b):
+    """Block iterators of two term streams, computed in one pass by ``_ladder``
+    as the first of them asks when both are ``_Terms`` of one shape."""
+    if not (isinstance(a, _Terms) and isinstance(b, _Terms) and a.shape() == b.shape()):
+        return iter(a), iter(b)
+    engine = _ladder((a, b))
+    queues = (collections.deque(), collections.deque())
+
+    def triples(queue):
+        while True:
+            if not queue:
+                blocks = next(engine, None)
+                if blocks is None:
+                    return
+                for waiting, block in zip(queues, blocks):
+                    if block is not None:
+                        waiting.append(block)
+            yield queue.popleft()
+
+    return tuple(_delivered(triples(queue)) for queue in queues)
+
+
+def _delivered(triples):
+    """The blocks of one stream from its (terms, pole, ended) triples: a
+    PoleError is raised when the block after the pole's is asked for."""
+    for t, pole, ended in triples:
+        yield t
+        if pole is not None:
+            raise PoleError(pole)
+        if ended:
+            return
+
+
+def _ladder(terms):
+    """Yield the blocks of the streams ``terms``: per block, for each stream
+    (terms, pole message or None, ended), or None once it is done.
+
+    A stream ends after t_k when its running numerator num_{k+1} is exactly
+    zero, which happens precisely when some upper base snapped onto q^{-n}
+    and k reached n: all later terms vanish identically.  As
+    |1 - b q^k| >= 1 - |b q^k|, the pole guard is tested only while some
+    lower |b| |q|^k > (1 - POLE_GUARD) / 2 (a factor 2 of margin over
+    rounding), and always for a non-finite b.  A factor of order k inside
+    the guard ends its block at t_k, and the stream raises PoleError when
+    the block after it is asked for, so a sum that stops earlier never sees
+    it.  At most MAX_TERMS terms are computed.
+
+    The factors 1 - x q^k of a block are one outer product of its q^k with
+    the bases, two rows per stream (numerator, denominator) padded by zero
+    bases, a factor of exactly 1.  The running numerator, denominator, z^k
+    and sign weight are chains: multiply.accumulate runs each through its
+    factors in order k = 0, 1, ..., those of one order in list order,
+    starting from the value carried out of the block before.  So a term
+    depends on k and its stream's inputs alone, not on where the blocks
+    start nor on the stream computed next to it.
+    """
+    first = terms[0]
+    ctx, sign_exp, factor, const = first.ctx, first.sign_exp, first.factor, first.const
     q = ctx.q
-    guard = POLE_GUARD
-    upper = [complex(u) for u in upper]
-    lower = [complex(b) for b in lower]
-    _record(lower)
-    z = complex(z)
-    zero_at = [terminating_order(u, ctx) for u in upper]
-    snaps = any(n is not None for n in zero_at)
-    # orders k the guard can reach: |b| |q|^k > reach for the largest |b|
-    mags, reach = [abs(b) for b in lower], 0.5 * (1.0 - guard)
+    count = len(terms)
+    width = max(len(first.upper), len(first.lower), 2)  # a row of 1 + 1 cells accumulates differently
+    pad = [0.0] * width
+    bases, scalars, lowers, guarded, uppers, top = [], [], [], [], [], 0.0
+    for st in terms:
+        upper = [complex(u) for u in st.upper]
+        lower = [complex(b) for b in st.lower]
+        _record(lower)
+        guarded.append(_guarded_orders(lower, q))
+        bases += (upper + pad)[:width] + (lower + pad)[:width]
+        scalars.append((st.z, st.const or 0.0, st.factor[0] if factor else 0.0))
+        lowers.append(lower)
+        uppers += upper
+        top = max(top, abs(st.z))
+    bases = np.array(bases, complex)
+    scalars = np.array(scalars, complex)[:, :, None]  # [stream, (z, const, c), 1]
+    # an upper base snapped onto q^{-m} makes the factor of order m exactly zero
+    nu, snaps, lasts = len(first.upper), [], [math.inf] * count
+    for j, u in enumerate(uppers):
+        if (m := terminating_order(u, ctx)) is not None:
+            s, i = divmod(j, nu)
+            snaps.append((2 * s, i, m))
+            lasts[s] = min(lasts[s], m)
+    most = max(1, _BLOCK_CELLS // (count * width))
+    size = min(_first_block(top, sign_exp, ctx, max(lasts)), most)
+    rows, nl, live = 2 * count, len(first.lower), [True] * count
+    carry = pcarry = 1.0  # the chains at order k: num and den (a row each per stream), z^k, weight
+    table = _powers(q, 2 * size + 1)
+    k = 0
+    while k < MAX_TERMS:
+        n = min(size, MAX_TERMS - k)
+        if table.size <= 2 * (k + n) + 1:
+            table = _powers(q, 2 * (k + n) + 1)
+        f = table[k:k + n, None] * bases
+        np.subtract(1.0, f, out=f)
+        f = f.reshape(n, rows, width)  # [order, row, base]
+        for r, i, m in snaps:
+            if k <= m < k + n:
+                f[m - k, r, i] = 0.0
+        cells = np.empty((rows, 1 + n * width), complex)
+        cells[:, 0] = carry
+        cells[:, 1:].reshape(rows, n, width)[...] = f.transpose(1, 0, 2)
+        np.multiply.accumulate(cells, axis=1, out=cells)
+        carry = cells[:, n * width]
+        powers = np.empty((count + bool(sign_exp), n + 2), complex)  # one factor an order
+        powers[:, 0] = pcarry
+        powers[:count, 1:] = scalars[:, 0]
+        if sign_exp:
+            powers[count, 1:] = _ipow_array(-table[k:k + n + 1], sign_exp)
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        pcarry = powers[:, n]
+        run = cells[:, :n * width:width]
+        t = run[0::2] / run[1::2] * powers[:count, :n]
+        if sign_exp:
+            t *= powers[count, :n]
+        if factor:
+            t *= 1.0 - scalars[:, 2] * table[2 * k + factor[1]:2 * (k + n) + factor[1]:2]
+        if const is not None:
+            t = scalars[:, 1] * t
+        nums = cells[0::2, width:(n + 1) * width:width]
+        zero = np.count_nonzero(nums) < count * n
+        blocks = []
+        for s, st in enumerate(terms):
+            if not live[s]:
+                blocks.append(None)
+                continue
+            end = n  # orders k .. k + end - 1 keep num nonzero; order k + end ends the stream
+            if zero and not nums[s].all():
+                end = int((nums[s] == 0.0).argmax())
+            cut, pole = min(end + 1, n), None
+            if nl and k < guarded[s] and (tested := min(end, guarded[s] - k)):
+                mags = np.abs(f[:tested, 2 * s + 1, :nl])
+                if mags.min() < POLE_GUARD:
+                    j, i = divmod(int((mags < POLE_GUARD).argmax()), nl)
+                    cut, low = j + 1, complex(f[j, 2 * s + 1, i])
+                    pole = (f"lower-parameter factor |1 - b q^k| = {abs(low):.3g} below pole "
+                            f"guard at k = {k + j} (base {lowers[s][i]!r})")
+            block = t[s, :cut] if st.post is None else st.post * t[s, :cut]
+            live[s] = pole is None and end == n
+            blocks.append((block, pole, end < n))
+        yield blocks
+        if not any(live):
+            return
+        k += n
+        size = min(2 * size, most)
+
+
+def _guarded_orders(lower, q):
+    """The orders k at which the pole guard can reach a lower factor 1 - b q^k:
+    |b| |q|^k > reach for the largest |b|."""
+    mags, reach = [abs(b) for b in lower], 0.5 * (1.0 - POLE_GUARD)
     top, aq = max(mags, default=0.0), abs(q)
     if not math.isfinite(sum(mags)):
-        guarded = math.inf  # from logs: a loop on an infinite |b| would never end
-    elif top <= reach or aq == 0.0:  # q = 0: q^k = 0 for every k >= 1
-        guarded = int(top > reach)
+        return math.inf  # from logs: a loop on an infinite |b| would never end
+    if top <= reach or aq == 0.0:  # q = 0: q^k = 0 for every k >= 1
+        return int(top > reach)
+    return math.floor((math.log(top) - math.log(reach)) / -math.log(aq)) + 1
+
+
+def _first_block(z, sign_exp, ctx, last):
+    """Terms in a ladder's first block: enough for most sums to stop in it.
+
+    |t_k| falls off about as |z|^k |q|^{sign_exp k(k-1)/2}, z the largest
+    |argument| of the streams, and reaches series_tol after some K orders;
+    the first block has 1.5 K + 8 terms, since the base products slow the
+    first orders' decay and the sum stops 3 terms late, and a second block
+    costs more than unsummed terms do.  Streams that all end by order
+    ``last`` need last + 1 terms.  Only speed depends on the guess.
+    """
+    c = -math.log(ctx.series_tol)
+    b = math.log(z) if z else -c
+    if sign_exp > 0 and ctx.q:
+        a = 0.5 * sign_exp * math.log(abs(ctx.q))
+        b -= a
+        orders = (b + math.sqrt(b * b - 4.0 * a * c)) / (-2.0 * a)
+    elif b < 0.0 and not sign_exp:
+        orders = c / -b
     else:
-        guarded = math.floor((math.log(top) - math.log(reach)) / -math.log(aq)) + 1
-    num = den = zk = w = qk = 1.0 + 0.0j
-    k = 0
-    while True:
-        t = num / den * zk
-        if sign_exp:
-            t *= w
-        yield t
-        # advance every ladder from order k to k+1
-        if snaps:
-            for i, u in enumerate(upper):
-                num *= 0.0 if zero_at[i] == k else 1.0 - u * qk
-        else:
-            for u in upper:
-                num *= 1.0 - u * qk
-        if num == 0.0:
-            return
-        for b in lower:
-            f = 1.0 - b * qk
-            if k < guarded and abs(f) < guard:
-                raise PoleError(
-                    f"lower-parameter factor |1 - b q^k| = {abs(f):.3g} below pole "
-                    f"guard at k = {k} (base {b!r})"
-                )
-            den *= f
-        if sign_exp:
-            w *= ipow(-qk, sign_exp)
-        zk *= z
-        qk *= q
-        k += 1
+        orders = _FIRST_BLOCK
+    size = 1.5 * orders + 8.0 if orders < MAX_TERMS else MAX_TERMS  # nan too
+    return int(min(size, last + 1))
+
+
+def _ipow_array(x, n):
+    """qcore.ipow on each entry of an array: the same binary exponentiation."""
+    if n < 0:
+        return 1.0 / _ipow_array(x, -n)
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 def _shifted_terms(const, c, ups, lows, lows1, z, ctx):
     """const (1 - c q^{2k+1}) prod (ups;q)_k / [prod (lows;q)_k prod (lows1;q)_{k+1}] z^k.
 
     Every (x;q)_{k+1} in ``lows1`` is folded into const as 1/(1-x) and a
-    ladder base qx, so one ``_ascending_terms`` stream carries all the
-    Pochhammer products.  The leading factors go through ``qcore._one_minus``
-    (pole test and recording) before the stream is returned.
+    ladder base qx, so one ladder carries all the Pochhammer products.  The
+    leading factors go through ``qcore._one_minus`` (pole test and
+    recording) before the stream is returned.
     """
     q = ctx.q
     shifted = []
     for x in lows1:
         const /= _one_minus(x)
         shifted.append(q * x)
-    ladder = _ascending_terms(ups, list(lows) + shifted, z, ctx)
-
-    def terms():
-        p = q  # q^{2k+1}
-        for t in ladder:
-            yield const * (t * (1.0 - c * p))
-            p *= q * q
-
-    return terms()
+    return _Terms(ups, list(lows) + shifted, z, ctx, const=const, factor=(c, 1))
 
 
 # rounding-floor coefficient: every summed term carries a few ulps of the
@@ -169,16 +353,71 @@ def _shifted_terms(const, c, ups, lows, lows1, z, ctx):
 _ROUND_FLOOR = 3e-16
 
 
-def _sum_stream(terms, ctx):
-    """Sum a stream of (t_k, w_k) pairs under the 3-consecutive-small-terms policy.
+def _magnitude(t):
+    """abs(t), or inf where the modulus of finite parts overflows."""
+    try:
+        return abs(t)
+    except OverflowError:
+        return math.inf
 
-    w_k is the magnitude the roundoff of term k scales with: |t_k| for a
-    plain series, max(|t_a|, |t_b|) for a termwise difference t_a - t_b.
+
+def _magnitudes(values):
+    """abs of each value, inf where the modulus of finite parts overflows."""
+    try:
+        return list(map(abs, values))
+    except OverflowError:
+        return list(map(_magnitude, values))
+
+
+_NO_TERMS = np.empty(0, complex)
+
+
+def _difference(a, b):
+    """The termwise difference t_k = a_k - b_k of two term streams, as blocks
+    (t, w) weighing each term w_k = max(|a_k|, |b_k|); zeros stand in for a
+    stream that ended.
+
+    The streams come from ``_pair``.  A stream's next block is drawn only when
+    its terms are all paired, the first stream's before the second's, as a
+    termwise zip would draw them.
+    """
+    halves = list(_pair(a, b))
+    rest = [_NO_TERMS, _NO_TERMS]  # the unpaired terms of each stream
+    while True:
+        for i in (0, 1):
+            while halves[i] is not None and not rest[i].size:
+                rest[i] = next(halves[i], None)
+                if rest[i] is None:
+                    halves[i], rest[i] = None, _NO_TERMS
+        ra, rb = rest
+        if ra.size == rb.size:  # blocks of one schedule, or both streams done
+            if not ra.size:
+                return
+            rest = [_NO_TERMS, _NO_TERMS]
+        else:
+            m = ra.size if halves[1] is None else rb.size if halves[0] is None else min(ra.size, rb.size)
+            ra = ra[:m] if ra.size else np.zeros(m, complex)
+            rb = rb[:m] if rb.size else np.zeros(m, complex)
+            rest = [rest[0][m:], rest[1][m:]]
+        yield ra - rb, list(map(max, _magnitudes(ra.tolist()), _magnitudes(rb.tolist())))
+
+
+def _sum_stream(blocks, ctx):
+    """Sum a stream of term blocks under the 3-consecutive-small-terms policy.
+
+    A block is an array of consecutive terms t_k, each weighing its own
+    magnitude w_k = |t_k|, or a pair (t, w) of such an array and a list of
+    the weights w_k, the magnitudes the roundoff of each term scales with
+    (max(|a_k|, |b_k|) for a termwise difference a_k - b_k, see
+    ``_difference``).  The terms are summed one by one, in order, in Python
+    complex arithmetic; terms past the stop are computed but not summed.
     Returns (value, abs_error_estimate, terms_used, terminated);
     ``terminated`` means the stream itself ended (an exact cut, whose error
     is the roundoff floor alone).  Otherwise the error estimate combines the
     geometric truncation tail with that floor, _ROUND_FLOOR * sum of w_k, so
     cancellation between large terms shows up in the reported bound.
+    Blocks are drawn under ``np.errstate(all="ignore")``: a term past the
+    stop may overflow without a warning.
     """
     total = 0.0 + 0.0j
     small = 0
@@ -186,28 +425,37 @@ def _sum_stream(terms, ctx):
     prev = 0.0
     w_sum = 0.0
     n = 0
-    it = iter(terms)
-    for _ in range(MAX_TERMS):
-        try:
-            t, w = next(it)
-        except StopIteration:
-            return _finite(total, n), _ROUND_FLOOR * w_sum, n, True
-        total += t
-        n += 1
-        at = abs(t)
-        if not (math.isfinite(at) and math.isfinite(w)):
-            raise DivergentSeries(f"term magnitude not finite at k = {n - 1}")
-        w_sum += w
-        if at != 0.0:
-            prev, last = last, at
-        if at <= ctx.series_tol * abs(total):
-            small += 1
-            if small >= 3:
-                rho = min(last / prev, 0.99) if prev > 0.0 else 0.0
-                err = last * rho / (1.0 - rho) + _ROUND_FLOOR * w_sum
-                return _finite(total, n), err, n, False
-        else:
-            small = 0
+    tol = ctx.series_tol
+    blocks = iter(blocks)
+    with np.errstate(all="ignore"):
+        while n < MAX_TERMS:
+            block = next(blocks, None)
+            if block is None:
+                return _finite(total, n), _ROUND_FLOOR * w_sum, n, True
+            if isinstance(block, tuple):
+                terms, weights = block[0][:MAX_TERMS - n].tolist(), block[1]
+                sizes = _magnitudes(terms)
+            else:
+                terms = block[:MAX_TERMS - n].tolist()
+                weights = sizes = _magnitudes(terms)
+            # finite sums of the magnitudes: every one is finite, none to test
+            finite = math.isfinite(sum(sizes)) and math.isfinite(sum(weights))
+            for t, at, w in zip(terms, sizes, weights):
+                total += t
+                n += 1
+                if not (finite or math.isfinite(at) and math.isfinite(w)):
+                    raise DivergentSeries(f"term magnitude not finite at k = {n - 1}")
+                w_sum += w
+                if at != 0.0:
+                    prev, last = last, at
+                if at <= tol * abs(total):
+                    small += 1
+                    if small >= 3:
+                        rho = min(last / prev, 0.99) if prev > 0.0 else 0.0
+                        err = last * rho / (1.0 - rho) + _ROUND_FLOOR * w_sum
+                        return _finite(total, n), err, n, False
+                else:
+                    small = 0
     raise DivergentSeries(
         f"no convergence within MAX_TERMS = {MAX_TERMS} "
         f"(last |term| = {last:.3g})"
@@ -221,10 +469,9 @@ def _finite(total, n):
     return total
 
 
-def _sum_series(terms, ctx) -> SeriesResult:
-    """Sum a plain term stream, each term weighing its own magnitude."""
-    value, err, n, terminated = _sum_stream(((t, abs(t)) for t in terms), ctx)
-    return SeriesResult(value, err, n, terminated)
+def _sum_series(blocks, ctx) -> SeriesResult:
+    """Sum a plain block stream, each term weighing its own magnitude."""
+    return SeriesResult(*_sum_stream(blocks, ctx))
 
 
 def eval_phi(spec: SeriesSpec, ctx: QContext) -> SeriesResult:

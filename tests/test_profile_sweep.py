@@ -38,12 +38,20 @@ def test_smoke():
     assert {k: int(v[2]) for k, v in table(again.stdout.splitlines()[1:]).items()
             if k.startswith("qpoch_inf_many [")} == factors
     assert {"watson", "thm-e-integral", "ramanujan-reciprocity"} <= rows.keys()
-    # the stream layer: calls, terms and time of each kind of _sum_stream
-    streams = {line.split()[1]: line.split()[2:] for line in lines
-               if line.startswith("_sum_stream [")}
+    # the stream layer: calls, terms summed, terms computed (blocks overshoot the
+    # stop) and time of each kind of _sum_stream; the counts repeat exactly
+    streams = stream_rows(lines)
     assert streams.keys() == {"[series]", "[difference]"}
-    for calls, terms, _ in streams.values():
-        assert 0 < int(calls) <= int(terms)
+    for calls, terms, computed, _ in streams.values():
+        assert 0 < int(calls) <= int(terms) <= int(computed)
+    assert ({k: v[:3] for k, v in stream_rows(again.stdout.splitlines()).items()}
+            == {k: v[:3] for k, v in streams.items()})
+
+
+def stream_rows(lines):
+    """{kind: [calls, terms, computed, s]} of the stream table."""
+    return {line.split()[1]: line.split()[2:] for line in lines
+            if line.startswith("_sum_stream [")}
 
 
 def test_unit_rows_come_from_the_memo():

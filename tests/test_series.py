@@ -4,17 +4,26 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 
 import mpmath as mp
+import numpy as np
 import pytest
+from blockstream import blocks, flat, weighted
 
 from qverify.qcore import (
     INF, MAX_TERMS, POLE_GUARD, DivergentSeries, PoleError, QContext, ipow, q_power_index,
     qfrac, qpoch,
 )
+from qverify import series
+from qverify.identities import _diff_sum
 from qverify.series import (
+    _BLOCK_CELLS,
     _ROUND_FLOOR,
+    _Terms,
     _ascending_terms,
+    _pair,
+    _shifted_terms,
     SeriesSpec,
     _sum_series,
     _sum_stream,
@@ -79,7 +88,7 @@ class TestEvalPhi:
         with pytest.raises(DivergentSeries, match="partial sum not finite after 1751 terms"):
             eval_phi(SeriesSpec([0.3, 0.4], [0.2], 1.5), QContext(0.5))
         with pytest.raises(DivergentSeries, match="partial sum not finite after 2 terms"):
-            _sum_series([1e308 + 0j, 1e308 + 0j], QContext(0.5))
+            _sum_series(blocks([1e308 + 0j, 1e308 + 0j]), QContext(0.5))
 
     def test_kind_mismatch(self):
         spec = SeriesSpec(upper=[0.1, 0.2], lower=[0.3, 0.4], argument=0.5,
@@ -284,12 +293,12 @@ class TestKShiftedSum:
 
     def test_single_term(self):
         ctx = QContext(0.5)
-        r = _sum_series((1.0 if k == 0 else 0.0 for k in itertools.count()), ctx)
+        r = _sum_series(blocks(1.0 if k == 0 else 0.0 for k in itertools.count()), ctx)
         assert r.value == 1.0
 
     def test_matches_geometric(self):
         ctx = QContext(0.5)
-        r = _sum_series((0.25 ** k for k in itertools.count()), ctx)
+        r = _sum_series(blocks(0.25 ** k for k in itertools.count()), ctx)
         assert abs(r.value - 4.0 / 3.0) < 1e-12
 
 
@@ -299,8 +308,8 @@ class TestSumStream:
     def test_floor_sums_weights_not_term_magnitudes(self):
         ctx = QContext(0.5)
         terms = [0.5 ** k for k in range(200)]
-        plain = _sum_stream(((t, abs(t)) for t in terms), ctx)
-        heavy = _sum_stream(((t, 1.0) for t in terms), ctx)
+        plain = _sum_stream(blocks(terms), ctx)
+        heavy = _sum_stream(weighted((t, 1.0) for t in terms), ctx)
         n = plain[2]
         assert not plain[3] and heavy[2:] == plain[2:]
         assert heavy[0] == plain[0]
@@ -313,7 +322,7 @@ class TestSumStream:
         # differences: no tail is added, the error is the floor alone
         ctx = QContext(0.5)
         pairs = [(1e-3, 1.0), (2e-3, 2.0), (4e-3, 4.0)]
-        value, err, n, terminated = _sum_stream(iter(pairs), ctx)
+        value, err, n, terminated = _sum_stream(weighted(pairs), ctx)
         assert terminated and n == 3
         assert abs(value - 7e-3) < 1e-18
         assert err == _ROUND_FLOOR * 7.0
@@ -354,24 +363,51 @@ def ladder_oracle(upper, lower, z, ctx, sign_exp=0):
 
 
 def drained(stream, n=400):
-    """repr of the first n terms (bit-exact, nan and signed zeros included), then any error."""
+    """The first n terms, then the type and message of any error, as numpy would
+    compute them past a stop: without warnings."""
     out = []
-    try:
-        out.extend(map(repr, itertools.islice(stream, n)))
-    except (PoleError, ZeroDivisionError) as exc:
-        out.append(f"{type(exc).__name__}: {exc}")
+    with np.errstate(all="ignore"):
+        try:
+            out.extend(itertools.islice(stream, n))
+        except (PoleError, ZeroDivisionError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
     return out
 
 
+# a ladder term may differ from the oracle's by this many ulps per order k: numpy's
+# array multiplies form the factors 1 - b q^k with FMA, the scalar oracle without
+ULPS_PER_ORDER = 4
+
+
 class TestLadderBitIdentity:
-    """_ascending_terms tests the pole guard only where it can fire, and changes no bit."""
+    """The block ladder against the scalar oracle: the same stream lengths, the
+    same errors and messages, and the same terms to within a few ulps per order.
+
+    Where the oracle raises ZeroDivisionError (its weight 1/ipow(q^k, 2) once
+    q^{2k} underflows), the block's term is not finite; the sum of such a
+    stream raises DivergentSeries at its first non-finite term.  A term the
+    oracle makes inf or nan (a non-finite or overflowing base) is not finite
+    in the block either, though inf and nan may trade places.
+    """
 
     QS = [0.3, 0.8, 0.95, -0.5, 0.5 + 0.3j]
 
     def same(self, upper, lower, z, ctx, sign_exp=0):
-        got = drained(_ascending_terms(upper, lower, z, ctx, sign_exp))
-        assert got == drained(ladder_oracle(upper, lower, z, ctx, sign_exp))
-        return got
+        got = drained(flat(_ascending_terms(upper, lower, z, ctx, sign_exp)))
+        want = drained(ladder_oracle(upper, lower, z, ctx, sign_exp))
+        if want and want[-1].__class__ is str and want[-1].startswith("ZeroDivisionError"):
+            want.pop()
+            assert not cmath.isfinite(got[len(want)])
+            del got[len(want):]
+        assert len(got) == len(want)
+        for k, (g, w) in enumerate(zip(got, want)):
+            if isinstance(w, str):
+                assert g == w
+            elif not cmath.isfinite(w):
+                assert not cmath.isfinite(g)
+            else:
+                assert abs(g - w) <= ULPS_PER_ORDER * (k + 1) * 2.0 ** -52 * abs(w), (k, g, w)
+        return [g if isinstance(g, str) else repr(g) for g in got]
 
     @pytest.mark.parametrize("q", QS)
     def test_guard_hit_at_later_order(self, q):
@@ -416,3 +452,110 @@ class TestLadderBitIdentity:
             if rng.random() < 0.3:
                 lower.append(ipow(ctx.q, -rng.randint(0, 5)) * (1.0 + 1e-9))
             self.same(upper, lower, rand_complex(rng, 0.0, 1.2), ctx, rng.choice((0, 0, 1, -2)))
+
+
+def random_stream(rng, ctx):
+    """A ladder of random shape, sign weight and maps, at times with a near pole
+    or a snapped upper base."""
+    nu, nl = rng.randint(0, 4), rng.randint(0, 4)
+    upper = [rand_complex(rng, 0.0, 3.0) for _ in range(nu)]
+    lower = [rand_complex(rng, 0.0, 3.0) for _ in range(nl)]
+    if rng.random() < 0.3:
+        lower.append(ipow(ctx.q, -rng.randint(0, 5)) * (1.0 + 1e-9))
+    if rng.random() < 0.3:
+        upper.append(ipow(ctx.q, -rng.randint(3, 60)))
+    maps = rng.choice(({}, {"const": 0.7 - 0.2j}, {"const": 1.3, "factor": (0.4j, 1)}))
+    return _Terms(upper, lower, rand_complex(rng, 0.0, 1.2), ctx, rng.choice((0, 1, -2)), **maps)
+
+
+def stream_bytes(stream, n=150):
+    """The bytes of the first n terms of a block stream, then any error."""
+    parts, error = [], None
+    with np.errstate(all="ignore"):
+        try:
+            for block in stream:
+                parts.append(block)
+                if sum(map(len, parts)) >= n:
+                    break
+        except PoleError as exc:
+            error = str(exc)
+    return np.concatenate(parts)[:n].tobytes(), error
+
+
+class TestBlocks:
+    """Term blocks: where the blocks start and what is computed next to a stream
+    change no bit; a stream ends and raises where the scalar ladder did."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.95, -0.5, 0.5 + 0.3j])
+    def test_terms_do_not_depend_on_the_block_schedule(self, q, monkeypatch):
+        ctx = QContext(q)
+        rng = random.Random(3)
+        streams = [random_stream(rng, ctx) for _ in range(30)]
+        want = [stream_bytes(t) for t in streams]
+        for first in (1, 7, 64):
+            monkeypatch.setattr(series, "_first_block", lambda *args, first=first: first)
+            assert [stream_bytes(t) for t in streams] == want
+        # two streams of one shape computed in one pass: each as if alone
+        for a, b in zip(streams, streams[1:]):
+            if a.shape() == b.shape():
+                together = _pair(a, b)
+                assert [stream_bytes(t) for t in together] == [stream_bytes(a), stream_bytes(b)]
+
+    @pytest.mark.parametrize("first", [None, 256])
+    def test_guard_past_the_stop_is_never_raised(self, first, monkeypatch):
+        # 1 - b q^k falls inside the pole guard at k = 200 only; the sum stops near
+        # k = 35, inside the same block when the first block has 256 terms
+        if first is not None:
+            monkeypatch.setattr(series, "_first_block", lambda *args: first)
+        ctx = QContext(0.99)
+        b = ipow(ctx.q, -200) * (1.0 + 3e-9j)
+        stream = _ascending_terms([], [b], 0.3 * abs(b), ctx)
+        r = _sum_series(stream, ctx)
+        assert 30 <= r.terms_used <= 45 and not r.terminated
+        # drained past the stop: the terms t_0 .. t_200, then the guard
+        got = drained(flat(stream), 300)
+        assert len(got) == 202 and got[-1].startswith("PoleError") and "at k = 200 " in got[-1]
+
+    @pytest.mark.parametrize("n", [32, 33, 96])
+    def test_stream_ending_at_a_block_edge(self, n, monkeypatch):
+        # blocks of 32 and 64 terms; the upper base q^{-(n-1)} ends the stream after n terms
+        monkeypatch.setattr(series, "_first_block", lambda *args: 32)
+        ctx = QContext(0.9)
+        upper, lower = [ipow(ctx.q, -(n - 1)), 0.3], [0.6, ctx.q]
+        got = [block.size for block in _ascending_terms(upper, lower, 0.5, ctx)]
+        assert sum(got) == n and got == ([32, 64][:len(got) - 1] + [got[-1]])
+        r = eval_phi(SeriesSpec(upper, lower[:1], 0.5), ctx)
+        want = list(ladder_oracle(upper, lower, 0.5, ctx))
+        assert r.terminated and r.terms_used == n == len(want)
+        assert abs(r.value - sum(want)) <= 1e-13 * sum(map(abs, want))
+
+    def test_block_cap_bounds_a_full_length_stream(self):
+        # |z| > 1: the stream runs to MAX_TERMS terms, in blocks of at most
+        # _BLOCK_CELLS factor cells, and its arrays stay below 1 MB
+        ctx = QContext(0.5)
+        upper, lower = [0.3, 0.4], [0.2, ctx.q]
+        sizes = [block.size for block in _ascending_terms(upper, lower, 1.05, ctx)]
+        assert sum(sizes) == MAX_TERMS and max(sizes) * 2 <= _BLOCK_CELLS
+        tracemalloc.start()
+        try:
+            with pytest.raises(DivergentSeries, match="MAX_TERMS"):
+                eval_phi(SeriesSpec(upper, lower[:1], 1.05), ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestOverflowingMagnitude:
+    """A finite term whose modulus overflows: abs() raises OverflowError for it,
+    the sum names the term instead."""
+
+    def test_plain_stream(self):
+        with pytest.raises(DivergentSeries, match="term magnitude not finite at k = 1"):
+            eval_phi(SeriesSpec([0.0], [], complex(0.75e308, 0.75e308)), QContext(0.5))
+
+    def test_difference_stream(self):
+        # the difference at k = 1 is 0, but the modulus of its halves overflows
+        big = complex(1.5e308, 1.5e308)
+        with pytest.raises(DivergentSeries, match="term magnitude not finite at k = 1"):
+            _diff_sum(blocks([1.0, big]), blocks([0.5, big]), QContext(0.5))

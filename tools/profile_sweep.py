@@ -13,8 +13,12 @@ rest of each integrand call; and [other] for all other calls, each with
 its summed factor count, which repeats exactly from run to run),
 ``qcore._near_pole`` (the near-pole test of every check) and
 ``identities.sample``, then the stream layer: the
-calls, terms and time of ``series._sum_stream``, split into plain series
-and the reciprocity difference streams.  A layer's time includes the layers it calls.
+calls, terms summed, terms computed and time of ``series._sum_stream``,
+split by caller into plain series (``series._sum_series``) and the
+reciprocity difference streams (``identities._diff_sum``).  Streams come in
+blocks of consecutive terms, so a sum that stops inside a block leaves
+terms computed but not summed; both counts repeat exactly from run to run.
+A layer's time includes the layers it calls.
 """
 
 import contextlib
@@ -31,17 +35,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from qverify import cli, identities, qcore, series  # noqa: E402
 
 
-def instrument(fn, kind=lambda args: "", work=lambda result: 0):
-    """Replace fn in every qverify module that binds it; returns {kind: [calls, s, work]}."""
-    stats = defaultdict(lambda: [0, 0.0, 0])
+def instrument(fn, kind=lambda args: "", work=lambda result: 0, feed=None):
+    """Replace fn in every qverify module that binds it; returns {kind: [calls, s, work, fed]}.
+
+    kind(args) runs first, in the wrapper called by fn's caller; feed(arg0,
+    entry), if given, replaces the first argument (a stream fn draws from).
+    """
+    stats = defaultdict(lambda: [0, 0.0, 0, 0])
 
     def timed(*args, **kwargs):
+        entry = stats[kind(args)]
+        if feed is not None:
+            args = (feed(args[0], entry), *args[1:])
         start, result = time.perf_counter(), None
         try:
             result = fn(*args, **kwargs)
             return result
         finally:
-            entry = stats[kind(args)]
             entry[0] += 1
             entry[1] += time.perf_counter() - start
             entry[2] += 0 if result is None else work(result)
@@ -50,6 +60,19 @@ def instrument(fn, kind=lambda args: "", work=lambda result: 0):
         if mod.__name__.startswith("qverify") and getattr(mod, fn.__name__, None) is fn:
             setattr(mod, fn.__name__, timed)
     return stats
+
+
+def stream_kind(args):
+    """A plain series reaches _sum_stream through series._sum_series, a difference
+    stream through identities._diff_sum."""
+    return "series" if sys._getframe(2).f_code.co_name == "_sum_series" else "difference"
+
+
+def counted(blocks, entry):
+    """The blocks of a stream, their terms counted into entry[3] as they are drawn."""
+    for block in blocks:
+        entry[3] += len(block[0] if isinstance(block, tuple) else block)
+        yield block
 
 
 def qpoch_kind(args):
@@ -68,10 +91,7 @@ def main(argv) -> int:
         "_near_pole": instrument(qcore._near_pole),
         "sample": instrument(identities.sample),
     }
-    # plain series reach _sum_stream through series._sum_series, difference streams directly
-    streams = instrument(series._sum_stream, lambda args: (
-        "series" if args[0].gi_code.co_qualname.startswith("_sum_series") else "difference"),
-        lambda result: result[2])
+    streams = instrument(series._sum_stream, stream_kind, lambda result: result[2], counted)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
         start = time.perf_counter()
@@ -92,13 +112,13 @@ def main(argv) -> int:
     print(f"{'layer':32s} {'calls':>8s} {'s':>9s} {'factors':>10s}")
     for name, stats in layers.items():
         for kind in sorted(stats) or [""]:
-            calls, secs, factors = stats[kind]
+            calls, secs, factors, _ = stats[kind]
             print(f"{name + (f' [{kind}]' if kind else ''):32s} {calls:8d} {secs:9.3f}"
                   + (f" {factors:10d}" if name == "qpoch_inf_many" else ""))
-    print(f"{'stream':32s} {'calls':>8s} {'terms':>9s} {'s':>9s}")
+    print(f"{'stream':32s} {'calls':>8s} {'terms':>9s} {'computed':>9s} {'s':>9s}")
     for kind in ("series", "difference"):
-        calls, secs, terms = streams[kind]
-        print(f"{f'_sum_stream [{kind}]':32s} {calls:8d} {terms:9d} {secs:9.3f}")
+        calls, secs, terms, computed = streams[kind]
+        print(f"{f'_sum_stream [{kind}]':32s} {calls:8d} {terms:9d} {computed:9d} {secs:9.3f}")
     return 0
 
 
