@@ -207,17 +207,19 @@ def ipow(x: complex, n: int) -> complex:
     """x**n by binary exponentiation on the integer exponent.
 
     Exact integer exponent arithmetic; no logarithms, hence no branch-cut
-    trouble for complex x.  Negative n inverts the positive power.
+    trouble for complex x.  Negative n inverts the positive power.  A
+    complex numpy array x gives the power of each entry.
     """
     if n < 0:
         return 1.0 / ipow(x, -n)
     result = 1.0 + 0.0j
-    base = complex(x)
+    base = x if isinstance(x, np.ndarray) else complex(x)
     while n:
         if n & 1:
-            result *= base
-        base *= base
+            result = result * base
         n >>= 1
+        if n:
+            base = base * base
     return result
 
 

@@ -22,11 +22,11 @@ bases gives a block's factors 1 - x q^k, and multiply.accumulate runs the
 running numerator, denominator, z^k and sign weight through them, each
 factor in the order of a from-scratch product, from the values carried out
 of the block before.  So no term depends on where the blocks start, and
-exact zeros from snapped q^{-n} bases end the stream as before; the pole
-guard is tested only at the orders where a lower factor can fall inside
-it, and raises only when the block past the pole is asked for.  Blocks
-start at about as many terms as the stream's decay suggests and double.
-``_pair`` computes the two halves of a reciprocity difference in one pass.
+exact zeros from snapped q^{-n} bases end the stream as before; a lower
+factor inside the pole guard raises only when the block past the pole is
+asked for.  Blocks start at 48 terms and double up to a cap.  The two
+halves of a difference stream (``_difference``) share one ladder: their
+factors are computed side by side, each term as if alone.
 ``_sum_stream`` is the one summation kernel, for plain streams and for the
 difference streams of ``_difference``: term by term in Python complex
 arithmetic, it stops after 3 consecutive terms below series_tol * |partial
@@ -39,7 +39,7 @@ as its only error.
 from __future__ import annotations
 
 import cmath
-import collections
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,11 +93,15 @@ class SeriesSpec:
             raise ValueError("bilateral series requires equal parameter counts")
 
 
-# terms in a ladder's first block when the decay of its terms gives no guess;
-# each later block doubles, up to _BLOCK_CELLS factor cells (terms x bases of
-# all rows), so that the arrays of one block stay well below 1 MB
-_FIRST_BLOCK = 32
+# terms in a ladder's first block; each later block doubles, up to _BLOCK_CELLS
+# factor cells (terms x bases x streams), so that the arrays of one block stay
+# well below 1 MB
+_FIRST_BLOCK = 48
 _BLOCK_CELLS = 1 << 12
+# |1 - u q^m| of an upper base u that snaps onto q^{-m} is at most SNAP_RTOL plus
+# the rounding of q^m (under 1e-11 for m <= MAX_TERMS): only a factor below this
+# reach is tested for a snap.  It lies below POLE_GUARD, which gates both tests.
+_SNAP_REACH = 1e-9
 
 
 class _Terms:
@@ -117,7 +121,7 @@ class _Terms:
         self.sign_exp, self.const, self.factor, self.post = sign_exp, const, factor, post
 
     def __iter__(self):
-        return _delivered(blocks[0] for blocks in _ladder((self,)))
+        return (block[0] for block in _ladder((self,)))
 
     def scaled(self, post):
         """This stream times post."""
@@ -125,9 +129,9 @@ class _Terms:
                       self.const, self.factor, post)
 
     def shape(self):
-        """What two streams share when ``_ladder`` computes them together."""
+        """What streams computed side by side by ``_ladder`` have in common."""
         return (len(self.upper), len(self.lower), self.ctx, self.sign_exp,
-                self.const is None, self.factor and self.factor[1])
+                self.const is None, None if self.factor is None else self.factor[1])
 
 
 def _ascending_terms(upper, lower, z, ctx, sign_exp=0):
@@ -135,200 +139,123 @@ def _ascending_terms(upper, lower, z, ctx, sign_exp=0):
     return _Terms(upper, lower, z, ctx, sign_exp)
 
 
-def _pair(a, b):
-    """Block iterators of two term streams, computed in one pass by ``_ladder``
-    as the first of them asks when both are ``_Terms`` of one shape."""
-    if not (isinstance(a, _Terms) and isinstance(b, _Terms) and a.shape() == b.shape()):
-        return iter(a), iter(b)
-    engine = _ladder((a, b))
-    queues = (collections.deque(), collections.deque())
-
-    def triples(queue):
-        while True:
-            if not queue:
-                blocks = next(engine, None)
-                if blocks is None:
-                    return
-                for waiting, block in zip(queues, blocks):
-                    if block is not None:
-                        waiting.append(block)
-            yield queue.popleft()
-
-    return tuple(_delivered(triples(queue)) for queue in queues)
-
-
-def _delivered(triples):
-    """The blocks of one stream from its (terms, pole, ended) triples: a
-    PoleError is raised when the block after the pole's is asked for."""
-    for t, pole, ended in triples:
-        yield t
-        if pole is not None:
-            raise PoleError(pole)
-        if ended:
-            return
-
-
-def _ladder(terms):
-    """Yield the blocks of the streams ``terms``: per block, for each stream
-    (terms, pole message or None, ended), or None once it is done.
+def _ladder(streams):
+    """Yield the blocks of the term streams ``streams``, all of one
+    ``_Terms.shape``: for each stream, an array of its consecutive terms.
 
     A stream ends after t_k when its running numerator num_{k+1} is exactly
     zero, which happens precisely when some upper base snapped onto q^{-n}
-    and k reached n: all later terms vanish identically.  As
-    |1 - b q^k| >= 1 - |b q^k|, the pole guard is tested only while some
-    lower |b| |q|^k > (1 - POLE_GUARD) / 2 (a factor 2 of margin over
-    rounding), and always for a non-finite b.  A factor of order k inside
-    the guard ends its block at t_k, and the stream raises PoleError when
-    the block after it is asked for, so a sum that stops earlier never sees
-    it.  At most MAX_TERMS terms are computed.
+    (``qcore.terminating_order``) and k reached n: all later terms vanish
+    identically, and its blocks hold zeros from there.  The blocks end with
+    the last stream.  A lower factor of order k inside the pole guard ends
+    its block at t_k, and PoleError is raised when the block after it is
+    asked for (the first stream's, of two at one k), so a sum that stops
+    earlier never sees it.  At most MAX_TERMS terms are computed.
 
     The factors 1 - x q^k of a block are one outer product of its q^k with
-    the bases, two rows per stream (numerator, denominator) padded by zero
-    bases, a factor of exactly 1.  The running numerator, denominator, z^k
-    and sign weight are chains: multiply.accumulate runs each through its
-    factors in order k = 0, 1, ..., those of one order in list order,
-    starting from the value carried out of the block before.  So a term
-    depends on k and its stream's inputs alone, not on where the blocks
-    start nor on the stream computed next to it.
+    the bases, a numerator and a denominator chain a stream, padded by zero
+    bases (a factor of exactly 1); one test of their smallest magnitude
+    finds a block with a factor that can be a snapped zero or inside the
+    guard, and only such a block's factors are looked at one by one.
+    multiply.accumulate runs each chain through its factors in order
+    k = 0, 1, ..., those of one order in list order, and z^k and the sign
+    weight (-q^k)^sign_exp through one factor an order, each from the value
+    carried out of the block before.  So a term depends on k and its
+    stream's inputs alone, not on where the blocks start nor on the streams
+    computed next to it.
     """
-    first = terms[0]
+    first = streams[0]
     ctx, sign_exp, factor, const = first.ctx, first.sign_exp, first.factor, first.const
     q = ctx.q
-    count = len(terms)
-    width = max(len(first.upper), len(first.lower), 2)  # a row of 1 + 1 cells accumulates differently
+    count, nu, nl = len(streams), len(first.upper), len(first.lower)
+    width = max(nu, nl, 2)  # a row of 1 + 1 cells accumulates differently
     pad = [0.0] * width
-    bases, scalars, lowers, guarded, uppers, top = [], [], [], [], [], 0.0
-    for st in terms:
+    bases, uppers, lowers = [], [], []
+    for st in streams:
         upper = [complex(u) for u in st.upper]
         lower = [complex(b) for b in st.lower]
         _record(lower)
-        guarded.append(_guarded_orders(lower, q))
-        bases += (upper + pad)[:width] + (lower + pad)[:width]
-        scalars.append((st.z, st.const or 0.0, st.factor[0] if factor else 0.0))
+        uppers.append(upper)
         lowers.append(lower)
-        uppers += upper
-        top = max(top, abs(st.z))
-    bases = np.array(bases, complex)
-    scalars = np.array(scalars, complex)[:, :, None]  # [stream, (z, const, c), 1]
-    # an upper base snapped onto q^{-m} makes the factor of order m exactly zero
-    nu, snaps, lasts = len(first.upper), [], [math.inf] * count
-    for j, u in enumerate(uppers):
-        if (m := terminating_order(u, ctx)) is not None:
-            s, i = divmod(j, nu)
-            snaps.append((2 * s, i, m))
-            lasts[s] = min(lasts[s], m)
+        bases += (upper + pad)[:width] + (lower + pad)[:width]
+    bases = np.array(bases, complex).reshape(2 * count, width).T.copy()  # [base, num/den chain]
+    zs = np.array([st.z for st in streams], complex)
     most = max(1, _BLOCK_CELLS // (count * width))
-    size = min(_first_block(top, sign_exp, ctx, max(lasts)), most)
-    rows, nl, live = 2 * count, len(first.lower), [True] * count
-    carry = pcarry = 1.0  # the chains at order k: num and den (a row each per stream), z^k, weight
-    table = _powers(q, 2 * size + 1)
+    size = min(_FIRST_BLOCK, most)
+    carry = pcarry = 1.0  # the chains at order k: num and den, z^k and the sign weight
+    done = [False] * count  # the streams that ended in an earlier block
+    table = np.empty(0)  # q^0, q^1, ..., as far as the blocks need
     k = 0
     while k < MAX_TERMS:
         n = min(size, MAX_TERMS - k)
-        if table.size <= 2 * (k + n) + 1:
-            table = _powers(q, 2 * (k + n) + 1)
-        f = table[k:k + n, None] * bases
+        if table.size <= (need := 2 * (k + n) if factor else k + n):
+            table = _powers(q, need)
+        cells = np.empty((1 + n * width, 2 * count), complex)
+        cells[0] = carry
+        f = cells[1:].reshape(n, width, 2 * count)  # [order, base, chain]
+        np.multiply(table[k:k + n, None, None], bases, out=f)
         np.subtract(1.0, f, out=f)
-        f = f.reshape(n, rows, width)  # [order, row, base]
-        for r, i, m in snaps:
-            if k <= m < k + n:
-                f[m - k, r, i] = 0.0
-        cells = np.empty((rows, 1 + n * width), complex)
-        cells[:, 0] = carry
-        cells[:, 1:].reshape(rows, n, width)[...] = f.transpose(1, 0, 2)
-        np.multiply.accumulate(cells, axis=1, out=cells)
-        carry = cells[:, n * width]
-        powers = np.empty((count + bool(sign_exp), n + 2), complex)  # one factor an order
-        powers[:, 0] = pcarry
-        powers[:count, 1:] = scalars[:, 0]
+        hits = [None] * count  # the first factor inside the guard, of each stream
+        if not (mags := np.abs(f)).min() >= POLE_GUARD:  # a nan factor makes the minimum nan
+            # an upper base snapped onto q^{-m} makes the factor of order m exactly zero
+            for j, i, s in zip(*np.nonzero(mags[:, :nu, 0::2] < _SNAP_REACH)):
+                if terminating_order(uppers[s][i], ctx) == k + j:
+                    f[j, i, 2 * s] = 0.0
+            for s in range(count):
+                if (inside := mags[:, :nl, 2 * s + 1] < POLE_GUARD).any():
+                    j, i = divmod(int(inside.argmax()), nl)
+                    hits[s] = j, i, complex(f[j, i, 2 * s + 1])
+        np.multiply.accumulate(cells, axis=0, out=cells)
+        carry = cells[n * width]
+        powers = np.empty((n + 1, count + bool(sign_exp)), complex)  # z^k of each stream, weight
+        powers[0] = pcarry
+        powers[1:, :count] = zs
         if sign_exp:
-            powers[count, 1:] = _ipow_array(-table[k:k + n + 1], sign_exp)
-        np.multiply.accumulate(powers, axis=1, out=powers)
-        pcarry = powers[:, n]
-        run = cells[:, :n * width:width]
-        t = run[0::2] / run[1::2] * powers[:count, :n]
-        if sign_exp:
-            t *= powers[count, :n]
+            weight = -table[k:k + n]  # (-q^k)^sign_exp
+            powers[1:, count] = weight if sign_exp == 1 else ipow(weight, sign_exp)
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        pcarry = powers[n]
+        run = cells[:n * width:width]
         if factor:
-            t *= 1.0 - scalars[:, 2] * table[2 * k + factor[1]:2 * (k + n) + factor[1]:2]
-        if const is not None:
-            t = scalars[:, 1] * t
-        nums = cells[0::2, width:(n + 1) * width:width]
-        zero = np.count_nonzero(nums) < count * n
-        blocks = []
-        for s, st in enumerate(terms):
-            if not live[s]:
-                blocks.append(None)
+            steps = table[2 * k + factor[1]:2 * (k + n) + factor[1]:2]  # q^{2k+shift}
+        block, cut, pole, last = [], n, None, 0
+        for s, st in enumerate(streams):
+            if done[s]:
+                block.append(np.zeros(n, complex))
                 continue
+            t = run[:, 2 * s] / run[:, 2 * s + 1] * powers[:n, s]
+            if sign_exp:
+                t *= powers[:n, count]
+            if factor:
+                t *= 1.0 - st.factor[0] * steps
+            if const is not None:
+                t = st.const * t
+            if st.post is not None:
+                t = st.post * t
+            block.append(t)
             end = n  # orders k .. k + end - 1 keep num nonzero; order k + end ends the stream
-            if zero and not nums[s].all():
-                end = int((nums[s] == 0.0).argmax())
-            cut, pole = min(end + 1, n), None
-            if nl and k < guarded[s] and (tested := min(end, guarded[s] - k)):
-                mags = np.abs(f[:tested, 2 * s + 1, :nl])
-                if mags.min() < POLE_GUARD:
-                    j, i = divmod(int((mags < POLE_GUARD).argmax()), nl)
-                    cut, low = j + 1, complex(f[j, 2 * s + 1, i])
-                    pole = (f"lower-parameter factor |1 - b q^k| = {abs(low):.3g} below pole "
-                            f"guard at k = {k + j} (base {lowers[s][i]!r})")
-            block = t[s, :cut] if st.post is None else st.post * t[s, :cut]
-            live[s] = pole is None and end == n
-            blocks.append((block, pole, end < n))
-        yield blocks
-        if not any(live):
+            top = complex(carry[2 * s])  # num_{k+n}: when nonzero and finite, so is every num
+            if not (top and cmath.isfinite(top)):
+                nums = cells[width:(n + 1) * width:width, 2 * s]
+                if not nums.all():
+                    end = int((nums == 0.0).argmax())
+                    t[end + 1:] = 0.0
+                    done[s] = True
+                    last = max(last, end + 1)
+            if (hit := hits[s]) and hit[0] < end and (pole is None or hit[0] + 1 < cut):
+                j, i, factor_value = hit
+                cut = j + 1
+                pole = (f"lower-parameter factor |1 - b q^k| = {abs(factor_value):.3g} below pole "
+                        f"guard at k = {k + j} (base {lowers[s][i]!r})")
+        if all(done):
+            cut = min(cut, last)
+        yield [t[:cut] for t in block]
+        if pole is not None:
+            raise PoleError(pole)
+        if all(done):
             return
         k += n
         size = min(2 * size, most)
-
-
-def _guarded_orders(lower, q):
-    """The orders k at which the pole guard can reach a lower factor 1 - b q^k:
-    |b| |q|^k > reach for the largest |b|."""
-    mags, reach = [abs(b) for b in lower], 0.5 * (1.0 - POLE_GUARD)
-    top, aq = max(mags, default=0.0), abs(q)
-    if not math.isfinite(sum(mags)):
-        return math.inf  # from logs: a loop on an infinite |b| would never end
-    if top <= reach or aq == 0.0:  # q = 0: q^k = 0 for every k >= 1
-        return int(top > reach)
-    return math.floor((math.log(top) - math.log(reach)) / -math.log(aq)) + 1
-
-
-def _first_block(z, sign_exp, ctx, last):
-    """Terms in a ladder's first block: enough for most sums to stop in it.
-
-    |t_k| falls off about as |z|^k |q|^{sign_exp k(k-1)/2}, z the largest
-    |argument| of the streams, and reaches series_tol after some K orders;
-    the first block has 1.5 K + 8 terms, since the base products slow the
-    first orders' decay and the sum stops 3 terms late, and a second block
-    costs more than unsummed terms do.  Streams that all end by order
-    ``last`` need last + 1 terms.  Only speed depends on the guess.
-    """
-    c = -math.log(ctx.series_tol)
-    b = math.log(z) if z else -c
-    if sign_exp > 0 and ctx.q:
-        a = 0.5 * sign_exp * math.log(abs(ctx.q))
-        b -= a
-        orders = (b + math.sqrt(b * b - 4.0 * a * c)) / (-2.0 * a)
-    elif b < 0.0 and not sign_exp:
-        orders = c / -b
-    else:
-        orders = _FIRST_BLOCK
-    size = 1.5 * orders + 8.0 if orders < MAX_TERMS else MAX_TERMS  # nan too
-    return int(min(size, last + 1))
-
-
-def _ipow_array(x, n):
-    """qcore.ipow on each entry of an array: the same binary exponentiation."""
-    if n < 0:
-        return 1.0 / _ipow_array(x, -n)
-    result = None
-    while n:
-        if n & 1:
-            result = x if result is None else result * x
-        n >>= 1
-        if n:
-            x = x * x
-    return result
 
 
 def _shifted_terms(const, c, ups, lows, lows1, z, ctx):
@@ -369,37 +296,27 @@ def _magnitudes(values):
         return list(map(_magnitude, values))
 
 
-_NO_TERMS = np.empty(0, complex)
-
-
 def _difference(a, b):
     """The termwise difference t_k = a_k - b_k of two term streams, as blocks
     (t, w) weighing each term w_k = max(|a_k|, |b_k|); zeros stand in for a
     stream that ended.
 
-    The streams come from ``_pair``.  A stream's next block is drawn only when
-    its terms are all paired, the first stream's before the second's, as a
-    termwise zip would draw them.
+    Two ``_Terms`` of one shape are computed side by side by ``_ladder``;
+    other streams are paired term by term, the first stream's term drawn
+    before the second's.
     """
-    halves = list(_pair(a, b))
-    rest = [_NO_TERMS, _NO_TERMS]  # the unpaired terms of each stream
-    while True:
-        for i in (0, 1):
-            while halves[i] is not None and not rest[i].size:
-                rest[i] = next(halves[i], None)
-                if rest[i] is None:
-                    halves[i], rest[i] = None, _NO_TERMS
-        ra, rb = rest
-        if ra.size == rb.size:  # blocks of one schedule, or both streams done
-            if not ra.size:
-                return
-            rest = [_NO_TERMS, _NO_TERMS]
-        else:
-            m = ra.size if halves[1] is None else rb.size if halves[0] is None else min(ra.size, rb.size)
-            ra = ra[:m] if ra.size else np.zeros(m, complex)
-            rb = rb[:m] if rb.size else np.zeros(m, complex)
-            rest = [rest[0][m:], rest[1][m:]]
-        yield ra - rb, list(map(max, _magnitudes(ra.tolist()), _magnitudes(rb.tolist())))
+    if isinstance(a, _Terms) and isinstance(b, _Terms) and a.shape() == b.shape():
+        for ta, tb in _ladder((a, b)):
+            yield ta - tb, list(map(max, _magnitudes(ta.tolist()), _magnitudes(tb.tolist())))
+        return
+    for ta, tb in itertools.zip_longest(_flat(a), _flat(b), fillvalue=0j):
+        yield np.array([ta - tb]), [max(_magnitude(ta), _magnitude(tb))]
+
+
+def _flat(blocks):
+    """The terms of a block stream, one Python complex each."""
+    for block in blocks:
+        yield from block.tolist()
 
 
 def _sum_stream(blocks, ctx):
@@ -439,23 +356,26 @@ def _sum_stream(blocks, ctx):
                 terms = block[:MAX_TERMS - n].tolist()
                 weights = sizes = _magnitudes(terms)
             # finite sums of the magnitudes: every one is finite, none to test
-            finite = math.isfinite(sum(sizes)) and math.isfinite(sum(weights))
-            for t, at, w in zip(terms, sizes, weights):
-                total += t
-                n += 1
-                if not (finite or math.isfinite(at) and math.isfinite(w)):
-                    raise DivergentSeries(f"term magnitude not finite at k = {n - 1}")
-                w_sum += w
-                if at != 0.0:
-                    prev, last = last, at
-                if at <= tol * abs(total):
-                    small += 1
-                    if small >= 3:
-                        rho = min(last / prev, 0.99) if prev > 0.0 else 0.0
-                        err = last * rho / (1.0 - rho) + _ROUND_FLOOR * w_sum
-                        return _finite(total, n), err, n, False
-                else:
-                    small = 0
+            finite = math.isfinite(sum(sizes)) and (weights is sizes or math.isfinite(sum(weights)))
+            try:
+                for t, at, w in zip(terms, sizes, weights):
+                    total += t
+                    n += 1
+                    if not (finite or math.isfinite(at) and math.isfinite(w)):
+                        raise DivergentSeries(f"term magnitude not finite at k = {n - 1}")
+                    w_sum += w
+                    if at != 0.0:
+                        prev, last = last, at
+                    if at <= tol * abs(total):
+                        small += 1
+                        if small >= 3:
+                            rho = min(last / prev, 0.99) if prev > 0.0 else 0.0
+                            err = last * rho / (1.0 - rho) + _ROUND_FLOOR * w_sum
+                            return _finite(total, n), err, n, False
+                    else:
+                        small = 0
+            except OverflowError:  # abs(total): finite parts, the modulus overflows
+                raise DivergentSeries(f"partial sum not finite after {n} terms") from None
     raise DivergentSeries(
         f"no convergence within MAX_TERMS = {MAX_TERMS} "
         f"(last |term| = {last:.3g})"

@@ -350,6 +350,15 @@ class TestHelpers:
             n = rng.randint(-20, 20)
             assert abs(ipow(x, n) - x ** n) <= 1e-12 * abs(x ** n)
 
+    def test_ipow_of_an_array_is_ipow_of_each_entry(self):
+        # the same products, to the ulps by which numpy's complex multiply and
+        # divide (FMA, another division rule) differ from Python's
+        rng = random.Random(6)
+        xs = np.array([rand_complex(rng, 0.2, 2.0) for _ in range(30)] + [-0.5, 0.8j])
+        for n in (-3, -1, 0, 1, 2, 7):
+            want = np.array([ipow(x, n) for x in xs.tolist()])
+            assert np.all(abs(ipow(xs, n) - want) <= 4e-16 * (abs(n) + 1) * abs(want))
+
     def test_q_power_index(self):
         q = 0.5 + 0.1j
         for m in (-7, -1, 0, 1, 9):

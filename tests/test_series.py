@@ -22,7 +22,6 @@ from qverify.series import (
     _ROUND_FLOOR,
     _Terms,
     _ascending_terms,
-    _pair,
     _shifted_terms,
     SeriesSpec,
     _sum_series,
@@ -435,6 +434,8 @@ class TestLadderBitIdentity:
         for bad in (complex(math.inf, 0.0), complex(math.nan, 0.0), 1e300):
             self.same([0.3, bad], [0.4, ctx.q], 0.5, ctx)
             self.same([0.3], [bad, ctx.q], 0.5, ctx)
+            # next to a factor inside the guard at k = 0
+            self.same([0.3, bad], [1.0 + 1e-10, ctx.q], 0.5, ctx)
 
     def test_zero_q(self):
         # q^k = 0 for k >= 1, so only the order k = 0 can reach the guard
@@ -482,9 +483,42 @@ def stream_bytes(stream, n=150):
     return np.concatenate(parts)[:n].tobytes(), error
 
 
+def same_shape(rng, st, ctx):
+    """A random stream of the shape of ``st``, which ``_ladder`` computes next to it."""
+    def bases(n):
+        out = [rand_complex(rng, 0.0, 3.0) for _ in range(n)]
+        if out and rng.random() < 0.3:
+            out[0] = ipow(ctx.q, -rng.randint(0, 20)) * (1.0 + 1e-9 * (rng.random() < 0.5))
+        return out
+    factor = None if st.factor is None else (rand_complex(rng, 0.0, 2.0), st.factor[1])
+    return _Terms(bases(len(st.upper)), bases(len(st.lower)), rand_complex(rng, 0.0, 1.2), ctx,
+                  st.sign_exp, None if st.const is None else rand_complex(rng, 0.5, 2.0), factor,
+                  rng.choice((None, 1.5 - 0.5j)))
+
+
+def one_by_one(stream):
+    """A block stream as blocks of one term, drawn as each term is asked for."""
+    return (np.array([t]) for t in flat(stream))
+
+
+def drained_difference(a, b, n=300):
+    """The (term, weight) pairs of the difference stream of a and b, then any error."""
+    out = []
+    with np.errstate(all="ignore"):
+        try:
+            for t, w in series._difference(a, b):
+                out.extend(zip(map(repr, t.tolist()), map(repr, w)))
+                if len(out) >= n:
+                    return out[:n]
+        except (PoleError, DivergentSeries) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
 class TestBlocks:
-    """Term blocks: where the blocks start and what is computed next to a stream
-    change no bit; a stream ends and raises where the scalar ladder did."""
+    """Term blocks: where the blocks start and which stream is computed next
+    to a stream change no bit; a stream ends and raises where the scalar
+    ladder did."""
 
     @pytest.mark.parametrize("q", [0.3, 0.95, -0.5, 0.5 + 0.3j])
     def test_terms_do_not_depend_on_the_block_schedule(self, q, monkeypatch):
@@ -493,20 +527,29 @@ class TestBlocks:
         streams = [random_stream(rng, ctx) for _ in range(30)]
         want = [stream_bytes(t) for t in streams]
         for first in (1, 7, 64):
-            monkeypatch.setattr(series, "_first_block", lambda *args, first=first: first)
+            monkeypatch.setattr(series, "_FIRST_BLOCK", first)
             assert [stream_bytes(t) for t in streams] == want
-        # two streams of one shape computed in one pass: each as if alone
-        for a, b in zip(streams, streams[1:]):
-            if a.shape() == b.shape():
-                together = _pair(a, b)
-                assert [stream_bytes(t) for t in together] == [stream_bytes(a), stream_bytes(b)]
+
+    @pytest.mark.parametrize("q", [0.3, 0.95, -0.5, 0.5 + 0.3j])
+    def test_side_by_side_difference_is_the_termwise_difference(self, q):
+        # two streams of one shape are computed side by side; their difference
+        # has the terms, weights, zeros after a stream's end and first pole (the
+        # first stream's, of two at one k) of pairing the streams term by term
+        ctx = QContext(q)
+        rng = random.Random(5)
+        for _ in range(40):
+            a = random_stream(rng, ctx)
+            b = same_shape(rng, a, ctx)
+            for x, y in ((a, b), (b, a), (a, a)):
+                want = drained_difference(one_by_one(x), one_by_one(y))
+                assert drained_difference(x, y) == want
 
     @pytest.mark.parametrize("first", [None, 256])
     def test_guard_past_the_stop_is_never_raised(self, first, monkeypatch):
         # 1 - b q^k falls inside the pole guard at k = 200 only; the sum stops near
         # k = 35, inside the same block when the first block has 256 terms
         if first is not None:
-            monkeypatch.setattr(series, "_first_block", lambda *args: first)
+            monkeypatch.setattr(series, "_FIRST_BLOCK", first)
         ctx = QContext(0.99)
         b = ipow(ctx.q, -200) * (1.0 + 3e-9j)
         stream = _ascending_terms([], [b], 0.3 * abs(b), ctx)
@@ -519,7 +562,7 @@ class TestBlocks:
     @pytest.mark.parametrize("n", [32, 33, 96])
     def test_stream_ending_at_a_block_edge(self, n, monkeypatch):
         # blocks of 32 and 64 terms; the upper base q^{-(n-1)} ends the stream after n terms
-        monkeypatch.setattr(series, "_first_block", lambda *args: 32)
+        monkeypatch.setattr(series, "_FIRST_BLOCK", 32)
         ctx = QContext(0.9)
         upper, lower = [ipow(ctx.q, -(n - 1)), 0.3], [0.6, ctx.q]
         got = [block.size for block in _ascending_terms(upper, lower, 0.5, ctx)]
@@ -550,6 +593,11 @@ class TestOverflowingMagnitude:
     """A finite term whose modulus overflows: abs() raises OverflowError for it,
     the sum names the term instead."""
 
+    def test_partial_sum(self):
+        # every term's modulus is finite, the modulus of their sum is not
+        with pytest.raises(DivergentSeries, match="partial sum not finite after 2 terms"):
+            _sum_series(blocks([1.5e308, 1.5e308j]), QContext(0.5))
+
     def test_plain_stream(self):
         with pytest.raises(DivergentSeries, match="term magnitude not finite at k = 1"):
             eval_phi(SeriesSpec([0.0], [], complex(0.75e308, 0.75e308)), QContext(0.5))
@@ -559,3 +607,11 @@ class TestOverflowingMagnitude:
         big = complex(1.5e308, 1.5e308)
         with pytest.raises(DivergentSeries, match="term magnitude not finite at k = 1"):
             _diff_sum(blocks([1.0, big]), blocks([0.5, big]), QContext(0.5))
+
+    def test_side_by_side_difference_stream(self):
+        # t_1 = big and big / 2: the difference is finite, the modulus of a half is not
+        ctx = QContext(0.5)
+        big = complex(1.5e308, 1.5e308)
+        a, b = _Terms([], [], big, ctx, const=1.0), _Terms([], [], big, ctx, const=0.5)
+        with pytest.raises(DivergentSeries, match="term magnitude not finite at k = 1"):
+            _diff_sum(a, b, ctx)
