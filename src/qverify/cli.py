@@ -278,8 +278,7 @@ def cmd_sweep(args) -> int:
     doc, code = run_sweep(config)
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(doc) + "\n")
     summary = doc["summary"]
     fails = sum(s["fail"] for s in summary.values())
     print(f"{'identity':24s} {'pass':>5s} {'fail':>5s} {'skip':>5s}  max rel residual")

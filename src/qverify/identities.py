@@ -176,8 +176,8 @@ def _diff_sum(terms_a, terms_b, ctx: QContext) -> complex:
     IllConditioned (an exactly-zero stream, e.g. the a = b diagonal, is
     exact and passes through).  A half that ends contributes zeros.
     """
-    value, err, _, _ = _sum_stream(_difference(terms_a, terms_b), ctx)
-    return _require_verifiable(value, err, ctx)
+    res = _sum_stream(_difference(terms_a, terms_b), ctx)
+    return _require_verifiable(res.value, res.abs_error_estimate, ctx)
 
 
 def _swap_diff(half, names):

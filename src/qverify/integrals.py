@@ -38,7 +38,7 @@ from .qcore import (
     qpoch_inf_many,
 )
 from .multisum import check_qpow_ratio, omega
-from .series import _shifted_terms, _sum_series
+from .series import _shifted_terms, _sum_stream
 
 __all__ = [
     "AWIntegrandSpec",
@@ -307,7 +307,7 @@ def aw_residue_correction(a, b, c, d, u, v, N, ctx: QContext) -> complex:
         integral  =  thm_e_rhs  +  aw_residue_correction.
 
     Each pole's residues are one _residue_terms stream over the series
-    ladder (K terms cost O(K) factors), summed by series._sum_series under
+    ladder (K terms cost O(K) factors), summed by series._sum_stream under
     the standard truncation policy.  Zero when every N_i = 0.  Assumes the
     poles v_i q^m are pairwise distinct (generic parameters).
     """
@@ -324,7 +324,7 @@ def aw_residue_correction(a, b, c, d, u, v, N, ctx: QContext) -> complex:
         for m in range(n_i):
             p = v[i] * ipow(q, m)
             terms = _residue_terms(p, i, n_i - 1 - m, lams, u, v, w, ctx)
-            res_total += _sum_series(terms, ctx).value
+            res_total += _sum_stream(terms, ctx).value
     if res_total == 0.0:
         return 0.0 + 0.0j
     om = _divisor(omega(a, b, c, d, u, v, N, ctx), "terminating multi-sum")

@@ -28,18 +28,18 @@ asked for.  Blocks start at 48 terms and double up to a cap.  The two
 halves of a difference stream (``_difference``) share one ladder: their
 factors are computed side by side, each term as if alone.
 ``_sum_stream`` is the one summation kernel, for plain streams and for the
-difference streams of ``_difference``: term by term in Python complex
-arithmetic, it stops after 3 consecutive terms below series_tol * |partial
-sum|, and reports the geometric tail |t_last| * rho / (1 - rho) of the
-observed ratio rho plus a roundoff floor proportional to the summed
-per-term magnitudes.  A stream that ends is an exact cut, with the floor
-as its only error.
+difference streams of ``_difference`` (two ``_Terms`` of one shape): the
+moduli of a block come from one np.hypot, and its terms are summed one by
+one in Python complex arithmetic.  It stops after 3 consecutive terms below
+series_tol * |partial sum|, and reports the geometric tail
+|t_last| * rho / (1 - rho) of the observed ratio rho plus a roundoff floor
+proportional to the summed per-term magnitudes.  A stream that ends is an
+exact cut, with the floor as its only error.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -132,11 +132,6 @@ class _Terms:
         """What streams computed side by side by ``_ladder`` have in common."""
         return (len(self.upper), len(self.lower), self.ctx, self.sign_exp,
                 self.const is None, None if self.factor is None else self.factor[1])
-
-
-def _ascending_terms(upper, lower, z, ctx, sign_exp=0):
-    """The plain ladder t_k of ``_Terms``."""
-    return _Terms(upper, lower, z, ctx, sign_exp)
 
 
 def _ladder(streams):
@@ -280,61 +275,35 @@ def _shifted_terms(const, c, ups, lows, lows1, z, ctx):
 _ROUND_FLOOR = 3e-16
 
 
-def _magnitude(t):
-    """abs(t), or inf where the modulus of finite parts overflows."""
-    try:
-        return abs(t)
-    except OverflowError:
-        return math.inf
-
-
-def _magnitudes(values):
-    """abs of each value, inf where the modulus of finite parts overflows."""
-    try:
-        return list(map(abs, values))
-    except OverflowError:
-        return list(map(_magnitude, values))
-
-
 def _difference(a, b):
-    """The termwise difference t_k = a_k - b_k of two term streams, as blocks
-    (t, w) weighing each term w_k = max(|a_k|, |b_k|); zeros stand in for a
-    stream that ended.
-
-    Two ``_Terms`` of one shape are computed side by side by ``_ladder``;
-    other streams are paired term by term, the first stream's term drawn
-    before the second's.
+    """The termwise difference t_k = a_k - b_k of two ``_Terms`` of one shape,
+    computed side by side by ``_ladder``, as blocks (t, w) weighing each term
+    w_k = max(|a_k|, |b_k|); zeros stand in for a stream that ended.
     """
-    if isinstance(a, _Terms) and isinstance(b, _Terms) and a.shape() == b.shape():
-        for ta, tb in _ladder((a, b)):
-            yield ta - tb, list(map(max, _magnitudes(ta.tolist()), _magnitudes(tb.tolist())))
-        return
-    for ta, tb in itertools.zip_longest(_flat(a), _flat(b), fillvalue=0j):
-        yield np.array([ta - tb]), [max(_magnitude(ta), _magnitude(tb))]
+    if a.shape() != b.shape():
+        raise ValueError("a difference stream takes two _Terms of one shape")
+    return ((ta - tb, np.maximum(np.hypot(ta.real, ta.imag), np.hypot(tb.real, tb.imag)))
+            for ta, tb in _ladder((a, b)))
 
 
-def _flat(blocks):
-    """The terms of a block stream, one Python complex each."""
-    for block in blocks:
-        yield from block.tolist()
-
-
-def _sum_stream(blocks, ctx):
+def _sum_stream(blocks, ctx) -> SeriesResult:
     """Sum a stream of term blocks under the 3-consecutive-small-terms policy.
 
     A block is an array of consecutive terms t_k, each weighing its own
-    magnitude w_k = |t_k|, or a pair (t, w) of such an array and a list of
+    magnitude w_k = |t_k|, or a pair (t, w) of such an array and an array of
     the weights w_k, the magnitudes the roundoff of each term scales with
     (max(|a_k|, |b_k|) for a termwise difference a_k - b_k, see
-    ``_difference``).  The terms are summed one by one, in order, in Python
-    complex arithmetic; terms past the stop are computed but not summed.
-    Returns (value, abs_error_estimate, terms_used, terminated);
-    ``terminated`` means the stream itself ended (an exact cut, whose error
-    is the roundoff floor alone).  Otherwise the error estimate combines the
-    geometric truncation tail with that floor, _ROUND_FLOOR * sum of w_k, so
-    cancellation between large terms shows up in the reported bound.
-    Blocks are drawn under ``np.errstate(all="ignore")``: a term past the
-    stop may overflow without a warning.
+    ``_difference``).  The magnitudes |t_k| of a block are one np.hypot of
+    its real and imaginary parts: Python's abs of each term, and inf where
+    the modulus of finite parts overflows.  The terms are summed one by one,
+    in order, in Python complex arithmetic; terms past the stop are computed
+    but not summed.  The SeriesResult's ``terminated`` means the stream
+    itself ended (an exact cut, whose error is the roundoff floor alone).  Otherwise the error
+    estimate combines the geometric truncation tail with that floor,
+    _ROUND_FLOOR * sum of w_k, so cancellation between large terms shows up
+    in the reported bound.  Blocks are drawn under
+    ``np.errstate(all="ignore")``: a term past the stop may overflow without
+    a warning.
     """
     total = 0.0 + 0.0j
     small = 0
@@ -348,17 +317,15 @@ def _sum_stream(blocks, ctx):
         while n < MAX_TERMS:
             block = next(blocks, None)
             if block is None:
-                return _finite(total, n), _ROUND_FLOOR * w_sum, n, True
-            if isinstance(block, tuple):
-                terms, weights = block[0][:MAX_TERMS - n].tolist(), block[1]
-                sizes = _magnitudes(terms)
-            else:
-                terms = block[:MAX_TERMS - n].tolist()
-                weights = sizes = _magnitudes(terms)
+                return SeriesResult(_finite(total, n), _ROUND_FLOOR * w_sum, n, True)
+            terms, weights = block if isinstance(block, tuple) else (block, None)
+            terms = terms[:MAX_TERMS - n]
+            sizes = np.hypot(terms.real, terms.imag).tolist()
+            weights = sizes if weights is None else weights.tolist()
             # finite sums of the magnitudes: every one is finite, none to test
             finite = math.isfinite(sum(sizes)) and (weights is sizes or math.isfinite(sum(weights)))
             try:
-                for t, at, w in zip(terms, sizes, weights):
+                for t, at, w in zip(terms.tolist(), sizes, weights):
                     total += t
                     n += 1
                     if not (finite or math.isfinite(at) and math.isfinite(w)):
@@ -371,7 +338,7 @@ def _sum_stream(blocks, ctx):
                         if small >= 3:
                             rho = min(last / prev, 0.99) if prev > 0.0 else 0.0
                             err = last * rho / (1.0 - rho) + _ROUND_FLOOR * w_sum
-                            return _finite(total, n), err, n, False
+                            return SeriesResult(_finite(total, n), err, n, False)
                     else:
                         small = 0
             except OverflowError:  # abs(total): finite parts, the modulus overflows
@@ -389,11 +356,6 @@ def _finite(total, n):
     return total
 
 
-def _sum_series(blocks, ctx) -> SeriesResult:
-    """Sum a plain block stream, each term weighing its own magnitude."""
-    return SeriesResult(*_sum_stream(blocks, ctx))
-
-
 def eval_phi(spec: SeriesSpec, ctx: QContext) -> SeriesResult:
     """Evaluate a unilateral (1+r)phi(s) series.
 
@@ -405,14 +367,8 @@ def eval_phi(spec: SeriesSpec, ctx: QContext) -> SeriesResult:
         raise ValueError("eval_phi expects a unilateral SeriesSpec")
     r = len(spec.upper) - 1
     s = len(spec.lower)
-    stream = _ascending_terms(
-        spec.upper,
-        list(spec.lower) + [ctx.q],
-        spec.argument,
-        ctx,
-        sign_exp=s - r,
-    )
-    return _sum_series(stream, ctx)
+    stream = _Terms(spec.upper, list(spec.lower) + [ctx.q], spec.argument, ctx, s - r)
+    return _sum_stream(stream, ctx)
 
 
 def _split(spec: SeriesSpec, ctx: QContext):
@@ -425,7 +381,7 @@ def _split(spec: SeriesSpec, ctx: QContext):
     """
     q = ctx.q
     z = spec.argument
-    first = _sum_series(_ascending_terms(spec.upper, spec.lower, z, ctx), ctx)
+    first = _sum_stream(_Terms(spec.upper, spec.lower, z, ctx), ctx)
     if z == 0.0:
         raise DivergentSeries("bilateral series needs a nonzero argument")
     upper = [u for u in spec.upper if u != 0.0]
@@ -449,8 +405,8 @@ def _split(spec: SeriesSpec, ctx: QContext):
     if s:
         pref *= ipow(q, s)
         w *= ipow(-q * q, s)
-    stream = _ascending_terms([q * q / b for b in lower], [q * q / u for u in upper], w, ctx, s)
-    ref = _sum_series(stream, ctx)
+    stream = _Terms([q * q / b for b in lower], [q * q / u for u in upper], w, ctx, s)
+    ref = _sum_stream(stream, ctx)
     return first, SeriesResult(
         pref * ref.value, abs(pref) * ref.abs_error_estimate, ref.terms_used, ref.terminated
     )

@@ -8,11 +8,12 @@ import re
 
 import numpy as np
 import pytest
-from blockstream import blocks, flat
+from blockstream import flat
 
 from qverify import qcore
 from qverify.cli import main
 from qverify.qcore import IllConditioned, QContext, UnknownParam, ipow, qpoch
+from qverify.series import _Terms
 from qverify.identities import (
     _pair_rhs,
     _sum_with_guard,
@@ -85,7 +86,8 @@ class TestIdem:
     interchanged, subtracted termwise (``_swap_diff``) or added (``_pair_rhs``)."""
 
     def test_subtractive_of_symmetric_is_zero(self):
-        ev = _swap_diff(lambda x, y, ctx: blocks([x * y, x + y]), "xy")
+        # halves of two terms, x y and -x y (x + y): the upper base 1/q ends them
+        ev = _swap_diff(lambda x, y, ctx: _Terms([1.0 / ctx.q], [], x + y, ctx, const=x * y), "xy")
         assert ev({"x": 2.0, "y": 5.0}, CTX) == 0.0
 
     def test_additive_flavor(self):
@@ -276,24 +278,24 @@ class TestNamedEvaluators:
     def test_rho_difference_matches_case_lhs(self):
         from qverify.identities import _rho7_terms
         from qverify.identities import get_case as gc
-        from qverify.series import _sum_series
+        from qverify.series import _sum_stream
 
         ctx = QContext(0.3)
         p = sample("thm-a-7var", 4, ctx)
         a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
-        direct = _sum_series(_rho7_terms(a, b, c, d, e, f, g, ctx), ctx).value - \
-            _sum_series(_rho7_terms(b, a, c, d, e, f, g, ctx), ctx).value
+        direct = _sum_stream(_rho7_terms(a, b, c, d, e, f, g, ctx), ctx).value - \
+            _sum_stream(_rho7_terms(b, a, c, d, e, f, g, ctx), ctx).value
         case_lhs = gc("thm-a-7var").lhs(p, ctx)
         assert abs(direct - case_lhs) < 1e-9 * max(abs(direct), 1e-20)
 
     def test_rho_prime_reduces_to_rho_family_at_n0(self):
         from qverify.identities import _rho_prime_terms
-        from qverify.series import _sum_series
+        from qverify.series import _sum_stream
 
         ctx = QContext(0.5)
         p = sample("corl-a", 7, ctx)
         a, b, c, d, e, f = (p[k] for k in "abcdef")
-        v = _sum_series(_rho_prime_terms(a, b, c, d, e, f, 0, ctx), ctx).value
+        v = _sum_stream(_rho_prime_terms(a, b, c, d, e, f, 0, ctx), ctx).value
         assert v == v  # smoke: defined and finite
         assert abs(v) < 1e6
 

@@ -13,7 +13,7 @@ from blockstream import blocks
 
 from qverify import integrals, qcore
 from qverify.qcore import CapExceeded, NoConvergence, QContext, ipow, qpoch, qpoch_inf, qpoch_inf_many
-from qverify.series import _sum_series
+from qverify.series import _sum_stream
 from qverify.integrals import (
     AWIntegrandSpec,
     _aw_integrand,
@@ -387,7 +387,7 @@ def _residue_sum_ref(a, b, c, d, u, v, N, ctx):
                 _residue_term_ref(k, p, i, j_star, (a, b, c, d), u, v, w, ctx)
                 for k in itertools.count()
             )
-            total += _sum_series(blocks(terms), ctx).value
+            total += _sum_stream(blocks(terms), ctx).value
     return total
 
 

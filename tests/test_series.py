@@ -9,7 +9,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from blockstream import blocks, flat, weighted
+from blockstream import blocks, flat, scalar_sum, termwise_difference, weighted
 
 from qverify.qcore import (
     INF, MAX_TERMS, POLE_GUARD, DivergentSeries, PoleError, QContext, ipow, q_power_index,
@@ -21,10 +21,8 @@ from qverify.series import (
     _BLOCK_CELLS,
     _ROUND_FLOOR,
     _Terms,
-    _ascending_terms,
     _shifted_terms,
     SeriesSpec,
-    _sum_series,
     _sum_stream,
     eval_bilateral_split,
     eval_phi,
@@ -87,7 +85,7 @@ class TestEvalPhi:
         with pytest.raises(DivergentSeries, match="partial sum not finite after 1751 terms"):
             eval_phi(SeriesSpec([0.3, 0.4], [0.2], 1.5), QContext(0.5))
         with pytest.raises(DivergentSeries, match="partial sum not finite after 2 terms"):
-            _sum_series(blocks([1e308 + 0j, 1e308 + 0j]), QContext(0.5))
+            _sum_stream(blocks([1e308 + 0j, 1e308 + 0j]), QContext(0.5))
 
     def test_kind_mismatch(self):
         spec = SeriesSpec(upper=[0.1, 0.2], lower=[0.3, 0.4], argument=0.5,
@@ -288,16 +286,16 @@ def qpoch_ref(x, n, q):
 
 
 class TestKShiftedSum:
-    """``_sum_series`` on a term stream t_0, t_1, ... computed from k alone."""
+    """``_sum_stream`` on a term stream t_0, t_1, ... computed from k alone."""
 
     def test_single_term(self):
         ctx = QContext(0.5)
-        r = _sum_series(blocks(1.0 if k == 0 else 0.0 for k in itertools.count()), ctx)
+        r = _sum_stream(blocks(1.0 if k == 0 else 0.0 for k in itertools.count()), ctx)
         assert r.value == 1.0
 
     def test_matches_geometric(self):
         ctx = QContext(0.5)
-        r = _sum_series(blocks(0.25 ** k for k in itertools.count()), ctx)
+        r = _sum_stream(blocks(0.25 ** k for k in itertools.count()), ctx)
         assert abs(r.value - 4.0 / 3.0) < 1e-12
 
 
@@ -309,10 +307,10 @@ class TestSumStream:
         terms = [0.5 ** k for k in range(200)]
         plain = _sum_stream(blocks(terms), ctx)
         heavy = _sum_stream(weighted((t, 1.0) for t in terms), ctx)
-        n = plain[2]
-        assert not plain[3] and heavy[2:] == plain[2:]
-        assert heavy[0] == plain[0]
-        assert heavy[1] - plain[1] == pytest.approx(
+        n = plain.terms_used
+        assert not plain.terminated and not heavy.terminated and heavy.terms_used == n
+        assert heavy.value == plain.value
+        assert heavy.abs_error_estimate - plain.abs_error_estimate == pytest.approx(
             _ROUND_FLOOR * (n - sum(terms[:n])), rel=1e-9
         )
 
@@ -321,14 +319,44 @@ class TestSumStream:
         # differences: no tail is added, the error is the floor alone
         ctx = QContext(0.5)
         pairs = [(1e-3, 1.0), (2e-3, 2.0), (4e-3, 4.0)]
-        value, err, n, terminated = _sum_stream(weighted(pairs), ctx)
-        assert terminated and n == 3
-        assert abs(value - 7e-3) < 1e-18
-        assert err == _ROUND_FLOOR * 7.0
+        r = _sum_stream(weighted(pairs), ctx)
+        assert r.terminated and r.terms_used == 3
+        assert abs(r.value - 7e-3) < 1e-18
+        assert r.abs_error_estimate == _ROUND_FLOOR * 7.0
+
+
+def outcome(sum_stream, stream, ctx):
+    """What a summation kernel makes of a stream: the reprs of its value and
+    error claim, terms_used and terminated, or its error."""
+    try:
+        r = sum_stream(stream, ctx)
+    except (PoleError, DivergentSeries) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(r.value), repr(r.abs_error_estimate), r.terms_used, r.terminated
+
+
+class TestScalarReference:
+    """``_sum_stream`` against the scalar loop of ``blockstream.scalar_sum``,
+    which takes each term's magnitude from Python's abs: on plain streams and
+    on differences (against their halves paired term by term) the same value,
+    error claim, terms_used and terminated, bit for bit, or the same error."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.95, -0.5, 0.5 + 0.3j])
+    def test_sums_match_the_scalar_loop(self, q):
+        ctx = QContext(q)
+        rng = random.Random(17)
+        for _ in range(40):
+            a = random_stream(rng, ctx)
+            b = same_shape(rng, a, ctx)
+            for post in (None, 1e300 + 1e300j):  # the second near overflow
+                x, y = a.scaled(post), b.scaled(post)
+                assert outcome(_sum_stream, x, ctx) == outcome(scalar_sum, x, ctx)
+                assert (outcome(_sum_stream, series._difference(x, y), ctx)
+                        == outcome(scalar_sum, termwise_difference(x, y), ctx))
 
 
 def ladder_oracle(upper, lower, z, ctx, sign_exp=0):
-    """The ladder with the pole guard on every lower factor: the oracle of _ascending_terms."""
+    """The ladder with the pole guard on every lower factor: the oracle of _Terms."""
     q = ctx.q
     upper = [complex(u) for u in upper]
     lower = [complex(b) for b in lower]
@@ -392,7 +420,7 @@ class TestLadderBitIdentity:
     QS = [0.3, 0.8, 0.95, -0.5, 0.5 + 0.3j]
 
     def same(self, upper, lower, z, ctx, sign_exp=0):
-        got = drained(flat(_ascending_terms(upper, lower, z, ctx, sign_exp)))
+        got = drained(flat(_Terms(upper, lower, z, ctx, sign_exp)))
         want = drained(ladder_oracle(upper, lower, z, ctx, sign_exp))
         if want and want[-1].__class__ is str and want[-1].startswith("ZeroDivisionError"):
             want.pop()
@@ -496,18 +524,13 @@ def same_shape(rng, st, ctx):
                   rng.choice((None, 1.5 - 0.5j)))
 
 
-def one_by_one(stream):
-    """A block stream as blocks of one term, drawn as each term is asked for."""
-    return (np.array([t]) for t in flat(stream))
-
-
-def drained_difference(a, b, n=300):
-    """The (term, weight) pairs of the difference stream of a and b, then any error."""
+def drained_difference(stream, n=300):
+    """The (term, weight) pairs of a difference stream, then any error."""
     out = []
     with np.errstate(all="ignore"):
         try:
-            for t, w in series._difference(a, b):
-                out.extend(zip(map(repr, t.tolist()), map(repr, w)))
+            for t, w in stream:
+                out.extend(zip(map(repr, t.tolist()), map(repr, w.tolist())))
                 if len(out) >= n:
                     return out[:n]
         except (PoleError, DivergentSeries) as exc:
@@ -541,8 +564,22 @@ class TestBlocks:
             a = random_stream(rng, ctx)
             b = same_shape(rng, a, ctx)
             for x, y in ((a, b), (b, a), (a, a)):
-                want = drained_difference(one_by_one(x), one_by_one(y))
-                assert drained_difference(x, y) == want
+                want = drained_difference(termwise_difference(x, y))
+                assert drained_difference(series._difference(x, y)) == want
+
+    def test_difference_refuses_streams_of_two_shapes(self):
+        ctx = QContext(0.5)
+        a = _Terms([0.3], [0.2], 0.5, ctx)
+        others = (_Terms([0.3, 0.4], [0.2], 0.5, ctx), _Terms([0.3], [], 0.5, ctx),
+                  _Terms([0.3], [0.2], 0.5, ctx, 1), _Terms([0.3], [0.2], 0.5, ctx, const=2.0),
+                  _Terms([0.3], [0.2], 0.5, ctx, factor=(0.1, 1)),
+                  _Terms([0.3], [0.2], 0.5, QContext(0.3)))
+        for b in others:
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match="two _Terms of one shape"):
+                    series._difference(x, y)
+                with pytest.raises(ValueError, match="two _Terms of one shape"):
+                    _diff_sum(x, y, ctx)
 
     @pytest.mark.parametrize("first", [None, 256])
     def test_guard_past_the_stop_is_never_raised(self, first, monkeypatch):
@@ -552,8 +589,8 @@ class TestBlocks:
             monkeypatch.setattr(series, "_FIRST_BLOCK", first)
         ctx = QContext(0.99)
         b = ipow(ctx.q, -200) * (1.0 + 3e-9j)
-        stream = _ascending_terms([], [b], 0.3 * abs(b), ctx)
-        r = _sum_series(stream, ctx)
+        stream = _Terms([], [b], 0.3 * abs(b), ctx)
+        r = _sum_stream(stream, ctx)
         assert 30 <= r.terms_used <= 45 and not r.terminated
         # drained past the stop: the terms t_0 .. t_200, then the guard
         got = drained(flat(stream), 300)
@@ -565,7 +602,7 @@ class TestBlocks:
         monkeypatch.setattr(series, "_FIRST_BLOCK", 32)
         ctx = QContext(0.9)
         upper, lower = [ipow(ctx.q, -(n - 1)), 0.3], [0.6, ctx.q]
-        got = [block.size for block in _ascending_terms(upper, lower, 0.5, ctx)]
+        got = [block.size for block in _Terms(upper, lower, 0.5, ctx)]
         assert sum(got) == n and got == ([32, 64][:len(got) - 1] + [got[-1]])
         r = eval_phi(SeriesSpec(upper, lower[:1], 0.5), ctx)
         want = list(ladder_oracle(upper, lower, 0.5, ctx))
@@ -577,7 +614,7 @@ class TestBlocks:
         # _BLOCK_CELLS factor cells, and its arrays stay below 1 MB
         ctx = QContext(0.5)
         upper, lower = [0.3, 0.4], [0.2, ctx.q]
-        sizes = [block.size for block in _ascending_terms(upper, lower, 1.05, ctx)]
+        sizes = [block.size for block in _Terms(upper, lower, 1.05, ctx)]
         assert sum(sizes) == MAX_TERMS and max(sizes) * 2 <= _BLOCK_CELLS
         tracemalloc.start()
         try:
@@ -596,17 +633,23 @@ class TestOverflowingMagnitude:
     def test_partial_sum(self):
         # every term's modulus is finite, the modulus of their sum is not
         with pytest.raises(DivergentSeries, match="partial sum not finite after 2 terms"):
-            _sum_series(blocks([1.5e308, 1.5e308j]), QContext(0.5))
+            _sum_stream(blocks([1.5e308, 1.5e308j]), QContext(0.5))
 
     def test_plain_stream(self):
         with pytest.raises(DivergentSeries, match="term magnitude not finite at k = 1"):
             eval_phi(SeriesSpec([0.0], [], complex(0.75e308, 0.75e308)), QContext(0.5))
 
     def test_difference_stream(self):
-        # the difference at k = 1 is 0, but the modulus of its halves overflows
+        # t_0 = 1 and 2, t_1 = big twice: the difference at k = 1 is 0, but the
+        # modulus of its halves overflows
+        ctx = QContext(0.5)
         big = complex(1.5e308, 1.5e308)
+        a, b = _Terms([], [], big, ctx, const=1.0), _Terms([], [], big / 2, ctx, const=2.0)
+        with np.errstate(all="ignore"):
+            first = next(series._difference(a, b))
+        assert [x[:2].tolist() for x in first] == [[-1.0, 0.0], [2.0, math.inf]]
         with pytest.raises(DivergentSeries, match="term magnitude not finite at k = 1"):
-            _diff_sum(blocks([1.0, big]), blocks([0.5, big]), QContext(0.5))
+            _diff_sum(a, b, ctx)
 
     def test_side_by_side_difference_stream(self):
         # t_1 = big and big / 2: the difference is finite, the modulus of a half is not

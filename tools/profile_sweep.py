@@ -14,8 +14,8 @@ its summed factor count, which repeats exactly from run to run),
 ``qcore._near_pole`` (the near-pole test of every check) and
 ``identities.sample``, then the stream layer: the
 calls, terms summed, terms computed and time of ``series._sum_stream``,
-split by caller into plain series (``series._sum_series``) and the
-reciprocity difference streams (``identities._diff_sum``).  Streams come in
+split by caller into the reciprocity difference streams (called from
+``identities._diff_sum``) and plain series (every other caller).  Streams come in
 blocks of consecutive terms, so a sum that stops inside a block leaves
 terms computed but not summed; both counts repeat exactly from run to run.
 A layer's time includes the layers it calls.
@@ -63,9 +63,9 @@ def instrument(fn, kind=lambda args: "", work=lambda result: 0, feed=None):
 
 
 def stream_kind(args):
-    """A plain series reaches _sum_stream through series._sum_series, a difference
-    stream through identities._diff_sum."""
-    return "series" if sys._getframe(2).f_code.co_name == "_sum_series" else "difference"
+    """A difference stream reaches _sum_stream from identities._diff_sum, a plain
+    series from any other caller."""
+    return "difference" if sys._getframe(2).f_code.co_name == "_diff_sum" else "series"
 
 
 def counted(blocks, entry):
@@ -91,7 +91,7 @@ def main(argv) -> int:
         "_near_pole": instrument(qcore._near_pole),
         "sample": instrument(identities.sample),
     }
-    streams = instrument(series._sum_stream, stream_kind, lambda result: result[2], counted)
+    streams = instrument(series._sum_stream, stream_kind, lambda result: result.terms_used, counted)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
         start = time.perf_counter()
