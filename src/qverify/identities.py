@@ -396,16 +396,26 @@ def _multivar_rho_terms(a, b, c, d, e, xs, ys, N, ctx):
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """A named identity with sampler, domain predicate and evaluator pair."""
+    """A named identity with sampler, domain predicate and evaluator pair.
+
+    The sampler declares the parameters: ``param_names`` (scalars, then
+    integers) and ``vector_names`` (a pair's two vectors, then its offsets).
+    """
 
     id: str
     family: str                       # "series" | "reciprocity" | "integral"
-    sampler: Callable                 # (rng, ctx, mode) -> params dict
+    sampler: _Sampler                 # (rng, ctx, mode) -> params dict
     domain: Callable                  # (params, ctx) -> bool, convergence conditions only
     lhs: Callable                     # (params, ctx) -> complex
     rhs: Callable                     # (params, ctx) -> complex
-    param_names: tuple = ()
-    vector_names: tuple = ()
+
+    @property
+    def param_names(self) -> tuple:
+        return self.sampler.param_names
+
+    @property
+    def vector_names(self) -> tuple:
+        return self.sampler.vector_names
 
 
 @dataclass(frozen=True)
@@ -472,25 +482,51 @@ def _draw(rng, lo, hi, mode):
     return r * complex(math.cos(phase), math.sin(phase))
 
 
-def _scalar_sampler(names, lo=0.1, hi=0.9, boxes=None, ints=None):
-    """Sampler for cases with scalar free parameters only.
+class _Pairs:
+    """n pairs tied by q-power offsets, in the order of their names.
 
-    ``boxes`` overrides (lo, hi) per name; ``ints`` maps a name to a tuple
-    of admissible integer values.
+    Each entry of the offset vector ``offsets`` is drawn from range(``count``).
+    Of the two ``vectors``, one maps to a box and is drawn; the other maps to
+    a rule (params, q, drawn_i, offset_i) -> its i-th entry.
     """
-    boxes = boxes or {}
 
-    def sampler(rng, ctx, mode):
-        params = {}
-        if ints:
-            for name, choices in ints.items():
-                params[name] = choices[rng.randrange(len(choices))]
-        for name in names:
-            blo, bhi = boxes.get(name, (lo, hi))
-            params[name] = _draw(rng, blo, bhi, mode)
+    def __init__(self, offsets, count, **vectors):
+        self.offsets, self.count, self.names = offsets, count, (*vectors, offsets)
+        ((self.drawn, self.box),) = ((k, v) for k, v in vectors.items() if not callable(v))
+        ((self.derived, self.rule),) = ((k, v) for k, v in vectors.items() if callable(v))
+
+
+class _Sampler:
+    """The declared parameters of a case and their draw.
+
+    ``boxes`` maps each run of one-letter scalar names to their box: (lo, hi)
+    or a function (params drawn before the run, q) -> (lo, hi).  ``ints``
+    maps a name to its admissible integers; ``pairs`` is an optional
+    :class:`_Pairs`, counted by the integer ``n``.  A call draws the
+    integers, then the offsets, then the scalars in declared order, then
+    the drawn vector, then the derived one.
+    """
+
+    def __init__(self, boxes, ints=None, pairs=None):
+        self.boxes, self.ints, self.pairs = boxes, ints or {}, pairs
+        self.param_names = (*"".join(boxes), *self.ints)
+        self.vector_names = pairs.names if pairs else ()
+
+    def __call__(self, rng, ctx, mode):
+        q, pairs = ctx.q, self.pairs
+        params = {name: choices[rng.randrange(len(choices))] for name, choices in self.ints.items()}
+        if pairs:
+            params[pairs.offsets] = [rng.randrange(pairs.count) for _ in range(params["n"])]
+        for names, box in self.boxes.items():
+            lo, hi = box(params, q) if callable(box) else box
+            for name in names:
+                params[name] = _draw(rng, lo, hi, mode)
+        if pairs:
+            drawn = params[pairs.drawn] = [_draw(rng, *pairs.box, mode) for _ in range(params["n"])]
+            params[pairs.derived] = [
+                pairs.rule(params, q, t, k) for t, k in zip(drawn, params[pairs.offsets])
+            ]
         return params
-
-    return sampler
 
 
 def _conv_ok(*ratios):
@@ -541,11 +577,10 @@ def _watson_rhs(p, ctx):
 _register(IdentityCase(
     id="watson",
     family="series",
-    sampler=_scalar_sampler("abcde", ints={"n": (0, 1, 2, 3, 5, 8)}),
+    sampler=_Sampler({"abcde": (0.1, 0.9)}, ints={"n": (0, 1, 2, 3, 5, 8)}),
     domain=lambda p, ctx: True,
     lhs=_watson_lhs,
     rhs=_watson_rhs,
-    param_names=("a", "b", "c", "d", "e", "n"),
 ))
 
 
@@ -577,11 +612,10 @@ def _bailey_domain(p, ctx):
 _register(IdentityCase(
     id="bailey-6psi6",
     family="series",
-    sampler=_scalar_sampler("abcde"),
+    sampler=_Sampler({"abcde": (0.1, 0.9)}),
     domain=_bailey_domain,
     lhs=_bailey_lhs,
     rhs=_bailey_rhs,
-    param_names=("a", "b", "c", "d", "e"),
 ))
 
 
@@ -604,11 +638,10 @@ def _rama_rhs(p, ctx):
 _register(IdentityCase(
     id="ramanujan-reciprocity",
     family="reciprocity",
-    sampler=_scalar_sampler("ab"),
+    sampler=_Sampler({"ab": (0.1, 0.9)}),
     domain=lambda p, ctx: True,
     lhs=_swap_diff(_rama_half, "ab"),
     rhs=_rama_rhs,
-    param_names=("a", "b"),
 ))
 
 
@@ -638,11 +671,10 @@ def _andrews_domain(p, ctx):
 _register(IdentityCase(
     id="andrews-4var",
     family="reciprocity",
-    sampler=_scalar_sampler("abcd"),
+    sampler=_Sampler({"abcd": (0.1, 0.9)}),
     domain=_andrews_domain,
     lhs=_swap_diff(_andrews_half, "abcd"),
     rhs=_andrews_rhs,
-    param_names=("a", "b", "c", "d"),
 ))
 
 
@@ -659,11 +691,10 @@ def _kang_half(a, b, c, d, ctx):
 _register(IdentityCase(
     id="kang-equivalent",
     family="reciprocity",
-    sampler=_scalar_sampler("abcd"),
+    sampler=_Sampler({"abcd": (0.1, 0.9)}),
     domain=_andrews_domain,
     lhs=_swap_diff(_kang_half, "abcd"),
     rhs=_andrews_rhs,
-    param_names=("a", "b", "c", "d"),
 ))
 
 
@@ -690,13 +721,12 @@ def _ma_domain(p, ctx):
 _register(IdentityCase(
     id="ma-5var",
     family="reciprocity",
-    sampler=_scalar_sampler("abcde"),
+    sampler=_Sampler({"abcde": (0.1, 0.9)}),
     domain=_ma_domain,
     lhs=_swap_diff(
         lambda a, b, c, d, e, ctx: _multivar_rho_terms(a, b, c, d, e, (), (), (), ctx), "abcde"
     ),
     rhs=_ma_rhs,
-    param_names=("a", "b", "c", "d", "e"),
 ))
 
 
@@ -755,11 +785,10 @@ def _cz_rhs(p, ctx):
 _register(IdentityCase(
     id="chu-zhang-equivalent",
     family="reciprocity",
-    sampler=_scalar_sampler("abcde"),
+    sampler=_Sampler({"abcde": (0.1, 0.9)}),
     domain=_ma_domain,
     lhs=_swap_diff(_cz_half, "abcde"),
     rhs=_cz_rhs,
-    param_names=("a", "b", "c", "d", "e"),
 ))
 
 
@@ -809,15 +838,10 @@ def _gr2101_domain(p, ctx):
 _register(IdentityCase(
     id="gr-2-10-1",
     family="series",
-    sampler=_scalar_sampler(
-        "abcdef",
-        boxes={"a": (0.2, 0.6), "b": (0.4, 0.9), "c": (0.4, 0.9), "d": (0.4, 0.9),
-               "e": (0.5, 0.9), "f": (0.5, 0.9)},
-    ),
+    sampler=_Sampler({"a": (0.2, 0.6), "bcd": (0.4, 0.9), "ef": (0.5, 0.9)}),
     domain=_gr2101_domain,
     lhs=_gr2101_lhs,
     rhs=_gr2101_rhs,
-    param_names=("a", "b", "c", "d", "e", "f"),
 ))
 
 
@@ -862,15 +886,10 @@ def _gr561_domain(p, ctx):
 _register(IdentityCase(
     id="gr-5-6-1",
     family="series",
-    sampler=_scalar_sampler(
-        "abcdefg",
-        boxes={"a": (0.3, 0.75), "b": (0.5, 0.9), "c": (0.5, 0.9), "d": (0.5, 0.9),
-               "e": (0.5, 0.9), "f": (0.5, 0.9), "g": (0.5, 0.9)},
-    ),
+    sampler=_Sampler({"a": (0.3, 0.75), "bcdefg": (0.5, 0.9)}),
     domain=_gr561_domain,
     lhs=_psi8_lhs,
     rhs=_pair_rhs(_gr561_piece, "f", "g"),
-    param_names=("a", "b", "c", "d", "e", "f", "g"),
 ))
 
 
@@ -912,15 +931,10 @@ def _lemma_domain(p, ctx):
 _register(IdentityCase(
     id="lemma-8psi8",
     family="series",
-    sampler=_scalar_sampler(
-        "abcdefg",
-        boxes={"a": (0.3, 0.7), "b": (0.55, 0.9), "c": (0.55, 0.9), "d": (0.5, 0.9),
-               "e": (0.5, 0.9), "f": (0.5, 0.9), "g": (0.5, 0.9)},
-    ),
+    sampler=_Sampler({"a": (0.3, 0.7), "bc": (0.55, 0.9), "defg": (0.5, 0.9)}),
     domain=_lemma_domain,
     lhs=_psi8_lhs,
     rhs=_pair_rhs(_lemma_piece, "f", "g"),
-    param_names=("a", "b", "c", "d", "e", "f", "g"),
 ))
 
 
@@ -934,11 +948,10 @@ def _thma_domain(p, ctx):
 _register(IdentityCase(
     id="thm-a-7var",
     family="reciprocity",
-    sampler=_scalar_sampler("abcdefg", boxes={"a": (0.35, 0.9), "b": (0.35, 0.9)}),
+    sampler=_Sampler({"ab": (0.35, 0.9), "cdefg": (0.1, 0.9)}),
     domain=_thma_domain,
     lhs=_swap_diff(_rho7_terms, "abcdefg"),
     rhs=_pair_rhs(_R_block, "f", "g"),
-    param_names=("a", "b", "c", "d", "e", "f", "g"),
 ))
 
 
@@ -971,16 +984,11 @@ def _corla_domain(p, ctx):
 _register(IdentityCase(
     id="corl-a",
     family="reciprocity",
-    sampler=_scalar_sampler(
-        "abcdef",
-        boxes={"a": (0.45, 0.9), "b": (0.45, 0.9), "c": (0.1, 0.4),
-               "d": (0.1, 0.4), "e": (0.1, 0.4), "f": (0.3, 0.8)},
-        ints={"n": (0, 1, 2, 3, 4)},
-    ),
+    sampler=_Sampler({"ab": (0.45, 0.9), "cde": (0.1, 0.4), "f": (0.3, 0.8)},
+                     ints={"n": (0, 1, 2, 3, 4)}),
     domain=_corla_domain,
     lhs=_swap_diff(_rho_prime_terms, "abcdefn"),
     rhs=_corla_rhs,
-    param_names=("a", "b", "c", "d", "e", "f", "n"),
 ))
 
 
@@ -998,15 +1006,11 @@ def _thmb_domain(p, ctx):
 _register(IdentityCase(
     id="thm-b",
     family="series",
-    sampler=_scalar_sampler(
-        "xybcdef",
-        boxes={"x": (0.5, 0.9), "y": (0.55, 0.9), "b": (0.1, 0.35),
-               "c": (0.1, 0.35), "d": (0.1, 0.4), "e": (0.15, 0.5), "f": (0.15, 0.5)},
-    ),
+    sampler=_Sampler({"x": (0.5, 0.9), "y": (0.55, 0.9), "bc": (0.1, 0.35), "d": (0.1, 0.4),
+                      "ef": (0.15, 0.5)}),
     domain=_thmb_domain,
     lhs=_thmb_lhs,
     rhs=_pair_rhs(_S_block, "e", "f"),
-    param_names=("x", "y", "b", "c", "d", "e", "f"),
 ))
 
 
@@ -1058,39 +1062,15 @@ def _corlb_domain(p, ctx):
 _register(IdentityCase(
     id="corl-b",
     family="series",
-    sampler=_scalar_sampler(
-        "xybcde",
-        boxes={"x": (0.5, 0.9), "y": (0.55, 0.9), "b": (0.1, 0.35),
-               "c": (0.1, 0.35), "d": (0.1, 0.35), "e": (0.25, 0.7)},
-        ints={"n": (0, 1, 2, 3, 4)},
-    ),
+    sampler=_Sampler({"x": (0.5, 0.9), "y": (0.55, 0.9), "bcd": (0.1, 0.35), "e": (0.25, 0.7)},
+                     ints={"n": (0, 1, 2, 3, 4)}),
     domain=_corlb_domain,
     lhs=_corlb_lhs,
     rhs=_corlb_rhs,
-    param_names=("x", "y", "b", "c", "d", "e", "n"),
 ))
 
 
 # -- lemma-milne ----------------------------------------------------------------
-
-def _milne_params(rng, ctx, mode):
-    n = rng.randrange(4)
-    N = [rng.randrange(4) for _ in range(n)]
-    params = {
-        "a": _draw(rng, 0.1, 0.45, mode),
-        "b": _draw(rng, 0.4, 0.9, mode),
-        "c": _draw(rng, 0.4, 0.9, mode),
-        "d": _draw(rng, 0.4, 0.9, mode),
-        "e": _draw(rng, 0.4, 0.9, mode),
-        "n": n,
-        "N": N,
-        "x": [_draw(rng, 0.25, 0.8, mode) for _ in range(n)],
-    }
-    params["y"] = [
-        ipow(ctx.q, 1 + N[i]) * params["a"] / params["x"][i] for i in range(n)
-    ]
-    return params
-
 
 def _milne_lhs(p, ctx):
     a, b, c, d, e = (p[k] for k in "abcde")
@@ -1122,36 +1102,18 @@ def _milne_domain(p, ctx):
 _register(IdentityCase(
     id="lemma-milne",
     family="series",
-    sampler=_milne_params,
+    sampler=_Sampler(
+        {"a": (0.1, 0.45), "bcde": (0.4, 0.9)},
+        ints={"n": (0, 1, 2, 3)},
+        pairs=_Pairs("N", 4, x=(0.25, 0.8), y=lambda p, q, x, N: ipow(q, 1 + N) * p["a"] / x),
+    ),
     domain=_milne_domain,
     lhs=_milne_lhs,
     rhs=_milne_rhs,
-    param_names=("a", "b", "c", "d", "e", "n"),
-    vector_names=("x", "y", "N"),
 ))
 
 
 # -- thm-c-multivar ---------------------------------------------------------
-
-def _thmc_params(rng, ctx, mode):
-    n = rng.randrange(4)
-    N = [rng.randrange(4) for _ in range(n)]
-    params = {
-        "a": _draw(rng, 0.45, 0.9, mode),
-        "b": _draw(rng, 0.45, 0.9, mode),
-        "c": _draw(rng, 0.1, 0.4, mode),
-        "d": _draw(rng, 0.1, 0.4, mode),
-        "e": _draw(rng, 0.1, 0.4, mode),
-        "n": n,
-        "N": N,
-        "x": [_draw(rng, 0.3, 0.8, mode) for _ in range(n)],
-    }
-    params["y"] = [
-        params["a"] * params["b"] / (params["x"][i] * ipow(ctx.q, N[i]))
-        for i in range(n)
-    ]
-    return params
-
 
 def _thmc_rhs(p, ctx):
     q = ctx.q
@@ -1192,34 +1154,18 @@ def _thmc_domain(p, ctx):
 _register(IdentityCase(
     id="thm-c-multivar",
     family="reciprocity",
-    sampler=_thmc_params,
+    sampler=_Sampler(
+        {"ab": (0.45, 0.9), "cde": (0.1, 0.4)},
+        ints={"n": (0, 1, 2, 3)},
+        pairs=_Pairs("N", 4, x=(0.3, 0.8), y=lambda p, q, x, N: p["a"] * p["b"] / (x * ipow(q, N))),
+    ),
     domain=_thmc_domain,
     lhs=_swap_diff(_multivar_rho_terms, ("a", "b", "c", "d", "e", "x", "y", "N")),
     rhs=_thmc_rhs,
-    param_names=("a", "b", "c", "d", "e", "n"),
-    vector_names=("x", "y", "N"),
 ))
 
 
 # -- thm-d-multivar -----------------------------------------------------------
-
-def _thmd_params(rng, ctx, mode):
-    n = rng.randrange(4)
-    N = [rng.randrange(3) for _ in range(n)]
-    params = {
-        "x": _draw(rng, 0.5, 0.9, mode),
-        "y": _draw(rng, 0.55, 0.9, mode),
-        "b": _draw(rng, 0.1, 0.35, mode),
-        "c": _draw(rng, 0.1, 0.35, mode),
-        "d": _draw(rng, 0.1, 0.35, mode),
-        "n": n,
-        "N": N,
-        "xv": [_draw(rng, 0.3, 0.75, mode) for _ in range(n)],
-    }
-    xy2 = params["x"] * params["y"] ** 2
-    params["yv"] = [xy2 / (params["xv"][i] * ipow(ctx.q, N[i])) for i in range(n)]
-    return params
-
 
 def _thmd_lhs(p, ctx):
     return _jacobi_lhs(p["x"], p["y"], (p["b"], p["c"], p["d"]), p["xv"], p["yv"], ctx)
@@ -1264,43 +1210,29 @@ def _thmd_domain(p, ctx):
 _register(IdentityCase(
     id="thm-d-multivar",
     family="series",
-    sampler=_thmd_params,
+    sampler=_Sampler(
+        {"x": (0.5, 0.9), "y": (0.55, 0.9), "bcd": (0.1, 0.35)},
+        ints={"n": (0, 1, 2, 3)},
+        pairs=_Pairs("N", 3, xv=(0.3, 0.75),
+                     yv=lambda p, q, xv, N: p["x"] * p["y"] ** 2 / (xv * ipow(q, N))),
+    ),
     domain=_thmd_domain,
     lhs=_thmd_lhs,
     rhs=_thmd_rhs,
-    param_names=("x", "y", "b", "c", "d", "n"),
-    vector_names=("xv", "yv", "N"),
 ))
 
 
 # -- integral cases ------------------------------------------------------------
 
-def _feasible_box(budget, count, hi=0.7):
-    """Upper modulus bound so that a product of `count` draws stays under budget."""
-    return min(hi, max(0.12, budget ** (1.0 / count)))
-
-
-def _thme_params(rng, ctx, mode):
-    n = 1 + rng.randrange(2)
-    N = [rng.randrange(3) for _ in range(n)]
-    budget = 0.8 * abs(ipow(ctx.q, sum(N) + 1))
-    hi = _feasible_box(budget, 4)
-    params = {
-        "a": _draw(rng, 0.1, hi, "real"),
-        "b": _draw(rng, 0.1, hi, "real"),
-        "c": _draw(rng, 0.1, hi, "real"),
-        "d": _draw(rng, 0.1, hi, "real"),
-        "n": n,
-        "N": N,
-        "v": [_draw(rng, 0.15, 0.7, "real") for _ in range(n)],
-    }
-    params["u"] = [params["v"][i] * ipow(ctx.q, N[i]) for i in range(n)]
-    return params
+def _abcd_box(budget):
+    """Box of a, b, c, d in the integral cases: its upper modulus is the fourth
+    root of the budget for |abcd|, clipped to [0.12, 0.7]."""
+    return 0.1, min(0.7, max(0.12, budget ** (1.0 / 4)))
 
 
 def _thme_lhs(p, ctx):
     spec = AWIntegrandSpec(p["a"], p["b"], p["c"], p["d"], u=p["u"], v=p["v"])
-    return complex(integrate_aw(spec, ctx).value)
+    return integrate_aw(spec, ctx).value
 
 
 def _thme_rhs(p, ctx):
@@ -1317,33 +1249,21 @@ def _thme_domain(p, ctx):
 _register(IdentityCase(
     id="thm-e-integral",
     family="integral",
-    sampler=_thme_params,
+    sampler=_Sampler(
+        {"abcd": lambda p, q: _abcd_box(0.8 * abs(ipow(q, sum(p["N"]) + 1)))},
+        ints={"n": (1, 2)},
+        pairs=_Pairs("N", 3, u=lambda p, q, v, N: v * ipow(q, N), v=(0.15, 0.7)),
+    ),
     domain=_thme_domain,
     lhs=_thme_lhs,
     rhs=_thme_rhs,
-    param_names=("a", "b", "c", "d", "n"),
-    vector_names=("u", "v", "N"),
 ))
-
-
-def _corlc_params(rng, ctx, mode):
-    n = rng.randrange(3)
-    budget = 0.8 * abs(ipow(ctx.q, n + 1))
-    hi = _feasible_box(budget, 4)
-    return {
-        "a": _draw(rng, 0.1, hi, "real"),
-        "b": _draw(rng, 0.1, hi, "real"),
-        "c": _draw(rng, 0.1, hi, "real"),
-        "d": _draw(rng, 0.1, hi, "real"),
-        "u": _draw(rng, 0.15, 0.7, "real"),
-        "n": n,
-    }
 
 
 def _corlc_lhs(p, ctx):
     u1 = p["u"] * ipow(ctx.q, p["n"])
     spec = AWIntegrandSpec(p["a"], p["b"], p["c"], p["d"], u=(u1,), v=(p["u"],))
-    return complex(integrate_aw(spec, ctx).value)
+    return integrate_aw(spec, ctx).value
 
 
 def _corlc_rhs(p, ctx):
@@ -1378,34 +1298,20 @@ def _corlc_domain(p, ctx):
 _register(IdentityCase(
     id="corl-c-integral",
     family="integral",
-    sampler=_corlc_params,
+    sampler=_Sampler(
+        {"abcd": lambda p, q: _abcd_box(0.8 * abs(ipow(q, p["n"] + 1))), "u": (0.15, 0.7)},
+        ints={"n": (0, 1, 2)},
+    ),
     domain=_corlc_domain,
     lhs=_corlc_lhs,
     rhs=_corlc_rhs,
-    param_names=("a", "b", "c", "d", "u", "n"),
 ))
-
-
-def _corle_params(rng, ctx, mode):
-    n = rng.randrange(3)
-    m = [rng.randrange(2) for _ in range(n)]
-    alo = max(0.15, abs(ctx.q) * 1.05)
-    params = {
-        "a": _draw(rng, alo, 0.95, "real"),
-        "b": _draw(rng, 0.1, 0.55, "real"),
-        "c": _draw(rng, 0.1, 0.55, "real"),
-        "n": n,
-        "m": m,
-        "v": [_draw(rng, 0.15, 0.7, "real") for _ in range(n)],
-    }
-    params["u"] = [params["v"][i] * ipow(ctx.q, m[i]) for i in range(n)]
-    return params
 
 
 def _corle_lhs(p, ctx):
     d = ctx.q / p["a"]
     spec = AWIntegrandSpec(p["a"], d, p["b"], p["c"], u=p["u"], v=p["v"])
-    return complex(integrate_aw(spec, ctx).value)
+    return integrate_aw(spec, ctx).value
 
 
 def _corle_rhs(p, ctx):
@@ -1422,12 +1328,14 @@ def _corle_domain(p, ctx):
 _register(IdentityCase(
     id="corl-e-integral",
     family="integral",
-    sampler=_corle_params,
+    sampler=_Sampler(
+        {"a": lambda p, q: (max(0.15, abs(q) * 1.05), 0.95), "bc": (0.1, 0.55)},
+        ints={"n": (0, 1, 2)},
+        pairs=_Pairs("m", 2, u=lambda p, q, v, m: v * ipow(q, m), v=(0.15, 0.7)),
+    ),
     domain=_corle_domain,
     lhs=_corle_lhs,
     rhs=_corle_rhs,
-    param_names=("a", "b", "c", "n"),
-    vector_names=("u", "v", "m"),
 ))
 
 

@@ -89,7 +89,7 @@ class AWIntegrandSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
+    value: complex
     abs_error_estimate: float
     panels_used: int
 
@@ -203,14 +203,13 @@ def _trapezoid_doubling(f, ctx: QContext, n_factors: int, n0: int = 8, n_max: in
 def integrate_aw(spec: AWIntegrandSpec, ctx: QContext) -> QuadratureResult:
     """The Askey-Wilson-type integral over [0, pi] by spectral trapezoid.
 
-    The value is real up to roundoff for real or conjugate-closed parameter
-    sets; the imaginary residue is folded into the error estimate.
+    The value is complex: real up to roundoff for real or conjugate-closed
+    parameter sets at real q, and genuinely complex at complex q.
     """
     f, n_factors = _aw_integrand(spec, ctx)
     total, delta, n, _ = _trapezoid_doubling(f, ctx, n_factors)
     floor = 10.0 * n_factors * PRODUCT_TOL * max(1.0, abs(total))
-    err = delta + floor + abs(total.imag)
-    return QuadratureResult(float(total.real), float(err), int(n))
+    return QuadratureResult(complex(total), float(delta + floor), int(n))
 
 
 def aw_closed_form(a, b, c, d, ctx: QContext) -> complex:

@@ -24,6 +24,10 @@ def run(tmp_path, old, new):
     for name, doc in (("old.json", old), ("new.json", new)):
         paths.append(tmp_path / name)
         paths[-1].write_text(json.dumps(doc))
+    return run_paths(*paths)
+
+
+def run_paths(*paths):
     return subprocess.run([sys.executable, str(TOOL), *map(str, paths)],
                           capture_output=True, text=True, timeout=60)
 
@@ -52,3 +56,19 @@ def test_tally_separates_value_moves_from_other_fields(tmp_path):
     assert proc.stdout.splitlines()[-1] == (
         "tally: 1 cells differ in values only (largest lhs/rhs move 2e-15), "
         "1 cells differ in verdict, reason, sample_seed, params or another field")
+
+
+def test_fewer_than_two_paths_is_a_usage_error(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(report("pass", 0.1)))
+    proc = run_paths(path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:") and not proc.stdout
+
+
+def test_unreadable_path_is_a_usage_error(tmp_path):
+    path, missing = tmp_path / "old.json", tmp_path / "missing.json"
+    path.write_text(json.dumps(report("pass", 0.1)))
+    proc = run_paths(path, missing)
+    assert proc.returncode == 2
+    assert str(missing) in proc.stderr and "Traceback" not in proc.stderr and not proc.stdout

@@ -6,7 +6,9 @@ by (id, slot, q), with the fields that differ and the relative move of lhs
 and rhs, then a tally: the cells whose values alone moved (lhs, rhs and
 the residuals), with the largest relative move of lhs or rhs, and the cells
 where anything else differs (verdict, reason, sample_seed, params, ...).
-Exits 0 when the reports are identical, else 1.
+Exits 0 when the reports are identical, 1 when they differ, and 2 on bad
+input (fewer than two paths, or a file that cannot be read as JSON), with
+the usage line or the error on stderr.
 """
 
 import functools
@@ -66,7 +68,18 @@ def diff(old: dict, new: dict) -> list:
 
 
 def main(argv) -> int:
-    old, new = (strip(json.load(open(path, encoding="utf-8"))) for path in argv[1:3])
+    if len(argv) < 3:
+        print("usage: python3 tools/diff_reports.py OLD.json NEW.json", file=sys.stderr)
+        return 2
+    docs = []
+    for path in argv[1:3]:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                docs.append(strip(json.load(fh)))
+        except (OSError, ValueError) as exc:
+            print(f"diff_reports: cannot read {path}: {exc}", file=sys.stderr)
+            return 2
+    old, new = docs
     lines = diff(old, new) or ([] if canon(old) == canon(new) else ["other keys differ"])
     print("\n".join(lines) if lines else "identical modulo elapsed")
     return 1 if lines else 0
