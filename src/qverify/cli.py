@@ -6,10 +6,10 @@ Subcommands:
 * ``qverify check <id> --params FILE``  -- one identity at one point
 * ``qverify sweep [...] --out r.json``  -- seeded multi-identity sweep
 
-Parameter files are TOML: complex values as two-element arrays
-``[re, im]`` or bare reals, integers (``n``, ``N<i>``, ``m<i>``) bare and
-non-negative.  Vector parameters use numbered keys (``x1``, ``x2``,
-``N1``, ...) with ``n`` giving the count.
+Parameter files are TOML, read by ``identities.parse_params``: complex
+values as two-element arrays ``[re, im]`` or bare reals, a case's integer
+parameters bare and non-negative.  Vector parameters use numbered keys
+(``x1``, ``x2``, ...) with ``n`` giving the count.
 Exit codes: 0 pass, 1 fail, 2 skipped / domain, 3 input error.
 """
 
@@ -23,7 +23,7 @@ import tomllib
 from dataclasses import dataclass
 
 from .qcore import QContext, QVerifyError
-from .identities import _INTEGER_PARAMS, VerificationReport, case_ids, check, get_case, sample
+from .identities import VerificationReport, case_ids, check, get_case, parse_params, sample
 
 _EXIT_PASS = 0
 _EXIT_FAIL = 1
@@ -43,62 +43,6 @@ _CHUNKS_PER_WORKER = 16
 def load_param_file(path: str) -> dict:
     with open(path, "rb") as fh:
         return tomllib.load(fh)
-
-
-def _coerce_scalar(name, val):
-    if isinstance(val, bool):
-        raise ValueError("boolean parameter values are not supported")
-    if isinstance(val, int):
-        return val
-    if isinstance(val, float):
-        return complex(val)
-    if isinstance(val, (list, tuple)) and len(val) == 2 and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
-    ):
-        return complex(float(val[0]), float(val[1]))
-    raise ValueError(f"cannot interpret parameter {name!r} value {val!r}")
-
-
-def _coerce_count(name, val):
-    if isinstance(val, bool) or not isinstance(val, int) or val < 0:
-        raise ValueError(f"parameter {name!r} must be a non-negative integer, got {val!r}")
-    return val
-
-
-def params_from_file_map(case, raw: dict) -> dict:
-    """Assemble a case parameter map from flat TOML keys.
-
-    Scalars come straight from their names; vector parameters are gathered
-    from numbered keys name1..nameK in order.
-    """
-    params = {}
-    used = set()
-    for name in case.param_names:
-        if name not in raw:
-            raise ValueError(f"missing parameter {name!r}")
-        coerce = _coerce_count if name in _INTEGER_PARAMS else _coerce_scalar
-        params[name] = coerce(name, raw[name])
-        used.add(name)
-    for name in case.vector_names:
-        coerce = _coerce_count if name in _INTEGER_PARAMS else _coerce_scalar
-        vec = []
-        i = 1
-        while f"{name}{i}" in raw:
-            key = f"{name}{i}"
-            used.add(key)
-            vec.append(coerce(key, raw[key]))
-            i += 1
-        params[name] = vec
-    unknown = set(raw) - used
-    if unknown:
-        raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-    if "n" in params:
-        for name in case.vector_names:
-            if len(params[name]) != params["n"]:
-                raise ValueError(
-                    f"vector {name!r} has {len(params[name])} entries, expected n = {params['n']}"
-                )
-    return params
 
 
 def _make_ctx(q: float, tol: float | None) -> QContext:
@@ -123,14 +67,11 @@ def cmd_list(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        case = get_case(args.identity)
-        raw = load_param_file(args.params)
-        params = params_from_file_map(case, raw)
-        ctx = _make_ctx(args.q, args.tol)
+        params = parse_params(get_case(args.identity), load_param_file(args.params))
+        report = check(args.identity, params, _make_ctx(args.q, args.tol))
     except (OSError, ValueError, QVerifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    report = check(args.identity, params, ctx)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:

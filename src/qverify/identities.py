@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -65,7 +66,9 @@ from .series import SeriesSpec, _Terms, _difference, _shifted_terms, _sum_stream
 from .series import eval_phi, eval_psi
 from .multisum import block_multisum, check_qpow_ratio, milne_rhs_block
 from .integrals import (
+    TWO_PI,
     AWIntegrandSpec,
+    _thm_e_products,
     corl_e_rhs,
     integrate_aw,
     thm_e_rhs,
@@ -95,10 +98,6 @@ _SKIP_ERRORS = (
 # convergence-domain slack: sampled |z| stays below this fraction of the
 # paper's strict bound so truncated tails stay within the error budget
 _SLACK = 0.92
-
-# the integer parameters (counts and q-power offsets); every other parameter
-# is a free complex value that the evaluators divide by
-_INTEGER_PARAMS = ("n", "N", "m")
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +399,8 @@ class IdentityCase:
 
     The sampler declares the parameters: ``param_names`` (scalars, then
     integers) and ``vector_names`` (a pair's two vectors, then its offsets).
+    Its ``int_names`` are the integer ones (the counts and the offset
+    vector); every other parameter is a free complex value.
     """
 
     id: str
@@ -471,6 +472,42 @@ def _ser_scalar(val):
     return [val.real, val.imag]
 
 
+def parse_params(case: IdentityCase, flat: dict) -> dict:
+    """The case's parameter map from a flat one, as ``serialize_params`` writes it.
+
+    Vectors are gathered from the numbered keys name1..nameK in order; free
+    values are read from bare numbers or [re, im] pairs, integer values are
+    kept for ``check`` to test.  A missing or unknown key raises ValueError.
+    """
+    ints = case.sampler.int_names
+
+    def read(key, name):
+        return flat[key] if name in ints else _parse_scalar(key, flat[key])
+
+    params, used = {}, set()
+    for name in case.param_names:
+        if name not in flat:
+            raise ValueError(f"missing parameter {name!r}")
+        params[name] = read(name, name)
+        used.add(name)
+    for name in case.vector_names:
+        numbered = (f"{name}{i}" for i in itertools.count(1))
+        keys = list(itertools.takewhile(flat.__contains__, numbered))
+        params[name] = [read(key, name) for key in keys]
+        used.update(keys)
+    unknown = set(flat) - used
+    if unknown:
+        raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
+    return params
+
+
+def _parse_scalar(key, val):
+    parts = val if isinstance(val, (list, tuple)) and len(val) == 2 else [val]
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in parts):
+        raise ValueError(f"cannot interpret parameter {key!r} value {val!r}")
+    return val if isinstance(val, int) else complex(*map(float, parts))
+
+
 # samplers -------------------------------------------------------------------
 
 
@@ -504,13 +541,15 @@ class _Sampler:
     maps a name to its admissible integers; ``pairs`` is an optional
     :class:`_Pairs`, counted by the integer ``n``.  A call draws the
     integers, then the offsets, then the scalars in declared order, then
-    the drawn vector, then the derived one.
+    the drawn vector, then the derived one.  ``int_names`` are the ``ints``
+    keys and the offsets: the parameters that take non-negative ints.
     """
 
     def __init__(self, boxes, ints=None, pairs=None):
         self.boxes, self.ints, self.pairs = boxes, ints or {}, pairs
         self.param_names = (*"".join(boxes), *self.ints)
         self.vector_names = pairs.names if pairs else ()
+        self.int_names = (*self.ints, pairs.offsets) if pairs else tuple(self.ints)
 
     def __call__(self, rng, ctx, mode):
         q, pairs = ctx.q, self.pairs
@@ -1269,13 +1308,8 @@ def _corlc_lhs(p, ctx):
 def _corlc_rhs(p, ctx):
     q = ctx.q
     a, b, c, d, u, n = (p[k] for k in ("a", "b", "c", "d", "u", "n"))
-    value = 2.0 * math.pi / _one_minus(a * b * c * d * ipow(q, -(n + 1)))
-    value *= qfrac(
-        [a * b * c * d / q],
-        [q, a * b, a * c, a * d, b * c, b * d, c * d],
-        INF,
-        ctx,
-    )
+    value = TWO_PI / _one_minus(a * b * c * d * ipow(q, -(n + 1)))
+    value *= _thm_e_products(a, b, c, d, (), (), ctx)
     value *= qfrac([], [d * u, q * u / d], n, ctx)
     phi = eval_phi(
         SeriesSpec(
@@ -1388,6 +1422,28 @@ def sample(case_id: str, seed: int, ctx: QContext, mode: str | None = None) -> d
     raise SamplingExhausted(f"no admissible point for {case_id!r} after 1000 draws")
 
 
+def _count(name, val):
+    if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+        raise ValueError(f"parameter {name!r} must be a non-negative integer, got {val!r}")
+
+
+def _validate(case: IdentityCase, params: dict):
+    """Raise unless ``params`` binds the case's declared parameters in their shapes."""
+    sampler = case.sampler
+    missing = [name for name in (*sampler.param_names, *sampler.vector_names) if name not in params]
+    if missing:
+        raise UnknownParam(f"{case.id!r} is missing parameters {missing}")
+    for name in sampler.ints:
+        _count(name, params[name])
+    for name in sampler.vector_names:
+        vec = params[name]
+        if not isinstance(vec, (list, tuple)) or len(vec) != params["n"]:
+            raise ValueError(f"vector {name!r} must be a list of n = {params['n']} entries")
+        if name in sampler.int_names:
+            for i, k in enumerate(vec, start=1):
+                _count(f"{name}{i}", k)
+
+
 def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) -> VerificationReport:
     """Evaluate both sides of one identity at one point and classify the result.
 
@@ -1395,13 +1451,13 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
     and a zero-valued free parameter is outside every domain.  So does a
     point where a divisor base recorded during the evaluation lies near a
     power of q, and a side that is not finite.  Any other evaluator failure
-    is reported as fail with a diagnostic.  A missing parameter raises
-    UnknownParam, naming it.
+    is reported as fail with a diagnostic.  A map that does not fit the
+    case's declared parameters gets no report: UnknownParam names a missing
+    parameter, ValueError an integer or offset entry that is not a
+    non-negative int (a bool is not) or a vector whose length is not n.
     """
     case = get_case(case_id)
-    missing = [name for name in (*case.param_names, *case.vector_names) if name not in params]
-    if missing:
-        raise UnknownParam(f"{case_id!r} is missing parameters {missing}")
+    _validate(case, params)
     start = time.perf_counter()
 
     def report(lhs, rhs, abs_r, rel_r, verdict, reason=""):
@@ -1418,7 +1474,7 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
             elapsed=time.perf_counter() - start,
         )
 
-    free = (v for name, val in params.items() if name not in _INTEGER_PARAMS
+    free = (v for name, val in params.items() if name not in case.sampler.int_names
             for v in (val if isinstance(val, (list, tuple)) else (val,)))
     if not (all(v != 0 for v in free) and case.domain(params, ctx)):
         return report(0j, 0j, 0.0, 0.0, "skipped", "outside convergence domain")

@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_FIRST_PANELS, _MAX_PANELS = 8, 2 ** 18  # the trapezoid's first and last levels
 
 # {repr(q): {node array: (e^{+-2it};q)_oo rows}}, kept by qcore._keep_recent,
 # for node arrays of at most _UNIT_ROW_NODES nodes (levels up to 8,192 panels)
@@ -170,7 +171,7 @@ def _finite_nodes(f, thetas: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _trapezoid_doubling(f, ctx: QContext, n_factors: int, n0: int = 8, n_max: int = 2 ** 18):
+def _trapezoid_doubling(f, ctx: QContext, n_factors: int):
     """Composite trapezoid on [0, pi] with panel doubling and node reuse.
 
     Stops when successive refinements agree within
@@ -179,14 +180,13 @@ def _trapezoid_doubling(f, ctx: QContext, n_factors: int, n0: int = 8, n_max: in
     history exposed for spectral-behaviour checks.  A node value that is
     not finite raises NoConvergence at once: no refinement can settle then.
     """
-    h = math.pi / n0
-    nodes = np.linspace(0.0, math.pi, n0 + 1)
-    vals = _finite_nodes(f, nodes)
+    n = _FIRST_PANELS
+    h = math.pi / n
+    vals = _finite_nodes(f, np.linspace(0.0, math.pi, n + 1))
     total = h * (0.5 * vals[0] + vals[1:-1].sum() + 0.5 * vals[-1])
-    n = n0
     deltas = []
     floor_rel = 10.0 * n_factors * PRODUCT_TOL
-    while n < n_max:
+    while n < _MAX_PANELS:
         mid = np.linspace(0.0, math.pi, 2 * n + 1)[1::2]
         total_new = 0.5 * total + 0.5 * h * _finite_nodes(f, mid).sum()
         h *= 0.5
@@ -197,7 +197,7 @@ def _trapezoid_doubling(f, ctx: QContext, n_factors: int, n0: int = 8, n_max: in
         scale = max(1.0, abs(total))
         if delta <= max(1e-12 * scale, floor_rel * scale):
             return total, delta, n, deltas
-    raise NoConvergence(f"quadrature did not stabilize within {n_max} panels")
+    raise NoConvergence(f"quadrature did not stabilize within {_MAX_PANELS} panels")
 
 
 def integrate_aw(spec: AWIntegrandSpec, ctx: QContext) -> QuadratureResult:

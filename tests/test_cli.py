@@ -5,8 +5,8 @@ import json
 import pytest
 
 from qverify import cli, integrals, qcore
-from qverify.cli import main, load_param_file, params_from_file_map
-from qverify.identities import get_case
+from qverify.cli import main, load_param_file
+from qverify.identities import get_case, parse_params
 from qverify.qcore import SamplingExhausted
 
 
@@ -34,26 +34,26 @@ name = "x"
     def test_param_assembly(self, tmp_path):
         case = get_case("watson")
         raw = {"a": 0.5, "b": 0.4, "c": 0.3, "d": 0.2, "e": 0.6, "n": 2}
-        p = params_from_file_map(case, raw)
+        p = parse_params(case, raw)
         assert p["n"] == 2 and p["a"] == 0.5 + 0j
 
     def test_vector_assembly(self):
         case = get_case("lemma-milne")
         raw = {"a": 0.3, "b": 0.8, "c": 0.7, "d": 0.75, "e": 0.65, "n": 1,
                "x1": [0.5, 0.0], "y1": 0.15, "N1": 1}
-        p = params_from_file_map(case, raw)
+        p = parse_params(case, raw)
         assert p["x"] == [0.5 + 0j] and p["N"] == [1]
 
     def test_unknown_key_rejected(self):
         case = get_case("watson")
         with pytest.raises(ValueError, match="unknown"):
-            params_from_file_map(case, {"a": 0.5, "b": 0.4, "c": 0.3, "d": 0.2,
-                                        "e": 0.6, "n": 2, "zz": 1.0})
+            parse_params(case, {"a": 0.5, "b": 0.4, "c": 0.3, "d": 0.2,
+                                "e": 0.6, "n": 2, "zz": 1.0})
 
     def test_missing_key_rejected(self):
         case = get_case("watson")
         with pytest.raises(ValueError, match="missing"):
-            params_from_file_map(case, {"a": 0.5})
+            parse_params(case, {"a": 0.5})
 
 
 # points with one free parameter at zero
@@ -123,6 +123,15 @@ class TestExitCodes:
         path = write(tmp_path, "m.toml", "a = 0.3\nb = 0.8\nc = 0.7\nd = 0.75\n"
                      "e = 0.65\nn = 1\nx1 = 0.5\ny1 = 0.15\nN1 = 1.5\n")
         assert main(["check", "lemma-milne", "--params", path]) == 3
+
+    @pytest.mark.parametrize("tail, key", [
+        ("n = 2\nx1 = 0.5\ny1 = 0.15\nN1 = 1\n", "'x'"),  # one pair of two
+        ("n = 1\nx1 = 0.5\ny1 = 0.15\nN1 = -1\n", "'N1'"),
+    ])
+    def test_check_malformed_vector_names_the_key(self, tmp_path, capsys, tail, key):
+        path = write(tmp_path, "m.toml", "a = 0.3\nb = 0.8\nc = 0.7\nd = 0.75\ne = 0.65\n" + tail)
+        assert main(["check", "lemma-milne", "--params", path]) == 3
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("case_id", sorted(ZERO_POINTS))
     def test_check_zero_free_parameter_exit_2(self, tmp_path, capsys, case_id):

@@ -3,6 +3,7 @@
 import cmath
 import hashlib
 import itertools
+import json
 import math
 import random
 import re
@@ -17,12 +18,16 @@ from qverify.multisum import check_qpow_ratio
 from qverify.qcore import IllConditioned, QContext, UnknownParam, ipow, qpoch
 from qverify.series import _Terms
 from qverify.identities import (
+    _BY_ID,
+    IdentityCase,
     _pair_rhs,
+    _Sampler,
     _sum_with_guard,
     _swap_diff,
     case_ids,
     check,
     get_case,
+    parse_params,
     registry,
     sample,
     serialize_params,
@@ -57,26 +62,26 @@ PINNED_DRAWS = {
 }
 
 PINNED_NAMES = {
-    "watson": (("a", "b", "c", "d", "e", "n"), ()),
-    "bailey-6psi6": (("a", "b", "c", "d", "e"), ()),
-    "ramanujan-reciprocity": (("a", "b"), ()),
-    "andrews-4var": (("a", "b", "c", "d"), ()),
-    "kang-equivalent": (("a", "b", "c", "d"), ()),
-    "ma-5var": (("a", "b", "c", "d", "e"), ()),
-    "chu-zhang-equivalent": (("a", "b", "c", "d", "e"), ()),
-    "gr-2-10-1": (("a", "b", "c", "d", "e", "f"), ()),
-    "gr-5-6-1": (("a", "b", "c", "d", "e", "f", "g"), ()),
-    "lemma-8psi8": (("a", "b", "c", "d", "e", "f", "g"), ()),
-    "thm-a-7var": (("a", "b", "c", "d", "e", "f", "g"), ()),
-    "corl-a": (("a", "b", "c", "d", "e", "f", "n"), ()),
-    "thm-b": (("x", "y", "b", "c", "d", "e", "f"), ()),
-    "corl-b": (("x", "y", "b", "c", "d", "e", "n"), ()),
-    "lemma-milne": (("a", "b", "c", "d", "e", "n"), ("x", "y", "N")),
-    "thm-c-multivar": (("a", "b", "c", "d", "e", "n"), ("x", "y", "N")),
-    "thm-d-multivar": (("x", "y", "b", "c", "d", "n"), ("xv", "yv", "N")),
-    "thm-e-integral": (("a", "b", "c", "d", "n"), ("u", "v", "N")),
-    "corl-c-integral": (("a", "b", "c", "d", "u", "n"), ()),
-    "corl-e-integral": (("a", "b", "c", "n"), ("u", "v", "m")),
+    "watson": (("a", "b", "c", "d", "e", "n"), (), ("n",)),
+    "bailey-6psi6": (("a", "b", "c", "d", "e"), (), ()),
+    "ramanujan-reciprocity": (("a", "b"), (), ()),
+    "andrews-4var": (("a", "b", "c", "d"), (), ()),
+    "kang-equivalent": (("a", "b", "c", "d"), (), ()),
+    "ma-5var": (("a", "b", "c", "d", "e"), (), ()),
+    "chu-zhang-equivalent": (("a", "b", "c", "d", "e"), (), ()),
+    "gr-2-10-1": (("a", "b", "c", "d", "e", "f"), (), ()),
+    "gr-5-6-1": (("a", "b", "c", "d", "e", "f", "g"), (), ()),
+    "lemma-8psi8": (("a", "b", "c", "d", "e", "f", "g"), (), ()),
+    "thm-a-7var": (("a", "b", "c", "d", "e", "f", "g"), (), ()),
+    "corl-a": (("a", "b", "c", "d", "e", "f", "n"), (), ("n",)),
+    "thm-b": (("x", "y", "b", "c", "d", "e", "f"), (), ()),
+    "corl-b": (("x", "y", "b", "c", "d", "e", "n"), (), ("n",)),
+    "lemma-milne": (("a", "b", "c", "d", "e", "n"), ("x", "y", "N"), ("n", "N")),
+    "thm-c-multivar": (("a", "b", "c", "d", "e", "n"), ("x", "y", "N"), ("n", "N")),
+    "thm-d-multivar": (("x", "y", "b", "c", "d", "n"), ("xv", "yv", "N"), ("n", "N")),
+    "thm-e-integral": (("a", "b", "c", "d", "n"), ("u", "v", "N"), ("n", "N")),
+    "corl-c-integral": (("a", "b", "c", "d", "u", "n"), (), ("n",)),
+    "corl-e-integral": (("a", "b", "c", "n"), ("u", "v", "m"), ("n", "m")),
 }
 
 
@@ -241,7 +246,7 @@ class TestSampler:
         assert {case_id: sample_digest(case_id) for case_id in case_ids()} == PINNED_DRAWS
 
     def test_names_come_from_the_sampler(self):
-        got = {c.id: (c.param_names, c.vector_names) for c in registry()}
+        got = {c.id: (c.param_names, c.vector_names, c.sampler.int_names) for c in registry()}
         assert got == PINNED_NAMES
 
     def test_integral_cases_sample_real(self):
@@ -250,6 +255,74 @@ class TestSampler:
                 p = sample(case_id, seed, CTX, mode="complex")  # forced back to real
                 # vectors flattened; a value with an imaginary part serializes as [re, im]
                 assert not any(isinstance(v, list) for v in serialize_params(p).values())
+
+
+def draw_with_n(case_id):
+    """The first draw of the case at CTX with n >= 1."""
+    return next(p for p in (sample(case_id, s, CTX) for s in range(50)) if p["n"] >= 1)
+
+
+class TestParamSchema:
+    """check() enforces the schema each sampler declares; parse_params reads
+    the flat map that serialize_params writes."""
+
+    @pytest.mark.parametrize("case_id, change, key", [
+        ("thm-e-integral", lambda p: {"v": p["v"] + [0.3 + 0j]}, "'v'"),
+        ("thm-c-multivar", lambda p: {"x": p["x"][:-1]}, "'x'"),
+        ("watson", lambda p: {"n": 2.0}, "'n'"),
+        # y_1 re-derived, so that only the sign of N_1 is wrong
+        ("lemma-milne", lambda p: {"N": [-1, *p["N"][1:]],
+                                   "y": [p["a"] / p["x"][0], *p["y"][1:]]}, "'N1'"),
+        ("lemma-milne", lambda p: {"N": [True, *p["N"][1:]]}, "'N1'"),
+    ], ids=["thm-e-long-v", "thm-c-short-x", "watson-float-n", "milne-negative-N",
+            "milne-bool-N"])
+    def test_malformed_map_raises(self, case_id, change, key):
+        p = draw_with_n(case_id)
+        with pytest.raises(ValueError, match=re.escape(key)):
+            check(case_id, {**p, **change(p)}, CTX)
+
+    def test_integer_names_come_from_the_sampler(self, monkeypatch):
+        # an integer named k is kept as an int and checked as one, and its
+        # zero is not taken for a zero free parameter
+        def power(p, ctx):
+            return ipow(p["a"], p["k"])
+
+        case = IdentityCase(id="power-k", family="series",
+                            sampler=_Sampler({"a": (0.1, 0.5)}, ints={"k": (0, 1, 2)}),
+                            domain=lambda p, ctx: True, lhs=power, rhs=power)
+        monkeypatch.setitem(_BY_ID, case.id, case)
+        p = parse_params(case, {"a": 0.3, "k": 2})
+        assert p == {"a": 0.3 + 0j, "k": 2} and type(p["k"]) is int
+        assert check(case.id, parse_params(case, {"a": 0.3, "k": 0}), CTX).verdict == "pass"
+        # kept as written, so the message names the value of the file
+        with pytest.raises(ValueError, match="'k' must be a non-negative integer, got 2.5$"):
+            check(case.id, parse_params(case, {"a": 0.3, "k": 2.5}), CTX)
+
+    @pytest.mark.parametrize("case_id", case_ids())
+    def test_flat_map_round_trip(self, case_id):
+        case = get_case(case_id)
+        for q in (0.3, -0.5, 0.5 + 0.3j):
+            ctx = QContext(q)
+            for mode in ("complex", "real"):
+                for seed in range(10):
+                    p = sample(case_id, seed, ctx, mode)
+                    assert parse_params(case, serialize_params(p)) == p
+
+    def test_sweep_cells_replay_through_check(self, tmp_path, capsys):
+        # each cell's params, written as TOML with floats by repr, give the
+        # cell's verdict, reason and both sides through `qverify check`
+        out = tmp_path / "sweep.json"
+        main(["sweep", "--samples", "1", "--q", "0.8", "--out", str(out)])
+        cells = json.loads(out.read_text())["reports"]
+        capsys.readouterr()
+        keys = ("verdict", "reason", "lhs", "rhs")
+        for cell in cells:
+            path = tmp_path / f"{cell['id']}.toml"
+            path.write_text("".join(f"{k} = {v!r}\n" for k, v in cell["params"].items()))
+            main(["check", cell["id"], "--params", str(path), "--json", "--q", "0.8"])
+            got = json.loads(capsys.readouterr().out)
+            assert {k: got[k] for k in keys} == {k: cell[k] for k in keys}, cell["id"]
+        assert len(cells) == 20
 
 
 class TestCheck:
