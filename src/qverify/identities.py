@@ -12,6 +12,11 @@ evaluation itself: while ``check`` evaluates a point, qcore records the base
 x of every divisor factor 1 - x q^j met, and a point with a recorded base
 near a power of q is skipped, never judged.
 
+Every very-well-poised series (the 8phi7 W(a; ups; z) of Watson's and
+Bailey's transformations, the psi of 6psi6, 8psi8 and Milne) comes from one
+builder given (a; ups; z).  The left sides of corl-a and corl-b are those of
+thm-c and thm-d at one pair; their right sides are the stated 4phi3 forms.
+
 Numerical notes that shape the evaluators:
 
 * Reciprocity left-hand sides are differences F(a,b) - F(b,a) whose value
@@ -38,6 +43,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import numbers
 import random
 import time
 from dataclasses import dataclass
@@ -225,18 +231,21 @@ def _jacobi_terms(v, asc0, desc, lows, z, ctx):
     return _shifted_terms(1.0, v, [asc0] + [q / w for w in desc], [], lows, arg, ctx)
 
 
-def _wp_psi(a, ups, z, ctx):
-    """The very-well-poised bilateral sum at z: (q sqrt(a), -q sqrt(a), *ups) over
-    (sqrt(a), -sqrt(a), q a/u for u in ups), the left side of 6psi6, 8psi8 and Milne."""
+def _wp_series(a, ups, z, ctx, bilateral=False):
+    """The very-well-poised series in a with the upper parameters ``ups``, at z.
+
+    Its rows are (q sqrt(a), -q sqrt(a), *ups) over (sqrt(a), -sqrt(a),
+    q a/u for u in ups).  Unilateral, it is the W(a; ups; z) of the 8phi7
+    transformations, with (a;q)_k in front (``eval_phi``); bilateral, the
+    left side of 6psi6, 8psi8 and Milne (``eval_psi``).
+    """
     q = ctx.q
     sa = cmath.sqrt(a)
-    spec = SeriesSpec(
-        upper=[q * sa, -q * sa, *ups],
-        lower=[sa, -sa] + [q * a / u for u in ups],
-        argument=z,
-        kind="bilateral",
-    )
-    return _guarded_series_value(eval_psi(spec, ctx), ctx)
+    upper = [q * sa, -q * sa, *ups]
+    lower = [sa, -sa] + [q * a / u for u in ups]
+    if bilateral:
+        return eval_psi(SeriesSpec(upper, lower, z, "bilateral"), ctx)
+    return eval_phi(SeriesSpec([a, *upper], lower, z), ctx)
 
 
 def _jacobi_lhs(x, y, bcd, xs, ys, ctx):
@@ -293,8 +302,6 @@ def _R_block(p, ctx):
     """R, the seven-variable reciprocity formula's block: (value, its 8phi7's claimed error)."""
     q = ctx.q
     a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
-    a0 = d * e * g / (a * b * f)
-    s0 = cmath.sqrt(a0)
     pref = (1.0 / g) * (1.0 / b - 1.0 / a)
     pref *= qfrac(
         [q, c, f, q * a / b, q * b / a],
@@ -316,26 +323,8 @@ def _R_block(p, ctx):
         INF,
         ctx,
     )
-    phi = eval_phi(
-        SeriesSpec(
-            upper=[a0, q * s0, -q * s0, d * e / (a * b), d * g / (a * b),
-                   e * g / (a * b), q / f, q * a * b / (c * f)],
-            lower=[s0, -s0, q * g / f, q * e / f, q * d / f,
-                   d * e * g / (a * b), c * d * e * g / (a * a * b * b)],
-            argument=c,
-        ),
-        ctx,
-    )
-    return _with_claim(pref, phi, ctx)
-
-
-def _rho_prime_terms(a, b, c, d, e, f, n, ctx):
-    """Term stream of the terminating-flavoured reciprocity sum of the q^n corollary."""
-    q = ctx.q
-    z = c * d * e / (a * b * ipow(q, n + 1))
-    ups = [-q * a / c, -q * a / d, -q * a / e, -q * a / f, -ipow(q, 1 + n) * f / b]
-    lows = [-c / b, -d / b, -e / b, -f / b, -a / (f * ipow(q, n))]
-    return _rho_terms(a, b, ups, lows, z, ctx, 1)
+    ups = [d * e / (a * b), d * g / (a * b), e * g / (a * b), q / f, q * a * b / (c * f)]
+    return _with_claim(pref, _wp_series(d * e * g / (a * b * f), ups, c, ctx), ctx)
 
 
 def _S_block(p, ctx):
@@ -359,19 +348,8 @@ def _S_block(p, ctx):
         INF,
         ctx,
     )
-    a0 = d * f / e
-    s0 = cmath.sqrt(a0)
-    phi = eval_phi(
-        SeriesSpec(
-            upper=[a0, q * s0, -q * s0, d, f, d * f / xy2,
-                   q * xy2 / (b * e), q * xy2 / (c * e)],
-            lower=[s0, -s0, q * f / e, q * d / e, q * xy2 / e,
-                   b * d * f / xy2, c * d * f / xy2],
-            argument=b * c / xy2,
-        ),
-        ctx,
-    )
-    return _with_claim(pref, phi, ctx)
+    ups = [d, f, d * f / xy2, q * xy2 / (b * e), q * xy2 / (c * e)]
+    return _with_claim(pref, _wp_series(d * f / e, ups, b * c / xy2, ctx), ctx)
 
 
 def _multivar_rho_terms(a, b, c, d, e, xs, ys, N, ctx):
@@ -387,6 +365,10 @@ def _multivar_rho_terms(a, b, c, d, e, xs, ys, N, ctx):
         ups += [-q * a / xs[i], -q * a / ys[i]]
         lows += [-xs[i] / b, -ys[i] / b]
     return _rho_terms(a, b, ups, lows, z, ctx, n)
+
+
+# the left side of thm-c-multivar, and of corl-a at one pair
+_thmc_lhs = _swap_diff(_multivar_rho_terms, ("a", "b", "c", "d", "e", "x", "y", "N"))
 
 
 # ---------------------------------------------------------------------------
@@ -588,14 +570,8 @@ def _register(case: IdentityCase):
 def _watson_lhs(p, ctx):
     q = ctx.q
     a, b, c, d, e, n = p["a"], p["b"], p["c"], p["d"], p["e"], p["n"]
-    sa = cmath.sqrt(a)
     z = ipow(q, n + 2) * a * a / (b * c * d * e)
-    spec = SeriesSpec(
-        upper=[a, q * sa, -q * sa, b, c, d, e, ipow(q, -n)],
-        lower=[sa, -sa, q * a / b, q * a / c, q * a / d, q * a / e, ipow(q, 1 + n) * a],
-        argument=z,
-    )
-    return _guarded_series_value(eval_phi(spec, ctx), ctx)
+    return _guarded_series_value(_wp_series(a, [b, c, d, e, ipow(q, -n)], z, ctx), ctx)
 
 
 def _watson_rhs(p, ctx):
@@ -627,7 +603,8 @@ _register(IdentityCase(
 
 def _bailey_lhs(p, ctx):
     a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    return _wp_psi(a, [b, c, d, e], ctx.q * a * a / (b * c * d * e), ctx)
+    z = ctx.q * a * a / (b * c * d * e)
+    return _guarded_series_value(_wp_series(a, [b, c, d, e], z, ctx, bilateral=True), ctx)
 
 
 def _bailey_rhs(p, ctx):
@@ -836,34 +813,21 @@ _register(IdentityCase(
 def _gr2101_lhs(p, ctx):
     q = ctx.q
     a, b, c, d, e, f = (p[k] for k in "abcdef")
-    sa = cmath.sqrt(a)
-    spec = SeriesSpec(
-        upper=[a, q * sa, -q * sa, b, c, d, e, f],
-        lower=[sa, -sa, q * a / b, q * a / c, q * a / d, q * a / e, q * a / f],
-        argument=q * q * a * a / (b * c * d * e * f),
-    )
-    return _guarded_series_value(eval_phi(spec, ctx), ctx)
+    phi = _wp_series(a, [b, c, d, e, f], q * q * a * a / (b * c * d * e * f), ctx)
+    return _guarded_series_value(phi, ctx)
 
 
 def _gr2101_rhs(p, ctx):
     q = ctx.q
     a, b, c, d, e, f = (p[k] for k in "abcdef")
     lam = q * a * a / (b * c * d)
-    sl = cmath.sqrt(lam)
     pref = qfrac(
         [q * a, q * a / (e * f), q * lam / e, q * lam / f],
         [q * a / e, q * a / f, q * lam, q * lam / (e * f)],
         INF,
         ctx,
     )
-    phi = eval_phi(
-        SeriesSpec(
-            upper=[lam, q * sl, -q * sl, lam * b / a, lam * c / a, lam * d / a, e, f],
-            lower=[sl, -sl, q * a / b, q * a / c, q * a / d, q * lam / e, q * lam / f],
-            argument=q * a / (e * f),
-        ),
-        ctx,
-    )
+    phi = _wp_series(lam, [lam * b / a, lam * c / a, lam * d / a, e, f], q * a / (e * f), ctx)
     return pref * _guarded_series_value(phi, ctx)
 
 
@@ -889,7 +853,8 @@ _register(IdentityCase(
 def _psi8_lhs(p, ctx):
     q = ctx.q
     a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
-    return _wp_psi(a, [b, c, d, e, f, g], q * q * a ** 3 / (b * c * d * e * f * g), ctx)
+    z = q * q * a ** 3 / (b * c * d * e * f * g)
+    return _guarded_series_value(_wp_series(a, [b, c, d, e, f, g], z, ctx, bilateral=True), ctx)
 
 
 def _gr561_piece(p, ctx):
@@ -904,17 +869,8 @@ def _gr561_piece(p, ctx):
         INF,
         ctx,
     )
-    s0 = f / cmath.sqrt(a)
-    phi = eval_phi(
-        SeriesSpec(
-            upper=[f * f / a, q * s0, -q * s0, b * f / a, c * f / a, d * f / a,
-                   e * f / a, g * f / a],
-            lower=[s0, -s0, q * f / b, q * f / c, q * f / d, q * f / e, q * f / g],
-            argument=z,
-        ),
-        ctx,
-    )
-    return _with_claim(pref, phi, ctx)
+    ups = [b * f / a, c * f / a, d * f / a, e * f / a, g * f / a]
+    return _with_claim(pref, _wp_series(f * f / a, ups, z, ctx), ctx)
 
 
 def _gr561_domain(p, ctx):
@@ -946,19 +902,8 @@ def _lemma_piece(p, ctx):
         INF,
         ctx,
     )
-    a0 = q * a * f / (d * e * g)
-    s0 = cmath.sqrt(a0)
-    phi = eval_phi(
-        SeriesSpec(
-            upper=[a0, q * s0, -q * s0, q * a / (d * e), q * a / (d * g),
-                   q * a / (e * g), b * f / a, c * f / a],
-            lower=[s0, -s0, q * f / g, q * f / e, q * f / d,
-                   q * q * a * a / (b * d * e * g), q * q * a * a / (c * d * e * g)],
-            argument=q * a / (b * c),
-        ),
-        ctx,
-    )
-    return _with_claim(pref, phi, ctx)
+    ups = [q * a / (d * e), q * a / (d * g), q * a / (e * g), b * f / a, c * f / a]
+    return _with_claim(pref, _wp_series(q * a * f / (d * e * g), ups, q * a / (b * c), ctx), ctx)
 
 
 def _lemma_domain(p, ctx):
@@ -996,6 +941,12 @@ _register(IdentityCase(
 
 # -- corl-a ------------------------------------------------------------------
 
+def _corla_lhs(p, ctx):
+    """thm-c-multivar's left side at the one pair x = (f), y = (ab/(f q^n))."""
+    a, b, f, n = p["a"], p["b"], p["f"], p["n"]
+    return _thmc_lhs(dict(p, x=[f], y=[a * b / (f * ipow(ctx.q, n))], N=[n]), ctx)
+
+
 def _corla_rhs(p, ctx):
     a, b, c, d, e, f, n = (p[k] for k in ("a", "b", "c", "d", "e", "f", "n"))
     q = ctx.q
@@ -1026,7 +977,7 @@ _register(IdentityCase(
     sampler=_Sampler({"ab": (0.45, 0.9), "cde": (0.1, 0.4), "f": (0.3, 0.8)},
                      ints={"n": (0, 1, 2, 3, 4)}),
     domain=_corla_domain,
-    lhs=_swap_diff(_rho_prime_terms, "abcdefn"),
+    lhs=_corla_lhs,
     rhs=_corla_rhs,
 ))
 
@@ -1056,22 +1007,10 @@ _register(IdentityCase(
 # -- corl-b ------------------------------------------------------------------
 
 def _corlb_lhs(p, ctx):
-    q = ctx.q
-    x, y, b, c, d, e, n = (p[k] for k in ("x", "y", "b", "c", "d", "e", "n"))
-    t1 = _jacobi_terms(
-        1.0 / x, q / (x * y),
-        [b / y, c / y, d / y, e / y, x * y / e * ipow(q, -n)],
-        [y, b / (x * y), c / (x * y), d / (x * y), e / (x * y),
-         ipow(q, -n) * y / e],
-        -y / (x * x), ctx,
-    )
-    t2 = _jacobi_terms(
-        x, q / y,
-        [b / (x * y), c / (x * y), d / (x * y), e / (x * y), y / e * ipow(q, -n)],
-        [x * y, b / y, c / y, d / y, e / y, ipow(q, -n) * x * y / e],
-        -x ** 3 * y, ctx,
-    )
-    return _diff_sum(t1, t2.scaled(x * x), ctx)
+    """thm-d-multivar's left side at the one pair xv = (e), yv = (x y^2/(e q^n))."""
+    x, y, e = p["x"], p["y"], p["e"]
+    yv = x * y ** 2 / (e * ipow(ctx.q, p["n"]))
+    return _jacobi_lhs(x, y, (p["b"], p["c"], p["d"]), (e,), (yv,), ctx)
 
 
 def _corlb_rhs(p, ctx):
@@ -1115,7 +1054,8 @@ def _milne_lhs(p, ctx):
     a, b, c, d, e = (p[k] for k in "abcde")
     xs, ys, N = p["x"], p["y"], p["N"]
     ups = [b, c, d, e] + [t for i in range(len(xs)) for t in (xs[i], ys[i])]
-    return _wp_psi(a, ups, ipow(ctx.q, 1 - sum(N)) * a * a / (b * c * d * e), ctx)
+    z = ipow(ctx.q, 1 - sum(N)) * a * a / (b * c * d * e)
+    return _guarded_series_value(_wp_series(a, ups, z, ctx, bilateral=True), ctx)
 
 
 def _milne_rhs(p, ctx):
@@ -1199,7 +1139,7 @@ _register(IdentityCase(
         pairs=_Pairs("N", 4, x=(0.3, 0.8), y=lambda p, q, x, N: p["a"] * p["b"] / (x * ipow(q, N))),
     ),
     domain=_thmc_domain,
-    lhs=_swap_diff(_multivar_rho_terms, ("a", "b", "c", "d", "e", "x", "y", "N")),
+    lhs=_thmc_lhs,
     rhs=_thmc_rhs,
 ))
 
@@ -1427,21 +1367,34 @@ def _count(name, val):
         raise ValueError(f"parameter {name!r} must be a non-negative integer, got {val!r}")
 
 
-def _validate(case: IdentityCase, params: dict):
-    """Raise unless ``params`` binds the case's declared parameters in their shapes."""
+def _validate(case: IdentityCase, params: dict) -> list:
+    """Raise unless ``params`` binds exactly the case's declared parameters in
+    their shapes; return the free values, scalars and vector entries alike."""
     sampler = case.sampler
-    missing = [name for name in (*sampler.param_names, *sampler.vector_names) if name not in params]
+    declared = (*sampler.param_names, *sampler.vector_names)
+    missing = [name for name in declared if name not in params]
     if missing:
         raise UnknownParam(f"{case.id!r} is missing parameters {missing}")
-    for name in sampler.ints:
-        _count(name, params[name])
-    for name in sampler.vector_names:
-        vec = params[name]
-        if not isinstance(vec, (list, tuple)) or len(vec) != params["n"]:
+    undeclared = [name for name in params if name not in declared]
+    if undeclared:
+        raise ValueError(f"{case.id!r} does not declare parameters {undeclared}")
+    free = []
+    for name in declared:  # the integers come before the vectors sized by n
+        val = params[name]
+        if name not in sampler.vector_names:
+            entries = ((name, val),)
+        elif isinstance(val, (list, tuple)) and len(val) == params["n"]:
+            entries = ((f"{name}{i}", v) for i, v in enumerate(val, start=1))
+        else:
             raise ValueError(f"vector {name!r} must be a list of n = {params['n']} entries")
-        if name in sampler.int_names:
-            for i, k in enumerate(vec, start=1):
-                _count(f"{name}{i}", k)
+        for key, v in entries:
+            if name in sampler.int_names:
+                _count(key, v)
+            elif isinstance(v, bool) or not isinstance(v, numbers.Number):
+                raise ValueError(f"parameter {key!r} must be a number, got {v!r}")
+            else:
+                free.append(v)
+    return free
 
 
 def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) -> VerificationReport:
@@ -1453,11 +1406,12 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
     power of q, and a side that is not finite.  Any other evaluator failure
     is reported as fail with a diagnostic.  A map that does not fit the
     case's declared parameters gets no report: UnknownParam names a missing
-    parameter, ValueError an integer or offset entry that is not a
-    non-negative int (a bool is not) or a vector whose length is not n.
+    parameter, ValueError an undeclared key, a free value that is not a
+    number, an integer or offset entry that is not a non-negative int (a
+    bool is neither) or a vector whose length is not n.
     """
     case = get_case(case_id)
-    _validate(case, params)
+    free = _validate(case, params)
     start = time.perf_counter()
 
     def report(lhs, rhs, abs_r, rel_r, verdict, reason=""):
@@ -1474,8 +1428,6 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
             elapsed=time.perf_counter() - start,
         )
 
-    free = (v for name, val in params.items() if name not in case.sampler.int_names
-            for v in (val if isinstance(val, (list, tuple)) else (val,)))
     if not (all(v != 0 for v in free) and case.domain(params, ctx)):
         return report(0j, 0j, 0.0, 0.0, "skipped", "outside convergence domain")
     # tighten the working series tolerance so per-side truncation stays well

@@ -257,6 +257,10 @@ class TestSampler:
                 assert not any(isinstance(v, list) for v in serialize_params(p).values())
 
 
+# the README's bailey-6psi6 point, which passes at q = 0.3
+BAILEY_POINT = {"a": 0.5, "b": 0.9, "c": 0.8, "d": 0.7, "e": 0.6}
+
+
 def draw_with_n(case_id):
     """The first draw of the case at CTX with n >= 1."""
     return next(p for p in (sample(case_id, s, CTX) for s in range(50)) if p["n"] >= 1)
@@ -274,12 +278,31 @@ class TestParamSchema:
         ("lemma-milne", lambda p: {"N": [-1, *p["N"][1:]],
                                    "y": [p["a"] / p["x"][0], *p["y"][1:]]}, "'N1'"),
         ("lemma-milne", lambda p: {"N": [True, *p["N"][1:]]}, "'N1'"),
+        ("thm-e-integral", lambda p: {"v": ["x"] * p["n"]}, "'v1' must be a number"),
     ], ids=["thm-e-long-v", "thm-c-short-x", "watson-float-n", "milne-negative-N",
-            "milne-bool-N"])
+            "milne-bool-N", "thm-e-str-v"])
     def test_malformed_map_raises(self, case_id, change, key):
         p = draw_with_n(case_id)
         with pytest.raises(ValueError, match=re.escape(key)):
             check(case_id, {**p, **change(p)}, CTX)
+
+    @pytest.mark.parametrize("change, key", [
+        ({"zz": 0}, "['zz']"),  # undeclared and bound to 0, these once skipped the point
+        ({"n": 0}, "['n']"),
+        ({"a": [0.5]}, "'a'"),
+        ({"a": "0.5"}, "'a'"),
+        ({"a": None}, "'a'"),
+        ({"a": True}, "'a'"),
+    ], ids=["undeclared-zz", "undeclared-n", "list-a", "str-a", "none-a", "bool-a"])
+    def test_malformed_bailey_point_raises(self, change, key):
+        ctx = QContext(0.3)
+        assert check("bailey-6psi6", BAILEY_POINT, ctx).verdict == "pass"
+        with pytest.raises(ValueError, match=re.escape(key)):
+            check("bailey-6psi6", {**BAILEY_POINT, **change}, ctx)
+
+    def test_numpy_scalars_are_numbers(self):
+        p = dict(BAILEY_POINT, a=np.float64(0.5), b=np.complex128(0.9), c=np.int64(1))
+        assert check("bailey-6psi6", p, QContext(0.3)).verdict == "pass"
 
     def test_integer_names_come_from_the_sampler(self, monkeypatch):
         # an integer named k is kept as an int and checked as one, and its
@@ -345,9 +368,12 @@ class TestCheck:
 
     @pytest.mark.parametrize("case_id", RECIPROCITY_IDS)
     def test_diagonal_passes_via_zero_branch(self, case_id):
+        # both sides cancel to an exact 0 on the diagonal, so the point passes
+        # through the relative test, not through the absolute 0 = 0 branch
         r = check(case_id, diagonal_point(case_id, 5, CTX), CTX)
         assert r.verdict == "pass"
         assert abs(r.lhs) < 1e-12 and abs(r.rhs) < 1e-12
+        assert r.rel_residual == 0.0
 
     @pytest.mark.parametrize("case_id", RECIPROCITY_IDS)
     def test_lhs_antisymmetry(self, case_id):
@@ -449,16 +475,27 @@ class TestNamedEvaluators:
         case_lhs = gc("thm-a-7var").lhs(p, ctx)
         assert abs(direct - case_lhs) < 1e-9 * max(abs(direct), 1e-20)
 
-    def test_rho_prime_reduces_to_rho_family_at_n0(self):
-        from qverify.identities import _rho_prime_terms
-        from qverify.series import _sum_stream
+    def test_corla_lhs_is_thmc_lhs_with_one_pair(self):
+        # the corl-a left side is the thm-c-multivar one with the pair
+        # x = f, y = ab/(f q^n), N = n, bit for bit
+        corla, thmc = get_case("corl-a").lhs, get_case("thm-c-multivar").lhs
+        for ctx, seed in itertools.product(map(QContext, SHARED_SUM_QS), range(10)):
+            p = sample("corl-a", seed, ctx)
+            a, b, f, n = p["a"], p["b"], p["f"], p["n"]
+            one_pair = {k: p[k] for k in "abcde"}
+            one_pair.update(x=[f], y=[a * b / (f * ipow(ctx.q, n))], N=[n], n=1)
+            assert outcome(corla, p, ctx) == outcome(thmc, one_pair, ctx), (ctx.q, seed)
 
-        ctx = QContext(0.5)
-        p = sample("corl-a", 7, ctx)
-        a, b, c, d, e, f = (p[k] for k in "abcdef")
-        v = _sum_stream(_rho_prime_terms(a, b, c, d, e, f, 0, ctx), ctx).value
-        assert v == v  # smoke: defined and finite
-        assert abs(v) < 1e6
+    def test_corlb_lhs_is_thmd_lhs_with_one_pair(self):
+        # the corl-b left side is the thm-d-multivar one with the pair
+        # xv = e, yv = x y^2/(e q^n), N = n, bit for bit
+        corlb, thmd = get_case("corl-b").lhs, get_case("thm-d-multivar").lhs
+        for ctx, seed in itertools.product(map(QContext, SHARED_SUM_QS), range(10)):
+            p = sample("corl-b", seed, ctx)
+            x, y, e, n = p["x"], p["y"], p["e"], p["n"]
+            one_pair = {k: p[k] for k in "xybcd"}
+            one_pair.update(xv=[e], yv=[x * y ** 2 / (e * ipow(ctx.q, n))], N=[n], n=1)
+            assert outcome(corlb, p, ctx) == outcome(thmd, one_pair, ctx), (ctx.q, seed)
 
     def test_multivar_rho_empty_pairs_is_ma_summand(self):
         # the ma-5var left side is the thm-c-multivar one with no pairs, bit for bit
@@ -633,7 +670,7 @@ class TestJacobiHalves:
 
 
 def near_pole_thma_point(ctx):
-    """A thm-a point whose eval_R lower parameter q e/f sits 3e-7 from q^{-1}."""
+    """A thm-a point whose R block lower parameter q e/f sits 3e-7 from q^{-1}."""
     p = dict(sample("thm-a-7var", 0, ctx))
     p["f"] = 0.3 * p["f"] / abs(p["f"])
     p["e"] = p["f"] * ipow(ctx.q, -2) * (1.0 + 3e-7)
@@ -668,7 +705,11 @@ class TestNearPole:
         assert get_case("thm-a-7var").domain(p, ctx)
         r = check("thm-a-7var", p, ctx)
         assert r.verdict == "skipped"
-        assert repr(ctx.q * p["e"] / p["f"]) in r.reason
+        # the base q e/f as the 8phi7 builder derives it: q a0/u with
+        # a0 = deg/(abf) and u = dg/(ab)
+        a, b, d, e, f, g = (p[k] for k in "abdefg")
+        a0, u = d * e * g / (a * b * f), d * g / (a * b)
+        assert repr(ctx.q * a0 / u) in r.reason
 
     def test_cli_check_of_near_pole_point_exits_2(self, tmp_path, capsys):
         p = near_pole_thma_point(QContext(0.5))
