@@ -70,7 +70,7 @@ from .qcore import (
 )
 from .series import SeriesSpec, _Terms, _difference, _shifted_terms, _sum_stream
 from .series import eval_phi, eval_psi
-from .multisum import block_multisum, check_qpow_ratio, milne_rhs_block
+from .multisum import block_multisum, milne_rhs_block
 from .integrals import (
     TWO_PI,
     AWIntegrandSpec,
@@ -1098,11 +1098,8 @@ def _thmc_rhs(p, ctx):
     q = ctx.q
     a, b, c, d, e = (p[k] for k in "abcde")
     xs, ys, N = p["x"], p["y"], p["N"]
-    n = len(xs)
-    for i in range(n):
-        check_qpow_ratio(a * b, xs[i] * ys[i], N[i], ctx, f"a b / (x_{i+1} y_{i+1})")
     value = _ma_rhs(p, ctx)
-    for i in range(n):
+    for i in range(len(xs)):
         value /= xs[i]
         value *= qfrac(
             [-q * a / xs[i], -q * b / xs[i], q * ys[i] / e, e * ys[i] / (a * b)],
@@ -1110,19 +1107,9 @@ def _thmc_rhs(p, ctx):
             INF,
             ctx,
         )
-    if n == 0:
-        return value
-    ab = a * b
-    return value * block_multisum(
-        N,
-        [xs[i] * ys[i] / ab for i in range(n)],
-        [q / e, q * ab / (c * e), q * ab / (d * e)],
-        [q * xs[-1] / e, q * ys[-1] / e, q * q * ab / (c * d * e)],
-        [[q * ab / (e * xs[s + 1]), q * ab / (e * ys[s + 1])] for s in range(n - 1)],
-        [[q * xs[s] / e, q * ys[s] / e] for s in range(n - 1)],
-        [xs[s + 1] * ys[s + 1] / ab for s in range(n - 1)],
-        ctx,
-    )
+    qab = q * (a * b)
+    return value * block_multisum(N, [q * t / e for t in xs], [q * t / e for t in ys],
+                                  qab / (e * e), (q / e, qab / (c * e), qab / (d * e)), ctx)
 
 
 def _thmc_domain(p, ctx):
@@ -1154,12 +1141,9 @@ def _thmd_rhs(p, ctx):
     q = ctx.q
     x, y, b, c, d = (p[k] for k in ("x", "y", "b", "c", "d"))
     xs, ys, N = p["xv"], p["yv"], p["N"]
-    n = len(xs)
     xy2 = x * y * y
-    for i in range(n):
-        check_qpow_ratio(xy2, xs[i] * ys[i], N[i], ctx, f"x y^2 / (x_{i+1} y_{i+1})")
-    value = ipow(-x * y, n) * _jacobi_products(x, y, b, c, d, ctx)
-    for i in range(n):
+    value = ipow(-x * y, len(xs)) * _jacobi_products(x, y, b, c, d, ctx)
+    for i in range(len(xs)):
         value /= xs[i]
         value *= qfrac(
             [q * y / xs[i], q * x * y / xs[i], ys[i], q * ys[i] / xy2],
@@ -1167,18 +1151,8 @@ def _thmd_rhs(p, ctx):
             INF,
             ctx,
         )
-    if n == 0:
-        return value
-    return value * block_multisum(
-        N,
-        [xs[i] * ys[i] / xy2 for i in range(n)],
-        [q / b, q / c, q / d],
-        [q * xs[-1] / xy2, q * ys[-1] / xy2, q * q * xy2 / (b * c * d)],
-        [[q / xs[s + 1], q / ys[s + 1]] for s in range(n - 1)],
-        [[q * xs[s] / xy2, q * ys[s] / xy2] for s in range(n - 1)],
-        [xs[s + 1] * ys[s + 1] / xy2 for s in range(n - 1)],
-        ctx,
-    )
+    return value * block_multisum(N, [q * t / xy2 for t in xs], [q * t / xy2 for t in ys], q / xy2,
+                                  (q / b, q / c, q / d), ctx)
 
 
 def _thmd_domain(p, ctx):
@@ -1367,9 +1341,11 @@ def _count(name, val):
         raise ValueError(f"parameter {name!r} must be a non-negative integer, got {val!r}")
 
 
-def _validate(case: IdentityCase, params: dict) -> list:
+def _validate(case: IdentityCase, params: dict) -> tuple[dict, list]:
     """Raise unless ``params`` binds exactly the case's declared parameters in
-    their shapes; return the free values, scalars and vector entries alike."""
+    their shapes.  Return the map to evaluate, ``params`` with each free value
+    (scalar or vector entry) a Python complex, so that no numpy scalar type
+    such as float32 sets the precision of the sides; and the free values."""
     sampler = case.sampler
     declared = (*sampler.param_names, *sampler.vector_names)
     missing = [name for name in declared if name not in params]
@@ -1378,13 +1354,13 @@ def _validate(case: IdentityCase, params: dict) -> list:
     undeclared = [name for name in params if name not in declared]
     if undeclared:
         raise ValueError(f"{case.id!r} does not declare parameters {undeclared}")
-    free = []
+    point, free = dict(params), []
     for name in declared:  # the integers come before the vectors sized by n
         val = params[name]
         if name not in sampler.vector_names:
-            entries = ((name, val),)
+            entries = [(name, val)]
         elif isinstance(val, (list, tuple)) and len(val) == params["n"]:
-            entries = ((f"{name}{i}", v) for i, v in enumerate(val, start=1))
+            entries = [(f"{name}{i}", v) for i, v in enumerate(val, start=1)]
         else:
             raise ValueError(f"vector {name!r} must be a list of n = {params['n']} entries")
         for key, v in entries:
@@ -1392,9 +1368,11 @@ def _validate(case: IdentityCase, params: dict) -> list:
                 _count(key, v)
             elif isinstance(v, bool) or not isinstance(v, numbers.Number):
                 raise ValueError(f"parameter {key!r} must be a number, got {v!r}")
-            else:
-                free.append(v)
-    return free
+        if name not in sampler.int_names:
+            values = [complex(v) for _, v in entries]
+            free += values
+            point[name] = values if name in sampler.vector_names else values[0]
+    return point, free
 
 
 def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) -> VerificationReport:
@@ -1411,7 +1389,7 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
     bool is neither) or a vector whose length is not n.
     """
     case = get_case(case_id)
-    free = _validate(case, params)
+    point, free = _validate(case, params)
     start = time.perf_counter()
 
     def report(lhs, rhs, abs_r, rel_r, verdict, reason=""):
@@ -1428,7 +1406,7 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
             elapsed=time.perf_counter() - start,
         )
 
-    if not (all(v != 0 for v in free) and case.domain(params, ctx)):
+    if not (all(v != 0 for v in free) and case.domain(point, ctx)):
         return report(0j, 0j, 0.0, 0.0, "skipped", "outside convergence domain")
     # tighten the working series tolerance so per-side truncation stays well
     # inside the identity error budget even when the geometric tail factor
@@ -1439,8 +1417,8 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
     error = None
     with _recording() as bases:
         try:  # the closed-form side first: a point it skips costs no quadrature
-            rhs = complex(case.rhs(params, eval_ctx))
-            lhs = complex(case.lhs(params, eval_ctx))
+            rhs = complex(case.rhs(point, eval_ctx))
+            lhs = complex(case.lhs(point, eval_ctx))
         except _SKIP_ERRORS as exc:
             return report(0j, 0j, 0.0, 0.0, "skipped", f"{type(exc).__name__}: {exc}")
         except Exception as exc:  # judged below, once the pole test has run

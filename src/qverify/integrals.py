@@ -255,8 +255,6 @@ def thm_e_rhs(a, b, c, d, u, v, N, ctx: QContext) -> complex:
     aw_residue_correction.
     """
     q = ctx.q
-    for i in range(len(u)):
-        check_qpow_ratio(u[i], v[i], int(N[i]), ctx, f"u_{i+1} / v_{i+1}")
     n_total = sum(int(x) for x in N)
     lead = _one_minus(a * b * c * d * ipow(q, -(n_total + 1)))
     value = TWO_PI / lead * _thm_e_products(a, b, c, d, u, v, ctx)

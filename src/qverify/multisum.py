@@ -1,14 +1,29 @@
-"""Finite multi-index sums over bounded compositions.
+"""Milne's terminating multi-sum, built from its pairs.
 
-The multi-variable identities all share one sum shape: a vector
-m = (m_1, ..., m_n) ranges over 0 <= m_i <= N_i, with partial sums
-M_s = m_1 + ... + m_s, and the term factors into a final-coordinate
-block depending on (m_n, M_n) and per-coordinate blocks depending on
-(s, m_s, M_s) for s < n.  Every instance is terminating by construction
-(a constraint plants a (q^{-N};q)_m base), so the sums are computed
-exactly with no truncation policy.  ``block_multisum`` is the one
-evaluator of this pattern: ``omega``, ``milne_rhs_block`` and the
-Theorem C/D product sides in ``identities`` pass it their base lists.
+The multi-variable identities and the multi-variable q-beta integral share
+one sum.  Given limits N = (N_1, ..., N_n), pairs (P_i, Q_i), one scalar A
+and three numerator bases F = (F_1, F_2, F_3), a vector m ranges over
+0 <= m_i <= N_i with partial sums M_s = m_1 + ... + m_s, and with
+a_i = P_i Q_i / (qA) the term is
+
+    (a_n;q)_{m_n}/(q;q)_{m_n} * (F_1, F_2, F_3;q)_{M_n}
+                              / (P_n, Q_n, F_1 F_2 F_3/A;q)_{M_n} * q^{M_n}
+    * prod_{s<n} (a_s;q)_{m_s}/(q;q)_{m_s}
+                 * (qA/P_{s+1}, qA/Q_{s+1};q)_{M_s}/(P_s, Q_s;q)_{M_s} * a_{s+1}^{M_s}.
+
+Each pair must satisfy a_i = q^{-N_i}, which plants (q^{-N_i};q)_{m_i}, so
+the sum terminates and is computed exactly with no truncation policy.
+``block_multisum`` is its one evaluator and the one place that checks the
+q^N relation of a pair.  Its callers pass only (N; P, Q; A; F):
+
+    omega            P = q/(d u_i),      Q = q v_i/d,        A = q/d^2,
+                     F = (q/(ad), q/(bd), q/(cd));
+    milne_rhs_block  P = qe/x_i,         Q = qe/y_i,         A = e^2/a,
+                     F = (be/a, ce/a, de/a);
+    thm-c            P = q x_i/e,        Q = q y_i/e,        A = qab/e^2,
+                     F = (q/e, qab/(ce), qab/(de));
+    thm-d            P = q x_i/(xy^2),   Q = q y_i/(xy^2),   A = q/(xy^2),
+                     F = (q/b, q/c, q/d).
 """
 
 from __future__ import annotations
@@ -44,34 +59,39 @@ def check_qpow_ratio(num: complex, den: complex, n: int, ctx: QContext, what: st
         )
 
 
-def block_multisum(limits, a_bases, final_num, final_den, mid_num, mid_den, weights, ctx):
-    """Exact finite sum of the shared block pattern over every composition.
+def block_multisum(N, P, Q, A, F, ctx: QContext) -> complex:
+    """Milne's terminating multi-sum in (N; P, Q; A; F); see the module docstring.
 
-    Term = (a_n;q)_{m_n}/(q;q)_{m_n} * [final_num;q]_{M_n}/[final_den;q]_{M_n} * q^{M_n}
-         * prod_{s<n-1} (a_s;q)_{m_s}/(q;q)_{m_s}
-                        * [mid_num[s];q]_{M_s}/[mid_den[s];q]_{M_s} * weights[s]^{M_s}
-
-    ``limits`` are the per-coordinate bounds N_1..N_n (each >= 0); n = 0 is
-    the empty sum with value 1.  Accumulation follows the lexicographic
-    composition order, so the value is deterministic.
+    Raises ValueError for unequal lengths or a negative limit, and
+    ConstraintViolation, naming the pair, unless P_i Q_i / (qA) = q^{-N_i}.
+    n = 0 is the empty sum with value 1.  Accumulation follows the
+    lexicographic composition order, so the value is deterministic.
     """
-    limits = [int(N) for N in limits]
-    if any(N < 0 for N in limits):
-        raise ValueError("all limits must be >= 0")
+    limits = [int(k) for k in N]
     n = len(limits)
+    if not (len(P) == len(Q) == n):
+        raise ValueError("N, P, Q must have equal lengths")
+    if any(k < 0 for k in limits):
+        raise ValueError("all limits must be >= 0")
     if n == 0:
         return 1.0 + 0.0j
     q = ctx.q
+    qA = q * A
+    a = [P[i] * Q[i] / qA for i in range(n)]
+    for i in range(n):
+        check_qpow_ratio(a[i], 1.0, -limits[i], ctx, f"pair {i + 1}: P_{i + 1} Q_{i + 1} / (qA)")
+    final_den = [P[-1], Q[-1], F[0] * F[1] * F[2] / A]
+    mid_num = [[qA / P[s + 1], qA / Q[s + 1]] for s in range(n - 1)]
     total = 0.0 + 0.0j
     for m in compositions(limits):
         M = list(itertools.accumulate(m))
-        t = qpoch(a_bases[-1], m[-1], ctx) / qpoch(q, m[-1], ctx)
-        t *= qfrac(final_num, final_den, M[-1], ctx)
+        t = qpoch(a[-1], m[-1], ctx) / qpoch(q, m[-1], ctx)
+        t *= qfrac(F, final_den, M[-1], ctx)
         t *= ipow(q, M[-1])
         for s in range(n - 1):
-            f = qpoch(a_bases[s], m[s], ctx) / qpoch(q, m[s], ctx)
-            f *= qfrac(mid_num[s], mid_den[s], M[s], ctx)
-            t *= f * ipow(weights[s], M[s])
+            f = qpoch(a[s], m[s], ctx) / qpoch(q, m[s], ctx)
+            f *= qfrac(mid_num[s], [P[s], Q[s]], M[s], ctx)
+            t *= f * ipow(a[s + 1], M[s])
         total += t
     return total
 
@@ -82,25 +102,9 @@ def milne_rhs_block(a, b, c, d, e, x, y, N, ctx: QContext) -> complex:
     Requires x_i * y_i = q^{1+N_i} * a for every coordinate; the constraint
     plants (q^{-N_i};q)_{m_i}, so limits = N_i truncate with zero error.
     """
-    n = len(x)
-    if not (len(y) == len(N) == n):
-        raise ValueError("x, y, N must have equal lengths")
-    if n == 0:
-        return 1.0 + 0.0j
     q = ctx.q
-    for i in range(n):
-        check_qpow_ratio(x[i] * y[i], a, 1 + int(N[i]), ctx, f"x_{i+1} y_{i+1} / a")
-    a_bases = [q * a / (x[i] * y[i]) for i in range(n)]
-    return block_multisum(
-        N,
-        a_bases,
-        [b * e / a, c * e / a, d * e / a],
-        [q * e / x[-1], q * e / y[-1], b * c * d * e / (a * a)],
-        [[e * x[s + 1] / a, e * y[s + 1] / a] for s in range(n - 1)],
-        [[q * e / x[s], q * e / y[s]] for s in range(n - 1)],
-        [q * a / (x[s + 1] * y[s + 1]) for s in range(n - 1)],
-        ctx,
-    )
+    return block_multisum(N, [q * e / t for t in x], [q * e / t for t in y], e * e / a,
+                          (b * e / a, c * e / a, d * e / a), ctx)
 
 
 def omega(a, b, c, d, u, v, N, ctx: QContext) -> complex:
@@ -108,22 +112,6 @@ def omega(a, b, c, d, u, v, N, ctx: QContext) -> complex:
 
     Requires u_i / v_i = q^{N_i}; raises ConstraintViolation otherwise.
     """
-    n = len(u)
-    if not (len(v) == len(N) == n):
-        raise ValueError("u, v, N must have equal lengths")
-    if n == 0:
-        return 1.0 + 0.0j
     q = ctx.q
-    for i in range(n):
-        check_qpow_ratio(u[i], v[i], int(N[i]), ctx, f"u_{i+1} / v_{i+1}")
-    a_bases = [v[i] / u[i] for i in range(n)]
-    return block_multisum(
-        N,
-        a_bases,
-        [q / (a * d), q / (b * d), q / (c * d)],
-        [q / (d * u[-1]), q * v[-1] / d, q * q / (a * b * c * d)],
-        [[q * u[s + 1] / d, q / (d * v[s + 1])] for s in range(n - 1)],
-        [[q / (d * u[s]), q * v[s] / d] for s in range(n - 1)],
-        [v[s + 1] / u[s + 1] for s in range(n - 1)],
-        ctx,
-    )
+    return block_multisum(N, [q / (d * t) for t in u], [q * t / d for t in v], q / (d * d),
+                          (q / (a * d), q / (b * d), q / (c * d)), ctx)

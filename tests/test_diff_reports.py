@@ -54,7 +54,8 @@ def test_tally_separates_value_moves_from_other_fields(tmp_path):
     proc = run(tmp_path, old, new)
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[-1] == (
-        "tally: 1 cells differ in values only (largest lhs/rhs move 2e-15), "
+        "tally: 1 cells differ in values only (largest lhs/rhs move 2e-15 "
+        "(('watson', 4, 0.5) lhs)), "
         "1 cells differ in verdict, reason, sample_seed, params or another field")
 
 

@@ -304,6 +304,14 @@ class TestParamSchema:
         p = dict(BAILEY_POINT, a=np.float64(0.5), b=np.complex128(0.9), c=np.int64(1))
         assert check("bailey-6psi6", p, QContext(0.3)).verdict == "pass"
 
+    @pytest.mark.parametrize("kind", [np.float32, np.complex64])
+    def test_single_precision_values_are_evaluated_in_double(self, kind):
+        # a complex64 side held 3.6e-8 relative and made this point a false fail
+        p = dict(BAILEY_POINT, c=kind(0.8))
+        r = check("bailey-6psi6", p, QContext(0.3))
+        assert r.verdict == "pass" and r.rel_residual < 1e-12
+        assert r.params["c"] is p["c"]  # the report keeps the map as given
+
     def test_integer_names_come_from_the_sampler(self, monkeypatch):
         # an integer named k is kept as an int and checked as one, and its
         # zero is not taken for a zero free parameter
@@ -406,10 +414,12 @@ class TestCheck:
         assert r.reason.startswith("PoleError")
 
     @pytest.mark.parametrize("case_id, yname", [("thm-c-multivar", "y"),
-                                                ("thm-d-multivar", "yv")])
+                                                ("thm-d-multivar", "yv"),
+                                                ("lemma-milne", "y"),
+                                                ("thm-e-integral", "u")])
     def test_multivar_constraint_violation_skips(self, case_id, yname):
-        # the right side checks that x_1 y_1 keeps its q^{N_1} relation; a
-        # point that breaks it by 1e-9 relative must be skipped, not judged
+        # the right side's multi-sum checks that pair 1 keeps its q^{N_1}
+        # relation; a point that breaks it by 1e-9 relative must be skipped
         p = next(p for p in (sample(case_id, s, CTX) for s in range(50)) if p["n"] >= 1)
         ys = list(p[yname])
         ys[0] *= 1.0 + 1e-9

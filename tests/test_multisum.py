@@ -5,7 +5,10 @@ import math
 import random
 
 import pytest
+from multisum_reference import milne_lists, omega_lists, seven_list_multisum, thmc_lists, thmd_lists
 
+from qverify import identities, multisum
+from qverify.identities import get_case, sample
 from qverify.qcore import ConstraintViolation, QContext, ipow, qfrac, qpoch
 from qverify.multisum import (
     block_multisum,
@@ -44,16 +47,54 @@ class TestMilneMultisum:
 
     def test_empty_is_one(self):
         ctx = QContext(0.5)
-        assert block_multisum((), [], [], [], [], [], [], ctx) == 1.0
+        assert block_multisum((), [], [], 0.3, (0.2, 0.4, 0.6), ctx) == 1.0
 
     def test_single_zero_limit(self):
         ctx = QContext(0.5)
-        assert block_multisum((0,), [0.3], [0.2], [0.7], [], [], [], ctx) == 1.0
+        assert block_multisum((0,), [0.3], [0.5], 0.3, (0.2, 0.4, 0.6), ctx) == 1.0
 
     def test_validation(self):
         # limits come from parameter files, so a negative one is an input error
         with pytest.raises(ValueError):
-            block_multisum((-1,), [0.3], [0.2], [0.7], [], [], [], QContext(0.5))
+            block_multisum((-1,), [0.3], [0.5], 0.3, (0.2, 0.4, 0.6), QContext(0.5))
+
+    # each caller's sum, and its lists as the caller once wrote them by hand
+    CALLERS = {
+        "omega": (omega_lists, lambda p, ctx: omega(*(p[k] for k in "abcduvN"), ctx)),
+        "lemma-milne": (milne_lists, get_case("lemma-milne").rhs),
+        "thm-c-multivar": (thmc_lists, get_case("thm-c-multivar").rhs),
+        "thm-d-multivar": (thmd_lists, get_case("thm-d-multivar").rhs),
+    }
+
+    @staticmethod
+    def point(caller, n, ctx):
+        if caller != "omega":
+            return next(p for p in (sample(caller, s, ctx) for s in range(200)) if p["n"] == n)
+        rng = random.Random(n)
+        p = dict(zip("abcd", (rand_complex(rng, 0.1, 0.6) for _ in range(4))))
+        p["v"] = [rand_complex(rng, 0.15, 0.7) for _ in range(n)]
+        p["N"] = [rng.randrange(3) for _ in range(n)]
+        p["u"] = [t * ipow(ctx.q, k) for t, k in zip(p["v"], p["N"])]
+        return p
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_pairs_give_the_hand_written_lists(self, caller, n, monkeypatch):
+        # (P, Q, A, F) of each caller derive the seven lists it once passed
+        ctx = QContext(0.5 + 0.3j)
+        lists, call = self.CALLERS[caller]
+        p = self.point(caller, n, ctx)
+        seen = []
+
+        def record(*args):
+            seen.append(block_multisum(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(multisum, "block_multisum", record)
+        monkeypatch.setattr(identities, "block_multisum", record)
+        call(p, ctx)
+        want = seven_list_multisum(p["N"], *lists(p, ctx.q), ctx)
+        assert len(seen) == 1 and abs(seen[0] - want) <= 1e-12 * abs(want)
 
 
 class TestMilneBlock:
@@ -146,21 +187,12 @@ class TestOmega:
         with pytest.raises(ConstraintViolation):
             omega(0.3, 0.2, 0.1, 0.4, [0.2], [0.45], [1], ctx)
 
-    def test_exactness_beyond_constraint_limits(self):
-        # raising a coordinate limit past N_i adds exactly-zero terms
-        q = 0.5
-        ctx = QContext(q)
+    def test_limit_beyond_constraint_raises(self):
+        # a limit past N_i breaks the pair's q^N relation, and the builder names the pair
+        ctx = QContext(0.5)
         a, b, c, d = 0.3, 0.2, 0.1, 0.4
         v = [0.45]
-        N = [2]
-        u = [v[0] * ipow(ctx.q, N[0])]
-        base = omega(a, b, c, d, u, v, N, ctx)
-        extended = block_multisum(
-            [N[0] + 3],
-            [v[0] / u[0]],
-            [q / (a * d), q / (b * d), q / (c * d)],
-            [q / (d * u[0]), q * v[0] / d, q * q / (a * b * c * d)],
-            [], [], [],
-            ctx,
-        )
-        assert extended == base
+        u = [v[0] * ipow(ctx.q, 2)]
+        assert omega(a, b, c, d, u, v, [2], ctx) != 0
+        with pytest.raises(ConstraintViolation, match="^pair 1"):
+            omega(a, b, c, d, u, v, [5], ctx)

@@ -4,8 +4,9 @@ Usage: python3 tools/diff_reports.py OLD.json NEW.json.  Prints the
 differences in ``config`` and ``summary``, then each differing cell, keyed
 by (id, slot, q), with the fields that differ and the relative move of lhs
 and rhs, then a tally: the cells whose values alone moved (lhs, rhs and
-the residuals), with the largest relative move of lhs or rhs, and the cells
-where anything else differs (verdict, reason, sample_seed, params, ...).
+the residuals), with the largest relative move of lhs or rhs and the cell
+and side where it happened, and the cells where anything else differs
+(verdict, reason, sample_seed, params, ...).
 Exits 0 when the reports are identical, 1 when they differ, and 2 on bad
 input (fewer than two paths, or a file that cannot be read as JSON), with
 the usage line or the error on stderr.
@@ -45,7 +46,7 @@ def diff(old: dict, new: dict) -> list:
                 lines.append(f"{section} {key}: {a} -> {b}")
     cells = [{(r["id"], r["slot"], r["q"]): r for r in doc.get("reports", [])}
              for doc in (old, new)]
-    values_only, other, largest = 0, 0, 0.0
+    values_only, other, largest, where = 0, 0, 0.0, ""
     for key in sorted(cells[0].keys() | cells[1].keys()):
         a, b = (c.get(key) for c in cells)
         if a is None or b is None:
@@ -57,13 +58,16 @@ def diff(old: dict, new: dict) -> list:
             lines.append(f"cell {key}: {', '.join(fields)} differ; "
                          f"lhs moved {moved[0]:.3g}, rhs moved {moved[1]:.3g}")
             if VALUES.issuperset(fields):
-                values_only, largest = values_only + 1, max(largest, *moved)
+                values_only += 1
+                for side, move in zip(("lhs", "rhs"), moved):
+                    if move > largest:
+                        largest, where = move, f" ({key} {side})"
             else:
                 other += 1
     if values_only or other:
         lines.append(f"tally: {values_only} cells differ in values only (largest lhs/rhs move "
-                     f"{largest:.3g}), {other} cells differ in verdict, reason, sample_seed, "
-                     "params or another field")
+                     f"{largest:.3g}{where}), {other} cells differ in verdict, reason, "
+                     "sample_seed, params or another field")
     return lines
 
 
