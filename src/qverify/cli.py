@@ -16,6 +16,8 @@ Exit codes: 0 pass, 1 fail, 2 skipped / domain, 3 input error.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 import time
@@ -23,7 +25,7 @@ import tomllib
 from dataclasses import dataclass
 
 from .qcore import QContext, QVerifyError
-from .identities import VerificationReport, case_ids, check, get_case, parse_params, sample
+from .identities import VerificationReport, _column, case_ids, check, get_case, parse_params, sample
 
 _EXIT_PASS = 0
 _EXIT_FAIL = 1
@@ -83,11 +85,15 @@ def cmd_check(args) -> int:
     return _EXIT_FAIL
 
 
+def _slot_seed(base_seed: int, slot: int, attempt: int = 0) -> int:
+    return base_seed + 1000 * slot + attempt
+
+
 def run_sweep_cell(case_id: str, slot: int, base_seed: int, q: float, tol: float | None, mode: str):
     """One (identity, sample slot, q) cell; resamples skips deterministically."""
     ctx = _make_ctx(q, tol)
     for attempt in range(_RESAMPLE_CAP):
-        seed = base_seed + 1000 * slot + attempt
+        seed = _slot_seed(base_seed, slot, attempt)
         try:
             params = sample(case_id, seed, ctx, mode=mode)
         except QVerifyError as exc:
@@ -151,25 +157,17 @@ def run_sweep(config: SweepConfig) -> tuple[dict, int]:
         for slot in range(config.samples)
     ]
     workers = min(config.jobs, len(cells))
+    size = max(1, len(cells) // (_CHUNKS_PER_WORKER * max(workers, 1)))
+    chunks = [cells[i:i + size] for i in range(0, len(cells), size)]
+    run = functools.partial(_run_chunk, base_seed=config.seed, tol=config.tol, mode=config.mode)
     t0 = time.perf_counter()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = max(1, len(cells) // (_CHUNKS_PER_WORKER * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _sweep_cell_star,
-                    [(cid, slot, config.seed, q, config.tol, config.mode)
-                     for cid, slot, q in cells],
-                    chunksize=chunksize,
-                )
-            )
+            results = [r for done in pool.map(run, chunks) for r in done]
     else:
-        results = [
-            run_sweep_cell(cid, slot, config.seed, q, config.tol, config.mode)
-            for cid, slot, q in cells
-        ]
+        results = [r for chunk in chunks for r in run(chunk)]
     elapsed = time.perf_counter() - t0
 
     results.sort(key=lambda r: (r["id"], r["slot"], r["q"]))
@@ -231,8 +229,17 @@ def cmd_sweep(args) -> int:
     return code
 
 
-def _sweep_cell_star(packed):
-    return run_sweep_cell(*packed)
+def _run_chunk(chunk, base_seed: int, tol: float | None, mode: str) -> list:
+    """The cells (id, slot, q) of one chunk, in order.  Each run of one (id, q)
+    draws attempt 0 of its slots and computes their closed-form products
+    ahead (``identities._column``); its cells then run one by one through
+    this module's ``run_sweep_cell`` and ``check``."""
+    out = []
+    for (cid, q), run in itertools.groupby(chunk, key=lambda cell: (cell[0], cell[2])):
+        slots = [slot for _, slot, _ in run]
+        with _column(cid, [_slot_seed(base_seed, slot) for slot in slots], _make_ctx(q, tol), mode):
+            out += [run_sweep_cell(cid, slot, base_seed, q, tol, mode) for slot in slots]
+    return out
 
 
 class _Parser(argparse.ArgumentParser):

@@ -16,6 +16,9 @@ Every very-well-poised series (the 8phi7 W(a; ups; z) of Watson's and
 Bailey's transformations, the psi of 6psi6, 8psi8 and Milne) comes from one
 builder given (a; ups; z).  The left sides of corl-a and corl-b are those of
 thm-c and thm-d at one pair; their right sides are the stated 4phi3 forms.
+Each case declares the ratios of (x;q)_oo that its right side multiplies
+(``IdentityCase.products``), and the right side reads its lists from the
+same functions; a sweep computes them ahead for each column (``_column``).
 
 Numerical notes that shape the evaluators:
 
@@ -39,6 +42,7 @@ Numerical notes that shape the evaluators:
 from __future__ import annotations
 
 import cmath
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -64,6 +68,7 @@ from .qcore import (
     _divisor,
     _near_pole,
     _one_minus,
+    _prefetched,
     _recording,
     ipow,
     qfrac,
@@ -74,7 +79,9 @@ from .multisum import block_multisum, milne_rhs_block
 from .integrals import (
     TWO_PI,
     AWIntegrandSpec,
+    _corl_e_ratios,
     _thm_e_products,
+    _thm_e_ratios,
     corl_e_rhs,
     integrate_aw,
     thm_e_rhs,
@@ -170,6 +177,24 @@ def _pair_rhs(piece, x: str, y: str):
         return _sum_with_guard((a, b), ctx)
 
     return evaluator
+
+
+def _inf_ratio(ratios, ctx: QContext) -> complex:
+    """qfrac at infinite order of the one ratio (numer, denom) in ``ratios``."""
+    ((numer, denom),) = ratios
+    return qfrac(numer, denom, INF, ctx)
+
+
+def _reciprocity_rhs(ratios):
+    """(1/b - 1/a) times the one ratio that ``ratios`` declares: the right side
+    of ramanujan-reciprocity, andrews-4var, kang-equivalent and ma-5var."""
+    return lambda p, ctx: (1.0 / p["b"] - 1.0 / p["a"]) * _inf_ratio(ratios(p, ctx), ctx)
+
+
+def _pair_products(ratios, x: str, y: str):
+    """The products of a ``_pair_rhs`` case: its piece's ``ratios`` at the
+    point, then at the point with x and y interchanged."""
+    return lambda params, ctx: ratios(params, ctx) + ratios(swap_params(params, x, y), ctx)
 
 
 def _diff_sum(terms_a, terms_b, ctx: QContext) -> complex:
@@ -272,17 +297,16 @@ def _jacobi_lhs(x, y, bcd, xs, ys, ctx):
     return _diff_sum(t1, t2.scaled(scale), ctx)
 
 
-def _jacobi_products(x, y, b, c, d, ctx):
+def _jacobi_ratios(p, ctx):
     """The infinite products that lead the right sides of corl-b and thm-d."""
     q = ctx.q
+    x, y, b, c, d = (p[k] for k in "xybcd")
     xy2 = x * y * y
-    return qfrac(
+    return [(
         [q, x, q / x, b, c, d, b * c / xy2, b * d / xy2, c * d / xy2],
         [y, x * y, b / y, c / y, d / y, b / (x * y), c / (x * y), d / (x * y),
          b * c * d / (q * xy2)],
-        INF,
-        ctx,
-    )
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -298,33 +322,53 @@ def _rho7_terms(a, b, c, d, e, f, g, ctx):
     return _rho_terms(a, b, [-q * a / t for t in ks], [-t / b for t in ks], z, ctx, 1)
 
 
+def _R_ratios(p, ctx):
+    """The infinite products of the R block."""
+    q = ctx.q
+    a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
+    return [
+        ([q, c, f, q * a / b, q * b / a], [-q * a, -q * b, -c / a, -c / b, -d / a]),
+        (
+            [
+                -q * a / g, -q * b / g, q * d / f, q * e / f,
+                c * f / (a * b), d * f / (a * b), e * f / (a * b),
+                d * e * g / (a * b), c * d * e * g / (a * a * b * b),
+            ],
+            [
+                -d / b, -e / a, -e / b, -f / a, -f / b,
+                f / g, q * a * b / (f * g), q * d * e * g / (a * b * f),
+                c * d * e * f * g / (q * a * a * b * b),
+            ],
+        ),
+    ]
+
+
 def _R_block(p, ctx):
     """R, the seven-variable reciprocity formula's block: (value, its 8phi7's claimed error)."""
     q = ctx.q
     a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
     pref = (1.0 / g) * (1.0 / b - 1.0 / a)
-    pref *= qfrac(
-        [q, c, f, q * a / b, q * b / a],
-        [-q * a, -q * b, -c / a, -c / b, -d / a],
-        INF,
-        ctx,
-    )
-    pref *= qfrac(
-        [
-            -q * a / g, -q * b / g, q * d / f, q * e / f,
-            c * f / (a * b), d * f / (a * b), e * f / (a * b),
-            d * e * g / (a * b), c * d * e * g / (a * a * b * b),
-        ],
-        [
-            -d / b, -e / a, -e / b, -f / a, -f / b,
-            f / g, q * a * b / (f * g), q * d * e * g / (a * b * f),
-            c * d * e * f * g / (q * a * a * b * b),
-        ],
-        INF,
-        ctx,
-    )
+    for ratio in _R_ratios(p, ctx):
+        pref *= qfrac(*ratio, INF, ctx)
     ups = [d * e / (a * b), d * g / (a * b), e * g / (a * b), q / f, q * a * b / (c * f)]
     return _with_claim(pref, _wp_series(d * e * g / (a * b * f), ups, c, ctx), ctx)
+
+
+def _S_ratios(p, ctx):
+    """The infinite products of the S block."""
+    q = ctx.q
+    x, y, b, c, d, e, f = (p[k] for k in "xybcdef")
+    xy2 = x * y * y
+    return [
+        ([q, q * x, 1.0 / x, e, q * d / e], [y, b / y, c / y, d / y, e / y]),
+        (
+            [q * y / f, q * x * y / f, q * xy2 / e, b * c / xy2, b * e / xy2,
+             c * e / xy2, d * e / xy2, b * d * f / xy2, c * d * f / xy2],
+            [x * y, b / (x * y), c / (x * y), d / (x * y), e / (x * y),
+             e / f, q * d * f / e, q * xy2 / (e * f),
+             b * c * d * e * f / (q * x * x * y ** 4)],
+        ),
+    ]
 
 
 def _S_block(p, ctx):
@@ -333,21 +377,8 @@ def _S_block(p, ctx):
     x, y, b, c, d, e, f = (p[k] for k in "xybcdef")
     xy2 = x * y * y
     pref = x * x * y / f
-    pref *= qfrac(
-        [q, q * x, 1.0 / x, e, q * d / e],
-        [y, b / y, c / y, d / y, e / y],
-        INF,
-        ctx,
-    )
-    pref *= qfrac(
-        [q * y / f, q * x * y / f, q * xy2 / e, b * c / xy2, b * e / xy2,
-         c * e / xy2, d * e / xy2, b * d * f / xy2, c * d * f / xy2],
-        [x * y, b / (x * y), c / (x * y), d / (x * y), e / (x * y),
-         e / f, q * d * f / e, q * xy2 / (e * f),
-         b * c * d * e * f / (q * x * x * y ** 4)],
-        INF,
-        ctx,
-    )
+    for ratio in _S_ratios(p, ctx):
+        pref *= qfrac(*ratio, INF, ctx)
     ups = [d, f, d * f / xy2, q * xy2 / (b * e), q * xy2 / (c * e)]
     return _with_claim(pref, _wp_series(d * f / e, ups, b * c / xy2, ctx), ctx)
 
@@ -383,6 +414,12 @@ class IdentityCase:
     integers) and ``vector_names`` (a pair's two vectors, then its offsets).
     Its ``int_names`` are the integer ones (the counts and the offset
     vector); every other parameter is a free complex value.
+
+    ``products`` declares the ratios of infinite products that ``rhs``
+    multiplies, as (numer, denom) lists of bases of (x;q)_oo, by plain
+    arithmetic on the point that ``check`` evaluates; ``rhs`` reads its
+    lists from the same functions, so a sweep can compute those products
+    ahead (``_column``).
     """
 
     id: str
@@ -391,6 +428,7 @@ class IdentityCase:
     domain: Callable                  # (params, ctx) -> bool, convergence conditions only
     lhs: Callable                     # (params, ctx) -> complex
     rhs: Callable                     # (params, ctx) -> complex
+    products: Callable = lambda params, ctx: []  # (params, ctx) -> [(numer, denom), ...]
 
     @property
     def param_names(self) -> tuple:
@@ -607,17 +645,19 @@ def _bailey_lhs(p, ctx):
     return _guarded_series_value(_wp_series(a, [b, c, d, e], z, ctx, bilateral=True), ctx)
 
 
-def _bailey_rhs(p, ctx):
+def _bailey_ratios(p, ctx):
     q = ctx.q
     a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    return qfrac(
+    return [(
         [q, q * a, q / a, q * a / (b * c), q * a / (b * d), q * a / (b * e),
          q * a / (c * d), q * a / (c * e), q * a / (d * e)],
         [q / b, q / c, q / d, q / e, q * a / b, q * a / c, q * a / d, q * a / e,
          q * a * a / (b * c * d * e)],
-        INF,
-        ctx,
-    )
+    )]
+
+
+def _bailey_rhs(p, ctx):
+    return _inf_ratio(_bailey_ratios(p, ctx), ctx)
 
 
 def _bailey_domain(p, ctx):
@@ -632,6 +672,7 @@ _register(IdentityCase(
     domain=_bailey_domain,
     lhs=_bailey_lhs,
     rhs=_bailey_rhs,
+    products=_bailey_ratios,
 ))
 
 
@@ -643,12 +684,10 @@ def _rama_half(a, b, ctx):
     return _Terms([], [-q * a], q * a / b, ctx, 1, const=1.0 + 1.0 / b)
 
 
-def _rama_rhs(p, ctx):
+def _rama_ratios(p, ctx):
     q = ctx.q
     a, b = p["a"], p["b"]
-    return (1.0 / b - 1.0 / a) * qfrac(
-        [q, q * a / b, q * b / a], [-q * a, -q * b], INF, ctx
-    )
+    return [([q, q * a / b, q * b / a], [-q * a, -q * b])]
 
 
 _register(IdentityCase(
@@ -657,7 +696,8 @@ _register(IdentityCase(
     sampler=_Sampler({"ab": (0.1, 0.9)}),
     domain=lambda p, ctx: True,
     lhs=_swap_diff(_rama_half, "ab"),
-    rhs=_rama_rhs,
+    rhs=_reciprocity_rhs(_rama_ratios),
+    products=_rama_ratios,
 ))
 
 
@@ -669,15 +709,16 @@ def _andrews_half(a, b, c, d, ctx):
     return _Terms([c, -q * a / d], [-q * a, -q * c / b], -d / b, ctx, const=const)
 
 
-def _andrews_rhs(p, ctx):
+def _andrews_ratios(p, ctx):
     q = ctx.q
     a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    return (1.0 / b - 1.0 / a) * qfrac(
+    return [(
         [q, q * a / b, q * b / a, c, d, c * d / (a * b)],
         [-q * a, -q * b, -c / a, -c / b, -d / a, -d / b],
-        INF,
-        ctx,
-    )
+    )]
+
+
+_andrews_rhs = _reciprocity_rhs(_andrews_ratios)
 
 
 def _andrews_domain(p, ctx):
@@ -691,6 +732,7 @@ _register(IdentityCase(
     domain=_andrews_domain,
     lhs=_swap_diff(_andrews_half, "abcd"),
     rhs=_andrews_rhs,
+    products=_andrews_ratios,
 ))
 
 
@@ -711,22 +753,25 @@ _register(IdentityCase(
     domain=_andrews_domain,
     lhs=_swap_diff(_kang_half, "abcd"),
     rhs=_andrews_rhs,
+    products=_andrews_ratios,
 ))
 
 
 # -- ma-5var --------------------------------------------------------------
 
-def _ma_rhs(p, ctx):
+def _ma_ratios(p, ctx):
+    """The infinite products of ma-5var's right side, which lead those of corl-a and thm-c."""
     q = ctx.q
     a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    return (1.0 / b - 1.0 / a) * qfrac(
+    return [(
         [q, q * a / b, q * b / a, c, d, e,
          c * d / (a * b), c * e / (a * b), d * e / (a * b)],
         [-q * a, -q * b, -c / a, -c / b, -d / a, -d / b, -e / a, -e / b,
          c * d * e / (q * a * b)],
-        INF,
-        ctx,
-    )
+    )]
+
+
+_ma_rhs = _reciprocity_rhs(_ma_ratios)
 
 
 def _ma_domain(p, ctx):
@@ -743,6 +788,7 @@ _register(IdentityCase(
         lambda a, b, c, d, e, ctx: _multivar_rho_terms(a, b, c, d, e, (), (), (), ctx), "abcde"
     ),
     rhs=_ma_rhs,
+    products=_ma_ratios,
 ))
 
 
@@ -760,16 +806,18 @@ def _cz_half(a, b, c, d, e, ctx):
     )
 
 
-def _cz_correction(a, b, c, d, e, ctx):
-    q = ctx.q
-    pref = d * e / (q * a * b) * (1.0 + 1.0 / b)
-    pref *= qfrac(
+def _cz_correction_ratio(a, b, c, d, e, q):
+    return (
         [q, c, -q * a / d, -q * a / e, -d * e / b, -c * d * e / (a * b * b)],
         [-q * a, -c / b, -d / b, -e / b, q * q * a * b / (d * e),
          c * d * e / (q * a * b)],
-        INF,
-        ctx,
     )
+
+
+def _cz_correction(a, b, c, d, e, ratio, ctx):
+    q = ctx.q
+    pref = d * e / (q * a * b) * (1.0 + 1.0 / b)
+    pref *= qfrac(*ratio, INF, ctx)
     phi = eval_phi(
         SeriesSpec(
             upper=[-d / b, -e / b, c * d * e / (q * a * b)],
@@ -781,21 +829,27 @@ def _cz_correction(a, b, c, d, e, ctx):
     return _with_claim(pref, phi, ctx)
 
 
-def _cz_rhs(p, ctx):
+def _cz_ratios(p, ctx):
+    """The main product, then the corrections' at (b, a) and at (a, b), as ``_cz_rhs`` meets them."""
     q = ctx.q
     a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    # first product: numerator entry de/qab; the commonly stated de/ab
+    # main product: numerator entry de/qab; the commonly stated de/ab
     # fails numerically by exactly the factor (1 - de/qab)
-    main = (1.0 / b - 1.0 / a) * qfrac(
+    main = (
         [q, q * a / b, q * b / a, c, d, e,
          c * d / (a * b), c * e / (a * b), d * e / (q * a * b)],
         [-q * a, -q * b, -c / a, -c / b, -d / a, -d / b, -e / a, -e / b,
          c * d * e / (q * a * b)],
-        INF,
-        ctx,
     )
-    swapped, err = _cz_correction(b, a, c, d, e, ctx)
-    return _sum_with_guard(((main, 0.0), _cz_correction(a, b, c, d, e, ctx), (-swapped, err)), ctx)
+    return [main, _cz_correction_ratio(b, a, c, d, e, q), _cz_correction_ratio(a, b, c, d, e, q)]
+
+
+def _cz_rhs(p, ctx):
+    a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
+    lead, at_ba, at_ab = _cz_ratios(p, ctx)
+    main = (1.0 / b - 1.0 / a) * qfrac(*lead, INF, ctx)
+    swapped, err = _cz_correction(b, a, c, d, e, at_ba, ctx)
+    return _sum_with_guard(((main, 0.0), _cz_correction(a, b, c, d, e, at_ab, ctx), (-swapped, err)), ctx)
 
 
 _register(IdentityCase(
@@ -805,6 +859,7 @@ _register(IdentityCase(
     domain=_ma_domain,
     lhs=_swap_diff(_cz_half, "abcde"),
     rhs=_cz_rhs,
+    products=_cz_ratios,
 ))
 
 
@@ -817,16 +872,21 @@ def _gr2101_lhs(p, ctx):
     return _guarded_series_value(phi, ctx)
 
 
+def _gr2101_ratios(p, ctx):
+    q = ctx.q
+    a, b, c, d, e, f = (p[k] for k in "abcdef")
+    lam = q * a * a / (b * c * d)
+    return [(
+        [q * a, q * a / (e * f), q * lam / e, q * lam / f],
+        [q * a / e, q * a / f, q * lam, q * lam / (e * f)],
+    )]
+
+
 def _gr2101_rhs(p, ctx):
     q = ctx.q
     a, b, c, d, e, f = (p[k] for k in "abcdef")
     lam = q * a * a / (b * c * d)
-    pref = qfrac(
-        [q * a, q * a / (e * f), q * lam / e, q * lam / f],
-        [q * a / e, q * a / f, q * lam, q * lam / (e * f)],
-        INF,
-        ctx,
-    )
+    pref = _inf_ratio(_gr2101_ratios(p, ctx), ctx)
     phi = _wp_series(lam, [lam * b / a, lam * c / a, lam * d / a, e, f], q * a / (e * f), ctx)
     return pref * _guarded_series_value(phi, ctx)
 
@@ -845,6 +905,7 @@ _register(IdentityCase(
     domain=_gr2101_domain,
     lhs=_gr2101_lhs,
     rhs=_gr2101_rhs,
+    products=_gr2101_ratios,
 ))
 
 
@@ -857,18 +918,22 @@ def _psi8_lhs(p, ctx):
     return _guarded_series_value(_wp_series(a, [b, c, d, e, f, g], z, ctx, bilateral=True), ctx)
 
 
-def _gr561_piece(p, ctx):
+def _gr561_ratios(p, ctx):
     q = ctx.q
     a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
-    z = q * q * a ** 3 / (b * c * d * e * f * g)
-    pref = qfrac(
+    return [(
         [q, q * a, q / a, q * a / (b * f), q * a / (c * f), q * a / (d * f),
          q * a / (e * f), q * f / b, q * f / c, q * f / d, q * f / e, g, g / a],
         [q / b, q / c, q / d, q / e, q / f, q * a / b, q * a / c, q * a / d,
          q * a / e, q * a / f, g / f, f * g / a, q * f * f / a],
-        INF,
-        ctx,
-    )
+    )]
+
+
+def _gr561_piece(p, ctx):
+    q = ctx.q
+    a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
+    z = q * q * a ** 3 / (b * c * d * e * f * g)
+    pref = _inf_ratio(_gr561_ratios(p, ctx), ctx)
     ups = [b * f / a, c * f / a, d * f / a, e * f / a, g * f / a]
     return _with_claim(pref, _wp_series(f * f / a, ups, z, ctx), ctx)
 
@@ -885,23 +950,28 @@ _register(IdentityCase(
     domain=_gr561_domain,
     lhs=_psi8_lhs,
     rhs=_pair_rhs(_gr561_piece, "f", "g"),
+    products=_pair_products(_gr561_ratios, "f", "g"),
 ))
 
 
-def _lemma_piece(p, ctx):
+def _lemma_ratios(p, ctx):
     q = ctx.q
     a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
     z = q * q * a ** 3 / (b * c * d * e * f * g)
-    pref = qfrac(
+    return [(
         [q, q * a, q / a, q * a / (b * c), q * a / (b * f), q * a / (c * f),
          q * a / (d * f), q * a / (e * f), q * f / d, q * f / e, g, g / a,
          q * q * a * a / (b * d * e * g), q * q * a * a / (c * d * e * g)],
         [q / b, q / c, q / d, q / e, q / f, q * a / b, q * a / c, q * a / d,
          q * a / e, q * a / f, g / f, f * g / a,
          q * q * a * f / (d * e * g), z],
-        INF,
-        ctx,
-    )
+    )]
+
+
+def _lemma_piece(p, ctx):
+    q = ctx.q
+    a, b, c, d, e, f, g = (p[k] for k in "abcdefg")
+    pref = _inf_ratio(_lemma_ratios(p, ctx), ctx)
     ups = [q * a / (d * e), q * a / (d * g), q * a / (e * g), b * f / a, c * f / a]
     return _with_claim(pref, _wp_series(q * a * f / (d * e * g), ups, q * a / (b * c), ctx), ctx)
 
@@ -919,6 +989,7 @@ _register(IdentityCase(
     domain=_lemma_domain,
     lhs=_psi8_lhs,
     rhs=_pair_rhs(_lemma_piece, "f", "g"),
+    products=_pair_products(_lemma_ratios, "f", "g"),
 ))
 
 
@@ -936,6 +1007,7 @@ _register(IdentityCase(
     domain=_thma_domain,
     lhs=_swap_diff(_rho7_terms, "abcdefg"),
     rhs=_pair_rhs(_R_block, "f", "g"),
+    products=_pair_products(_R_ratios, "f", "g"),
 ))
 
 
@@ -979,6 +1051,7 @@ _register(IdentityCase(
     domain=_corla_domain,
     lhs=_corla_lhs,
     rhs=_corla_rhs,
+    products=_ma_ratios,
 ))
 
 
@@ -1001,6 +1074,7 @@ _register(IdentityCase(
     domain=_thmb_domain,
     lhs=_thmb_lhs,
     rhs=_pair_rhs(_S_block, "e", "f"),
+    products=_pair_products(_S_ratios, "e", "f"),
 ))
 
 
@@ -1017,7 +1091,7 @@ def _corlb_rhs(p, ctx):
     q = ctx.q
     x, y, b, c, d, e, n = (p[k] for k in ("x", "y", "b", "c", "d", "e", "n"))
     xy2 = x * y * y
-    lead = _jacobi_products(x, y, b, c, d, ctx)
+    lead = _inf_ratio(_jacobi_ratios(p, ctx), ctx)
     lead *= e * ipow(q, n) / (-y)
     lead *= qfrac([e, q * e / xy2], [], n, ctx)
     lead *= qfrac([], [e / y, e / (x * y)], n + 1, ctx)
@@ -1045,6 +1119,7 @@ _register(IdentityCase(
     domain=_corlb_domain,
     lhs=_corlb_lhs,
     rhs=_corlb_rhs,
+    products=_jacobi_ratios,
 ))
 
 
@@ -1058,19 +1133,23 @@ def _milne_lhs(p, ctx):
     return _guarded_series_value(_wp_series(a, ups, z, ctx, bilateral=True), ctx)
 
 
-def _milne_rhs(p, ctx):
+def _milne_ratios(p, ctx):
+    """Bailey's 6psi6 products, then one ratio per pair (x_i, y_i)."""
     q = ctx.q
+    a, e = p["a"], p["e"]
+    return _bailey_ratios(p, ctx) + [
+        ([x, x / a, q * e / y, q * a / (e * y)], [x / e, e * x / a, q / y, q * a / y])
+        for x, y in zip(p["x"], p["y"])
+    ]
+
+
+def _milne_rhs(p, ctx):
     a, b, c, d, e = (p[k] for k in "abcde")
-    xs, ys, N = p["x"], p["y"], p["N"]
-    value = _bailey_rhs(p, ctx)
-    for i in range(len(xs)):
-        value *= qfrac(
-            [xs[i], xs[i] / a, q * e / ys[i], q * a / (e * ys[i])],
-            [xs[i] / e, e * xs[i] / a, q / ys[i], q * a / ys[i]],
-            INF,
-            ctx,
-        )
-    return value * milne_rhs_block(a, b, c, d, e, xs, ys, N, ctx)
+    lead, *pairs = _milne_ratios(p, ctx)
+    value = qfrac(*lead, INF, ctx)
+    for ratio in pairs:
+        value *= qfrac(*ratio, INF, ctx)
+    return value * milne_rhs_block(a, b, c, d, e, p["x"], p["y"], p["N"], ctx)
 
 
 def _milne_domain(p, ctx):
@@ -1089,24 +1168,31 @@ _register(IdentityCase(
     domain=_milne_domain,
     lhs=_milne_lhs,
     rhs=_milne_rhs,
+    products=_milne_ratios,
 ))
 
 
 # -- thm-c-multivar ---------------------------------------------------------
 
+def _thmc_ratios(p, ctx):
+    """ma-5var's products, then one ratio per pair (x_i, y_i)."""
+    q = ctx.q
+    a, b, e = p["a"], p["b"], p["e"]
+    return _ma_ratios(p, ctx) + [
+        ([-q * a / x, -q * b / x, q * y / e, e * y / (a * b)], [e / x, q * a * b / (e * x), -y / a, -y / b])
+        for x, y in zip(p["x"], p["y"])
+    ]
+
+
 def _thmc_rhs(p, ctx):
     q = ctx.q
     a, b, c, d, e = (p[k] for k in "abcde")
     xs, ys, N = p["x"], p["y"], p["N"]
-    value = _ma_rhs(p, ctx)
-    for i in range(len(xs)):
-        value /= xs[i]
-        value *= qfrac(
-            [-q * a / xs[i], -q * b / xs[i], q * ys[i] / e, e * ys[i] / (a * b)],
-            [e / xs[i], q * a * b / (e * xs[i]), -ys[i] / a, -ys[i] / b],
-            INF,
-            ctx,
-        )
+    lead, *pairs = _thmc_ratios(p, ctx)
+    value = (1.0 / b - 1.0 / a) * qfrac(*lead, INF, ctx)
+    for x, ratio in zip(xs, pairs):
+        value /= x
+        value *= qfrac(*ratio, INF, ctx)
     qab = q * (a * b)
     return value * block_multisum(N, [q * t / e for t in xs], [q * t / e for t in ys],
                                   qab / (e * e), (q / e, qab / (c * e), qab / (d * e)), ctx)
@@ -1128,6 +1214,7 @@ _register(IdentityCase(
     domain=_thmc_domain,
     lhs=_thmc_lhs,
     rhs=_thmc_rhs,
+    products=_thmc_ratios,
 ))
 
 
@@ -1137,20 +1224,27 @@ def _thmd_lhs(p, ctx):
     return _jacobi_lhs(p["x"], p["y"], (p["b"], p["c"], p["d"]), p["xv"], p["yv"], ctx)
 
 
+def _thmd_ratios(p, ctx):
+    """The products of ``_jacobi_ratios``, then one ratio per pair (xv_i, yv_i)."""
+    q = ctx.q
+    x, y = p["x"], p["y"]
+    xy2 = x * y * y
+    return _jacobi_ratios(p, ctx) + [
+        ([q * y / s, q * x * y / s, t, q * t / xy2], [q / s, xy2 / s, t / y, t / (x * y)])
+        for s, t in zip(p["xv"], p["yv"])
+    ]
+
+
 def _thmd_rhs(p, ctx):
     q = ctx.q
     x, y, b, c, d = (p[k] for k in ("x", "y", "b", "c", "d"))
     xs, ys, N = p["xv"], p["yv"], p["N"]
     xy2 = x * y * y
-    value = ipow(-x * y, len(xs)) * _jacobi_products(x, y, b, c, d, ctx)
-    for i in range(len(xs)):
-        value /= xs[i]
-        value *= qfrac(
-            [q * y / xs[i], q * x * y / xs[i], ys[i], q * ys[i] / xy2],
-            [q / xs[i], xy2 / xs[i], ys[i] / y, ys[i] / (x * y)],
-            INF,
-            ctx,
-        )
+    lead, *pairs = _thmd_ratios(p, ctx)
+    value = ipow(-x * y, len(xs)) * qfrac(*lead, INF, ctx)
+    for s, ratio in zip(xs, pairs):
+        value /= s
+        value *= qfrac(*ratio, INF, ctx)
     return value * block_multisum(N, [q * t / xy2 for t in xs], [q * t / xy2 for t in ys], q / xy2,
                                   (q / b, q / c, q / d), ctx)
 
@@ -1172,6 +1266,7 @@ _register(IdentityCase(
     domain=_thmd_domain,
     lhs=_thmd_lhs,
     rhs=_thmd_rhs,
+    products=_thmd_ratios,
 ))
 
 
@@ -1192,6 +1287,10 @@ def _thme_rhs(p, ctx):
     return thm_e_rhs(p["a"], p["b"], p["c"], p["d"], p["u"], p["v"], p["N"], ctx)
 
 
+def _thme_ratios(p, ctx):
+    return _thm_e_ratios(p["a"], p["b"], p["c"], p["d"], p["u"], p["v"], ctx)
+
+
 def _thme_domain(p, ctx):
     a, b, c, d = (p[k] for k in "abcd")
     if any(abs(t) >= 0.999 for t in (a, b, c, d, *p["v"])):
@@ -1210,6 +1309,7 @@ _register(IdentityCase(
     domain=_thme_domain,
     lhs=_thme_lhs,
     rhs=_thme_rhs,
+    products=_thme_ratios,
 ))
 
 
@@ -1236,6 +1336,10 @@ def _corlc_rhs(p, ctx):
     return value / _divisor(_guarded_series_value(phi, ctx), "terminating series divisor")
 
 
+def _corlc_ratios(p, ctx):
+    return _thm_e_ratios(p["a"], p["b"], p["c"], p["d"], (), (), ctx)
+
+
 def _corlc_domain(p, ctx):
     a, b, c, d, u = (p[k] for k in ("a", "b", "c", "d", "u"))
     if any(abs(t) >= 0.999 for t in (a, b, c, d, u)):
@@ -1253,6 +1357,7 @@ _register(IdentityCase(
     domain=_corlc_domain,
     lhs=_corlc_lhs,
     rhs=_corlc_rhs,
+    products=_corlc_ratios,
 ))
 
 
@@ -1264,6 +1369,10 @@ def _corle_lhs(p, ctx):
 
 def _corle_rhs(p, ctx):
     return corl_e_rhs(p["a"], p["b"], p["c"], p["u"], p["v"], p["m"], ctx)
+
+
+def _corle_ratios(p, ctx):
+    return _corl_e_ratios(p["a"], p["b"], p["c"], p["u"], p["v"], ctx)
 
 
 def _corle_domain(p, ctx):
@@ -1284,6 +1393,7 @@ _register(IdentityCase(
     domain=_corle_domain,
     lhs=_corle_lhs,
     rhs=_corle_rhs,
+    products=_corle_ratios,
 ))
 
 
@@ -1315,25 +1425,74 @@ def _seed_rng(case_id: str, seed: int, mode: str, q: complex) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+# the draws that ``_column`` made ahead, by (id, seed, mode, repr(q)): each a
+# parameter map, or the SamplingExhausted that its draw raised; served once
+_DRAWN = {}
+
+
 def sample(case_id: str, seed: int, ctx: QContext, mode: str | None = None) -> dict:
     """Deterministic parameter draw inside the case's domain (rejection-resampled).
 
     The domain holds only the convergence conditions, so a draw may still
     sit near a pole; ``check`` skips such a point.  Integral-family cases
     always sample real parameters; other families follow ``mode``
-    ("complex" default for series, may be forced "real").
+    ("complex" default for series, may be forced "real").  Inside a
+    ``_column`` block, a draw that it made ahead is served, not drawn again.
     """
     case = get_case(case_id)
-    if case.family == "integral":
-        mode = "real"
-    elif mode is None:
-        mode = "complex"
-    rng = _seed_rng(case_id, seed, mode, ctx.q)
+    mode = _sampling_mode(case, mode)
+    drawn = _DRAWN.pop((case_id, seed, mode, repr(ctx.q)), None)
+    if drawn is None:
+        return _draw_point(case, seed, ctx, mode)
+    if isinstance(drawn, SamplingExhausted):
+        raise drawn
+    return drawn
+
+
+def _sampling_mode(case: IdentityCase, mode: str | None) -> str:
+    return "real" if case.family == "integral" else "complex" if mode is None else mode
+
+
+def _draw_point(case: IdentityCase, seed: int, ctx: QContext, mode: str) -> dict:
+    rng = _seed_rng(case.id, seed, mode, ctx.q)
     for _ in range(1000):
         params = case.sampler(rng, ctx, mode)
         if case.domain(params, ctx):
             return params
-    raise SamplingExhausted(f"no admissible point for {case_id!r} after 1000 draws")
+    raise SamplingExhausted(f"no admissible point for {case.id!r} after 1000 draws")
+
+
+@contextlib.contextmanager
+def _column(case_id: str, seeds, ctx: QContext, mode: str | None = None):
+    """Compute ahead, for the cells of one (id, q) column, the draw of each
+    seed and the closed-form products at those draws.
+
+    Inside the block ``sample`` serves each of these draws once, and qfrac
+    reads the (x;q)_oo of the ratios that ``products`` declares at each
+    point that ``check`` evaluates from one kernel call
+    (``qcore._prefetched``).  Both are exact: a draw depends on its rng key
+    alone, and each (x;q)_oo value on its base alone.  A draw lies in the
+    domain and holds Python complex free values, so it is the point that
+    ``check`` evaluates, unless a free value is zero; a declaration that
+    then divides by zero (or overflows) is left out.
+    """
+    case = get_case(case_id)
+    mode = _sampling_mode(case, mode)
+    bases = []
+    for seed in seeds:
+        try:
+            drawn = _draw_point(case, seed, ctx, mode)
+        except SamplingExhausted as exc:
+            drawn = exc
+        else:
+            with contextlib.suppress(ArithmeticError):
+                bases += [x for numer, denom in case.products(drawn, ctx) for x in (*denom, *numer)]
+        _DRAWN[(case_id, seed, mode, repr(ctx.q))] = drawn
+    try:
+        with _prefetched(bases, ctx):
+            yield
+    finally:
+        _DRAWN.clear()
 
 
 def _count(name, val):
@@ -1375,6 +1534,13 @@ def _validate(case: IdentityCase, params: dict) -> tuple[dict, list]:
     return point, free
 
 
+def _evaluated_point(case: IdentityCase, params: dict, ctx: QContext) -> dict | None:
+    """``_validate``'s map of params, or None when ``check`` skips it unevaluated:
+    a free value is zero, or the point is outside the domain."""
+    point, free = _validate(case, params)
+    return point if all(v != 0 for v in free) and case.domain(point, ctx) else None
+
+
 def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) -> VerificationReport:
     """Evaluate both sides of one identity at one point and classify the result.
 
@@ -1389,8 +1555,8 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
     bool is neither) or a vector whose length is not n.
     """
     case = get_case(case_id)
-    point, free = _validate(case, params)
     start = time.perf_counter()
+    point = _evaluated_point(case, params, ctx)
 
     def report(lhs, rhs, abs_r, rel_r, verdict, reason=""):
         return VerificationReport(
@@ -1406,7 +1572,7 @@ def check(case_id: str, params: dict, ctx: QContext, seed: int | None = None) ->
             elapsed=time.perf_counter() - start,
         )
 
-    if not (all(v != 0 for v in free) and case.domain(point, ctx)):
+    if point is None:
         return report(0j, 0j, 0.0, 0.0, "skipped", "outside convergence domain")
     # tighten the working series tolerance so per-side truncation stays well
     # inside the identity error budget even when the geometric tail factor

@@ -222,22 +222,31 @@ def aw_closed_form(a, b, c, d, ctx: QContext) -> complex:
     )
 
 
+def _aw_ratios(numer, denom, d, u, v, ctx: QContext) -> list:
+    """The (x;q)_oo ratios of a q-beta closed form, as (numer, denom) lists:
+    numer / denom, then (d u_i, q u_i/d) / (d v_i, q v_i/d) for each pair."""
+    q = ctx.q
+    return [(numer, denom)] + [([d * ui, q * ui / d], [d * vi, q * vi / d]) for ui, vi in zip(u, v)]
+
+
+def _thm_e_ratios(a, b, c, d, u, v, ctx: QContext) -> list:
+    """The ratios of ``_thm_e_products``."""
+    q = ctx.q
+    return _aw_ratios([a * b * c * d / q], [q, a * b, a * c, a * d, b * c, b * d, c * d], d, u, v, ctx)
+
+
+def _corl_e_ratios(a, b, c, u, v, ctx: QContext) -> list:
+    """The ratios of ``corl_e_rhs``."""
+    q = ctx.q
+    return _aw_ratios([], [q, q, a * b, a * c, q * b / a, q * c / a], a, u, v, ctx)
+
+
 def _thm_e_products(a, b, c, d, u, v, ctx: QContext) -> complex:
     """(abcd/q;q)_oo/(q,ab,ac,ad,bc,bd,cd;q)_oo * prod (du,qu/d;q)_oo/(dv,qv/d;q)_oo."""
-    q = ctx.q
-    value = qfrac(
-        [a * b * c * d / q],
-        [q, a * b, a * c, a * d, b * c, b * d, c * d],
-        INF,
-        ctx,
-    )
-    for i in range(len(u)):
-        value *= qfrac(
-            [d * u[i], q * u[i] / d],
-            [d * v[i], q * v[i] / d],
-            INF,
-            ctx,
-        )
+    (lead, *pairs) = _thm_e_ratios(a, b, c, d, u, v, ctx)
+    value = qfrac(*lead, INF, ctx)
+    for ratio in pairs:
+        value *= qfrac(*ratio, INF, ctx)
     return value
 
 
@@ -340,17 +349,6 @@ def corl_e_rhs(a, b, c, u, v, m, ctx: QContext) -> complex:
         check_qpow_ratio(u[i], v[i], int(m[i]), ctx, f"u_{i+1} / v_{i+1}")
     m_total = sum(int(x) for x in m)
     value = TWO_PI / _one_minus(b * c * ipow(q, -m_total))
-    value *= qfrac(
-        [],
-        [q, q, a * b, a * c, q * b / a, q * c / a],
-        INF,
-        ctx,
-    )
-    for i in range(len(u)):
-        value *= qfrac(
-            [a * u[i], q * u[i] / a],
-            [a * v[i], q * v[i] / a],
-            INF,
-            ctx,
-        )
+    for ratio in _corl_e_ratios(a, b, c, u, v, ctx):
+        value *= qfrac(*ratio, INF, ctx)
     return value

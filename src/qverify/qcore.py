@@ -22,7 +22,9 @@ q.  It counts first: each base's factor count comes from the moduli |q^k|
 before any factor is formed; then it multiplies each block of bases in one
 masked reduce down the factor axis, with numpy's array complex multiplies
 (FMA where the machine has it), so each value depends on its base alone.
-A product of (x;q)_oo that overflows is redone as mantissa x 2^e.
+A product of (x;q)_oo that overflows is redone as mantissa x 2^e.  Inside a
+``_prefetched`` block, ``qfrac`` reads (x;q)_oo from a memo of values that
+one kernel call computed ahead, keyed by q and the exact bits of each base.
 
 All functions are pure; a :class:`QContext` carries q and the two tolerances
 that callers set (the series and identity tolerances).  The other numerical
@@ -41,6 +43,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +76,13 @@ _TABLES, _TABLE_QS = {}, 4
 
 # bases x of the divisor factors 1 - x q^j met inside ``_recording``; None outside it
 _recorded = None
+
+# (x;q)_oo values that qfrac reads inside ``_prefetched``: (repr(q), {_bits(x): value});
+# None outside it.  [bases read from it, bases qfrac sent to the kernel], for profiling
+_prefetch, _prefetch_counts = None, [0, 0]
+
+# the exact bytes of a complex base, so x+0j and x-0j stay apart
+_bits = struct.Struct("dd").pack
 
 
 def _record(bases):
@@ -436,16 +446,57 @@ def qpoch_multi(bases, n, ctx: QContext) -> complex:
     return p
 
 
+@contextlib.contextmanager
+def _prefetched(bases, ctx: QContext):
+    """Inside the block, qfrac reads (x;q)_oo of these bases from one kernel call made here.
+
+    Each value depends on its base alone, so it is the value that qfrac's
+    own call would give.  If the call raises (CapExceeded), the block runs
+    without the memo.
+    """
+    global _prefetch
+    unique = {_bits(x.real, x.imag): x for x in bases}
+    try:
+        if unique:
+            values = qpoch_inf_many(list(unique.values()), ctx)[0].tolist()
+            _prefetch = (repr(ctx.q), dict(zip(unique, values)))
+    except QVerifyError:  # CapExceeded: the block runs without the memo
+        pass
+    try:
+        yield
+    finally:
+        _prefetch = None
+
+
+def _inf_values(bases, ctx: QContext) -> list:
+    """(x;q)_oo of each base, as a list: from the memo of ``_prefetched`` where
+    it holds the base, else from one kernel call on the bases it lacks."""
+    if _prefetch is None or _prefetch[0] != repr(ctx.q):
+        _prefetch_counts[1] += len(bases)
+        return qpoch_inf_many(bases, ctx)[0].tolist()
+    memo = _prefetch[1]
+    values = [memo.get(_bits(x.real, x.imag)) for x in bases]
+    missing = [i for i, v in enumerate(values) if v is None]
+    _prefetch_counts[0] += len(values) - len(missing)
+    _prefetch_counts[1] += len(missing)
+    if missing:
+        computed = qpoch_inf_many([bases[i] for i in missing], ctx)[0].tolist()
+        for i, v in zip(missing, computed):
+            values[i] = v
+    return values
+
+
 def qfrac(numer, denom, n, ctx: QContext) -> complex:
     """qpoch_multi(numer, n) / qpoch_multi(denom, n), pole-guarded.
 
-    With n = INF one qpoch_inf_many call evaluates both lists, and products
-    that overflow are carried as mantissa x 2^e (``_prod``) into the ratio.
+    With n = INF one qpoch_inf_many call evaluates both lists, less the
+    bases that a ``_prefetched`` block holds, and products that overflow
+    are carried as mantissa x 2^e (``_prod``) into the ratio.
     """
     denom = list(denom)
     _record(denom)
     if n == INF:
-        values = qpoch_inf_many(denom + list(numer), ctx)[0].tolist()
+        values = _inf_values(denom + list(numer), ctx)
         (den, e), (num, f) = _prod(values[:len(denom)]), _prod(values[len(denom):])
     else:
         (den, e), (num, f) = (qpoch_multi(denom, n, ctx), 0), (None, 0)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qverify import cli, integrals, qcore
+from qverify import cli, identities, integrals, qcore
 from qverify.cli import main, load_param_file
 from qverify.identities import get_case, parse_params
 from qverify.qcore import SamplingExhausted
@@ -251,7 +251,8 @@ class TestSweepCell:
 
 @pytest.fixture
 def fake_pools(monkeypatch):
-    """ProcessPoolExecutor replaced by an in-process fake; returns the pools made."""
+    """ProcessPoolExecutor replaced by an in-process fake; returns the pools made,
+    each with the sizes of the chunks of cells that it was handed."""
     import concurrent.futures
 
     made = []
@@ -259,7 +260,7 @@ def fake_pools(monkeypatch):
     class FakePool:
         def __init__(self, max_workers):
             self.max_workers = max_workers
-            self.chunksize = None
+            self.sizes = None
             made.append(self)
 
         def __enter__(self):
@@ -268,9 +269,10 @@ def fake_pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            self.chunksize = chunksize
-            return map(fn, iterable)
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            self.sizes = [len(chunk) for chunk in chunks]
+            return map(fn, chunks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return made
@@ -285,13 +287,13 @@ class TestRunSweep:
     def test_workers_capped_at_cells(self, fake_pools):
         doc, rc = self._sweep(samples=1, q=(0.3, 0.5, 0.8), jobs=8)
         assert rc == 0 and len(doc["reports"]) == 3
-        assert [(p.max_workers, p.chunksize) for p in fake_pools] == [(3, 1)]
+        assert [(p.max_workers, p.sizes) for p in fake_pools] == [(3, [1, 1, 1])]
 
     def test_chunks_sized_from_plan(self, fake_pools):
-        # 67 cells over 2 workers: 67 // (16 * 2) = 2 cells a chunk
+        # 67 cells over 2 workers: 67 // (16 * 2) = 2 cells a chunk, the last one left over
         doc, rc = self._sweep(samples=67, q=(0.5,), jobs=2)
         assert rc == 0 and len(doc["reports"]) == 67
-        assert [(p.max_workers, p.chunksize) for p in fake_pools] == [(2, 2)]
+        assert [(p.max_workers, p.sizes) for p in fake_pools] == [(2, [2] * 33 + [1])]
 
     @pytest.mark.parametrize("identities, jobs", [(("watson",), 4), ((), 2)])
     def test_one_cell_or_none_runs_serially(self, fake_pools, identities, jobs):
@@ -318,6 +320,29 @@ class TestRunSweep:
         cli.run_sweep(config)
         assert len(computed) == len(set(computed))
         assert {q for q, _ in computed} == {repr(complex(q)) for q in qs}
+
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    def test_prefetched_columns_equal_lone_cells(self, mode):
+        # run_sweep computes each column's draws and closed-form products ahead; a
+        # lone run_sweep_cell has no prefetch, and its report is the same
+        ids = tuple(cli.case_ids())
+        config = cli.SweepConfig(identities=ids, samples=3, seed=13, mode=mode, q_values=(0.3, 0.8))
+        doc, _ = cli.run_sweep(config)
+        lone = [cli.run_sweep_cell(cid, slot, 13, q, None, mode)
+                for cid in sorted(ids) for slot in range(3) for q in (0.3, 0.8)]
+        assert json.dumps(_strip_elapsed(doc["reports"])) == json.dumps(_strip_elapsed(lone))
+        assert qcore._prefetch is None and not identities._DRAWN  # nothing outlives a column
+
+    def test_pool_chunks_that_split_columns_equal_serial(self, tmp_path):
+        # 66 cells over 2 workers: chunks of 2, so chunk 17 holds the last bailey
+        # slot and the first ramanujan slot, and each column spans many chunks
+        args = ["sweep", "--identity", "bailey-6psi6", "ramanujan-reciprocity",
+                "--samples", "33", "--seed", "17", "--q", "0.5"]
+        out1, out2 = str(tmp_path / "serial.json"), str(tmp_path / "pool.json")
+        assert main(args + ["--out", out1]) == 0
+        assert main(args + ["--out", out2, "--jobs", "2"]) == 0
+        assert (json.dumps(_strip_elapsed(json.load(open(out1))))
+                == json.dumps(_strip_elapsed(json.load(open(out2)))))
 
     def test_elapsed_ignores_wall_clock_steps(self, monkeypatch):
         # the wall clock stepping back (an NTP adjustment) must not give a

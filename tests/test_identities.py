@@ -20,6 +20,7 @@ from qverify.series import _Terms
 from qverify.identities import (
     _BY_ID,
     IdentityCase,
+    _evaluated_point,
     _pair_rhs,
     _Sampler,
     _sum_with_guard,
@@ -812,3 +813,45 @@ class TestNearPole:
         assert [r.verdict for r in reports] == ["pass"] * 3 + ["skipped"] + ["pass"] * 2
         assert max(r.rel_residual for r in reports) < 1e-13
         assert reports[3].reason.startswith("IllConditioned")
+
+
+class TestProductDeclarations:
+    """Each case's ``products`` lists exactly the (x;q)_oo bases that its rhs computes."""
+
+    @pytest.mark.parametrize("case_id", case_ids())
+    def test_rhs_requests_the_declared_bases(self, case_id, monkeypatch):
+        case = get_case(case_id)
+        requested = []
+        kernel = qcore.qpoch_inf_many
+
+        def recorded(xs, ctx):
+            requested.extend(np.asarray(xs, complex).ravel().tolist())
+            return kernel(xs, ctx)
+
+        monkeypatch.setattr(qcore, "qpoch_inf_many", recorded)
+        checked, declared_any = 0, False
+        for q, seed in itertools.product((0.3, 0.8, -0.5, 0.5 + 0.3j), range(10)):
+            ctx = QContext(q)
+            try:
+                point = _evaluated_point(case, sample(case_id, seed, ctx), ctx)
+            except qcore.SamplingExhausted:
+                continue
+            if point is None:
+                continue
+            declared = {qcore._bits(x.real, x.imag)
+                        for numer, denom in case.products(point, ctx) for x in (*denom, *numer)}
+            declared_any |= bool(declared)
+            requested.clear()
+            try:
+                case.rhs(point, ctx)
+                done = True
+            except qcore.QVerifyError:
+                done = False
+            got = {qcore._bits(x.real, x.imag) for x in requested}
+            # a base the declaration misses would cost a kernel call, not a value
+            assert got <= declared, (q, seed)
+            if done:  # no declared base is dead
+                assert got == declared, (q, seed)
+                checked += 1
+        # watson's products are of finite order, so it declares none
+        assert checked > 0 and declared_any == (case_id != "watson")

@@ -27,7 +27,12 @@ def test_smoke():
     # integrand calls: the unit rows only on a memo miss, the lam rows on every call
     unit_calls, lam_calls = (int(rows[f"qpoch_inf_many [{k}]"][0]) for k in ("unit rows", "lam rows"))
     assert 0 < unit_calls <= lam_calls
-    assert int(rows["qpoch_inf_many [other]"][0]) > 0
+    # one prefetch call per (id, q) run of cells with declared products (thm-e and
+    # ramanujan, at 3 q); the closed forms read their products from it, and only
+    # its misses make [other] calls
+    assert rows["qpoch_inf_many [prefetch]"][0] == "6"
+    hits, misses = memo(lines)
+    assert hits > 0 and ("qpoch_inf_many [other]" in rows) == (misses > 0)
     assert rows["_near_pole"][0] == "9" and int(rows["sample"][0]) >= 9
     # each qpoch_inf_many row sums the factors its calls used (at least 3 an
     # entry, 2-D integrand rows hold many), and that count repeats exactly
@@ -46,6 +51,13 @@ def test_smoke():
         assert 0 < int(calls) <= int(terms) <= int(computed)
     assert ({k: v[:3] for k, v in stream_rows(again.stdout.splitlines()).items()}
             == {k: v[:3] for k, v in streams.items()})
+    assert memo(again.stdout.splitlines()) == memo(lines)
+
+
+def memo(lines):
+    """(hits, misses) of the prefetch memo line."""
+    (m,) = (m for line in lines if (m := re.fullmatch(r"prefetch memo: (\d+) hits, (\d+) misses", line)))
+    return int(m[1]), int(m[2])
 
 
 def stream_rows(lines):

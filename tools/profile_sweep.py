@@ -9,8 +9,12 @@ cells, ms per cell for each identity, and the time and calls of
 ``qcore.qpoch_inf_many`` (split into the Askey-Wilson integrand's calls,
 whose input is 2-D: [unit rows] for the (e^{+-2it};q)_oo rows, computed
 on a miss of the ``integrals._unit_rows`` memo, and [lam rows] for the
-rest of each integrand call; and [other] for all other calls, each with
-its summed factor count, which repeats exactly from run to run),
+rest of each integrand call; [prefetch] for the one call per (id, q) run
+of cells that computes the closed forms' products ahead
+(``qcore._prefetched``); and [other] for all other calls, each with its
+summed factor count, which repeats exactly from run to run), the hits
+and misses of the prefetch memo (bases of ``qfrac(..., INF)`` read from
+it, and bases sent to the kernel),
 ``qcore._near_pole`` (the near-pole test of every check) and
 ``identities.sample``, then the stream layer: the
 calls, terms summed, terms computed and time of ``series._sum_stream``,
@@ -76,9 +80,11 @@ def counted(blocks, entry):
 
 
 def qpoch_kind(args):
-    """An integrand call has a 2-D input: one or two unit rows (one at real q),
-    or four or more lam rows."""
+    """The prefetch call comes from qcore._prefetched; an integrand call has a
+    2-D input: one or two unit rows (one at real q), or four or more lam rows."""
     xs = args[0]
+    if sys._getframe(2).f_code.co_name == "_prefetched":
+        return "prefetch"
     if getattr(xs, "ndim", 0) != 2:
         return "other"
     return "unit rows" if len(xs) <= 2 else "lam rows"
@@ -92,6 +98,7 @@ def main(argv) -> int:
         "sample": instrument(identities.sample),
     }
     streams = instrument(series._sum_stream, stream_kind, lambda result: result.terms_used, counted)
+    qcore._prefetch_counts[:] = [0, 0]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
         start = time.perf_counter()
@@ -115,6 +122,7 @@ def main(argv) -> int:
             calls, secs, factors, _ = stats[kind]
             print(f"{name + (f' [{kind}]' if kind else ''):32s} {calls:8d} {secs:9.3f}"
                   + (f" {factors:10d}" if name == "qpoch_inf_many" else ""))
+    print("prefetch memo: {} hits, {} misses".format(*qcore._prefetch_counts))
     print(f"{'stream':32s} {'calls':>8s} {'terms':>9s} {'computed':>9s} {'s':>9s}")
     for kind in ("series", "difference"):
         calls, secs, terms, computed = streams[kind]
