@@ -14,8 +14,12 @@ near a power of q is skipped, never judged.
 
 Every very-well-poised series (the 8phi7 W(a; ups; z) of Watson's and
 Bailey's transformations, the psi of 6psi6, 8psi8 and Milne) comes from one
-builder given (a; ups; z).  The left sides of corl-a and corl-b are those of
-thm-c and thm-d at one pair; their right sides are the stated 4phi3 forms.
+builder given (a; ups; z), and every stated terminating balanced 4phi3 (of
+watson, corl-a, corl-b and corl-c) from ``_terminating_4phi3``.  Each
+corollary is its theorem at one stated map of its parameters: corl-a's to
+thm-c (``_corla_point``), corl-b's to thm-d, corl-c's and corl-e's to thm-e.
+Its left side and, but for corl-e, its domain are the theorem's at that
+point; its right side is the stated form.
 Each case declares the ratios of (x;q)_oo that its right side multiplies
 (``IdentityCase.products``), and the right side reads its lists from the
 same functions; a sweep computes them ahead for each column (``_column``).
@@ -271,6 +275,13 @@ def _wp_series(a, ups, z, ctx, bilateral=False):
     if bilateral:
         return eval_psi(SeriesSpec(upper, lower, z, "bilateral"), ctx)
     return eval_phi(SeriesSpec([a, *upper], lower, z), ctx)
+
+
+def _terminating_4phi3(n, ups, lows, ctx):
+    """The stated terminating balanced 4phi3 of watson, corl-a, corl-b and corl-c:
+    upper row (q^{-n}, *ups) over ``lows`` at argument q, guarded by its claimed error."""
+    phi = eval_phi(SeriesSpec([ipow(ctx.q, -n), *ups], lows, ctx.q), ctx)
+    return _guarded_series_value(phi, ctx)
 
 
 def _jacobi_lhs(x, y, bcd, xs, ys, ctx):
@@ -616,15 +627,8 @@ def _watson_rhs(p, ctx):
     q = ctx.q
     a, b, c, d, e, n = p["a"], p["b"], p["c"], p["d"], p["e"], p["n"]
     lead = qfrac([q * a, q * a / (d * e)], [q * a / d, q * a / e], n, ctx)
-    phi = eval_phi(
-        SeriesSpec(
-            upper=[ipow(q, -n), d, e, q * a / (b * c)],
-            lower=[q * a / b, q * a / c, d * e * ipow(q, -n) / a],
-            argument=q,
-        ),
-        ctx,
-    )
-    return lead * _guarded_series_value(phi, ctx)
+    return lead * _terminating_4phi3(
+        n, [d, e, q * a / (b * c)], [q * a / b, q * a / c, d * e * ipow(q, -n) / a], ctx)
 
 
 _register(IdentityCase(
@@ -1013,34 +1017,21 @@ _register(IdentityCase(
 
 # -- corl-a ------------------------------------------------------------------
 
-def _corla_lhs(p, ctx):
-    """thm-c-multivar's left side at the one pair x = (f), y = (ab/(f q^n))."""
+def _corla_point(p, ctx):
+    """thm-c-multivar's point at the one pair x = (f), y = (ab/(f q^n)), N = (n)."""
     a, b, f, n = p["a"], p["b"], p["f"], p["n"]
-    return _thmc_lhs(dict(p, x=[f], y=[a * b / (f * ipow(ctx.q, n))], N=[n]), ctx)
+    return dict({k: p[k] for k in "abcde"}, n=1, x=[f], y=[a * b / (f * ipow(ctx.q, n))], N=[n])
 
 
 def _corla_rhs(p, ctx):
     a, b, c, d, e, f, n = (p[k] for k in ("a", "b", "c", "d", "e", "f", "n"))
     q = ctx.q
-    lead = _ma_rhs({"a": a, "b": b, "c": c, "d": d, "e": e}, ctx)
-    lead *= f * ipow(q, n) / (a * b)
+    lead = _ma_rhs(p, ctx) * (f * ipow(q, n) / (a * b))
     lead *= qfrac([q * f / e, e * f / (a * b)], [], n, ctx)
     lead *= qfrac([], [-f / a, -f / b], n + 1, ctx)
-    phi = eval_phi(
-        SeriesSpec(
-            upper=[ipow(q, -n), q / e, q * a * b / (c * e), q * a * b / (d * e)],
-            lower=[ipow(q, 1 - n) * a * b / (e * f), q * f / e,
-                   q * q * a * b / (c * d * e)],
-            argument=q,
-        ),
-        ctx,
-    )
-    return lead * _guarded_series_value(phi, ctx)
-
-
-def _corla_domain(p, ctx):
-    a, b, c, d, e, n = (p[k] for k in "abcden")
-    return _conv_ok(c * d * e / (a * b * ipow(ctx.q, n + 1)))
+    return lead * _terminating_4phi3(
+        n, [q / e, q * a * b / (c * e), q * a * b / (d * e)],
+        [ipow(q, 1 - n) * a * b / (e * f), q * f / e, q * q * a * b / (c * d * e)], ctx)
 
 
 _register(IdentityCase(
@@ -1048,8 +1039,9 @@ _register(IdentityCase(
     family="reciprocity",
     sampler=_Sampler({"ab": (0.45, 0.9), "cde": (0.1, 0.4), "f": (0.3, 0.8)},
                      ints={"n": (0, 1, 2, 3, 4)}),
-    domain=_corla_domain,
-    lhs=_corla_lhs,
+    # the lambdas look thm-c's domain up when called: it is defined below
+    domain=lambda p, ctx: _thmc_domain(_corla_point(p, ctx), ctx),
+    lhs=lambda p, ctx: _thmc_lhs(_corla_point(p, ctx), ctx),
     rhs=_corla_rhs,
     products=_ma_ratios,
 ))
@@ -1080,35 +1072,21 @@ _register(IdentityCase(
 
 # -- corl-b ------------------------------------------------------------------
 
-def _corlb_lhs(p, ctx):
-    """thm-d-multivar's left side at the one pair xv = (e), yv = (x y^2/(e q^n))."""
-    x, y, e = p["x"], p["y"], p["e"]
-    yv = x * y ** 2 / (e * ipow(ctx.q, p["n"]))
-    return _jacobi_lhs(x, y, (p["b"], p["c"], p["d"]), (e,), (yv,), ctx)
+def _corlb_point(p, ctx):
+    """thm-d-multivar's point at the one pair xv = (e), yv = (x y^2/(e q^n)), N = (n)."""
+    x, y, e, n = p["x"], p["y"], p["e"], p["n"]
+    return dict({k: p[k] for k in "xybcd"}, n=1, xv=[e], yv=[x * y ** 2 / (e * ipow(ctx.q, n))], N=[n])
 
 
 def _corlb_rhs(p, ctx):
     q = ctx.q
     x, y, b, c, d, e, n = (p[k] for k in ("x", "y", "b", "c", "d", "e", "n"))
     xy2 = x * y * y
-    lead = _inf_ratio(_jacobi_ratios(p, ctx), ctx)
-    lead *= e * ipow(q, n) / (-y)
+    lead = _inf_ratio(_jacobi_ratios(p, ctx), ctx) * (e * ipow(q, n) / (-y))
     lead *= qfrac([e, q * e / xy2], [], n, ctx)
     lead *= qfrac([], [e / y, e / (x * y)], n + 1, ctx)
-    phi = eval_phi(
-        SeriesSpec(
-            upper=[ipow(q, -n), q / b, q / c, q / d],
-            lower=[ipow(q, 1 - n) / e, q * e / xy2, q * q * xy2 / (b * c * d)],
-            argument=q,
-        ),
-        ctx,
-    )
-    return lead * _guarded_series_value(phi, ctx)
-
-
-def _corlb_domain(p, ctx):
-    x, y, b, c, d, n = (p[k] for k in "xybcdn")
-    return _conv_ok(b * c * d / (x * y * y * ipow(ctx.q, n + 1)))
+    return lead * _terminating_4phi3(
+        n, [q / b, q / c, q / d], [ipow(q, 1 - n) / e, q * e / xy2, q * q * xy2 / (b * c * d)], ctx)
 
 
 _register(IdentityCase(
@@ -1116,8 +1094,9 @@ _register(IdentityCase(
     family="series",
     sampler=_Sampler({"x": (0.5, 0.9), "y": (0.55, 0.9), "bcd": (0.1, 0.35), "e": (0.25, 0.7)},
                      ints={"n": (0, 1, 2, 3, 4)}),
-    domain=_corlb_domain,
-    lhs=_corlb_lhs,
+    # the lambdas look thm-d's evaluators up when called: they are defined below
+    domain=lambda p, ctx: _thmd_domain(_corlb_point(p, ctx), ctx),
+    lhs=lambda p, ctx: _thmd_lhs(_corlb_point(p, ctx), ctx),
     rhs=_corlb_rhs,
     products=_jacobi_ratios,
 ))
@@ -1313,10 +1292,10 @@ _register(IdentityCase(
 ))
 
 
-def _corlc_lhs(p, ctx):
-    u1 = p["u"] * ipow(ctx.q, p["n"])
-    spec = AWIntegrandSpec(p["a"], p["b"], p["c"], p["d"], u=(u1,), v=(p["u"],))
-    return integrate_aw(spec, ctx).value
+def _corlc_point(p, ctx):
+    """thm-e-integral's point at the one pair u = (u q^n), v = (u), N = (n)."""
+    u, n = p["u"], p["n"]
+    return dict({k: p[k] for k in "abcd"}, n=1, u=[u * ipow(ctx.q, n)], v=[u], N=[n])
 
 
 def _corlc_rhs(p, ctx):
@@ -1325,26 +1304,14 @@ def _corlc_rhs(p, ctx):
     value = TWO_PI / _one_minus(a * b * c * d * ipow(q, -(n + 1)))
     value *= _thm_e_products(a, b, c, d, (), (), ctx)
     value *= qfrac([], [d * u, q * u / d], n, ctx)
-    phi = eval_phi(
-        SeriesSpec(
-            upper=[ipow(q, -n), q / (a * d), q / (b * d), q / (c * d)],
-            lower=[ipow(q, 1 - n) / (d * u), q * u / d, q * q / (a * b * c * d)],
-            argument=q,
-        ),
-        ctx,
-    )
-    return value / _divisor(_guarded_series_value(phi, ctx), "terminating series divisor")
+    phi = _terminating_4phi3(
+        n, [q / (a * d), q / (b * d), q / (c * d)],
+        [ipow(q, 1 - n) / (d * u), q * u / d, q * q / (a * b * c * d)], ctx)
+    return value / _divisor(phi, "terminating series divisor")
 
 
 def _corlc_ratios(p, ctx):
     return _thm_e_ratios(p["a"], p["b"], p["c"], p["d"], (), (), ctx)
-
-
-def _corlc_domain(p, ctx):
-    a, b, c, d, u = (p[k] for k in ("a", "b", "c", "d", "u"))
-    if any(abs(t) >= 0.999 for t in (a, b, c, d, u)):
-        return False
-    return _conv_ok(a * b * c * d * ipow(ctx.q, -(p["n"] + 1)))
 
 
 _register(IdentityCase(
@@ -1354,17 +1321,16 @@ _register(IdentityCase(
         {"abcd": lambda p, q: _abcd_box(0.8 * abs(ipow(q, p["n"] + 1))), "u": (0.15, 0.7)},
         ints={"n": (0, 1, 2)},
     ),
-    domain=_corlc_domain,
-    lhs=_corlc_lhs,
+    domain=lambda p, ctx: _thme_domain(_corlc_point(p, ctx), ctx),
+    lhs=lambda p, ctx: _thme_lhs(_corlc_point(p, ctx), ctx),
     rhs=_corlc_rhs,
     products=_corlc_ratios,
 ))
 
 
-def _corle_lhs(p, ctx):
-    d = ctx.q / p["a"]
-    spec = AWIntegrandSpec(p["a"], d, p["b"], p["c"], u=p["u"], v=p["v"])
-    return integrate_aw(spec, ctx).value
+def _corle_point(p, ctx):
+    """thm-e-integral's point at (a, q/a, b, c), N = m."""
+    return dict(a=p["a"], b=ctx.q / p["a"], c=p["b"], d=p["c"], n=p["n"], u=p["u"], v=p["v"], N=p["m"])
 
 
 def _corle_rhs(p, ctx):
@@ -1376,6 +1342,8 @@ def _corle_ratios(p, ctx):
 
 
 def _corle_domain(p, ctx):
+    # stated, not thm-e's at the map: there |a (q/a) bc q^{-(m+1)}| rounds
+    # differently from |bc q^{-m}|, so a draw near the bound could move
     a, b, c = p["a"], p["b"], p["c"]
     if abs(ctx.q / a) >= 0.999 or any(abs(t) >= 0.999 for t in (a, b, c, *p["v"])):
         return False
@@ -1391,7 +1359,7 @@ _register(IdentityCase(
         pairs=_Pairs("m", 2, u=lambda p, q, v, m: v * ipow(q, m), v=(0.15, 0.7)),
     ),
     domain=_corle_domain,
-    lhs=_corle_lhs,
+    lhs=lambda p, ctx: _thme_lhs(_corle_point(p, ctx), ctx),
     rhs=_corle_rhs,
     products=_corle_ratios,
 ))
@@ -1450,6 +1418,8 @@ def sample(case_id: str, seed: int, ctx: QContext, mode: str | None = None) -> d
 
 
 def _sampling_mode(case: IdentityCase, mode: str | None) -> str:
+    if mode not in (None, "real", "complex"):
+        raise ValueError(f"mode must be 'real', 'complex' or None, got {mode!r}")
     return "real" if case.family == "integral" else "complex" if mode is None else mode
 
 

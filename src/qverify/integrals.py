@@ -315,11 +315,11 @@ def aw_residue_correction(a, b, c, d, u, v, N, ctx: QContext) -> complex:
     Each pole's residues are one _residue_terms stream over the series
     ladder (K terms cost O(K) factors), summed by series._sum_stream under
     the standard truncation policy.  Zero when every N_i = 0.  Assumes the
-    poles v_i q^m are pairwise distinct (generic parameters).
+    poles v_i q^m are pairwise distinct (generic parameters).  The divisor
+    omega comes first: it checks each pair's q^N relation.
     """
     q = ctx.q
-    for i in range(len(u)):
-        check_qpow_ratio(u[i], v[i], int(N[i]), ctx, f"u_{i+1} / v_{i+1}")
+    om = omega(a, b, c, d, u, v, N, ctx)
     n_total = sum(int(x) for x in N)
     w = a * b * c * d * ipow(q, -(n_total + 1))
     if not abs(w) < 1.0:
@@ -333,7 +333,7 @@ def aw_residue_correction(a, b, c, d, u, v, N, ctx: QContext) -> complex:
             res_total += _sum_stream(terms, ctx).value
     if res_total == 0.0:
         return 0.0 + 0.0j
-    om = _divisor(omega(a, b, c, d, u, v, N, ctx), "terminating multi-sum")
+    om = _divisor(om, "terminating multi-sum")
     return -TWO_PI * res_total * _thm_e_products(a, b, c, d, u, v, ctx) / om
 
 

@@ -1,10 +1,12 @@
 """Tests for the identity registry, sampler and check harness."""
 
+import ast
 import cmath
 import hashlib
 import itertools
 import json
 import math
+import pathlib
 import random
 import re
 
@@ -12,19 +14,27 @@ import numpy as np
 import pytest
 from blockstream import flat
 
-from qverify import qcore
+from qverify import identities, qcore
 from qverify.cli import main
+from qverify.integrals import AWIntegrandSpec, integrate_aw
 from qverify.multisum import check_qpow_ratio
 from qverify.qcore import IllConditioned, QContext, UnknownParam, ipow, qpoch
 from qverify.series import _Terms
 from qverify.identities import (
     _BY_ID,
     IdentityCase,
+    _column,
+    _conv_ok,
+    _corla_point,
+    _corlb_point,
+    _corlc_point,
+    _corle_point,
     _evaluated_point,
     _pair_rhs,
     _Sampler,
     _sum_with_guard,
     _swap_diff,
+    _validate,
     case_ids,
     check,
     get_case,
@@ -249,6 +259,13 @@ class TestSampler:
     def test_names_come_from_the_sampler(self):
         got = {c.id: (c.param_names, c.vector_names, c.sampler.int_names) for c in registry()}
         assert got == PINNED_NAMES
+
+    def test_unknown_mode_raises(self):
+        # "Real" is neither mode: it raises rather than seeding a third rng stream
+        with pytest.raises(ValueError, match="'real', 'complex' or None, got 'Real'"):
+            sample("bailey-6psi6", 3, CTX, mode="Real")
+        with pytest.raises(ValueError, match="got 'Real'"), _column("thm-e-integral", [0], CTX, "Real"):
+            pass
 
     def test_integral_cases_sample_real(self):
         for case_id in ("thm-e-integral", "corl-c-integral", "corl-e-integral"):
@@ -523,6 +540,114 @@ class TestNamedEvaluators:
             p = sample("thm-b", seed, ctx)
             one_pair = dict(p, xv=[p["e"]], yv=[p["f"]], N=[0], n=1)
             assert outcome(thmb, p, ctx) == outcome(thmd, one_pair, ctx), (ctx.q, seed)
+
+
+MAP_QS = (0.3, 0.5, 0.8, -0.5, 0.5 + 0.3j)
+
+# each corollary, its theorem and the map of its parameters to the theorem's
+COROLLARY_MAPS = {
+    "corl-a": ("thm-c-multivar", _corla_point),
+    "corl-b": ("thm-d-multivar", _corlb_point),
+    "corl-c-integral": ("thm-e-integral", _corlc_point),
+    "corl-e-integral": ("thm-e-integral", _corle_point),
+}
+
+# the direct formulas that the corollaries held before they became their
+# theorems at the maps: the oracle of the maps, bit for bit
+DIRECT_LHS = {
+    "corl-c-integral": lambda p, ctx: integrate_aw(AWIntegrandSpec(
+        p["a"], p["b"], p["c"], p["d"], u=(p["u"] * ipow(ctx.q, p["n"]),), v=(p["u"],)), ctx).value,
+    "corl-e-integral": lambda p, ctx: integrate_aw(AWIntegrandSpec(
+        p["a"], ctx.q / p["a"], p["b"], p["c"], u=p["u"], v=p["v"]), ctx).value,
+}
+DIRECT_DOMAINS = {
+    "corl-a": lambda p, ctx: _conv_ok(
+        p["c"] * p["d"] * p["e"] / (p["a"] * p["b"] * ipow(ctx.q, p["n"] + 1))),
+    "corl-b": lambda p, ctx: _conv_ok(
+        p["b"] * p["c"] * p["d"] / (p["x"] * p["y"] * p["y"] * ipow(ctx.q, p["n"] + 1))),
+    "corl-c-integral": lambda p, ctx: (
+        not any(abs(p[k]) >= 0.999 for k in "abcdu")
+        and _conv_ok(p["a"] * p["b"] * p["c"] * p["d"] * ipow(ctx.q, -(p["n"] + 1)))),
+}
+
+
+def map_draws(case_id):
+    """(ctx, draw) for seeds 0-14 of the case at each q in MAP_QS: 75 draws."""
+    for q, seed in itertools.product(MAP_QS, range(15)):
+        ctx = QContext(q)
+        yield ctx, sample(case_id, seed, ctx)
+
+
+class TestCorollaryMaps:
+    """Each corollary is its theorem at one stated map of its parameters."""
+
+    @pytest.mark.parametrize("case_id", COROLLARY_MAPS)
+    def test_map_gives_a_theorem_point(self, case_id):
+        theorem, to_point = COROLLARY_MAPS[case_id]
+        for ctx, p in map_draws(case_id):
+            point = to_point(p, ctx)
+            assert _validate(get_case(theorem), point)[0] == point, (ctx.q, p)
+
+    @pytest.mark.parametrize("case_id", COROLLARY_MAPS)
+    def test_stated_rhs_is_the_theorem_rhs_at_the_map(self, case_id):
+        theorem, to_point = COROLLARY_MAPS[case_id]
+        stated, at_map = get_case(case_id).rhs, get_case(theorem).rhs
+        compared = 0
+        for ctx, p in map_draws(case_id):
+            try:
+                want, got = stated(p, ctx), at_map(to_point(p, ctx), ctx)
+            except qcore.QVerifyError:  # compared wherever both sides evaluate
+                continue
+            assert abs(got - want) <= 1e-12 * abs(want), (ctx.q, p)
+            compared += 1
+        assert compared >= 50
+
+    @pytest.mark.parametrize("case_id", DIRECT_LHS)
+    def test_lhs_is_the_direct_formula(self, case_id):
+        lhs = get_case(case_id).lhs
+        for ctx, p in map_draws(case_id):
+            assert outcome(lhs, p, ctx) == outcome(DIRECT_LHS[case_id], p, ctx), (ctx.q, p)
+
+    @pytest.mark.parametrize("case_id", DIRECT_DOMAINS)
+    def test_domain_is_the_direct_formula(self, case_id):
+        # raw sampler draws, with c scaled across the convergence bound
+        case, rng = get_case(case_id), random.Random(5)
+        seen = set()
+        for q in MAP_QS:
+            ctx = QContext(q)
+            for _ in range(100):
+                p = case.sampler(rng, ctx, identities._sampling_mode(case, None))
+                p["c"] *= 10 ** rng.uniform(-1.0, 1.5)
+                inside = case.domain(p, ctx)
+                assert inside == DIRECT_DOMAINS[case_id](p, ctx), (q, p)
+                seen.add(inside)
+        assert seen == {True, False}
+
+
+def enclosing_defs(names):
+    """{name: the innermost defs of identities.py (``<module>`` outside any)
+    whose bodies use it}, for each of ``names`` used there."""
+    found = {}
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if isinstance(node, ast.Name) and node.id in names:
+            found.setdefault(node.id, set()).add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(pathlib.Path(identities.__file__).read_text()), "<module>")
+    return found
+
+
+def test_builders_are_the_only_callers():
+    # every unilateral series comes from the very-well-poised builder, the
+    # terminating 4phi3 builder or chu-zhang's correction, and every
+    # Askey-Wilson quadrature from thm-e's left side
+    found = enclosing_defs({"eval_phi", "integrate_aw", "AWIntegrandSpec"})
+    assert found["eval_phi"] == {"_wp_series", "_terminating_4phi3", "_cz_correction"}
+    assert found["integrate_aw"] | found["AWIntegrandSpec"] == {"_thme_lhs"}
 
 
 class TestSFunctionReductions:

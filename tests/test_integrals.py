@@ -450,6 +450,12 @@ class TestMultiVariableIntegralDefect:
         flagged = [x for x in bases if qcore._near_pole([x], ctx.q) is not None]
         assert any(abs(x - q ** -3) <= 1e-6 * q ** -3 for x in flagged)
 
+    def test_pair_off_its_offset_raises(self):
+        # the divisor omega checks each pair's q^N relation, before any pole is summed
+        us = (0.45 * 0.5 * (1 + 1e-6), 0.3)
+        with pytest.raises(qcore.ConstraintViolation, match="^pair 1"):
+            aw_residue_correction(0.3, 0.2, 0.1, 0.4, us, (0.45, 0.3), (1, 0), CTX)
+
     def test_correction_vanishes_for_zero_offsets(self):
         got = aw_residue_correction(0.3, 0.2, 0.1, 0.4, (0.45,), (0.45,), (0,), CTX)
         assert got == 0.0
