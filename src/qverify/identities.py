@@ -574,6 +574,9 @@ class _Sampler:
     integers, then the offsets, then the scalars in declared order, then
     the drawn vector, then the derived one.  ``int_names`` are the ``ints``
     keys and the offsets: the parameters that take non-negative ints.
+    ``declared`` lists every parameter name (scalars and integers, then
+    vectors) with its kind, (name, is a vector, takes ints), for
+    ``_validate``; ``declared_set`` holds the names.
     """
 
     def __init__(self, boxes, ints=None, pairs=None):
@@ -581,6 +584,9 @@ class _Sampler:
         self.param_names = (*"".join(boxes), *self.ints)
         self.vector_names = pairs.names if pairs else ()
         self.int_names = (*self.ints, pairs.offsets) if pairs else tuple(self.ints)
+        self.declared = tuple((name, name in self.vector_names, name in self.int_names)
+                              for name in (*self.param_names, *self.vector_names))
+        self.declared_set = frozenset(name for name, _, _ in self.declared)
 
     def __call__(self, rng, ctx, mode):
         q, pairs = ctx.q, self.pairs
@@ -1465,9 +1471,18 @@ def _column(case_id: str, seeds, ctx: QContext, mode: str | None = None):
         _DRAWN.clear()
 
 
+# the number types that a draw holds; any other value goes through the numbers.Number test
+_PLAIN_NUMBERS = frozenset((int, float, complex))
+
+
 def _count(name, val):
     if isinstance(val, bool) or not isinstance(val, int) or val < 0:
         raise ValueError(f"parameter {name!r} must be a non-negative integer, got {val!r}")
+
+
+def _number(name, val):
+    if isinstance(val, bool) or not isinstance(val, numbers.Number):
+        raise ValueError(f"parameter {name!r} must be a number, got {val!r}")
 
 
 def _validate(case: IdentityCase, params: dict) -> tuple[dict, list]:
@@ -1476,31 +1491,36 @@ def _validate(case: IdentityCase, params: dict) -> tuple[dict, list]:
     (scalar or vector entry) a Python complex, so that no numpy scalar type
     such as float32 sets the precision of the sides; and the free values."""
     sampler = case.sampler
-    declared = (*sampler.param_names, *sampler.vector_names)
-    missing = [name for name in declared if name not in params]
+    missing = [name for name, _, _ in sampler.declared if name not in params]
     if missing:
         raise UnknownParam(f"{case.id!r} is missing parameters {missing}")
-    undeclared = [name for name in params if name not in declared]
-    if undeclared:
+    if len(params) > len(sampler.declared_set):  # every declared name is bound
+        undeclared = [name for name in params if name not in sampler.declared_set]
         raise ValueError(f"{case.id!r} does not declare parameters {undeclared}")
     point, free = dict(params), []
-    for name in declared:  # the integers come before the vectors sized by n
+    # a plain int or number passes at once; any other value gets the full test
+    for name, vector, ints in sampler.declared:  # the integers come before the vectors sized by n
         val = params[name]
-        if name not in sampler.vector_names:
-            entries = [(name, val)]
-        elif isinstance(val, (list, tuple)) and len(val) == params["n"]:
-            entries = [(f"{name}{i}", v) for i, v in enumerate(val, start=1)]
-        else:
+        if not vector:
+            if ints:
+                if type(val) is not int or val < 0:
+                    _count(name, val)
+                continue
+            if type(val) not in _PLAIN_NUMBERS:
+                _number(name, val)
+            free.append(z := complex(val))
+            point[name] = z
+            continue
+        if not (isinstance(val, (list, tuple)) and len(val) == params["n"]):
             raise ValueError(f"vector {name!r} must be a list of n = {params['n']} entries")
-        for key, v in entries:
-            if name in sampler.int_names:
-                _count(key, v)
-            elif isinstance(v, bool) or not isinstance(v, numbers.Number):
-                raise ValueError(f"parameter {key!r} must be a number, got {v!r}")
-        if name not in sampler.int_names:
-            values = [complex(v) for _, v in entries]
+        for i, v in enumerate(val, start=1):
+            if ints and (type(v) is not int or v < 0):
+                _count(f"{name}{i}", v)
+            elif not ints and type(v) not in _PLAIN_NUMBERS:
+                _number(f"{name}{i}", v)
+        if not ints:
+            point[name] = values = [complex(v) for v in val]
             free += values
-            point[name] = values if name in sampler.vector_names else values[0]
     return point, free
 
 

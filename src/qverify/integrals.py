@@ -8,17 +8,20 @@ where h(x; lam) = (lam e^{it}, lam e^{-it}; q)_oo with x = cos t.  As a
 function of t this extends to an even, 2*pi-periodic analytic function,
 so the composite trapezoidal rule with panel doubling converges
 spectrally; nodes are reused across refinements, and a node value that
-is not finite stops it.  The rows (e^{+-2it};q)_oo of h(cos 2t; 1) depend
-on q and the nodes alone, so they come from a memo per q and node array
-(``_unit_rows``); the lam rows of a batch of nodes come from one call of
-qcore.qpoch_inf_many, which at real q and real lam computes only one row
-of each conjugate pair.  Closed-form right-hand sides for the q-beta
+is not finite stops it.  Each h is the product the paper writes,
+prod_k (1 - 2 lam q^k x + lam^2 q^{2k}), of as many factors as
+(lam;q)_oo takes (qcore._h_factors, _h_products): real at real q and real
+lam, complex otherwise, by the one formula.  The row h(cos 2t; 1) depends on
+q and the nodes alone, so it comes from a memo per q and node array
+(``_unit_rows``); the factor coefficients of the lam rows are computed once
+per integrand.  Closed-form right-hand sides for the q-beta
 integral and its multi-variable generalizations live here as well, and
 the residue sum that the stated multi-variable form misses.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,10 +35,11 @@ from .qcore import (
     QContext,
     _divisor,
     _keep_recent,
+    _h_factors,
+    _h_products,
     _one_minus,
     ipow,
     qfrac,
-    qpoch_inf_many,
 )
 from .multisum import check_qpow_ratio, omega
 from .series import _shifted_terms, _sum_stream
@@ -53,7 +57,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 _FIRST_PANELS, _MAX_PANELS = 8, 2 ** 18  # the trapezoid's first and last levels
 
-# {repr(q): {node array: (e^{+-2it};q)_oo rows}}, kept by qcore._keep_recent,
+# {repr(q): {node array: the row h(cos 2t; 1)}}, kept by qcore._keep_recent,
 # for node arrays of at most _UNIT_ROW_NODES nodes (levels up to 8,192 panels)
 _UNIT_ROWS, _UNIT_ROW_NODES = {}, 1 << 12
 
@@ -99,61 +103,47 @@ class QuadratureResult:
             raise ValueError("abs_error_estimate must be >= 0")
 
 
-def _unit_rows(thetas: np.ndarray, e: np.ndarray, ctx: QContext) -> np.ndarray:
-    """(e^{2it};q)_oo and (e^{-2it};q)_oo at the nodes, e = e^{it}, read-only.
+def _unit_rows(thetas: np.ndarray, ctx: QContext) -> np.ndarray:
+    """h(cos 2t; 1) = (e^{2it}, e^{-2it};q)_oo at the nodes, read-only.
 
     Every quadrature at one q meets the same nodes on each refinement level,
-    and these rows are the integrand's dearest (all bases on |x| = 1 run the
-    snap test), so they are memoized per node array for the q that
-    qcore keeps its q^k tables for (``_keep_recent``).  Deeper levels, met
-    only by quadratures that refine past 8,192 panels, are not kept: at
-    2^18 panels they would hold 10 MB per q.  Each entry's product depends
-    on its base alone, so one call of their own gives them bit for bit as
-    a call that holds every row; at real q the second row is the exact
-    conjugate of the first, as in the real branch of ``_aw_integrand``.
+    and this row depends on q and the nodes alone, so it is memoized per
+    node array for the q that qcore keeps its q^k tables for
+    (``_keep_recent``); at real q it is one float64 row.  Deeper levels, met
+    only by quadratures that refine past 8,192 panels, are not kept.  Each
+    value depends on its node alone, so a warm read is the cold value bit
+    for bit, and the factor k = 0, 2 - 2 cos 2t, is an exact 0 at t = 0, pi.
     """
     memo = _keep_recent(_UNIT_ROWS, ctx.q, _UNIT_ROWS.get(repr(ctx.q), {}))
     nodes = (thetas.shape, thetas.tobytes())
-    rows = memo.get(nodes)
-    if rows is None:
-        e2 = e * e
-        if ctx.q.imag == 0.0:
-            rows = qpoch_inf_many(e2[None], ctx)[0]
-            rows = np.concatenate([rows, np.conj(rows)])
-        else:
-            rows = qpoch_inf_many(np.array([e2, np.conj(e2)]), ctx)[0]
-        rows.flags.writeable = False
+    row = memo.get(nodes)
+    if row is None:
+        row = _h_products(np.cos(2.0 * thetas), _h_factors([1.0], ctx))[0]
+        row.flags.writeable = False
         if thetas.size <= _UNIT_ROW_NODES:
-            memo[nodes] = rows
-    return rows
+            memo[nodes] = row
+    return row
 
 
 def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):
     """Vectorized integrand over theta arrays; returns (f, n_factors).
 
-    f multiplies the rows e^{+-2it} (from the ``_unit_rows`` memo), then the
-    rows lam e^{+-it} per lam from one qpoch_inf_many call; at real q and
-    real lam that call computes one row of each conjugate pair, since the
-    other is its exact conjugate (the same factors in the same order).
-    n_factors counts the h-functions involved, which scales the product
-    error floor of each node value.
+    f multiplies the row h(cos 2t; 1) (from the ``_unit_rows`` memo) by the
+    rows h(cos t; u_i), then divides by the rows h(cos t; lam) of the
+    denominator parameters; the coefficients of every lam row come from one
+    ``_h_factors`` call per integrand.  n_factors counts the (x;q)_oo
+    products involved, two per h-function, which scales the product error
+    floor of each node value.
     """
-    lams_den = (spec.a, spec.b, spec.c, spec.d) + spec.v
-    lams = spec.u + lams_den
-    real = all(z.imag == 0.0 for z in (ctx.q,) + lams)
+    lams = spec.u + (spec.a, spec.b, spec.c, spec.d) + spec.v
+    factors, split = _h_factors(lams, ctx), len(spec.u)
 
     def f(thetas: np.ndarray) -> np.ndarray:
-        e = np.exp(1j * thetas)
-        if real:
-            half = qpoch_inf_many(np.array([lam * e for lam in lams]), ctx)[0]
-            pairs = np.stack([half, np.conj(half)], axis=1).reshape(-1, *e.shape)
-        else:
-            rows = [lam * z for lam in lams for z in (e, np.conj(e))]
-            pairs = qpoch_inf_many(np.array(rows), ctx)[0]
-        vals = np.concatenate([_unit_rows(thetas, e, ctx), pairs])
-        split = 2 + 2 * len(spec.u)
-        num, den = np.prod(vals[:split], axis=0), np.prod(vals[split:], axis=0)
-        # a zero numerator (the unit rows at t = 0, pi) is a zero node, even where den
+        rows = _h_products(np.cos(thetas), factors)
+        # row by row: a one-column reduce would multiply a lone node differently
+        num = functools.reduce(np.multiply, rows[:split], _unit_rows(thetas, ctx))
+        den = functools.reduce(np.multiply, rows[split:])
+        # a zero numerator (the unit row at t = 0, pi) is a zero node, even where den
         # underflows; a node that is not finite is named by _finite_nodes, not numpy
         den[num == 0] = 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -203,8 +193,8 @@ def _trapezoid_doubling(f, ctx: QContext, n_factors: int):
 def integrate_aw(spec: AWIntegrandSpec, ctx: QContext) -> QuadratureResult:
     """The Askey-Wilson-type integral over [0, pi] by spectral trapezoid.
 
-    The value is complex: real up to roundoff for real or conjugate-closed
-    parameter sets at real q, and genuinely complex at complex q.
+    The value is complex: exactly real at real q and real parameters (every
+    node value is then a real product), and genuinely complex at complex q.
     """
     f, n_factors = _aw_integrand(spec, ctx)
     total, delta, n, _ = _trapezoid_doubling(f, ctx, n_factors)

@@ -331,6 +331,40 @@ def _keep_recent(memo: dict, q: complex, value):
     return value
 
 
+def _factor_counts(ax, q, bases, what="(x;q)_oo", label="x"):
+    """The factor count of (x;q)_oo for each modulus |x| of ax (all nonzero and
+    finite), with the q^k table that serves it: (table, its moduli, counts).
+
+    The count is K + 1, K the first k >= 2 with 3 small deviations,
+    |q^j| < PRODUCT_TOL / |x| for j = k-2 .. k, and |q^{k+1}| < PRODUCT_TOL *
+    (1 - |q|) / |x|.  Both conditions are first hits in the moduli |q^k|
+    (their running minimum, so they stay first hits), so two searches of
+    the table give every count before any factor is formed.  The table
+    (``_powers``) is long enough for the largest |x|.  CapExceeded names the
+    entry of ``bases`` (of the shape of ax) for the first count past
+    MAX_PRODUCT_FACTORS, as ``what`` did not converge.
+    """
+    aq, cap, tol = abs(q), MAX_PRODUCT_FACTORS, PRODUCT_TOL
+    gate, lq = tol * (1.0 - aq), math.log(aq) if aq else -math.inf
+    # enough factors for the largest base: |x q^k| drops below tol no later
+    # than below gate < tol, then 3 small deviations, and 1 spare for rounding
+    width = min(cap, max(3, math.floor(math.log(gate / max(float(ax.max(initial=0.0)), tol)) / lq) + 5))
+    table = _powers(q, width)
+    mod = np.abs(table)
+    # with c(b) the number of k whose running minimum of |q^k| is below b,
+    # the factors used are K + 1 = width + 4 - min(c(tol/|x|), c(gate/|x|) + 3)
+    below = np.searchsorted(np.minimum.accumulate(mod)[::-1], np.divide.outer((tol, gate), ax))
+    below[1] += 3
+    count = width + 4 - np.minimum.reduce(below)
+    if count.max(initial=0) > width:
+        bad = int((count > width).argmax())
+        raise CapExceeded(
+            f"base {complex(bases[bad])!r}: {what} did not converge within {cap} "
+            f"factors (|{label}| = {ax[bad]:.3g}, |q| = {aq:.6g})"
+        )
+    return table, mod, count
+
+
 # a product that overflows is caught by the kernel's own isfinite test, so numpy need not warn
 @np.errstate(over="ignore", invalid="ignore")
 def qpoch_inf_many(xs, ctx: QContext):
@@ -338,31 +372,27 @@ def qpoch_inf_many(xs, ctx: QContext):
 
     Returns the values, absolute error bounds and factors used, as arrays
     of that shape.  Each entry follows the scalar rule: factors 1 - x q^k
-    in order (q^k from one table of repeated products), k = 0 .. K, where
-    K is the first k >= 2 with 3 small deviations, |q^j| < PRODUCT_TOL / |x|
-    for j = k-2 .. k, and |q^{k+1}| < PRODUCT_TOL * (1 - |q|) / |x|; the
-    bound is |P_K| * (e^T - 1), T the geometric tail of the log-factors
-    after h = |x| |q^{K+1}|.  x = 0 gives 1 and a base snapped onto q^{-m},
-    m >= 0 (``q_power_index``), exactly 0, both with a zero bound.
+    in order (q^k from one table of repeated products), k = 0 .. K, with K + 1
+    the count of ``_factor_counts``; the bound is |P_K| * (e^T - 1), T the
+    geometric tail of the log-factors after h = |x| |q^{K+1}|.  x = 0 gives 1
+    and a base snapped onto q^{-m}, m >= 0 (``q_power_index``), exactly 0,
+    both with a zero bound.
 
-    Each block of entries (``_BLOCK`` entries x factors, so memory stays
-    bounded) counts first, then multiplies.  Both conditions are first hits
-    in the moduli |q^k| (their running minimum, so they stay first hits),
-    so two searches of the table give each K before any factor is formed.
-    The block is then one (factor, entry) array whose factors past their
-    entry's K are exactly 1, and one multiply.reduce down the factor axis
-    gives all its products, vectorised across entries with numpy's array
-    complex multiply (FMA where the machine has it) in the order k = 0 .. K.
-    Multiplying by 1 is exact, and a one-entry block gets a twin column
-    (a one-column reduce multiplies differently), so each entry's value
-    and count depend on its base alone, not on the call or the block.
-    CapExceeded names the first base that needs more than
-    MAX_PRODUCT_FACTORS factors, else the first whose product overflows.
+    Every count comes first, then each block of entries (``_BLOCK`` entries
+    x factors, so memory stays bounded) multiplies: the block is one
+    (factor, entry) array whose factors past their entry's K are exactly 1,
+    and one multiply.reduce down the factor axis gives all its products,
+    vectorised across entries with numpy's array complex multiply (FMA where
+    the machine has it) in the order k = 0 .. K.  Multiplying by 1 is exact,
+    and a one-entry block gets a twin column (a one-column reduce multiplies
+    differently), so each entry's value and count depend on its base alone,
+    not on the call or the block.  CapExceeded names the first base that
+    needs more than MAX_PRODUCT_FACTORS factors, else the first whose
+    product overflows.
     """
     x = np.asarray(xs, dtype=complex)
     shape, x = x.shape, x.ravel()
-    q, aq, cap, tol = ctx.q, abs(ctx.q), MAX_PRODUCT_FACTORS, PRODUCT_TOL
-    gate, lq = tol * (1.0 - aq), math.log(aq) if aq else -math.inf
+    q, aq = ctx.q, abs(ctx.q)
     ax = np.abs(x)
     top = float(ax.max(initial=0.0))
     if not math.isfinite(top):
@@ -372,7 +402,7 @@ def qpoch_inf_many(xs, ctx: QContext):
     if top >= 1.0 - 2.0 * SNAP_RTOL:
         near = np.flatnonzero(ax >= 1.0 - 2.0 * SNAP_RTOL)
         for i, xi in zip(near.tolist(), x[near].tolist()):
-            if (m := q_power_index(xi, q, -cap, 0)) is not None:
+            if (m := q_power_index(xi, q, -MAX_PRODUCT_FACTORS, 0)) is not None:
                 snaps[i] = m
     live = None
     if snaps or ax.min(initial=1.0) == 0.0:
@@ -382,29 +412,13 @@ def qpoch_inf_many(xs, ctx: QContext):
             value[i], used[i], keep[i] = 0.0, 1 - m, False
         live = np.flatnonzero(keep)
         x, ax = x[live], ax[live]
-        top = float(ax.max(initial=0.0))
-    # enough factors for the largest base: |x q^k| drops below tol no later
-    # than below gate < tol, then 3 small deviations, and 1 spare for rounding
-    width = min(cap, max(3, math.floor(math.log(gate / max(top, tol)) / lq) + 5))
-    table = _powers(q, width)
-    mod = np.abs(table)
-    descending = np.minimum.accumulate(mod)[::-1]
-    vals, count, bound = np.empty(x.size, complex), np.empty(x.size, int), np.empty(x.size)
+    table, mod, count = _factor_counts(ax, q, x)
+    width = table.size - 1
+    vals, bound = np.empty(x.size, complex), np.empty(x.size)
     step = max(2, _BLOCK // width)
     for r in range(0, x.size, step):
         xr, ar, nr = x[r:r + step], ax[r:r + step], count[r:r + step]
-        # count: with c(b) the number of k whose running minimum of |q^k| is below b,
-        # the factors used are K + 1 = width + 4 - min(c(tol/|x|), c(gate/|x|) + 3)
-        below = np.searchsorted(descending, np.divide.outer((tol, gate), ar))
-        below[1] += 3
-        np.subtract(width + 4, np.minimum.reduce(below), out=nr)
         lo, rows = int(np.minimum.reduce(nr)), int(np.maximum.reduce(nr))
-        if rows > width:
-            bad = (nr > width).argmax()
-            raise CapExceeded(
-                f"base {complex(xr[bad])!r}: (x;q)_oo did not converge within {cap} "
-                f"factors (|x| = {ar[bad]:.3g}, |q| = {aq:.6g})"
-            )
         # multiply: the factors k >= count of each column are ones
         if xr.size == 1:  # a one-column reduce multiplies differently: give it a twin
             xr, nr = np.repeat(xr, 2), np.repeat(nr, 2)
@@ -421,6 +435,65 @@ def qpoch_inf_many(xs, ctx: QContext):
         return vals.reshape(shape), bound.reshape(shape), count.reshape(shape)
     value[live], err[live], used[live] = vals, bound, count
     return value.reshape(shape), err.reshape(shape), used.reshape(shape)
+
+
+def _h_factors(lams, ctx: QContext):
+    """The coefficients of h(x; lam) = (lam e^{it}, lam e^{-it};q)_oo
+    = prod_k (1 - 2 lam q^k x + lam^2 q^{2k}), x = cos t, for each lam,
+    laid out for the blocks of ``_h_products``.
+
+    Returns (two_w, one_plus_w2, step, counts).  two_w and one_plus_w2 hold
+    2 w_k and 1 + w_k^2, w_k = lam q^k, one row per k and, per lam, ``step``
+    equal columns, one for each entry of a block: (k, lam x entry) arrays of
+    at most ``_BLOCK`` cells.  counts holds each lam's factor count, that of
+    (lam;q)_oo by ``_factor_counts`` (0 for lam = 0), so h multiplies as
+    many factors as (lam;q)_oo would; past it the rows hold 0 and 1, factors
+    of exactly 1.  Real when q and every lam are real, else complex; the
+    coefficients do not depend on x, so one call serves every node of an
+    integrand.  CapExceeded names the first lam past the cap.
+    """
+    lam = np.asarray(lams, dtype=complex)
+    live = np.flatnonzero(lam)
+    table, _, live_counts = _factor_counts(np.abs(lam[live]), ctx.q, lam[live], "h(x; lam)", "lam")
+    counts = np.zeros(lam.size, int)
+    counts[live] = live_counts
+    width = int(counts.max(initial=0))
+    w = table[:width, None] * lam
+    if ctx.q.imag == 0.0 and not lam.imag.any():
+        w = w.real
+    w[np.arange(width)[:, None] >= counts] = 0.0
+    step = max(2, _BLOCK // max(1, width * lam.size))
+    return np.repeat(2.0 * w, step, axis=1), np.repeat(1.0 + w * w, step, axis=1), step, counts
+
+
+# a product that overflows is left to the caller's own isfinite test
+@np.errstate(over="ignore", invalid="ignore")
+def _h_products(x, factors):
+    """h(x; lam) for each lam of ``_h_factors`` and each entry of the real 1-D
+    array x: an array (lams, x.size) of the factors' dtype.
+
+    Each block of ``step`` entries is one (k, lam x entry) array of factors
+    1 + w_k^2 - 2 w_k x, and one multiply.reduce down the k axis gives all
+    its products in the order k = 0 .. K, vectorised across lam and entry.
+    A lam's factors past its count are exactly 1, and a one-entry block gets
+    a twin, as in ``qpoch_inf_many``, so each value depends on x and lam
+    alone.  At x = 1 and lam = 1 the factor k = 0 is 2 - 2 = 0 exactly.
+    """
+    two_w, one_plus_w2, step, counts = factors
+    width, n_lam = two_w.shape[0], counts.size
+    out = np.empty((n_lam, x.size), two_w.dtype)
+    for r in range(0, x.size, step):
+        xr = x[r:r + step]
+        if xr.size == 1:  # a one-column reduce multiplies differently: give it a twin
+            xr = np.repeat(xr, 2)
+        a, b = two_w, one_plus_w2
+        if xr.size < step:  # the last block: its entries' columns of each lam
+            a, b = (c.reshape(width, n_lam, step)[:, :, :xr.size].reshape(width, n_lam * xr.size)
+                    for c in (a, b))
+        f = a * np.tile(xr, n_lam)
+        np.subtract(b, f, out=f)
+        out[:, r:r + step] = np.multiply.reduce(f, axis=0).reshape(n_lam, xr.size)[:, :x.size - r]
+    return out
 
 
 def qpoch_inf(x: complex, ctx: QContext) -> SeriesResult:

@@ -190,7 +190,8 @@ class TestQuadrature:
 
 
 def full_rows_integrand(spec, ctx):
-    """The integrand with every conjugate row computed: the oracle of _aw_integrand."""
+    """The integrand from both conjugate rows (lam e^{+-it};q)_oo of every h, by
+    qcore.qpoch_inf_many: the oracle of _aw_integrand's h-products."""
     lams_num, lams_den = spec.u, (spec.a, spec.b, spec.c, spec.d) + spec.v
 
     def f(thetas):
@@ -203,37 +204,93 @@ def full_rows_integrand(spec, ctx):
     return f
 
 
+def quadrature_nodes():
+    """The node arrays of the trapezoid's first three levels."""
+    return [np.linspace(0.0, math.pi, 9)] + [np.linspace(0.0, math.pi, 2 * n + 1)[1::2] for n in (8, 16)]
+
+
 class TestConjugateRows:
-    """At real q and real parameters only one row of each conjugate pair is
-    computed; every node value stays bit-identical to the full-row integrand."""
+    """The integrand, one product of quadratic factors per h-function, agrees
+    with full_rows_integrand, which computes both conjugate rows of every h,
+    to 1e-13 relative at every node (both are exact zeros at t = 0, pi)."""
 
     SPECS = [
         (0.3, -0.45, 0.6, 0.2, (), ()),
         (0.3, -0.45, 0.6, 0.2, (0.7,), (0.15,)),
         (0.3, -0.45, 0.6, 0.2, (0.7, -0.5), (0.15, 0.55)),
     ]
+    QS = [0.3, 0.8, -0.5, 0.95, 0.5 + 0.3j]
 
     @staticmethod
-    def assert_nodes_equal(spec, ctx):
+    def assert_nodes_close(spec, ctx):
+        """The node values of the first three levels, each checked against the oracle."""
         got, want = _aw_integrand(spec, ctx)[0], full_rows_integrand(spec, ctx)
-        nodes = [np.linspace(0.0, math.pi, 9)]
-        nodes += [np.linspace(0.0, math.pi, 2 * n + 1)[1::2] for n in (8, 16)]
-        for thetas in nodes:
-            assert np.array_equal(got(thetas), want(thetas))
+        values = []
+        for thetas in quadrature_nodes():
+            g, w = got(thetas), want(thetas)
+            assert (np.abs(g - w) <= 1e-13 * np.abs(w)).all()
+            values.append(g)
+        return values
 
-    @pytest.mark.parametrize("q", [0.3, 0.8, -0.5, 0.95, 0.5 + 0.3j])
+    @pytest.mark.parametrize("q", QS)
     @pytest.mark.parametrize("a,b,c,d,u,v", SPECS)
     def test_real_parameters(self, q, a, b, c, d, u, v):
-        self.assert_nodes_equal(AWIntegrandSpec(a, b, c, d, u, v), QContext(q))
+        self.assert_nodes_close(AWIntegrandSpec(a, b, c, d, u, v), QContext(q))
 
-    @pytest.mark.parametrize("q", [0.3, 0.8])
+    @pytest.mark.parametrize("q", QS)
     @pytest.mark.parametrize("a,b,c,d,u,v", SPECS[1:])
     def test_one_complex_parameter(self, q, a, b, c, d, u, v):
-        self.assert_nodes_equal(AWIntegrandSpec(a, b + 0.2j, c, d, u, v), QContext(q))
+        self.assert_nodes_close(AWIntegrandSpec(a, b + 0.2j, c, d, u, v), QContext(q))
+
+    @pytest.mark.parametrize("q", [0.3, 0.8, -0.5])
+    def test_real_values_at_real_q(self, q):
+        # every h is then a product of real factors: the nodes are float64 and
+        # the integral exactly real; a complex lam gives complex nodes
+        ctx = QContext(q)
+        spec = AWIntegrandSpec(0.3, -0.45, 0.6, 0.2, (0.7,), (0.15,))
+        assert all(v.dtype == np.float64 for v in self.assert_nodes_close(spec, ctx))
+        assert integrate_aw(spec, ctx).value.imag == 0.0
+        complex_spec = AWIntegrandSpec(0.3, -0.45 + 0.2j, 0.6, 0.2, (0.7,), (0.15,))
+        assert _aw_integrand(complex_spec, ctx)[0](np.linspace(0.0, math.pi, 9)).dtype == np.complex128
+
+
+def test_integrand_makes_no_qpoch_call(monkeypatch):
+    # every h comes from the h-product kernel, the unit row included
+    def refuse(xs, ctx):
+        raise AssertionError("the integrand called qpoch_inf_many")
+
+    monkeypatch.setattr(integrals, "_UNIT_ROWS", {})
+    for mod in (qcore, integrals):
+        monkeypatch.setattr(mod, "qpoch_inf_many", refuse, raising=False)
+    for q in (0.5, 0.5 + 0.3j):
+        integrate_aw(AWIntegrandSpec(0.3, -0.45 + 0.2j, 0.6, 0.2, (0.7,), (0.15,)), QContext(q))
+
+
+class TestNodeIndependence:
+    """A node's value depends on the node alone, not on the array it is computed
+    in: its position, the array's length, or the blocks the kernel cuts."""
+
+    @pytest.mark.parametrize("q", TestConjugateRows.QS)
+    @pytest.mark.parametrize("b", [-0.45, -0.45 + 0.2j])
+    @pytest.mark.parametrize("block", [None, 1, 700])
+    def test_bit_for_bit(self, monkeypatch, q, b, block):
+        if block is not None:  # blocks of two entries, or of a few, one left over
+            monkeypatch.setattr(qcore, "_BLOCK", block)
+        monkeypatch.setattr(integrals, "_UNIT_ROWS", {})
+        ctx = QContext(q)
+        f = _aw_integrand(AWIntegrandSpec(0.3, b, 0.6, 0.2, (0.7, -0.5), (0.15, 0.55)), ctx)[0]
+        thetas = np.linspace(0.0, math.pi, 513)
+        whole = f(thetas)
+        rng = random.Random(5)
+        picks = [[0], [1], [256], [511, 512], [3, 4, 5], list(range(1, 513, 2)), list(range(0, 513, 7))]
+        picks += [sorted(rng.sample(range(513), k)) for k in (1, 2, 9, 40)]
+        picks += [list(range(512, -1, -3))]
+        for idx in picks:
+            assert f(thetas[idx]).tobytes() == whole[idx].tobytes(), idx
 
 
 class TestUnitRowMemo:
-    """The rows (e^{+-2it};q)_oo come from a memo per q and node array: a warm
+    """The row h(cos 2t; 1) comes from a memo per q and node array: a warm
     memo gives the node values of a cold one, bit for bit, and holds the last
     qcore._TABLE_QS q."""
 
@@ -245,26 +302,27 @@ class TestUnitRowMemo:
     def count_unit_row_calls(monkeypatch):
         calls = []
 
-        def counted(xs, ctx):
-            calls.append(len(xs) <= 2)  # the unit rows; 4 lam rows or more
-            return qpoch_inf_many(xs, ctx)
+        def counted(x, factors):
+            calls.append(factors[3].size == 1)  # the unit row; 4 lam rows or more
+            return qcore._h_products(x, factors)
 
-        monkeypatch.setattr(integrals, "qpoch_inf_many", counted)
+        monkeypatch.setattr(integrals, "_h_products", counted)
         return calls
 
     @pytest.mark.parametrize("q", [0.3, 0.8, -0.5, 0.95, 0.5 + 0.3j])
     @pytest.mark.parametrize("b", [-0.45, -0.45 + 0.2j])
     def test_cold_then_warm(self, monkeypatch, q, b):
         spec = AWIntegrandSpec(0.3, b, 0.6, 0.2, (0.7, -0.5), (0.15, 0.55))
-        TestConjugateRows.assert_nodes_equal(spec, QContext(0.6))  # another q first
+        TestConjugateRows.assert_nodes_close(spec, QContext(0.6))  # another q first
         ctx = QContext(q)
         assert repr(ctx.q) not in integrals._UNIT_ROWS
         calls = self.count_unit_row_calls(monkeypatch)
-        TestConjugateRows.assert_nodes_equal(spec, ctx)
+        cold = TestConjugateRows.assert_nodes_close(spec, ctx)
         assert sum(calls) == 3 and len(integrals._UNIT_ROWS[repr(ctx.q)]) == 3
         calls.clear()
-        TestConjugateRows.assert_nodes_equal(spec, ctx)
+        warm = TestConjugateRows.assert_nodes_close(spec, ctx)
         assert calls and not any(calls)  # every unit row from the memo
+        assert all(w.tobytes() == c.tobytes() for w, c in zip(warm, cold))
 
     def test_bounded_by_the_last_q(self):
         spec = AWIntegrandSpec(0.3, -0.45, 0.6, 0.2)
@@ -285,15 +343,22 @@ class TestUnitRowMemo:
         n = integrals._UNIT_ROW_NODES
         kept, deep = (np.linspace(0.0, math.pi, 2 * m + 1)[1::2] for m in (n, 2 * n))
         got, want = _aw_integrand(spec, ctx)[0], full_rows_integrand(spec, ctx)
+        values = []
         for thetas in (kept, deep, deep):
-            assert np.array_equal(got(thetas), want(thetas))
+            values.append(got(thetas))
+            # next to t = 0, pi the factor 2 - 2 cos 2t holds cos 2t's rounding, about
+            # 1e-16 absolute: relative to the largest node, not to each node
+            w = want(thetas)
+            assert (np.abs(values[-1] - w) <= 1e-13 * np.abs(w).max()).all()
+        assert values[1].tobytes() == values[2].tobytes()  # computed twice, cold both times
         assert list(integrals._UNIT_ROWS[repr(ctx.q)]) == [(kept.shape, kept.tobytes())]
 
     def test_rows_are_read_only(self):
         _aw_integrand(AWIntegrandSpec(0.3, -0.45, 0.6, 0.2), CTX)[0](np.linspace(0.0, math.pi, 9))
-        (rows,) = integrals._UNIT_ROWS[repr(CTX.q)].values()
+        (row,) = integrals._UNIT_ROWS[repr(CTX.q)].values()
+        assert row.shape == (9,) and row.dtype == np.float64  # one real row at real q
         with pytest.raises(ValueError):
-            rows[0, 1] = 1.0
+            row[1] = 1.0
 
     @pytest.mark.parametrize("q", [0.3, 0.5 + 0.3j])
     def test_warm_endpoints_stay_zero(self, q):
@@ -303,6 +368,21 @@ class TestUnitRowMemo:
         cold, warm = f(nodes), f(nodes)
         assert np.array_equal(warm, cold)
         assert warm[0] == 0.0 and warm[-1] == 0.0
+
+    @pytest.mark.parametrize("q", TestConjugateRows.QS)
+    def test_cold_and_warm_reads(self, q):
+        # a warm read is the cold row bit for bit, and so is each node's value
+        # computed in another node array; the row is an exact 0 at t = 0, pi
+        ctx = QContext(q)
+        nodes = np.linspace(0.0, math.pi, 17)
+        cold = integrals._unit_rows(nodes, ctx).copy()
+        assert integrals._unit_rows(nodes, ctx).tobytes() == cold.tobytes()
+        wider = integrals._unit_rows(np.linspace(0.0, math.pi, 33), ctx)
+        assert wider[::2].tobytes() == cold.tobytes()
+        assert cold[0] == 0.0 and cold[-1] == 0.0 and (cold[1:-1] != 0.0).all()
+        for theta, v in zip(nodes, cold):
+            want = h_product(math.cos(2.0 * theta), 1.0, ctx)
+            assert abs(v - want) <= 1e-13 * abs(want)
 
 
 class TestClosedForms:

@@ -24,9 +24,12 @@ def test_smoke():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("wall ") and "9 cells" in lines[0]
     rows = table(lines[1:])
-    # integrand calls: the unit rows only on a memo miss, the lam rows on every call
-    unit_calls, lam_calls = (int(rows[f"qpoch_inf_many [{k}]"][0]) for k in ("unit rows", "lam rows"))
+    # integrand calls: the unit row only on a memo miss, the lam rows on every call;
+    # the integrand makes no qpoch_inf_many call
+    unit_calls, lam_calls = (int(rows[f"_h_products [{k}]"][0]) for k in ("unit rows", "lam rows"))
     assert 0 < unit_calls <= lam_calls
+    assert {k for k in rows if k.startswith("qpoch_inf_many [")} <= {
+        "qpoch_inf_many [prefetch]", "qpoch_inf_many [other]"}
     # one prefetch call per (id, q) run of cells with declared products (thm-e and
     # ramanujan, at 3 q); the closed forms read their products from it, and only
     # its misses make [other] calls
@@ -34,14 +37,17 @@ def test_smoke():
     hits, misses = memo(lines)
     assert hits > 0 and ("qpoch_inf_many [other]" in rows) == (misses > 0)
     assert rows["_near_pole"][0] == "9" and int(rows["sample"][0]) >= 9
-    # each qpoch_inf_many row sums the factors its calls used (at least 3 an
-    # entry, 2-D integrand rows hold many), and that count repeats exactly
-    factors = {k: int(v[2]) for k, v in rows.items() if k.startswith("qpoch_inf_many [")}
-    assert factors["qpoch_inf_many [lam rows]"] > 3 * lam_calls
-    assert all(v[2] is None for k, v in rows.items() if not k.startswith("qpoch_inf_many ["))
+    # each qpoch_inf_many and _h_products row sums the factors its calls used (at
+    # least 3 an entry, an integrand call's lam rows hold many), and that count
+    # repeats exactly
+    kernels = ("qpoch_inf_many [", "_h_products [")
+    factors = {k: int(v[2]) for k, v in rows.items() if k.startswith(kernels)}
+    assert factors["_h_products [lam rows]"] > 3 * lam_calls
+    assert factors["_h_products [unit rows]"] > 3 * unit_calls
+    assert all(v[2] is None for k, v in rows.items() if not k.startswith(kernels))
     again = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert {k: int(v[2]) for k, v in table(again.stdout.splitlines()[1:]).items()
-            if k.startswith("qpoch_inf_many [")} == factors
+            if k.startswith(kernels)} == factors
     assert {"watson", "thm-e-integral", "ramanujan-reciprocity"} <= rows.keys()
     # the stream layer: calls, terms summed, terms computed (blocks overshoot the
     # stop) and time of each kind of _sum_stream; the counts repeat exactly
@@ -74,7 +80,7 @@ def test_unit_rows_come_from_the_memo():
     )
     assert proc.returncode == 0, proc.stderr
     rows = table(proc.stdout.splitlines())
-    assert 0 < int(rows["qpoch_inf_many [unit rows]"][0]) < int(rows["qpoch_inf_many [lam rows]"][0])
+    assert 0 < int(rows["_h_products [unit rows]"][0]) < int(rows["_h_products [lam rows]"][0])
 
 
 def test_input_error_exits_3():

@@ -578,6 +578,90 @@ class TestKernelBitIdentity:
                 assert got[0][j].tobytes() == values[i].tobytes() and got[2][j] == used[i]
 
 
+class TestHProducts:
+    """qcore._h_factors and _h_products: h(x; lam) = prod_k (1 - 2 lam q^k x + lam^2 q^{2k})
+    with each lam's factor count that of (lam;q)_oo in qpoch_inf_many."""
+
+    QS = [0.3, 0.8, -0.5, 0.95, 0.5 + 0.3j]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_counts_are_those_of_qpoch_inf_many(self, q):
+        ctx = QContext(q)
+        rng = random.Random(31)
+        lams = [rand_complex(rng, 1e-6, 0.999) for _ in range(40)]
+        lams += [rng.uniform(-0.999, 0.999) for _ in range(40)] + [0.0, 1.0]
+        counts = qcore._h_factors(lams, ctx)[3]
+        used = qpoch_inf_many(lams, ctx)[2]
+        assert counts[-2] == 0 and (counts[:-2] == used[:-2]).all()
+        assert counts[-1] == qpoch_inf_many([1.0 + 1e-12], ctx)[2][0]  # 1 itself snaps there
+
+    @pytest.mark.parametrize("q", [0.995, 0.998])
+    def test_cap_at_the_same_lam(self, q):
+        # bisect |lam| to where (lam;q)_oo first needs more than the cap, then
+        # check both kernels on a ladder of moduli across that point
+        ctx = QContext(q)
+
+        def caps(fn, lam):
+            try:
+                fn(lam)
+            except CapExceeded:
+                return True
+            return False
+
+        lo, hi = 1e-30, 0.5
+        assert not caps(lambda lam: qpoch_inf_many([lam], ctx), lo)
+        assert caps(lambda lam: qpoch_inf_many([lam], ctx), hi)
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            if mid in (lo, hi):
+                break
+            if caps(lambda lam: qpoch_inf_many([lam], ctx), mid):
+                hi = mid
+            else:
+                lo = mid
+        ladder = [lo * (1.0 - 1e-9), lo, hi, hi * (1.0 + 1e-9), 2.0 * hi, 0.5, 0.999]
+        for lam in ladder + [-x for x in ladder] + [x * cmath.exp(0.4j) for x in ladder]:
+            want = caps(lambda x: qpoch_inf_many([x], ctx), lam)
+            assert caps(lambda x: qcore._h_factors([0.3 * lo, x], ctx), lam) == want, lam
+        # the unit row h(cos 2t; 1) caps where (e^{2it};q)_oo does off t = 0, pi
+        assert caps(lambda x: qpoch_inf_many([x], ctx), cmath.exp(0.6j))
+        assert caps(lambda x: qcore._h_factors([x], ctx), 1.0)
+        with pytest.raises(CapExceeded, match=re.escape("base (0.5+0j): h(x; lam) did not converge")):
+            qcore._h_factors([0.0, 0.5, 1e-40], ctx)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_zero_lam_is_exactly_one(self, q):
+        ctx = QContext(q)
+        x = np.cos(np.linspace(0.0, math.pi, 21))
+        rows = qcore._h_products(x, qcore._h_factors([0.0, 0.4, 0.0], ctx))
+        assert (rows[0] == 1.0).all() and (rows[2] == 1.0).all() and (rows[1] != 1.0).all()
+        assert (qcore._h_products(x, qcore._h_factors([0.0], ctx)) == 1.0).all()
+
+    @pytest.mark.parametrize("q", QS)
+    def test_unit_row_zero_and_dtype(self, q):
+        # h(x; 1) has the exact factor 2 - 2x at k = 0; real q and lam give float64
+        ctx = QContext(q)
+        x = np.array([1.0, 0.5, -0.25, 1.0])
+        row = qcore._h_products(x, qcore._h_factors([1.0], ctx))[0]
+        assert row[0] == 0.0 and row[-1] == 0.0 and (row[1:-1] != 0.0).all()
+        real = complex(q).imag == 0.0
+        assert row.dtype == (np.float64 if real else np.complex128)
+        assert qcore._h_products(x, qcore._h_factors([0.3j], ctx)).dtype == np.complex128
+
+    @pytest.mark.parametrize("q", QS)
+    def test_matches_the_conjugate_rows(self, q):
+        # h(x; lam) = (lam e^{it};q)_oo (lam e^{-it};q)_oo at x = cos t
+        ctx = QContext(q)
+        rng = random.Random(8)
+        lams = [rand_complex(rng, 0.05, 0.9) for _ in range(3)] + [0.7, -0.45]
+        t = np.linspace(0.0, math.pi, 37)
+        got = qcore._h_products(np.cos(t), qcore._h_factors(lams, ctx))
+        e = np.exp(1j * t)
+        for row, lam in zip(got, lams):
+            want = qpoch_inf_many(lam * e, ctx)[0] * qpoch_inf_many(lam * np.conj(e), ctx)[0]
+            assert (np.abs(row - want) <= 1e-13 * np.abs(want)).all()
+
+
 class TestSnapOnTheGrid:
     """qpoch_inf_many zeroes an entry exactly where q_power_index(x, q, -cap, 0) places it."""
 

@@ -6,22 +6,23 @@ e.g.   python3 tools/profile_sweep.py --identity watson thm-e-integral --samples
 Runs the sweep once, serially (``--jobs 1`` is forced, so every call is
 counted here), and prints its wall time, the summed ``elapsed`` of its
 cells, ms per cell for each identity, and the time and calls of
-``qcore.qpoch_inf_many`` (split into the Askey-Wilson integrand's calls,
-whose input is 2-D: [unit rows] for the (e^{+-2it};q)_oo rows, computed
-on a miss of the ``integrals._unit_rows`` memo, and [lam rows] for the
-rest of each integrand call; [prefetch] for the one call per (id, q) run
-of cells that computes the closed forms' products ahead
-(``qcore._prefetched``); and [other] for all other calls, each with its
-summed factor count, which repeats exactly from run to run), the hits
-and misses of the prefetch memo (bases of ``qfrac(..., INF)`` read from
-it, and bases sent to the kernel),
-``qcore._near_pole`` (the near-pole test of every check) and
-``identities.sample``, then the stream layer: the
-calls, terms summed, terms computed and time of ``series._sum_stream``,
-split by caller into the reciprocity difference streams (called from
-``identities._diff_sum``) and plain series (every other caller).  Streams come in
-blocks of consecutive terms, so a sum that stops inside a block leaves
-terms computed but not summed; both counts repeat exactly from run to run.
+``qcore.qpoch_inf_many`` ([prefetch] for the one call per (id, q) run of
+cells that computes the closed forms' products ahead
+(``qcore._prefetched``), and [other] for all other calls) and of
+``qcore._h_products``, the Askey-Wilson integrand's h-functions ([unit
+rows] for the row h(cos 2t; 1), computed on a miss of the
+``integrals._unit_rows`` memo, and [lam rows] for the rest of each
+integrand call), each with its summed factor count (factors 1 - x q^k of
+(x;q)_oo, quadratic factors of h), which repeats exactly from run to run;
+the hits and misses of the prefetch memo (bases of ``qfrac(..., INF)``
+read from it, and bases sent to the kernel), ``qcore._near_pole`` (the
+near-pole test of every check) and ``identities.sample``, then the stream
+layer: the calls, terms summed, terms computed and time of
+``series._sum_stream``, split by caller into the reciprocity difference
+streams (called from ``identities._diff_sum``) and plain series (every
+other caller).  Streams come in blocks of consecutive terms, so a sum that
+stops inside a block leaves terms computed but not summed; both counts
+repeat exactly from run to run.
 A layer's time includes the layers it calls.
 """
 
@@ -39,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from qverify import cli, identities, qcore, series  # noqa: E402
 
 
-def instrument(fn, kind=lambda args: "", work=lambda result: 0, feed=None):
+def instrument(fn, kind=lambda args: "", work=lambda args, result: 0, feed=None):
     """Replace fn in every qverify module that binds it; returns {kind: [calls, s, work, fed]}.
 
     kind(args) runs first, in the wrapper called by fn's caller; feed(arg0,
@@ -58,7 +59,7 @@ def instrument(fn, kind=lambda args: "", work=lambda result: 0, feed=None):
         finally:
             entry[0] += 1
             entry[1] += time.perf_counter() - start
-            entry[2] += 0 if result is None else work(result)
+            entry[2] += 0 if result is None else work(args, result)
 
     for mod in list(sys.modules.values()):
         if mod.__name__.startswith("qverify") and getattr(mod, fn.__name__, None) is fn:
@@ -80,24 +81,32 @@ def counted(blocks, entry):
 
 
 def qpoch_kind(args):
-    """The prefetch call comes from qcore._prefetched; an integrand call has a
-    2-D input: one or two unit rows (one at real q), or four or more lam rows."""
-    xs = args[0]
-    if sys._getframe(2).f_code.co_name == "_prefetched":
-        return "prefetch"
-    if getattr(xs, "ndim", 0) != 2:
-        return "other"
-    return "unit rows" if len(xs) <= 2 else "lam rows"
+    """The prefetch call comes from qcore._prefetched, every other call is [other]."""
+    return "prefetch" if sys._getframe(2).f_code.co_name == "_prefetched" else "other"
+
+
+def h_kind(args):
+    """The row h(cos 2t; 1) comes from integrals._unit_rows, the lam rows from the integrand."""
+    return "unit rows" if sys._getframe(2).f_code.co_name == "_unit_rows" else "lam rows"
+
+
+def h_factors(args, result):
+    """The quadratic factors that one _h_products call multiplied: each lam's
+    count (``_h_factors``), once per entry of x; padding is not counted."""
+    x, (_, _, _, counts) = args
+    return int(counts.sum()) * x.size
 
 
 def main(argv) -> int:
     layers = {
         "qpoch_inf_many": instrument(qcore.qpoch_inf_many, qpoch_kind,
-                                     lambda result: int(result[2].sum())),
+                                     lambda args, result: int(result[2].sum())),
+        "_h_products": instrument(qcore._h_products, h_kind, h_factors),
         "_near_pole": instrument(qcore._near_pole),
         "sample": instrument(identities.sample),
     }
-    streams = instrument(series._sum_stream, stream_kind, lambda result: result.terms_used, counted)
+    streams = instrument(series._sum_stream, stream_kind, lambda args, result: result.terms_used,
+                         counted)
     qcore._prefetch_counts[:] = [0, 0]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
@@ -121,7 +130,7 @@ def main(argv) -> int:
         for kind in sorted(stats) or [""]:
             calls, secs, factors, _ = stats[kind]
             print(f"{name + (f' [{kind}]' if kind else ''):32s} {calls:8d} {secs:9.3f}"
-                  + (f" {factors:10d}" if name == "qpoch_inf_many" else ""))
+                  + (f" {factors:10d}" if name in ("qpoch_inf_many", "_h_products") else ""))
     print("prefetch memo: {} hits, {} misses".format(*qcore._prefetch_counts))
     print(f"{'stream':32s} {'calls':>8s} {'terms':>9s} {'computed':>9s} {'s':>9s}")
     for kind in ("series", "difference"):
