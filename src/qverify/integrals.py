@@ -7,16 +7,20 @@ The integrand family lives on [0, pi]:
 where h(x; lam) = (lam e^{it}, lam e^{-it}; q)_oo with x = cos t.  As a
 function of t this extends to an even, 2*pi-periodic analytic function,
 so the composite trapezoidal rule with panel doubling converges
-spectrally; nodes are reused across refinements, and a node value that
-is not finite stops it.  Each h is the product the paper writes,
-prod_k (1 - 2 lam q^k x + lam^2 q^{2k}), of as many factors as
-(lam;q)_oo takes (qcore._h_factors, _h_products): real at real q and real
-lam, complex otherwise, by the one formula.  The row h(cos 2t; 1) depends on
-q and the nodes alone, so it comes from a memo per q and node array
-(``_unit_rows``); the factor coefficients of the lam rows are computed once
-per integrand.  Closed-form right-hand sides for the q-beta
-integral and its multi-variable generalizations live here as well, and
-the residue sum that the stated multi-variable form misses.
+spectrally; it asks the integrand for the nodes t_j = j pi / n of each
+level n (``_nodes``), reuses them across refinements, and stops at a node
+value that is not finite.  Each h(cos t; lam) is a short head of the
+paper's quadratic factors, the leading k with |lam q^k| > _RHO (most lam
+have none), times the rest as a log series: log (w e^{it}, w e^{-it};q)_oo
+= -sum_n 2 w^n cos(nt) / (n (1 - q^n)) with w = lam q^K.  The series of
+every lam add into one cosine series per integrand, which one real FFT
+sums at every node of a level (``_cosine_sums``); one FFT serves every
+level up to _SHARED_PANELS panels.  Real at real q and real lam, complex
+otherwise, by the one formula.  The row h(cos 2t; 1) depends on q and the
+nodes alone, so it comes from a memo per q and node array
+(``_unit_rows``).  Closed-form right-hand sides for the q-beta integral
+and its multi-variable generalizations live here as well, and the residue
+sum that the stated multi-variable form misses.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .qcore import (
     _h_factors,
     _h_products,
     _one_minus,
+    _powers,
     ipow,
     qfrac,
 )
@@ -56,6 +61,11 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _FIRST_PANELS, _MAX_PANELS = 8, 2 ** 18  # the trapezoid's first and last levels
+
+# a factor of h(x; lam) with |lam q^k| above _RHO is a head factor, the rest of
+# h its log series, summed to a tail below _SERIES_TOL; one FFT serves every
+# trapezoid level up to _SHARED_PANELS panels
+_RHO, _SERIES_TOL, _SHARED_PANELS = 0.9, 1e-17, 64
 
 # {repr(q): {node array: the row h(cos 2t; 1)}}, kept by qcore._keep_recent,
 # for node arrays of at most _UNIT_ROW_NODES nodes (levels up to 8,192 panels)
@@ -103,6 +113,17 @@ class QuadratureResult:
             raise ValueError("abs_error_estimate must be >= 0")
 
 
+def _nodes(n: int, odd: bool = False) -> np.ndarray:
+    """The nodes t_j = j (pi / n) of the n-panel grid, t_n = pi: every j, or the
+    odd j alone (the nodes that level n adds to level n / 2); the bits of
+    np.linspace(0, pi, n + 1)."""
+    if odd:
+        return np.arange(1, n, 2) * (math.pi / n)
+    thetas = np.arange(n + 1) * (math.pi / n)
+    thetas[-1] = math.pi
+    return thetas
+
+
 def _unit_rows(thetas: np.ndarray, ctx: QContext) -> np.ndarray:
     """h(cos 2t; 1) = (e^{2it}, e^{-2it};q)_oo at the nodes, read-only.
 
@@ -112,51 +133,148 @@ def _unit_rows(thetas: np.ndarray, ctx: QContext) -> np.ndarray:
     (``_keep_recent``); at real q it is one float64 row.  Deeper levels, met
     only by quadratures that refine past 8,192 panels, are not kept.  Each
     value depends on its node alone, so a warm read is the cold value bit
-    for bit, and the factor k = 0, 2 - 2 cos 2t, is an exact 0 at t = 0, pi.
+    for bit.  The factors are (1 - q^k)^2 + 4 q^k sin^2 t, with sin taken at
+    min(t, pi - t): the factor k = 0, 4 sin^2 t, is an exact 0 at t = 0, pi.
     """
     memo = _keep_recent(_UNIT_ROWS, ctx.q, _UNIT_ROWS.get(repr(ctx.q), {}))
     nodes = (thetas.shape, thetas.tobytes())
     row = memo.get(nodes)
     if row is None:
-        row = _h_products(np.cos(2.0 * thetas), _h_factors([1.0], ctx))[0]
+        sines = np.sin(np.minimum(thetas, math.pi - thetas))
+        row = _h_products(sines * sines, _h_factors([1.0], ctx))[0]
         row.flags.writeable = False
         if thetas.size <= _UNIT_ROW_NODES:
             memo[nodes] = row
     return row
 
 
-def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):
-    """Vectorized integrand over theta arrays; returns (f, n_factors).
+def _head_split(lam: np.ndarray, ctx: QContext):
+    """Each lam's head count K, the number of leading k with |lam q^k| > _RHO,
+    and w = lam q^K, from qcore's q^k table; K = 0 and w = lam for |lam| <= _RHO."""
+    aq, mods = abs(ctx.q), np.abs(lam)
+    top = float(mods.max(initial=0.0))
+    if top <= _RHO:
+        return np.zeros(lam.size, int), lam
+    width = 1 if aq == 0.0 else math.ceil(math.log(_RHO / top) / math.log(aq)) + 2
+    table = _powers(ctx.q, width)
+    counts = (np.multiply.outer(mods, np.abs(table)) > _RHO).argmin(axis=1)
+    return counts, lam * table[counts]
 
-    f multiplies the row h(cos 2t; 1) (from the ``_unit_rows`` memo) by the
-    rows h(cos t; u_i), then divides by the rows h(cos t; lam) of the
-    denominator parameters; the coefficients of every lam row come from one
-    ``_h_factors`` call per integrand.  n_factors counts the (x;q)_oo
-    products involved, two per h-function, which scales the product error
-    floor of each node value.
+
+def _log_coefficients(w: np.ndarray, signs: np.ndarray, ctx: QContext) -> np.ndarray:
+    """c_0 .. c_N with sum_n c_n cos(nt) = sum over w of sign * log(w e^{it}, w e^{-it};q)_oo.
+
+    Each log is -sum_{n>=1} 2 w^n cos(nt) / (n (1 - q^n)) (Gasper and Rahman,
+    ch. 1), so c_0 = 0 and c_n = -2 (sum of sign * w^n) / (n (1 - q^n)).  N is
+    the least with r^N <= _SERIES_TOL (1 - r)(1 - |q|) / 2, r = max |w| < 1, so
+    each row's tail 2 r^{N+1} / ((N+1)(1 - r)(1 - |q|)) stays below
+    _SERIES_TOL.  1 - q^n is (1 - q)(1 + q + ... + q^{n-1}), which holds no
+    cancellation at q near 1.  Real when q and every w are real.
     """
-    lams = spec.u + (spec.a, spec.b, spec.c, spec.d) + spec.v
-    factors, split = _h_factors(lams, ctx), len(spec.u)
+    q, r = ctx.q, float(np.abs(w).max(initial=0.0))
+    if r == 0.0:
+        return np.zeros(1)
+    n_max = max(1, math.ceil(math.log(_SERIES_TOL * (1.0 - r) * (1.0 - abs(q)) / 2.0) / math.log(r)))
+    table = _powers(q, n_max)[:n_max]
+    if q.imag == 0.0 and not w.imag.any():
+        q, w, table = q.real, w.real, table.real
+    powers = np.empty((n_max, w.size), w.dtype)  # w^n by doubling: log2(n) products each
+    powers[0], k = w, 1
+    while k < n_max:
+        m = min(k, n_max - k)
+        np.multiply(powers[:m], powers[k - 1], out=powers[k:k + m])
+        k += m
+    sums = powers @ signs
+    coeffs = np.zeros(n_max + 1, sums.dtype)
+    coeffs[1:] = -2.0 * sums / (np.arange(1, n_max + 1) * ((1.0 - q) * np.cumsum(table)))
+    return coeffs
 
-    def f(thetas: np.ndarray) -> np.ndarray:
-        rows = _h_products(np.cos(thetas), factors)
-        # row by row: a one-column reduce would multiply a lone node differently
-        num = functools.reduce(np.multiply, rows[:split], _unit_rows(thetas, ctx))
-        den = functools.reduce(np.multiply, rows[split:])
-        # a zero numerator (the unit row at t = 0, pi) is a zero node, even where den
-        # underflows; a node that is not finite is named by _finite_nodes, not numpy
-        den[num == 0] = 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return num / den
 
-    return f, 2 * (1 + len(lams))
+def _cosine_sums(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """sum_m c_m cos(m j pi / n) at every node j = 0 .. n of the n-panel grid.
+
+    cos(m j pi / n) has period 2n in m, so c folded modulo 2n gives the sums
+    as the real part of one real FFT of length 2n (two for complex c).
+    numpy.fft is imported here, at first use: plans that run no quadrature
+    never load it.
+    """
+    from numpy import fft
+
+    size = 2 * n
+    folded = np.zeros(-(-coeffs.size // size) * size, coeffs.dtype)
+    folded[:coeffs.size] = coeffs
+    folded = folded.reshape(-1, size).sum(axis=0)
+    if folded.dtype.kind == "c":
+        return fft.rfft(folded.real).real + 1j * fft.rfft(folded.imag).real
+    return fft.rfft(folded).real
 
 
-def _finite_nodes(f, thetas: np.ndarray) -> np.ndarray:
-    """f(thetas); NoConvergence naming the first node whose value is not finite."""
-    vals = f(thetas)
+def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):
+    """The integrand on the trapezoid's grids; returns (f, n_factors).
+
+    f(n, odd) gives the node values at the nodes ``_nodes(n, odd)`` of the
+    n-panel grid.  Each h(cos t; lam) splits into a head, its K leading
+    factors with |lam q^k| > _RHO (most lam have none), and the log series of
+    the rest, (w e^{it}, w e^{-it};q)_oo with w = lam q^K.  The series of
+    every lam add into one cosine series, numerators less denominators,
+    built once per integrand (``_log_coefficients``; lam = 0 adds nothing);
+    one FFT on the grid of _SHARED_PANELS panels serves every level up to
+    it, and each finer level takes one FFT of its own (``_cosine_sums``).  A
+    node value is the row h(cos 2t; 1) (from the ``_unit_rows`` memo) times
+    the numerator heads, over the denominator heads, times exp of the
+    series; the heads are one ``_h_products`` call, in the cancellation-free
+    form.  A zero numerator (the unit row at t = 0, pi) is an exact 0 node;
+    a node that is not finite is named by ``_finite_nodes``, not numpy.
+    n_factors counts the (x;q)_oo products involved, two per h-function,
+    which scales the product error floor of each node value.
+    """
+    lams = np.array(spec.u + (spec.a, spec.b, spec.c, spec.d) + spec.v)
+    signs = np.where(np.arange(lams.size) < len(spec.u), 1.0, -1.0)
+    live = lams != 0.0
+    counts, w = _head_split(lams[live], ctx)
+    coeffs = _log_coefficients(w, signs[live], ctx)
+    headed = counts > 0
+    heads = _h_factors(lams[live][headed], ctx, counts[headed]) if headed.any() else None
+    head_num = signs[live][headed] > 0.0
+    shared = []  # the series on the grid of _SHARED_PANELS panels, once computed
+
+    def series(n: int, odd: bool) -> np.ndarray:
+        if _SHARED_PANELS % n:
+            sums = _cosine_sums(coeffs, n)
+        else:
+            if not shared:
+                shared.append(_cosine_sums(coeffs, _SHARED_PANELS))
+            sums = shared[0][::_SHARED_PANELS // n]
+        return sums[1::2] if odd else sums
+
+    def f(n: int, odd: bool = False) -> np.ndarray:
+        thetas = _nodes(n, odd)
+        num, den = _unit_rows(thetas, ctx), 1.0
+        if heads is not None:
+            halves = np.sin(0.5 * thetas)
+            rows = _h_products(halves * halves, heads)
+            num = functools.reduce(np.multiply, rows[head_num], num)
+            den = functools.reduce(np.multiply, rows[~head_num], den)
+        sums = series(n, odd)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rest = num / den
+            value = rest * np.exp(sums)
+            # exp of the series may overflow alone: there, fold the rest into the exponent
+            if not np.isfinite(value).all():
+                over = ~np.isfinite(value) & (rest != 0.0)
+                r = rest[over]
+                value[over] = r / np.abs(r) * np.exp(sums[over] + np.log(np.abs(r)))
+        value[num == 0] = 0.0
+        return value
+
+    return f, 2 * (1 + lams.size)
+
+
+def _finite_nodes(f, n: int, odd: bool = False) -> np.ndarray:
+    """f(n, odd); NoConvergence naming the first node whose value is not finite."""
+    vals = f(n, odd)
     if not (finite := np.isfinite(vals)).all():
-        theta = float(thetas[finite.argmin()])
+        theta = float(_nodes(n, odd)[finite.argmin()])
         raise NoConvergence(f"integrand is not finite at theta = {theta!r}")
     return vals
 
@@ -164,21 +282,23 @@ def _finite_nodes(f, thetas: np.ndarray) -> np.ndarray:
 def _trapezoid_doubling(f, ctx: QContext, n_factors: int):
     """Composite trapezoid on [0, pi] with panel doubling and node reuse.
 
-    Stops when successive refinements agree within
-    max(1e-12 * scale, 10 * product error floor); returns
-    (complex value, |last delta|, panels, deltas) with the refinement
-    history exposed for spectral-behaviour checks.  A node value that is
-    not finite raises NoConvergence at once: no refinement can settle then.
+    f(n, odd) gives the values at the nodes ``_nodes(n, odd)``: every node
+    of the first level, then the odd nodes that each doubling adds.  Stops
+    when successive refinements agree within max(1e-12 * scale, 10 *
+    product error floor); returns (complex value, |last delta|, panels,
+    deltas) with the refinement history exposed for spectral-behaviour
+    checks.  A node value that is not finite raises NoConvergence at once:
+    no refinement can settle then.  Only the levels the refinement reaches
+    are asked for, so a node of a deeper level is never tested.
     """
     n = _FIRST_PANELS
     h = math.pi / n
-    vals = _finite_nodes(f, np.linspace(0.0, math.pi, n + 1))
+    vals = _finite_nodes(f, n)
     total = h * (0.5 * vals[0] + vals[1:-1].sum() + 0.5 * vals[-1])
     deltas = []
     floor_rel = 10.0 * n_factors * PRODUCT_TOL
     while n < _MAX_PANELS:
-        mid = np.linspace(0.0, math.pi, 2 * n + 1)[1::2]
-        total_new = 0.5 * total + 0.5 * h * _finite_nodes(f, mid).sum()
+        total_new = 0.5 * total + 0.5 * h * _finite_nodes(f, 2 * n, odd=True).sum()
         h *= 0.5
         n *= 2
         delta = abs(total_new - total)
@@ -194,7 +314,8 @@ def integrate_aw(spec: AWIntegrandSpec, ctx: QContext) -> QuadratureResult:
     """The Askey-Wilson-type integral over [0, pi] by spectral trapezoid.
 
     The value is complex: exactly real at real q and real parameters (every
-    node value is then a real product), and genuinely complex at complex q.
+    node value is then real: real heads, unit row and cosine series), and
+    genuinely complex at complex q.
     """
     f, n_factors = _aw_integrand(spec, ctx)
     total, delta, n, _ = _trapezoid_doubling(f, ctx, n_factors)

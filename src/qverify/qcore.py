@@ -379,15 +379,18 @@ def qpoch_inf_many(xs, ctx: QContext):
     both with a zero bound.
 
     Every count comes first, then each block of entries (``_BLOCK`` entries
-    x factors, so memory stays bounded) multiplies: the block is one
-    (factor, entry) array whose factors past their entry's K are exactly 1,
-    and one multiply.reduce down the factor axis gives all its products,
-    vectorised across entries with numpy's array complex multiply (FMA where
-    the machine has it) in the order k = 0 .. K.  Multiplying by 1 is exact,
-    and a one-entry block gets a twin column (a one-column reduce multiplies
-    differently), so each entry's value and count depend on its base alone,
-    not on the call or the block.  CapExceeded names the first base that
-    needs more than MAX_PRODUCT_FACTORS factors, else the first whose
+    x factors, so memory stays bounded) multiplies; a call of several blocks
+    cuts them from its entries sorted by factor count, so a block pads few
+    entries to its largest count, and puts the values back in call order.
+    The block is one (factor, entry) array whose factors past their entry's
+    K are exactly 1, and one multiply.reduce down the factor axis gives all
+    its products, vectorised across entries with numpy's array complex
+    multiply (FMA where the machine has it) in the order k = 0 .. K.
+    Multiplying by 1 is exact, and a one-entry block gets a twin column (a
+    one-column reduce multiplies differently), so each entry's value and
+    count depend on its base alone, not on the call, its order or the
+    block.  CapExceeded names the first base that needs more than
+    MAX_PRODUCT_FACTORS factors, else the first (in call order) whose
     product overflows.
     """
     x = np.asarray(xs, dtype=complex)
@@ -416,6 +419,10 @@ def qpoch_inf_many(xs, ctx: QContext):
     width = table.size - 1
     vals, bound = np.empty(x.size, complex), np.empty(x.size)
     step = max(2, _BLOCK // width)
+    order = None
+    if x.size > step:  # several blocks: cut them from the entries sorted by factor count
+        order = np.argsort(count, kind="stable")
+        x, ax, count = x[order], ax[order], count[order]
     for r in range(0, x.size, step):
         xr, ar, nr = x[r:r + step], ax[r:r + step], count[r:r + step]
         lo, rows = int(np.minimum.reduce(nr)), int(np.maximum.reduce(nr))
@@ -429,6 +436,9 @@ def qpoch_inf_many(xs, ctx: QContext):
         v = vals[r:r + step] = np.multiply.reduce(f, axis=0)[:x.size - r]
         h = ar * mod[count[r:r + step]]
         bound[r:r + step] = np.abs(v) * np.expm1(h / (1.0 - aq) / np.maximum(1.0 - h, 0.5))
+    if order is not None:  # back to call order
+        back = np.argsort(order)
+        x, vals, bound, count = x[back], vals[back], bound[back], count[back]
     if not (finite := np.isfinite(vals)).all():
         raise CapExceeded(f"base {complex(x[finite.argmin()])!r}: (x;q)_oo is not finite")
     if live is None:
@@ -437,62 +447,69 @@ def qpoch_inf_many(xs, ctx: QContext):
     return value.reshape(shape), err.reshape(shape), used.reshape(shape)
 
 
-def _h_factors(lams, ctx: QContext):
+def _h_factors(lams, ctx: QContext, counts=None):
     """The coefficients of h(x; lam) = (lam e^{it}, lam e^{-it};q)_oo
-    = prod_k (1 - 2 lam q^k x + lam^2 q^{2k}), x = cos t, for each lam,
-    laid out for the blocks of ``_h_products``.
+    = prod_k ((1 - w_k)^2 + 4 w_k sin^2(t/2)), w_k = lam q^k, x = cos t, for
+    each lam, laid out for the blocks of ``_h_products``.
 
-    Returns (two_w, one_plus_w2, step, counts).  two_w and one_plus_w2 hold
-    2 w_k and 1 + w_k^2, w_k = lam q^k, one row per k and, per lam, ``step``
-    equal columns, one for each entry of a block: (k, lam x entry) arrays of
-    at most ``_BLOCK`` cells.  counts holds each lam's factor count, that of
-    (lam;q)_oo by ``_factor_counts`` (0 for lam = 0), so h multiplies as
-    many factors as (lam;q)_oo would; past it the rows hold 0 and 1, factors
-    of exactly 1.  Real when q and every lam are real, else complex; the
-    coefficients do not depend on x, so one call serves every node of an
-    integrand.  CapExceeded names the first lam past the cap.
+    Returns (four_w, one_minus_w_sq, step, counts).  four_w and one_minus_w_sq
+    hold 4 w_k and (1 - w_k)^2, one row per k and, per lam, ``step`` equal
+    columns, one for each entry of a block: (k, lam x entry) arrays of at
+    most ``_BLOCK`` cells.  counts holds each lam's factor count: by default
+    that of (lam;q)_oo by ``_factor_counts`` (0 for lam = 0), so h multiplies
+    as many factors as (lam;q)_oo would; a caller may give its own, such as
+    the leading factors of each lam alone.  Past its count a lam's rows hold
+    0 and 1, factors of exactly 1.  Real when q and every lam are real, else
+    complex; the coefficients do not depend on t, so one call serves every
+    node of an integrand.  CapExceeded names the first lam past the cap.
     """
     lam = np.asarray(lams, dtype=complex)
-    live = np.flatnonzero(lam)
-    table, _, live_counts = _factor_counts(np.abs(lam[live]), ctx.q, lam[live], "h(x; lam)", "lam")
-    counts = np.zeros(lam.size, int)
-    counts[live] = live_counts
+    if counts is None:
+        live = np.flatnonzero(lam)
+        live_counts = _factor_counts(np.abs(lam[live]), ctx.q, lam[live], "h(x; lam)", "lam")[2]
+        counts = np.zeros(lam.size, int)
+        counts[live] = live_counts
     width = int(counts.max(initial=0))
-    w = table[:width, None] * lam
+    w = _powers(ctx.q, width)[:width, None] * lam
     if ctx.q.imag == 0.0 and not lam.imag.any():
         w = w.real
     w[np.arange(width)[:, None] >= counts] = 0.0
     step = max(2, _BLOCK // max(1, width * lam.size))
-    return np.repeat(2.0 * w, step, axis=1), np.repeat(1.0 + w * w, step, axis=1), step, counts
+    one_minus_w = 1.0 - w
+    return (np.repeat(4.0 * w, step, axis=1), np.repeat(one_minus_w * one_minus_w, step, axis=1),
+            step, counts)
 
 
 # a product that overflows is left to the caller's own isfinite test
 @np.errstate(over="ignore", invalid="ignore")
-def _h_products(x, factors):
+def _h_products(s, factors):
     """h(x; lam) for each lam of ``_h_factors`` and each entry of the real 1-D
-    array x: an array (lams, x.size) of the factors' dtype.
+    array s = sin^2(t/2), x = cos t = 1 - 2 s: an array (lams, s.size) of the
+    factors' dtype.
 
     Each block of ``step`` entries is one (k, lam x entry) array of factors
-    1 + w_k^2 - 2 w_k x, and one multiply.reduce down the k axis gives all
-    its products in the order k = 0 .. K, vectorised across lam and entry.
-    A lam's factors past its count are exactly 1, and a one-entry block gets
-    a twin, as in ``qpoch_inf_many``, so each value depends on x and lam
-    alone.  At x = 1 and lam = 1 the factor k = 0 is 2 - 2 = 0 exactly.
+    (1 - w_k)^2 + 4 w_k s, which holds no cancellation where 1 - 2 w_k x +
+    w_k^2 would (w_k near 1, t near 0), and one multiply.reduce down the k
+    axis gives all its products in the order k = 0 .. K, vectorised across
+    lam and entry.  A lam's factors past its count are exactly 1, and a
+    one-entry block gets a twin, as in ``qpoch_inf_many``, so each value
+    depends on s and lam alone.  At s = 0 and lam = 1 the factor k = 0 is
+    0 + 4 * 0 = 0 exactly.
     """
-    two_w, one_plus_w2, step, counts = factors
-    width, n_lam = two_w.shape[0], counts.size
-    out = np.empty((n_lam, x.size), two_w.dtype)
-    for r in range(0, x.size, step):
-        xr = x[r:r + step]
-        if xr.size == 1:  # a one-column reduce multiplies differently: give it a twin
-            xr = np.repeat(xr, 2)
-        a, b = two_w, one_plus_w2
-        if xr.size < step:  # the last block: its entries' columns of each lam
-            a, b = (c.reshape(width, n_lam, step)[:, :, :xr.size].reshape(width, n_lam * xr.size)
+    four_w, one_minus_w_sq, step, counts = factors
+    width, n_lam = four_w.shape[0], counts.size
+    out = np.empty((n_lam, s.size), four_w.dtype)
+    for r in range(0, s.size, step):
+        sr = s[r:r + step]
+        if sr.size == 1:  # a one-column reduce multiplies differently: give it a twin
+            sr = np.repeat(sr, 2)
+        a, b = four_w, one_minus_w_sq
+        if sr.size < step:  # the last block: its entries' columns of each lam
+            a, b = (c.reshape(width, n_lam, step)[:, :, :sr.size].reshape(width, n_lam * sr.size)
                     for c in (a, b))
-        f = a * np.tile(xr, n_lam)
-        np.subtract(b, f, out=f)
-        out[:, r:r + step] = np.multiply.reduce(f, axis=0).reshape(n_lam, xr.size)[:, :x.size - r]
+        f = a * np.tile(sr, n_lam)
+        np.add(b, f, out=f)
+        out[:, r:r + step] = np.multiply.reduce(f, axis=0).reshape(n_lam, sr.size)[:, :s.size - r]
     return out
 
 

@@ -1,6 +1,7 @@
 """Exit-code contract and report determinism for the qverify CLI."""
 
 import json
+import sys
 
 import pytest
 
@@ -310,10 +311,10 @@ class TestRunSweep:
         monkeypatch.setattr(integrals, "_UNIT_ROWS", {})
         computed = []
 
-        def counted(x, factors):
-            if factors[3].size == 1:  # the unit row; an integrand has 4 lam rows or more
-                computed.append((factors[0].tobytes(), x.shape))  # the q^k coefficients name q
-            return qcore._h_products(x, factors)
+        def counted(s, factors):
+            if sys._getframe(1).f_code.co_name == "_unit_rows":
+                computed.append((factors[0].tobytes(), s.shape))  # the q^k coefficients name q
+            return qcore._h_products(s, factors)
 
         monkeypatch.setattr(integrals, "_h_products", counted)
         config = cli.SweepConfig(identities=("thm-e-integral",), samples=3, seed=5, q_values=qs)

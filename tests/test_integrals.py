@@ -5,8 +5,10 @@ import itertools
 import math
 import random
 import re
+import sys
 import warnings
 
+import aw_reference
 import numpy as np
 import pytest
 from blockstream import blocks
@@ -18,6 +20,7 @@ from qverify.series import _sum_stream
 from qverify.integrals import (
     AWIntegrandSpec,
     _aw_integrand,
+    _nodes,
     _trapezoid_doubling,
     aw_closed_form,
     aw_residue_correction,
@@ -55,6 +58,15 @@ def h_product(x: float, lam: complex, ctx: QContext) -> complex:
     raise CapExceeded("h-function product did not converge within the factor cap")
 
 
+def on_grid(g):
+    """The integrand f(n, odd) of the trapezoid for a function g of node arrays."""
+    return lambda n, odd=False: g(_nodes(n, odd))
+
+
+# the levels of a quadrature to 128 panels: every node of the first, the odd nodes of the rest
+LEVELS = [(8, False), (16, True), (32, True), (64, True), (128, True)]
+
+
 def h_integrand(spec: AWIntegrandSpec, theta: float, ctx: QContext) -> complex:
     """h(cos 2t; 1) / h(cos t; a, b, c, d) * prod_i h(cos t; u_i) / h(cos t; v_i) by h_product."""
     x = math.cos(theta)
@@ -67,16 +79,20 @@ def h_integrand(spec: AWIntegrandSpec, theta: float, ctx: QContext) -> complex:
 
 
 class TestHFunction:
-    """The integrand's node values against h-products written out in h_product."""
+    """The integrand's node values against h-products written out in h_product,
+    or against the 40-digit reference (tests/aw_reference.py)."""
 
     def test_zero_parameter(self):
-        # h(x; 0) = 1 exactly: a zero (u, v) pair leaves every node value as it is
-        thetas = np.linspace(0.1, 3.0, 7)
-        got = _aw_integrand(AWIntegrandSpec(0.3, 0.0, 0.2, 0.0, (0.0,), (0.0,)), CTX)[0](thetas)
+        # h(x; 0) = 1 exactly: a zero (u, v) pair leaves every node value as it is, bit for bit
         plain = AWIntegrandSpec(0.3, 0.0, 0.2, 0.0)
-        assert np.array_equal(got, _aw_integrand(plain, CTX)[0](thetas))
-        for theta, v in zip(thetas, got):
-            assert abs(v - h_integrand(plain, theta, CTX)) < 1e-12 * max(1.0, abs(v))
+        for ctx in (CTX, QContext(0.5 + 0.3j)):
+            got = _aw_integrand(AWIntegrandSpec(0.3, 0.0, 0.2, 0.0, (0.0,), (0.0,)), ctx)[0]
+            want = _aw_integrand(plain, ctx)[0]
+            for n, odd in LEVELS:
+                values = got(n, odd)
+                assert values.tobytes() == want(n, odd).tobytes()
+                for theta, v in zip(_nodes(n, odd), values):
+                    assert abs(v - h_integrand(plain, theta, ctx)) < 1e-12 * max(1.0, abs(v))
 
     def test_endpoint_collapses_to_square(self):
         # at x = 1, h(x; lam) = (lam;q)_oo^2; h(cos 2t; 1) vanishes at both endpoints
@@ -84,11 +100,11 @@ class TestHFunction:
         want = qpoch_inf(lam, CTX).value ** 2
         assert abs(h_product(1.0, lam, CTX) - want) < 1e-14
         f = _aw_integrand(AWIntegrandSpec(lam, 0.2, -0.3, 0.1, (0.5,), (lam,)), CTX)[0]
-        assert np.array_equal(f(np.array([0.0, math.pi])), np.zeros(2))
+        assert np.array_equal(f(8)[[0, -1]], np.zeros(2))
 
     def test_dual_path_agreement(self):
-        # a real spec at real q takes the one-row-per-conjugate-pair branch,
-        # a complex one computes every row
+        # real and complex specs, at real and complex q, on every node of the
+        # grid of 64 panels
         rng = random.Random(17)
 
         def lam(real):
@@ -101,8 +117,7 @@ class TestHFunction:
             for real in (True, False):
                 a, b, c, d, u, v = (lam(real) for _ in range(6))
                 spec = AWIntegrandSpec(a, b, c, d, (u,), (v,))
-                thetas = np.array([rng.uniform(0.0, math.pi) for _ in range(34)])
-                for theta, v1 in zip(thetas, _aw_integrand(spec, ctx)[0](thetas)):
+                for theta, v1 in zip(_nodes(64), _aw_integrand(spec, ctx)[0](64)):
                     v2 = h_integrand(spec, theta, ctx)
                     assert abs(v1 - v2) < 1e-12 * max(1.0, abs(v1))
 
@@ -110,18 +125,42 @@ class TestHFunction:
         # each (u, v) pair multiplies the node values by h(x; u) / h(x; v)
         one = AWIntegrandSpec(0.3, -0.45, 0.6, 0.2, (0.7,), (0.15,))
         two = AWIntegrandSpec(0.3, -0.45, 0.6, 0.2, (0.7, -0.5 + 0.2j), (0.15, 0.55))
-        thetas = np.linspace(0.1, 3.0, 7)
-        got, base = _aw_integrand(two, CTX)[0](thetas), _aw_integrand(one, CTX)[0](thetas)
+        thetas = _nodes(8)[1:-1]
+        got, base = _aw_integrand(two, CTX)[0](8)[1:-1], _aw_integrand(one, CTX)[0](8)[1:-1]
         for theta, g, b in zip(thetas, got, base):
             x = math.cos(theta)
             want = b * h_product(x, -0.5 + 0.2j, CTX) / h_product(x, 0.55, CTX)
             assert abs(g - want) < 1e-14 * abs(want)
 
+    @pytest.mark.parametrize("q", [0.99, 0.95 + 0.2j])
+    def test_near_one(self, q):
+        # |q| near 1, a head for |a| = 0.995 and for the numerator |u| >= 1: the
+        # first two levels against the 40-digit reference.  At q = 0.99 the unit
+        # row's product of about 3,600 factors is itself ~1e-13 off
+        ctx = QContext(q)
+        spec = AWIntegrandSpec(0.995, -0.45, 0.6 + 0.1j, 0.2, (1.3,), (0.55,))
+        f = _aw_integrand(spec, ctx)[0]
+        for n, odd in LEVELS[:2]:
+            got, want = f(n, odd), aw_reference.integrand(spec, q, _nodes(n, odd))
+            assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
+
+    def test_cancellation_free_factors(self):
+        # |a| = 0.999: next to t = 0 the head factor (1 - a)^2 + 4 a sin^2(t/2) is
+        # 1e-6 + 1.5e-7, which 1 - 2 a cos t + a^2 would give to about 1e-10
+        ctx = QContext(0.5)
+        spec = AWIntegrandSpec(0.999, 0.3, -0.2, 0.1)
+        got = _aw_integrand(spec, ctx)[0](8192, odd=True)[0]
+        want = aw_reference.integrand(spec, 0.5, [math.pi / 8192])[0]
+        assert abs(got - want) <= 1e-13 * abs(want)
+        value = integrate_aw(spec, ctx).value
+        closed = aw_closed_form(0.999, 0.3, -0.2, 0.1, ctx)
+        assert abs(value - closed) <= 5e-15 * abs(closed)
+
 
 class TestQuadrature:
     def test_constant_integrand_gives_pi(self):
         value, delta, n, _ = _trapezoid_doubling(
-            lambda t: np.ones_like(t, dtype=complex), CTX, n_factors=1
+            on_grid(lambda t: np.ones_like(t, dtype=complex)), CTX, n_factors=1
         )
         assert abs(value - math.pi) < 1e-12
 
@@ -136,22 +175,47 @@ class TestQuadrature:
             return np.where(t == bad, np.nan, np.abs(t - 1.0)).astype(complex)
 
         with pytest.raises(NoConvergence, match=re.escape(f"not finite at theta = {float(bad)!r}")):
-            _trapezoid_doubling(f, CTX, n_factors=1)
+            _trapezoid_doubling(on_grid(f), CTX, n_factors=1)
         assert calls == [9, 8, 16, 32]
 
+    def test_nan_past_the_stopping_level_does_not_raise(self, monkeypatch):
+        # the transform of 64 panels serves the levels of 8 to 64 panels: a NaN at
+        # a node that only the level of 64 panels adds is never met by a
+        # quadrature that stops at 32, and names its node in one that goes on
+        spec, ctx = AWIntegrandSpec(0.1, -0.2, 0.15, 0.05), QContext(0.3)
+        clean = integrate_aw(spec, ctx)
+        deep = AWIntegrandSpec(0.3, -0.45, 0.6, 0.2, (0.7,), (0.15,))
+        assert clean.panels_used <= 32 < integrate_aw(deep, ctx).panels_used
+        transform = integrals._cosine_sums
+
+        def planted(coeffs, n):
+            sums = transform(coeffs, n)
+            if n == 64:
+                sums[1] = math.nan
+            return sums
+
+        monkeypatch.setattr(integrals, "_cosine_sums", planted)
+        assert integrate_aw(spec, ctx) == clean
+        with pytest.raises(NoConvergence, match=re.escape(f"not finite at theta = {math.pi / 64!r}")):
+            integrate_aw(deep, ctx)
+
     def test_zero_numerator_node_is_zero(self):
-        # at q = 0.99, a = 0.995, d = q/a the denominator of the node t = 0
-        # underflows while its unit rows make the numerator an exact 0: the node
-        # is 0 (not 0/0), and the first node that is not finite is t = pi/8,
-        # where the denominator underflows under a nonzero numerator
+        # at q = 0.99, a = 0.995, d = q/a the denominator of the node t = 0 is
+        # about 1e-300 of the rest while its unit rows make the numerator an
+        # exact 0: the node is 0 (not 0/0), with no numpy warning.  The nodes
+        # next to it are finite, as the reference has them: 1.3e264 at t = pi/8,
+        # and 9.4e291 at t = pi/16, where exp of the log series alone
+        # overflows.  The quadrature settles, every node finite
         ctx = QContext(0.99)
         spec = AWIntegrandSpec(0.995, 0.9, 0.5, 0.99 / 0.995, (0.495,), (0.5,))
         f = _aw_integrand(spec, ctx)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert f(np.array([0.0]))[0] == 0.0
-            with pytest.raises(NoConvergence, match=re.escape(f"not finite at theta = {math.pi / 8!r}")):
-                integrate_aw(spec, ctx)
+            assert f(8)[0] == 0.0
+            got = np.array([f(8)[1], f(16, odd=True)[0]])
+            want = aw_reference.integrand(spec, 0.99, [math.pi / 8, math.pi / 16])
+            assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all() and want[1].real > 1e291
+            assert math.isfinite(integrate_aw(spec, ctx).value.real)
 
     def test_all_zero_parameters(self):
         # integral of h(cos 2t; 1) alone = 2 pi / (q;q)_inf
@@ -191,7 +255,7 @@ class TestQuadrature:
 
 def full_rows_integrand(spec, ctx):
     """The integrand from both conjugate rows (lam e^{+-it};q)_oo of every h, by
-    qcore.qpoch_inf_many: the oracle of _aw_integrand's h-products."""
+    qcore.qpoch_inf_many: a double-precision oracle for many nodes at once."""
     lams_num, lams_den = spec.u, (spec.a, spec.b, spec.c, spec.d) + spec.v
 
     def f(thetas):
@@ -204,15 +268,11 @@ def full_rows_integrand(spec, ctx):
     return f
 
 
-def quadrature_nodes():
-    """The node arrays of the trapezoid's first three levels."""
-    return [np.linspace(0.0, math.pi, 9)] + [np.linspace(0.0, math.pi, 2 * n + 1)[1::2] for n in (8, 16)]
-
-
 class TestConjugateRows:
-    """The integrand, one product of quadratic factors per h-function, agrees
-    with full_rows_integrand, which computes both conjugate rows of every h,
-    to 1e-13 relative at every node (both are exact zeros at t = 0, pi)."""
+    """The integrand, a head of quadratic factors and a log series per
+    h-function, agrees with the 40-digit reference, which computes both
+    conjugate rows of every h, to 1e-13 relative at every node of the first
+    three levels (both are exact zeros at t = 0, pi)."""
 
     SPECS = [
         (0.3, -0.45, 0.6, 0.2, (), ()),
@@ -223,11 +283,11 @@ class TestConjugateRows:
 
     @staticmethod
     def assert_nodes_close(spec, ctx):
-        """The node values of the first three levels, each checked against the oracle."""
-        got, want = _aw_integrand(spec, ctx)[0], full_rows_integrand(spec, ctx)
+        """The node values of the first three levels, each checked against the reference."""
+        got = _aw_integrand(spec, ctx)[0]
         values = []
-        for thetas in quadrature_nodes():
-            g, w = got(thetas), want(thetas)
+        for n, odd in LEVELS[:3]:
+            g, w = got(n, odd), aw_reference.integrand(spec, ctx.q, _nodes(n, odd))
             assert (np.abs(g - w) <= 1e-13 * np.abs(w)).all()
             values.append(g)
         return values
@@ -242,6 +302,16 @@ class TestConjugateRows:
     def test_one_complex_parameter(self, q, a, b, c, d, u, v):
         self.assert_nodes_close(AWIntegrandSpec(a, b + 0.2j, c, d, u, v), QContext(q))
 
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("a,b,c,d,u,v", [
+        (0.3, -0.45, 0.6, 0.2, (1.3,), (0.15,)),  # a numerator |u| >= 1
+        (0.995, -0.45, 0.6, 0.2, (0.7,), (0.15,)),  # |a| = 0.995
+        (0.3, -0.95 + 0.2j, 0.6, 0.2, (-1.1j,), (0.15,)),  # complex heads
+    ])
+    def test_heads(self, q, a, b, c, d, u, v):
+        # parameters whose leading factors |lam q^k| > 0.9 are heads
+        self.assert_nodes_close(AWIntegrandSpec(a, b, c, d, u, v), QContext(q))
+
     @pytest.mark.parametrize("q", [0.3, 0.8, -0.5])
     def test_real_values_at_real_q(self, q):
         # every h is then a product of real factors: the nodes are float64 and
@@ -251,7 +321,7 @@ class TestConjugateRows:
         assert all(v.dtype == np.float64 for v in self.assert_nodes_close(spec, ctx))
         assert integrate_aw(spec, ctx).value.imag == 0.0
         complex_spec = AWIntegrandSpec(0.3, -0.45 + 0.2j, 0.6, 0.2, (0.7,), (0.15,))
-        assert _aw_integrand(complex_spec, ctx)[0](np.linspace(0.0, math.pi, 9)).dtype == np.complex128
+        assert _aw_integrand(complex_spec, ctx)[0](8).dtype == np.complex128
 
 
 def test_integrand_makes_no_qpoch_call(monkeypatch):
@@ -267,8 +337,10 @@ def test_integrand_makes_no_qpoch_call(monkeypatch):
 
 
 class TestNodeIndependence:
-    """A node's value depends on the node alone, not on the array it is computed
-    in: its position, the array's length, or the blocks the kernel cuts."""
+    """A quadrature repeats bit for bit, run to run, with the unit-row memo cold
+    or warm, whatever blocks the h-product kernel cuts.  (A node's bits depend
+    on the size of the transform that computed its series, so a node computed
+    in another level would not be bit-equal.)"""
 
     @pytest.mark.parametrize("q", TestConjugateRows.QS)
     @pytest.mark.parametrize("b", [-0.45, -0.45 + 0.2j])
@@ -278,15 +350,16 @@ class TestNodeIndependence:
             monkeypatch.setattr(qcore, "_BLOCK", block)
         monkeypatch.setattr(integrals, "_UNIT_ROWS", {})
         ctx = QContext(q)
-        f = _aw_integrand(AWIntegrandSpec(0.3, b, 0.6, 0.2, (0.7, -0.5), (0.15, 0.55)), ctx)[0]
-        thetas = np.linspace(0.0, math.pi, 513)
-        whole = f(thetas)
-        rng = random.Random(5)
-        picks = [[0], [1], [256], [511, 512], [3, 4, 5], list(range(1, 513, 2)), list(range(0, 513, 7))]
-        picks += [sorted(rng.sample(range(513), k)) for k in (1, 2, 9, 40)]
-        picks += [list(range(512, -1, -3))]
-        for idx in picks:
-            assert f(thetas[idx]).tobytes() == whole[idx].tobytes(), idx
+        spec = AWIntegrandSpec(0.3, b, 0.6, 0.95, (0.7, 1.3), (0.15, 0.55))  # heads for d and u_2
+        cold = integrate_aw(spec, ctx)
+        levels = [(n, odd) for n, odd in LEVELS if n <= cold.panels_used]
+        f = _aw_integrand(spec, ctx)[0]
+        warm = [f(n, odd) for n, odd in levels]
+        assert integrate_aw(spec, ctx) == cold
+        monkeypatch.setattr(integrals, "_UNIT_ROWS", {})
+        f = _aw_integrand(spec, ctx)[0]
+        assert [f(n, odd).tobytes() for n, odd in levels] == [v.tobytes() for v in warm]
+        assert integrate_aw(spec, ctx) == cold
 
 
 class TestUnitRowMemo:
@@ -300,11 +373,13 @@ class TestUnitRowMemo:
 
     @staticmethod
     def count_unit_row_calls(monkeypatch):
+        """The node counts of the unit rows computed, in a list that grows as they are."""
         calls = []
 
-        def counted(x, factors):
-            calls.append(factors[3].size == 1)  # the unit row; 4 lam rows or more
-            return qcore._h_products(x, factors)
+        def counted(s, factors):
+            if sys._getframe(1).f_code.co_name == "_unit_rows":
+                calls.append(s.size)
+            return qcore._h_products(s, factors)
 
         monkeypatch.setattr(integrals, "_h_products", counted)
         return calls
@@ -318,22 +393,21 @@ class TestUnitRowMemo:
         assert repr(ctx.q) not in integrals._UNIT_ROWS
         calls = self.count_unit_row_calls(monkeypatch)
         cold = TestConjugateRows.assert_nodes_close(spec, ctx)
-        assert sum(calls) == 3 and len(integrals._UNIT_ROWS[repr(ctx.q)]) == 3
+        assert calls == [9, 8, 16] and len(integrals._UNIT_ROWS[repr(ctx.q)]) == 3
         calls.clear()
         warm = TestConjugateRows.assert_nodes_close(spec, ctx)
-        assert calls and not any(calls)  # every unit row from the memo
+        assert not calls  # every unit row from the memo
         assert all(w.tobytes() == c.tobytes() for w, c in zip(warm, cold))
 
     def test_bounded_by_the_last_q(self):
         spec = AWIntegrandSpec(0.3, -0.45, 0.6, 0.2)
-        thetas = np.linspace(0.0, math.pi, 9)
         qs = [0.1 * k for k in range(1, 10)]
         for k, q in enumerate(qs):
-            _aw_integrand(spec, QContext(q))[0](thetas)
+            _aw_integrand(spec, QContext(q))[0](8)
             assert len(integrals._UNIT_ROWS) == min(k + 1, qcore._TABLE_QS)
         kept = [repr(complex(q)) for q in qs[-qcore._TABLE_QS:]]
         assert list(integrals._UNIT_ROWS) == kept
-        _aw_integrand(spec, QContext(qs[-qcore._TABLE_QS]))[0](thetas)  # a hit moves its q last
+        _aw_integrand(spec, QContext(qs[-qcore._TABLE_QS]))[0](8)  # a hit moves its q last
         assert list(integrals._UNIT_ROWS) == kept[1:] + kept[:1]
 
     @pytest.mark.parametrize("q", [0.3, 0.5 + 0.3j])
@@ -341,11 +415,11 @@ class TestUnitRowMemo:
         ctx = QContext(q)
         spec = AWIntegrandSpec(0.3, -0.45 + 0.2j, 0.6, 0.2, (0.7,), (0.15,))
         n = integrals._UNIT_ROW_NODES
-        kept, deep = (np.linspace(0.0, math.pi, 2 * m + 1)[1::2] for m in (n, 2 * n))
+        kept, deep = (_nodes(2 * m, odd=True) for m in (n, 2 * n))
         got, want = _aw_integrand(spec, ctx)[0], full_rows_integrand(spec, ctx)
         values = []
         for thetas in (kept, deep, deep):
-            values.append(got(thetas))
+            values.append(got(2 * thetas.size, odd=True))
             # next to t = 0, pi the factor 2 - 2 cos 2t holds cos 2t's rounding, about
             # 1e-16 absolute: relative to the largest node, not to each node
             w = want(thetas)
@@ -354,7 +428,7 @@ class TestUnitRowMemo:
         assert list(integrals._UNIT_ROWS[repr(ctx.q)]) == [(kept.shape, kept.tobytes())]
 
     def test_rows_are_read_only(self):
-        _aw_integrand(AWIntegrandSpec(0.3, -0.45, 0.6, 0.2), CTX)[0](np.linspace(0.0, math.pi, 9))
+        _aw_integrand(AWIntegrandSpec(0.3, -0.45, 0.6, 0.2), CTX)[0](8)
         (row,) = integrals._UNIT_ROWS[repr(CTX.q)].values()
         assert row.shape == (9,) and row.dtype == np.float64  # one real row at real q
         with pytest.raises(ValueError):
@@ -364,8 +438,7 @@ class TestUnitRowMemo:
     def test_warm_endpoints_stay_zero(self, q):
         ctx = QContext(q)
         f = _aw_integrand(AWIntegrandSpec(0.37, 0.2, -0.3, 0.1, (0.5,), (0.37,)), ctx)[0]
-        nodes = np.linspace(0.0, math.pi, 9)
-        cold, warm = f(nodes), f(nodes)
+        cold, warm = f(8), f(8)
         assert np.array_equal(warm, cold)
         assert warm[0] == 0.0 and warm[-1] == 0.0
 

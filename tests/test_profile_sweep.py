@@ -7,12 +7,12 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "profile_sweep.py"
 
-# a row of the identity or layer table: name, count, seconds or ms, [factors]
+# a row of the identity or layer table: name, count, seconds or ms, [work]
 ROW = re.compile(r"(.*?\S)\s+(\d+)\s+(\d+\.\d+)(?:\s+(\d+))?$")
 
 
 def table(lines):
-    """{row name: (count, time, factors or None)} of the identity and layer tables."""
+    """{row name: (count, time, work or None)} of the identity and layer tables."""
     return {m[1]: m.groups()[1:] for line in lines if (m := ROW.match(line))}
 
 
@@ -24,10 +24,15 @@ def test_smoke():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("wall ") and "9 cells" in lines[0]
     rows = table(lines[1:])
-    # integrand calls: the unit row only on a memo miss, the lam rows on every call;
+    # integrand calls: one unit row a level, computed only on a memo miss, and one
+    # transform for the levels up to 64 panels and one for each level past them;
     # the integrand makes no qpoch_inf_many call
-    unit_calls, lam_calls = (int(rows[f"_h_products [{k}]"][0]) for k in ("unit rows", "lam rows"))
-    assert 0 < unit_calls <= lam_calls
+    unit_calls, levels = int(rows["_h_products [unit rows]"][0]), int(rows["_unit_rows"][0])
+    transforms = int(rows["_cosine_sums"][0])
+    assert 0 < unit_calls <= levels and 0 < transforms <= levels
+    # besides the unit rows, the only quadratic factors are the heads of parameters near 1
+    assert {k for k in rows if k.startswith("_h_products [")} <= {
+        "_h_products [unit rows]", "_h_products [head rows]"}
     assert {k for k in rows if k.startswith("qpoch_inf_many [")} <= {
         "qpoch_inf_many [prefetch]", "qpoch_inf_many [other]"}
     # one prefetch call per (id, q) run of cells with declared products (thm-e and
@@ -38,11 +43,11 @@ def test_smoke():
     assert hits > 0 and ("qpoch_inf_many [other]" in rows) == (misses > 0)
     assert rows["_near_pole"][0] == "9" and int(rows["sample"][0]) >= 9
     # each qpoch_inf_many and _h_products row sums the factors its calls used (at
-    # least 3 an entry, an integrand call's lam rows hold many), and that count
-    # repeats exactly
-    kernels = ("qpoch_inf_many [", "_h_products [")
+    # least 3 an entry), each transform its grid points (65 or more), and that
+    # work repeats exactly
+    kernels = ("qpoch_inf_many [", "_h_products [", "_cosine_sums")
     factors = {k: int(v[2]) for k, v in rows.items() if k.startswith(kernels)}
-    assert factors["_h_products [lam rows]"] > 3 * lam_calls
+    assert factors["_cosine_sums"] >= 65 * transforms
     assert factors["_h_products [unit rows]"] > 3 * unit_calls
     assert all(v[2] is None for k, v in rows.items() if not k.startswith(kernels))
     again = subprocess.run(argv, capture_output=True, text=True, timeout=120)
@@ -80,7 +85,7 @@ def test_unit_rows_come_from_the_memo():
     )
     assert proc.returncode == 0, proc.stderr
     rows = table(proc.stdout.splitlines())
-    assert 0 < int(rows["_h_products [unit rows]"][0]) < int(rows["_h_products [lam rows]"][0])
+    assert 0 < int(rows["_h_products [unit rows]"][0]) < int(rows["_unit_rows"][0])
 
 
 def test_input_error_exits_3():

@@ -577,10 +577,34 @@ class TestKernelBitIdentity:
                            (odd, i - len(xs) + 301)):
                 assert got[0][j].tobytes() == values[i].tobytes() and got[2][j] == used[i]
 
+    @pytest.mark.parametrize("q", [0.3, 0.95, 0.5 + 0.3j])
+    def test_sorted_blocks_keep_call_order(self, monkeypatch, q):
+        # a call of several blocks cuts them from its entries sorted by factor
+        # count and returns values, bounds and counts in call order, with the bits
+        # of the unsorted order: calls of two entries, one block each, never sort
+        monkeypatch.setattr(qcore, "_BLOCK", 700)
+        ctx = QContext(q)
+        rng = random.Random(16)
+        xs = rand_bases(rng, 900, hi=1.0) + [2.5, -1.7, 0.0, ipow(ctx.q, -2)]
+        rng.shuffle(xs)
+        whole = qpoch_inf_many(xs, ctx)
+        assert len(xs) * whole[2].max() > 2 * qcore._BLOCK and not (np.diff(whole[2]) >= 0).all()
+        pairs = [qpoch_inf_many(xs[i:i + 2], ctx) for i in range(0, len(xs), 2)]
+        for got, want in zip(whole, (np.concatenate(part) for part in zip(*pairs))):
+            assert got.tobytes() == want.tobytes()
+
+    def test_sorted_blocks_name_the_first_overflow_in_call_order(self):
+        # two bases whose products overflow, the later one with fewer factors
+        ctx = QContext(0.95)
+        xs = [0.5] * 400 + [-1e200, 0.25, -1e180] + [0.1] * 400
+        with pytest.raises(CapExceeded, match=re.escape(f"base {complex(-1e200)!r}")):
+            qpoch_inf_many(xs, ctx)
+
 
 class TestHProducts:
-    """qcore._h_factors and _h_products: h(x; lam) = prod_k (1 - 2 lam q^k x + lam^2 q^{2k})
-    with each lam's factor count that of (lam;q)_oo in qpoch_inf_many."""
+    """qcore._h_factors and _h_products: h(x; lam) = prod_k ((1 - w_k)^2 + 4 w_k s),
+    w_k = lam q^k, x = 1 - 2 s, with each lam's factor count that of (lam;q)_oo
+    in qpoch_inf_many, or the count the caller gives."""
 
     QS = [0.3, 0.8, -0.5, 0.95, 0.5 + 0.3j]
 
@@ -632,21 +656,34 @@ class TestHProducts:
     @pytest.mark.parametrize("q", QS)
     def test_zero_lam_is_exactly_one(self, q):
         ctx = QContext(q)
-        x = np.cos(np.linspace(0.0, math.pi, 21))
-        rows = qcore._h_products(x, qcore._h_factors([0.0, 0.4, 0.0], ctx))
+        s = np.sin(np.linspace(0.0, 0.5 * math.pi, 21)) ** 2
+        rows = qcore._h_products(s, qcore._h_factors([0.0, 0.4, 0.0], ctx))
         assert (rows[0] == 1.0).all() and (rows[2] == 1.0).all() and (rows[1] != 1.0).all()
-        assert (qcore._h_products(x, qcore._h_factors([0.0], ctx)) == 1.0).all()
+        assert (qcore._h_products(s, qcore._h_factors([0.0], ctx)) == 1.0).all()
 
     @pytest.mark.parametrize("q", QS)
     def test_unit_row_zero_and_dtype(self, q):
-        # h(x; 1) has the exact factor 2 - 2x at k = 0; real q and lam give float64
+        # h(x; 1) has the exact factor 4 s at k = 0 (x = 1 - 2 s); real q and lam give float64
         ctx = QContext(q)
-        x = np.array([1.0, 0.5, -0.25, 1.0])
-        row = qcore._h_products(x, qcore._h_factors([1.0], ctx))[0]
+        s = np.array([0.0, 0.25, 0.625, 0.0])
+        row = qcore._h_products(s, qcore._h_factors([1.0], ctx))[0]
         assert row[0] == 0.0 and row[-1] == 0.0 and (row[1:-1] != 0.0).all()
         real = complex(q).imag == 0.0
         assert row.dtype == (np.float64 if real else np.complex128)
-        assert qcore._h_products(x, qcore._h_factors([0.3j], ctx)).dtype == np.complex128
+        assert qcore._h_products(s, qcore._h_factors([0.3j], ctx)).dtype == np.complex128
+
+    @pytest.mark.parametrize("q", QS)
+    def test_caller_counts_take_the_leading_factors(self, q):
+        # the integrand's heads: the first K factors of each lam alone, K = 0 giving 1
+        ctx = QContext(q)
+        lams, counts = [0.95, -0.7 + 0.2j, 0.3], np.array([3, 1, 0])
+        t = np.linspace(0.0, math.pi, 11)
+        got = qcore._h_products(np.sin(0.5 * t) ** 2, qcore._h_factors(lams, ctx, counts))
+        for row, lam, k in zip(got, lams, counts):
+            w = lam * np.array([ipow(ctx.q, j) for j in range(k)])
+            want = [np.prod((1.0 - w * cmath.exp(1j * ti)) * (1.0 - w * cmath.exp(-1j * ti))) for ti in t]
+            assert np.allclose(row, want, rtol=1e-14, atol=0.0)
+        assert (got[2] == 1.0).all()
 
     @pytest.mark.parametrize("q", QS)
     def test_matches_the_conjugate_rows(self, q):
@@ -655,7 +692,7 @@ class TestHProducts:
         rng = random.Random(8)
         lams = [rand_complex(rng, 0.05, 0.9) for _ in range(3)] + [0.7, -0.45]
         t = np.linspace(0.0, math.pi, 37)
-        got = qcore._h_products(np.cos(t), qcore._h_factors(lams, ctx))
+        got = qcore._h_products(np.sin(0.5 * t) ** 2, qcore._h_factors(lams, ctx))
         e = np.exp(1j * t)
         for row, lam in zip(got, lams):
             want = qpoch_inf_many(lam * e, ctx)[0] * qpoch_inf_many(lam * np.conj(e), ctx)[0]

@@ -8,15 +8,18 @@ counted here), and prints its wall time, the summed ``elapsed`` of its
 cells, ms per cell for each identity, and the time and calls of
 ``qcore.qpoch_inf_many`` ([prefetch] for the one call per (id, q) run of
 cells that computes the closed forms' products ahead
-(``qcore._prefetched``), and [other] for all other calls) and of
-``qcore._h_products``, the Askey-Wilson integrand's h-functions ([unit
-rows] for the row h(cos 2t; 1), computed on a miss of the
-``integrals._unit_rows`` memo, and [lam rows] for the rest of each
-integrand call), each with its summed factor count (factors 1 - x q^k of
-(x;q)_oo, quadratic factors of h), which repeats exactly from run to run;
-the hits and misses of the prefetch memo (bases of ``qfrac(..., INF)``
-read from it, and bases sent to the kernel), ``qcore._near_pole`` (the
-near-pole test of every check) and ``identities.sample``, then the stream
+(``qcore._prefetched``), and [other] for all other calls), of the
+Askey-Wilson integrand's rows: ``integrals._unit_rows`` (one call per
+refinement level of each quadrature), ``qcore._h_products`` ([unit rows]
+for the row h(cos 2t; 1), computed on a miss of that memo, and [head rows]
+for the leading factors of the h-functions that have them) and
+``integrals._cosine_sums`` (the transforms that sum the log series of
+the h-functions on a grid), each kernel with its summed work (factors
+1 - x q^k of (x;q)_oo, quadratic factors of h, grid points of the
+transforms), which repeats exactly from run to run; the hits and misses
+of the prefetch memo (bases of ``qfrac(..., INF)`` read from it, and
+bases sent to the kernel), ``qcore._near_pole`` (the near-pole test of
+every check) and ``identities.sample``, then the stream
 layer: the calls, terms summed, terms computed and time of
 ``series._sum_stream``, split by caller into the reciprocity difference
 streams (called from ``identities._diff_sum``) and plain series (every
@@ -37,7 +40,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from qverify import cli, identities, qcore, series  # noqa: E402
+from qverify import cli, identities, integrals, qcore, series  # noqa: E402
 
 
 def instrument(fn, kind=lambda args: "", work=lambda args, result: 0, feed=None):
@@ -86,22 +89,28 @@ def qpoch_kind(args):
 
 
 def h_kind(args):
-    """The row h(cos 2t; 1) comes from integrals._unit_rows, the lam rows from the integrand."""
-    return "unit rows" if sys._getframe(2).f_code.co_name == "_unit_rows" else "lam rows"
+    """The row h(cos 2t; 1) comes from integrals._unit_rows, the heads from the integrand."""
+    return "unit rows" if sys._getframe(2).f_code.co_name == "_unit_rows" else "head rows"
 
 
 def h_factors(args, result):
     """The quadratic factors that one _h_products call multiplied: each lam's
-    count (``_h_factors``), once per entry of x; padding is not counted."""
-    x, (_, _, _, counts) = args
-    return int(counts.sum()) * x.size
+    count (``_h_factors``), once per node; padding is not counted."""
+    s, (_, _, _, counts) = args
+    return int(counts.sum()) * s.size
+
+
+# the layers whose rows carry their work: factors, or grid points for _cosine_sums
+KERNELS = ("qpoch_inf_many", "_h_products", "_cosine_sums")
 
 
 def main(argv) -> int:
     layers = {
         "qpoch_inf_many": instrument(qcore.qpoch_inf_many, qpoch_kind,
                                      lambda args, result: int(result[2].sum())),
+        "_unit_rows": instrument(integrals._unit_rows),
         "_h_products": instrument(qcore._h_products, h_kind, h_factors),
+        "_cosine_sums": instrument(integrals._cosine_sums, work=lambda args, result: result.size),
         "_near_pole": instrument(qcore._near_pole),
         "sample": instrument(identities.sample),
     }
@@ -125,12 +134,12 @@ def main(argv) -> int:
     print(f"{'identity':24s} {'cells':>6s} {'ms/cell':>9s}")
     for cid in sorted(per_id):
         print(f"{cid:24s} {len(per_id[cid]):6d} {1e3 * sum(per_id[cid]) / len(per_id[cid]):9.2f}")
-    print(f"{'layer':32s} {'calls':>8s} {'s':>9s} {'factors':>10s}")
+    print(f"{'layer':32s} {'calls':>8s} {'s':>9s} {'work':>10s}")
     for name, stats in layers.items():
         for kind in sorted(stats) or [""]:
             calls, secs, factors, _ = stats[kind]
             print(f"{name + (f' [{kind}]' if kind else ''):32s} {calls:8d} {secs:9.3f}"
-                  + (f" {factors:10d}" if name in ("qpoch_inf_many", "_h_products") else ""))
+                  + (f" {factors:10d}" if name in KERNELS else ""))
     print("prefetch memo: {} hits, {} misses".format(*qcore._prefetch_counts))
     print(f"{'stream':32s} {'calls':>8s} {'terms':>9s} {'computed':>9s} {'s':>9s}")
     for kind in ("series", "difference"):
