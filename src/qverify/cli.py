@@ -148,8 +148,8 @@ class SweepConfig:
 
 def run_sweep(config: SweepConfig) -> tuple[dict, int]:
     """Execute a sweep; returns (report document, exit code)."""
-    # q outermost: the memos per q (qcore._keep_recent) hold the last few q,
-    # so a sweep over any number of q meets each q in one stretch
+    # q outermost: qcore's q^k tables (qcore._TABLES) hold the last few q,
+    # so a sweep over any number of q meets each q's table in one stretch
     cells = [
         (cid, slot, q)
         for q in config.q_values

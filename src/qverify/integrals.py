@@ -9,18 +9,18 @@ function of t this extends to an even, 2*pi-periodic analytic function,
 so the composite trapezoidal rule with panel doubling converges
 spectrally; it asks the integrand for the nodes t_j = j pi / n of each
 level n (``_nodes``), reuses them across refinements, and stops at a node
-value that is not finite.  Each h(cos t; lam) is a short head of the
+value that is not finite.  Each h-function row is a short head of the
 paper's quadratic factors, the leading k with |lam q^k| > _RHO (most lam
 have none), times the rest as a log series: log (w e^{it}, w e^{-it};q)_oo
-= -sum_n 2 w^n cos(nt) / (n (1 - q^n)) with w = lam q^K.  The series of
-every lam add into one cosine series per integrand, which one real FFT
+= -sum_n 2 w^n cos(nt) / (n (1 - q^n)) with w = lam q^K.  The row
+h(cos 2t; 1) is the same with lam = 1 in the angle 2t: its head holds the
+exact zeros at t = 0, pi, and its series the even cosines.  The series of
+every row add into one cosine series per integrand, which one real FFT
 sums at every node of a level (``_cosine_sums``); one FFT serves every
 level up to _SHARED_PANELS panels.  Real at real q and real lam, complex
-otherwise, by the one formula.  The row h(cos 2t; 1) depends on q and the
-nodes alone, so it comes from a memo per q and node array
-(``_unit_rows``).  Closed-form right-hand sides for the q-beta integral
-and its multi-variable generalizations live here as well, and the residue
-sum that the stated multi-variable form misses.
+otherwise, by the one formula.  Closed-form right-hand sides for the
+q-beta integral and its multi-variable generalizations live here as well,
+and the residue sum that the stated multi-variable form misses.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .qcore import (
     NoConvergence,
     QContext,
     _divisor,
-    _keep_recent,
     _h_factors,
     _h_products,
     _one_minus,
@@ -66,10 +65,6 @@ _FIRST_PANELS, _MAX_PANELS = 8, 2 ** 18  # the trapezoid's first and last levels
 # h its log series, summed to a tail below _SERIES_TOL; one FFT serves every
 # trapezoid level up to _SHARED_PANELS panels
 _RHO, _SERIES_TOL, _SHARED_PANELS = 0.9, 1e-17, 64
-
-# {repr(q): {node array: the row h(cos 2t; 1)}}, kept by qcore._keep_recent,
-# for node arrays of at most _UNIT_ROW_NODES nodes (levels up to 8,192 panels)
-_UNIT_ROWS, _UNIT_ROW_NODES = {}, 1 << 12
 
 
 @dataclass(frozen=True)
@@ -124,52 +119,29 @@ def _nodes(n: int, odd: bool = False) -> np.ndarray:
     return thetas
 
 
-def _unit_rows(thetas: np.ndarray, ctx: QContext) -> np.ndarray:
-    """h(cos 2t; 1) = (e^{2it}, e^{-2it};q)_oo at the nodes, read-only.
-
-    Every quadrature at one q meets the same nodes on each refinement level,
-    and this row depends on q and the nodes alone, so it is memoized per
-    node array for the q that qcore keeps its q^k tables for
-    (``_keep_recent``); at real q it is one float64 row.  Deeper levels, met
-    only by quadratures that refine past 8,192 panels, are not kept.  Each
-    value depends on its node alone, so a warm read is the cold value bit
-    for bit.  The factors are (1 - q^k)^2 + 4 q^k sin^2 t, with sin taken at
-    min(t, pi - t): the factor k = 0, 4 sin^2 t, is an exact 0 at t = 0, pi.
-    """
-    memo = _keep_recent(_UNIT_ROWS, ctx.q, _UNIT_ROWS.get(repr(ctx.q), {}))
-    nodes = (thetas.shape, thetas.tobytes())
-    row = memo.get(nodes)
-    if row is None:
-        sines = np.sin(np.minimum(thetas, math.pi - thetas))
-        row = _h_products(sines * sines, _h_factors([1.0], ctx))[0]
-        row.flags.writeable = False
-        if thetas.size <= _UNIT_ROW_NODES:
-            memo[nodes] = row
-    return row
-
-
 def _head_split(lam: np.ndarray, ctx: QContext):
     """Each lam's head count K, the number of leading k with |lam q^k| > _RHO,
-    and w = lam q^K, from qcore's q^k table; K = 0 and w = lam for |lam| <= _RHO."""
-    aq, mods = abs(ctx.q), np.abs(lam)
-    top = float(mods.max(initial=0.0))
-    if top <= _RHO:
-        return np.zeros(lam.size, int), lam
+    and w = lam q^K, from qcore's q^k table; lam holds the unit row's 1, so
+    its largest modulus is at least 1."""
+    aq, top = abs(ctx.q), float(np.abs(lam).max())
     width = 1 if aq == 0.0 else math.ceil(math.log(_RHO / top) / math.log(aq)) + 2
     table = _powers(ctx.q, width)
-    counts = (np.multiply.outer(mods, np.abs(table)) > _RHO).argmin(axis=1)
+    counts = (np.multiply.outer(np.abs(lam), np.abs(table)) > _RHO).argmin(axis=1)
     return counts, lam * table[counts]
 
 
 def _log_coefficients(w: np.ndarray, signs: np.ndarray, ctx: QContext) -> np.ndarray:
-    """c_0 .. c_N with sum_n c_n cos(nt) = sum over w of sign * log(w e^{it}, w e^{-it};q)_oo.
+    """c_0 .. c_2N with sum_m c_m cos(mt) = sum over the lam of sign * log(w e^{it},
+    w e^{-it};q)_oo, plus log(w e^{2it}, w e^{-2it};q)_oo for the last w, the
+    unit row's.
 
     Each log is -sum_{n>=1} 2 w^n cos(nt) / (n (1 - q^n)) (Gasper and Rahman,
-    ch. 1), so c_0 = 0 and c_n = -2 (sum of sign * w^n) / (n (1 - q^n)).  N is
-    the least with r^N <= _SERIES_TOL (1 - r)(1 - |q|) / 2, r = max |w| < 1, so
-    each row's tail 2 r^{N+1} / ((N+1)(1 - r)(1 - |q|)) stays below
-    _SERIES_TOL.  1 - q^n is (1 - q)(1 + q + ... + q^{n-1}), which holds no
-    cancellation at q near 1.  Real when q and every w are real.
+    ch. 1), so c_0 = 0, c_n = -2 (sum of sign * w^n) / (n (1 - q^n)) over the
+    lam, and the unit row's term n, in cos(2nt), adds to c_2n.  N is the least
+    with r^N <= _SERIES_TOL (1 - r)(1 - |q|) / 2, r = max |w| < 1 over every w,
+    the unit's included, so each row's tail 2 r^{N+1} / ((N+1)(1 - r)(1 - |q|))
+    stays below _SERIES_TOL.  1 - q^n is (1 - q)(1 + q + ... + q^{n-1}), which
+    holds no cancellation at q near 1.  Real when q and every w are real.
     """
     q, r = ctx.q, float(np.abs(w).max(initial=0.0))
     if r == 0.0:
@@ -184,9 +156,10 @@ def _log_coefficients(w: np.ndarray, signs: np.ndarray, ctx: QContext) -> np.nda
         m = min(k, n_max - k)
         np.multiply(powers[:m], powers[k - 1], out=powers[k:k + m])
         k += m
-    sums = powers @ signs
-    coeffs = np.zeros(n_max + 1, sums.dtype)
-    coeffs[1:] = -2.0 * sums / (np.arange(1, n_max + 1) * ((1.0 - q) * np.cumsum(table)))
+    scale = -2.0 / (np.arange(1, n_max + 1) * ((1.0 - q) * np.cumsum(table)))
+    coeffs = np.zeros(2 * n_max + 1, powers.dtype)
+    coeffs[1:n_max + 1] = scale * (powers[:, :-1] @ signs)
+    coeffs[2::2] += scale * powers[:, -1]
     return coeffs
 
 
@@ -215,24 +188,32 @@ def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):
     f(n, odd) gives the node values at the nodes ``_nodes(n, odd)`` of the
     n-panel grid.  Each h(cos t; lam) splits into a head, its K leading
     factors with |lam q^k| > _RHO (most lam have none), and the log series of
-    the rest, (w e^{it}, w e^{-it};q)_oo with w = lam q^K.  The series of
-    every lam add into one cosine series, numerators less denominators,
-    built once per integrand (``_log_coefficients``; lam = 0 adds nothing);
-    one FFT on the grid of _SHARED_PANELS panels serves every level up to
-    it, and each finer level takes one FFT of its own (``_cosine_sums``).  A
-    node value is the row h(cos 2t; 1) (from the ``_unit_rows`` memo) times
-    the numerator heads, over the denominator heads, times exp of the
-    series; the heads are one ``_h_products`` call, in the cancellation-free
-    form.  A zero numerator (the unit row at t = 0, pi) is an exact 0 node;
-    a node that is not finite is named by ``_finite_nodes``, not numpy.
-    n_factors counts the (x;q)_oo products involved, two per h-function,
-    which scales the product error floor of each node value.
+    the rest, (w e^{it}, w e^{-it};q)_oo with w = lam q^K.  The row
+    h(cos 2t; 1) is the lam = 1 row in the angle 2t: its head is the factors
+    (1 - q^k)^2 + 4 q^k sin^2 t with |q^k| > _RHO (k = 0 alone for |q| <=
+    _RHO), its w is q^K.  The series of every row add into one cosine
+    series, numerators less denominators, built once per integrand
+    (``_log_coefficients``; lam = 0 adds nothing); one FFT on the grid of
+    _SHARED_PANELS panels serves every level up to it, and each finer level
+    takes one FFT of its own (``_cosine_sums``).  A node value is the unit
+    head times the numerator heads, over the denominator heads, times exp of
+    the series; the lam heads are one ``_h_products`` call, every head in
+    the cancellation-free form.  The unit head takes sin at min(t, pi - t),
+    so its factor k = 0, 4 sin^2 t, is an exact 0 at t = 0, pi, and so is
+    the node; a node that is not finite is named by ``_finite_nodes``, not
+    numpy.  n_factors counts the (x;q)_oo products involved, two per
+    h-function, which scales the product error floor of each node value.
     """
     lams = np.array(spec.u + (spec.a, spec.b, spec.c, spec.d) + spec.v)
     signs = np.where(np.arange(lams.size) < len(spec.u), 1.0, -1.0)
     live = lams != 0.0
-    counts, w = _head_split(lams[live], ctx)
+    counts, w = _head_split(np.append(lams[live], 1.0), ctx)  # the unit row last
     coeffs = _log_coefficients(w, signs[live], ctx)
+    unit = _powers(ctx.q, counts[-1])[:counts[-1], None]  # q^k of the unit head
+    if ctx.q.imag == 0.0:
+        unit = unit.real
+    unit_four, unit_sq = 4.0 * unit, (1.0 - unit) * (1.0 - unit)
+    counts = counts[:-1]
     headed = counts > 0
     heads = _h_factors(lams[live][headed], ctx, counts[headed]) if headed.any() else None
     head_num = signs[live][headed] > 0.0
@@ -249,7 +230,8 @@ def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):
 
     def f(n: int, odd: bool = False) -> np.ndarray:
         thetas = _nodes(n, odd)
-        num, den = _unit_rows(thetas, ctx), 1.0
+        sines = np.sin(np.minimum(thetas, math.pi - thetas))
+        num, den = np.multiply.reduce(unit_sq + unit_four * (sines * sines)), 1.0
         if heads is not None:
             halves = np.sin(0.5 * thetas)
             rows = _h_products(halves * halves, heads)
@@ -314,8 +296,8 @@ def integrate_aw(spec: AWIntegrandSpec, ctx: QContext) -> QuadratureResult:
     """The Askey-Wilson-type integral over [0, pi] by spectral trapezoid.
 
     The value is complex: exactly real at real q and real parameters (every
-    node value is then real: real heads, unit row and cosine series), and
-    genuinely complex at complex q.
+    node value is then real: real heads and cosine series), and genuinely
+    complex at complex q.
     """
     f, n_factors = _aw_integrand(spec, ctx)
     total, delta, n, _ = _trapezoid_doubling(f, ctx, n_factors)

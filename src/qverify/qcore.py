@@ -70,8 +70,8 @@ _POLE_MARGIN = 1e-5
 # entries x factors per block of qpoch_inf_many: a block stays in cache, all entries do not
 _BLOCK = 1 << 14
 
-# q^k tables of the last _TABLE_QS q used by qpoch_inf_many, least recent first;
-# every memo per q (also integrals._UNIT_ROWS) keeps that many q through _keep_recent
+# q^k tables (``_powers``) of the last _TABLE_QS q, least recently used first: the
+# one memo per q, read by qpoch_inf_many, the h-function kernel and the integrand
 _TABLES, _TABLE_QS = {}, 4
 
 # bases x of the divisor factors 1 - x q^j met inside ``_recording``; None outside it
@@ -313,25 +313,20 @@ def _powers(q: complex, width: int):
 
     The table is q^k = q^{k-1} * q (never pow), rebuilt longer on demand; a
     prefix of a longer running product is bit-equal, so no value depends on
-    the calls before.  repr keys keep q = x+0j and x-0j apart."""
-    table = _TABLES.get(repr(q))
+    the calls before.  Each call makes q the most recent of the last
+    _TABLE_QS q kept.  repr keys keep q = x+0j and x-0j apart."""
+    key = repr(q)
+    table = _TABLES.pop(key, None)
     if table is None or table.size <= width:
         table = np.multiply.accumulate(np.concatenate([[1.0], np.full(width, q)]))
         table.flags.writeable = False
-    return _keep_recent(_TABLES, q, table)[:width + 1]
+    if len(_TABLES) >= _TABLE_QS:  # drop the least recently used q
+        del _TABLES[next(iter(_TABLES))]
+    _TABLES[key] = table
+    return table[:width + 1]
 
 
-def _keep_recent(memo: dict, q: complex, value):
-    """Store value as memo[repr(q)], the most recent of the last _TABLE_QS q; return it."""
-    key = repr(q)
-    memo.pop(key, None)
-    if len(memo) >= _TABLE_QS:  # drop the least recently used q
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
-
-
-def _factor_counts(ax, q, bases, what="(x;q)_oo", label="x"):
+def _factor_counts(ax, q, bases):
     """The factor count of (x;q)_oo for each modulus |x| of ax (all nonzero and
     finite), with the q^k table that serves it: (table, its moduli, counts).
 
@@ -342,7 +337,7 @@ def _factor_counts(ax, q, bases, what="(x;q)_oo", label="x"):
     the table give every count before any factor is formed.  The table
     (``_powers``) is long enough for the largest |x|.  CapExceeded names the
     entry of ``bases`` (of the shape of ax) for the first count past
-    MAX_PRODUCT_FACTORS, as ``what`` did not converge.
+    MAX_PRODUCT_FACTORS.
     """
     aq, cap, tol = abs(q), MAX_PRODUCT_FACTORS, PRODUCT_TOL
     gate, lq = tol * (1.0 - aq), math.log(aq) if aq else -math.inf
@@ -359,8 +354,8 @@ def _factor_counts(ax, q, bases, what="(x;q)_oo", label="x"):
     if count.max(initial=0) > width:
         bad = int((count > width).argmax())
         raise CapExceeded(
-            f"base {complex(bases[bad])!r}: {what} did not converge within {cap} "
-            f"factors (|{label}| = {ax[bad]:.3g}, |q| = {aq:.6g})"
+            f"base {complex(bases[bad])!r}: (x;q)_oo did not converge within {cap} "
+            f"factors (|x| = {ax[bad]:.3g}, |q| = {aq:.6g})"
         )
     return table, mod, count
 
@@ -447,28 +442,21 @@ def qpoch_inf_many(xs, ctx: QContext):
     return value.reshape(shape), err.reshape(shape), used.reshape(shape)
 
 
-def _h_factors(lams, ctx: QContext, counts=None):
-    """The coefficients of h(x; lam) = (lam e^{it}, lam e^{-it};q)_oo
-    = prod_k ((1 - w_k)^2 + 4 w_k sin^2(t/2)), w_k = lam q^k, x = cos t, for
-    each lam, laid out for the blocks of ``_h_products``.
+def _h_factors(lams, ctx: QContext, counts):
+    """The coefficients of the leading factors of h(x; lam) = (lam e^{it},
+    lam e^{-it};q)_oo = prod_k ((1 - w_k)^2 + 4 w_k sin^2(t/2)), w_k = lam q^k,
+    x = cos t: the first counts[i] factors of each lam, laid out for the
+    blocks of ``_h_products``.
 
     Returns (four_w, one_minus_w_sq, step, counts).  four_w and one_minus_w_sq
     hold 4 w_k and (1 - w_k)^2, one row per k and, per lam, ``step`` equal
     columns, one for each entry of a block: (k, lam x entry) arrays of at
-    most ``_BLOCK`` cells.  counts holds each lam's factor count: by default
-    that of (lam;q)_oo by ``_factor_counts`` (0 for lam = 0), so h multiplies
-    as many factors as (lam;q)_oo would; a caller may give its own, such as
-    the leading factors of each lam alone.  Past its count a lam's rows hold
-    0 and 1, factors of exactly 1.  Real when q and every lam are real, else
-    complex; the coefficients do not depend on t, so one call serves every
-    node of an integrand.  CapExceeded names the first lam past the cap.
+    most ``_BLOCK`` cells.  Past its count a lam's rows hold 0 and 1,
+    factors of exactly 1.  Real when q and every lam are real, else complex;
+    the coefficients do not depend on t, so one call serves every node of an
+    integrand.
     """
     lam = np.asarray(lams, dtype=complex)
-    if counts is None:
-        live = np.flatnonzero(lam)
-        live_counts = _factor_counts(np.abs(lam[live]), ctx.q, lam[live], "h(x; lam)", "lam")[2]
-        counts = np.zeros(lam.size, int)
-        counts[live] = live_counts
     width = int(counts.max(initial=0))
     w = _powers(ctx.q, width)[:width, None] * lam
     if ctx.q.imag == 0.0 and not lam.imag.any():
@@ -483,9 +471,10 @@ def _h_factors(lams, ctx: QContext, counts=None):
 # a product that overflows is left to the caller's own isfinite test
 @np.errstate(over="ignore", invalid="ignore")
 def _h_products(s, factors):
-    """h(x; lam) for each lam of ``_h_factors`` and each entry of the real 1-D
-    array s = sin^2(t/2), x = cos t = 1 - 2 s: an array (lams, s.size) of the
-    factors' dtype.
+    """The product of the leading factors of h(x; lam) that ``_h_factors``
+    laid out (the integrand's heads), for each lam and each entry of the real
+    1-D array s = sin^2(t/2), x = cos t = 1 - 2 s: an array (lams, s.size) of
+    the factors' dtype.
 
     Each block of ``step`` entries is one (k, lam x entry) array of factors
     (1 - w_k)^2 + 4 w_k s, which holds no cancellation where 1 - 2 w_k x +

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qverify import cli, identities, integrals, qcore
+from qverify import cli, identities, qcore
 from qverify.cli import main, load_param_file
 from qverify.identities import get_case, parse_params
 from qverify.qcore import SamplingExhausted
@@ -305,22 +305,23 @@ class TestRunSweep:
         assert fake_pools == []
 
     def test_each_q_in_one_stretch(self, monkeypatch):
-        # the memos per q hold the last qcore._TABLE_QS q; a sweep over more q
-        # still computes the integrand's unit row once per q and node set
+        # qcore's q^k tables hold the last qcore._TABLE_QS q; a sweep over more q
+        # asks for each q's table in one stretch of calls, so none is dropped and rebuilt
         qs = tuple(0.1 * k for k in range(1, qcore._TABLE_QS + 3))
-        monkeypatch.setattr(integrals, "_UNIT_ROWS", {})
-        computed = []
+        powers, asked = qcore._powers, []
 
-        def counted(s, factors):
-            if sys._getframe(1).f_code.co_name == "_unit_rows":
-                computed.append((factors[0].tobytes(), s.shape))  # the q^k coefficients name q
-            return qcore._h_products(s, factors)
+        def recorded(q, width):
+            asked.append(repr(q))
+            return powers(q, width)
 
-        monkeypatch.setattr(integrals, "_h_products", counted)
-        config = cli.SweepConfig(identities=("thm-e-integral",), samples=3, seed=5, q_values=qs)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("qverify") and getattr(mod, "_powers", None) is powers:
+                monkeypatch.setattr(mod, "_powers", recorded)
+        config = cli.SweepConfig(identities=("thm-e-integral", "watson"), samples=3, seed=5,
+                                 q_values=qs)
         cli.run_sweep(config)
-        assert len(computed) == len(set(computed))
-        assert len({q for q, _ in computed}) == len(qs)
+        runs = [q for i, q in enumerate(asked) if i == 0 or asked[i - 1] != q]
+        assert len(runs) == len(set(runs)) == len(qs)
 
     @pytest.mark.parametrize("mode", ["complex", "real"])
     def test_prefetched_columns_equal_lone_cells(self, mode):

@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 import re
-import sys
 import warnings
 
 import aw_reference
@@ -135,14 +134,26 @@ class TestHFunction:
     @pytest.mark.parametrize("q", [0.99, 0.95 + 0.2j])
     def test_near_one(self, q):
         # |q| near 1, a head for |a| = 0.995 and for the numerator |u| >= 1: the
-        # first two levels against the 40-digit reference.  At q = 0.99 the unit
-        # row's product of about 3,600 factors is itself ~1e-13 off
+        # first two levels against the 40-digit reference.  At q = 0.99 the log
+        # series of the rows, of about 400 terms, leave the nodes ~1e-13 off
         ctx = QContext(q)
         spec = AWIntegrandSpec(0.995, -0.45, 0.6 + 0.1j, 0.2, (1.3,), (0.55,))
         f = _aw_integrand(spec, ctx)[0]
         for n, odd in LEVELS[:2]:
             got, want = f(n, odd), aw_reference.integrand(spec, q, _nodes(n, odd))
             assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
+
+    @pytest.mark.parametrize("q", [0.993, 0.995])
+    def test_unit_row_past_the_factor_cap(self, q):
+        # (q;q)_oo needs more than MAX_PRODUCT_FACTORS factors here; the unit row
+        # h(cos 2t; 1), a head of 15 or 22 factors and a log series, needs none of them
+        ctx = QContext(q)
+        spec = AWIntegrandSpec(0.3, -0.45, 0.6, 0.2)
+        with pytest.raises(CapExceeded):
+            qpoch_inf(q, ctx)
+        got, want = _aw_integrand(spec, ctx)[0](8), aw_reference.integrand(spec, q, _nodes(8))
+        assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
+        assert math.isfinite(integrate_aw(spec, ctx).value.real)
 
     def test_cancellation_free_factors(self):
         # |a| = 0.999: next to t = 0 the head factor (1 - a)^2 + 4 a sin^2(t/2) is
@@ -325,11 +336,10 @@ class TestConjugateRows:
 
 
 def test_integrand_makes_no_qpoch_call(monkeypatch):
-    # every h comes from the h-product kernel, the unit row included
+    # every h is a head from the h-product kernel (the unit row's its own) and a log series
     def refuse(xs, ctx):
         raise AssertionError("the integrand called qpoch_inf_many")
 
-    monkeypatch.setattr(integrals, "_UNIT_ROWS", {})
     for mod in (qcore, integrals):
         monkeypatch.setattr(mod, "qpoch_inf_many", refuse, raising=False)
     for q in (0.5, 0.5 + 0.3j):
@@ -337,10 +347,10 @@ def test_integrand_makes_no_qpoch_call(monkeypatch):
 
 
 class TestNodeIndependence:
-    """A quadrature repeats bit for bit, run to run, with the unit-row memo cold
-    or warm, whatever blocks the h-product kernel cuts.  (A node's bits depend
-    on the size of the transform that computed its series, so a node computed
-    in another level would not be bit-equal.)"""
+    """A quadrature repeats bit for bit, run to run, whatever blocks the
+    h-product kernel cuts.  (A node's bits depend on the size of the
+    transform that computed its series, so a node computed in a level past
+    _SHARED_PANELS panels would not be bit-equal to the same node of another.)"""
 
     @pytest.mark.parametrize("q", TestConjugateRows.QS)
     @pytest.mark.parametrize("b", [-0.45, -0.45 + 0.2j])
@@ -348,7 +358,6 @@ class TestNodeIndependence:
     def test_bit_for_bit(self, monkeypatch, q, b, block):
         if block is not None:  # blocks of two entries, or of a few, one left over
             monkeypatch.setattr(qcore, "_BLOCK", block)
-        monkeypatch.setattr(integrals, "_UNIT_ROWS", {})
         ctx = QContext(q)
         spec = AWIntegrandSpec(0.3, b, 0.6, 0.95, (0.7, 1.3), (0.15, 0.55))  # heads for d and u_2
         cold = integrate_aw(spec, ctx)
@@ -356,83 +365,74 @@ class TestNodeIndependence:
         f = _aw_integrand(spec, ctx)[0]
         warm = [f(n, odd) for n, odd in levels]
         assert integrate_aw(spec, ctx) == cold
-        monkeypatch.setattr(integrals, "_UNIT_ROWS", {})
         f = _aw_integrand(spec, ctx)[0]
         assert [f(n, odd).tobytes() for n, odd in levels] == [v.tobytes() for v in warm]
         assert integrate_aw(spec, ctx) == cold
 
 
 class TestUnitRowMemo:
-    """The row h(cos 2t; 1) comes from a memo per q and node array: a warm
-    memo gives the node values of a cold one, bit for bit, and holds the last
-    qcore._TABLE_QS q."""
+    """The row h(cos 2t; 1) keeps no memo of its own: its head and its w = q^K
+    are reads of qcore's q^k table, the one memo per q.  A warm table, or one
+    grown longer by other calls, gives the node values of a cold one, bit for
+    bit, and the tables hold the last qcore._TABLE_QS q."""
 
     @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(integrals, "_UNIT_ROWS", {})
-
-    @staticmethod
-    def count_unit_row_calls(monkeypatch):
-        """The node counts of the unit rows computed, in a list that grows as they are."""
-        calls = []
-
-        def counted(s, factors):
-            if sys._getframe(1).f_code.co_name == "_unit_rows":
-                calls.append(s.size)
-            return qcore._h_products(s, factors)
-
-        monkeypatch.setattr(integrals, "_h_products", counted)
-        return calls
+    def empty_tables(self, monkeypatch):
+        monkeypatch.setattr(qcore, "_TABLES", {})
 
     @pytest.mark.parametrize("q", [0.3, 0.8, -0.5, 0.95, 0.5 + 0.3j])
     @pytest.mark.parametrize("b", [-0.45, -0.45 + 0.2j])
-    def test_cold_then_warm(self, monkeypatch, q, b):
+    def test_cold_then_warm(self, q, b):
         spec = AWIntegrandSpec(0.3, b, 0.6, 0.2, (0.7, -0.5), (0.15, 0.55))
         TestConjugateRows.assert_nodes_close(spec, QContext(0.6))  # another q first
         ctx = QContext(q)
-        assert repr(ctx.q) not in integrals._UNIT_ROWS
-        calls = self.count_unit_row_calls(monkeypatch)
+        assert repr(ctx.q) not in qcore._TABLES
         cold = TestConjugateRows.assert_nodes_close(spec, ctx)
-        assert calls == [9, 8, 16] and len(integrals._UNIT_ROWS[repr(ctx.q)]) == 3
-        calls.clear()
+        assert repr(ctx.q) in qcore._TABLES
         warm = TestConjugateRows.assert_nodes_close(spec, ctx)
-        assert not calls  # every unit row from the memo
-        assert all(w.tobytes() == c.tobytes() for w, c in zip(warm, cold))
+        qcore._powers(ctx.q, 5000)  # a table far longer than the integrand reads
+        grown = TestConjugateRows.assert_nodes_close(spec, ctx)
+        for c, w, g in zip(cold, warm, grown):
+            assert c.tobytes() == w.tobytes() == g.tobytes()
 
     def test_bounded_by_the_last_q(self):
         spec = AWIntegrandSpec(0.3, -0.45, 0.6, 0.2)
         qs = [0.1 * k for k in range(1, 10)]
         for k, q in enumerate(qs):
             _aw_integrand(spec, QContext(q))[0](8)
-            assert len(integrals._UNIT_ROWS) == min(k + 1, qcore._TABLE_QS)
+            assert len(qcore._TABLES) == min(k + 1, qcore._TABLE_QS)
         kept = [repr(complex(q)) for q in qs[-qcore._TABLE_QS:]]
-        assert list(integrals._UNIT_ROWS) == kept
+        assert list(qcore._TABLES) == kept
         _aw_integrand(spec, QContext(qs[-qcore._TABLE_QS]))[0](8)  # a hit moves its q last
-        assert list(integrals._UNIT_ROWS) == kept[1:] + kept[:1]
+        assert list(qcore._TABLES) == kept[1:] + kept[:1]
 
     @pytest.mark.parametrize("q", [0.3, 0.5 + 0.3j])
     def test_deep_levels_are_not_kept(self, q):
+        # the levels of 8,192 and 16,384 panels against both conjugate rows of every
+        # h; they leave nothing behind, and the q^k table as it was
         ctx = QContext(q)
         spec = AWIntegrandSpec(0.3, -0.45 + 0.2j, 0.6, 0.2, (0.7,), (0.15,))
-        n = integrals._UNIT_ROW_NODES
-        kept, deep = (_nodes(2 * m, odd=True) for m in (n, 2 * n))
-        got, want = _aw_integrand(spec, ctx)[0], full_rows_integrand(spec, ctx)
-        values = []
-        for thetas in (kept, deep, deep):
-            values.append(got(2 * thetas.size, odd=True))
+        levels = (8192, 16384, 16384)
+        want = [full_rows_integrand(spec, ctx)(_nodes(n, odd=True)) for n in levels]
+        qcore._TABLES.clear()
+        got = _aw_integrand(spec, ctx)[0]
+        table = qcore._TABLES[repr(ctx.q)]
+        values = [got(n, odd=True) for n in levels]
+        for v, w in zip(values, want):
             # next to t = 0, pi the factor 2 - 2 cos 2t holds cos 2t's rounding, about
             # 1e-16 absolute: relative to the largest node, not to each node
-            w = want(thetas)
-            assert (np.abs(values[-1] - w) <= 1e-13 * np.abs(w).max()).all()
-        assert values[1].tobytes() == values[2].tobytes()  # computed twice, cold both times
-        assert list(integrals._UNIT_ROWS[repr(ctx.q)]) == [(kept.shape, kept.tobytes())]
+            assert (np.abs(v - w) <= 1e-13 * np.abs(w).max()).all()
+        assert values[1].tobytes() == values[2].tobytes()  # computed twice, the same both times
+        assert list(qcore._TABLES) == [repr(ctx.q)] and qcore._TABLES[repr(ctx.q)] is table
 
     def test_rows_are_read_only(self):
-        _aw_integrand(AWIntegrandSpec(0.3, -0.45, 0.6, 0.2), CTX)[0](8)
-        (row,) = integrals._UNIT_ROWS[repr(CTX.q)].values()
-        assert row.shape == (9,) and row.dtype == np.float64  # one real row at real q
+        # the unit row reads a table that cannot be written through; at real q the
+        # nodes of a real spec are one float64 array
+        values = _aw_integrand(AWIntegrandSpec(0.3, -0.45, 0.6, 0.2), CTX)[0](8)
+        assert values.shape == (9,) and values.dtype == np.float64
+        (table,) = qcore._TABLES.values()
         with pytest.raises(ValueError):
-            row[1] = 1.0
+            table[1] = 1.0
 
     @pytest.mark.parametrize("q", [0.3, 0.5 + 0.3j])
     def test_warm_endpoints_stay_zero(self, q):
@@ -444,16 +444,17 @@ class TestUnitRowMemo:
 
     @pytest.mark.parametrize("q", TestConjugateRows.QS)
     def test_cold_and_warm_reads(self, q):
-        # a warm read is the cold row bit for bit, and so is each node's value
-        # computed in another node array; the row is an exact 0 at t = 0, pi
+        # a = b = c = d = 0 leaves the unit row alone.  Built on a warm table it is
+        # the row built on a cold one, bit for bit, and so is each node's value in a
+        # level that shares its transform; the row is an exact 0 at t = 0, pi
         ctx = QContext(q)
-        nodes = np.linspace(0.0, math.pi, 17)
-        cold = integrals._unit_rows(nodes, ctx).copy()
-        assert integrals._unit_rows(nodes, ctx).tobytes() == cold.tobytes()
-        wider = integrals._unit_rows(np.linspace(0.0, math.pi, 33), ctx)
-        assert wider[::2].tobytes() == cold.tobytes()
+        spec = AWIntegrandSpec(0, 0, 0, 0)
+        cold = _aw_integrand(spec, ctx)[0](16)
+        warm = _aw_integrand(spec, ctx)[0]
+        assert warm(16).tobytes() == cold.tobytes()
+        assert warm(32)[::2].tobytes() == cold.tobytes()
         assert cold[0] == 0.0 and cold[-1] == 0.0 and (cold[1:-1] != 0.0).all()
-        for theta, v in zip(nodes, cold):
+        for theta, v in zip(_nodes(16), cold):
             want = h_product(math.cos(2.0 * theta), 1.0, ctx)
             assert abs(v - want) <= 1e-13 * abs(want)
 

@@ -24,15 +24,13 @@ def test_smoke():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("wall ") and "9 cells" in lines[0]
     rows = table(lines[1:])
-    # integrand calls: one unit row a level, computed only on a memo miss, and one
-    # transform for the levels up to 64 panels and one for each level past them;
-    # the integrand makes no qpoch_inf_many call
-    unit_calls, levels = int(rows["_h_products [unit rows]"][0]), int(rows["_unit_rows"][0])
+    # integrand calls: one transform for the levels up to 64 panels and one for
+    # each level past them, three quadratures here; the only quadratic factors
+    # are the heads of parameters near 1, in one row; the integrand makes no
+    # qpoch_inf_many call
     transforms = int(rows["_cosine_sums"][0])
-    assert 0 < unit_calls <= levels and 0 < transforms <= levels
-    # besides the unit rows, the only quadratic factors are the heads of parameters near 1
-    assert {k for k in rows if k.startswith("_h_products [")} <= {
-        "_h_products [unit rows]", "_h_products [head rows]"}
+    assert transforms >= 3 and "_h_products" in rows
+    assert not any(k.startswith("_h_products [") for k in rows)
     assert {k for k in rows if k.startswith("qpoch_inf_many [")} <= {
         "qpoch_inf_many [prefetch]", "qpoch_inf_many [other]"}
     # one prefetch call per (id, q) run of cells with declared products (thm-e and
@@ -42,13 +40,11 @@ def test_smoke():
     hits, misses = memo(lines)
     assert hits > 0 and ("qpoch_inf_many [other]" in rows) == (misses > 0)
     assert rows["_near_pole"][0] == "9" and int(rows["sample"][0]) >= 9
-    # each qpoch_inf_many and _h_products row sums the factors its calls used (at
-    # least 3 an entry), each transform its grid points (65 or more), and that
-    # work repeats exactly
-    kernels = ("qpoch_inf_many [", "_h_products [", "_cosine_sums")
+    # each qpoch_inf_many and _h_products row sums the factors its calls used,
+    # each transform its grid points (65 or more), and that work repeats exactly
+    kernels = ("qpoch_inf_many [", "_h_products", "_cosine_sums")
     factors = {k: int(v[2]) for k, v in rows.items() if k.startswith(kernels)}
     assert factors["_cosine_sums"] >= 65 * transforms
-    assert factors["_h_products [unit rows]"] > 3 * unit_calls
     assert all(v[2] is None for k, v in rows.items() if not k.startswith(kernels))
     again = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert {k: int(v[2]) for k, v in table(again.stdout.splitlines()[1:]).items()
@@ -75,17 +71,6 @@ def stream_rows(lines):
     """{kind: [calls, terms, computed, s]} of the stream table."""
     return {line.split()[1]: line.split()[2:] for line in lines
             if line.startswith("_sum_stream [")}
-
-
-def test_unit_rows_come_from_the_memo():
-    # a second quadrature at the same q meets node sets that the first computed
-    proc = subprocess.run(
-        [sys.executable, str(TOOL), "--identity", "thm-e-integral", "--samples", "2", "--q", "0.5"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    rows = table(proc.stdout.splitlines())
-    assert 0 < int(rows["_h_products [unit rows]"][0]) < int(rows["_unit_rows"][0])
 
 
 def test_input_error_exits_3():

@@ -9,10 +9,8 @@ cells, ms per cell for each identity, and the time and calls of
 ``qcore.qpoch_inf_many`` ([prefetch] for the one call per (id, q) run of
 cells that computes the closed forms' products ahead
 (``qcore._prefetched``), and [other] for all other calls), of the
-Askey-Wilson integrand's rows: ``integrals._unit_rows`` (one call per
-refinement level of each quadrature), ``qcore._h_products`` ([unit rows]
-for the row h(cos 2t; 1), computed on a miss of that memo, and [head rows]
-for the leading factors of the h-functions that have them) and
+Askey-Wilson integrand's rows: ``qcore._h_products`` (the heads, the
+leading factors of the h-functions that have them) and
 ``integrals._cosine_sums`` (the transforms that sum the log series of
 the h-functions on a grid), each kernel with its summed work (factors
 1 - x q^k of (x;q)_oo, quadratic factors of h, grid points of the
@@ -88,11 +86,6 @@ def qpoch_kind(args):
     return "prefetch" if sys._getframe(2).f_code.co_name == "_prefetched" else "other"
 
 
-def h_kind(args):
-    """The row h(cos 2t; 1) comes from integrals._unit_rows, the heads from the integrand."""
-    return "unit rows" if sys._getframe(2).f_code.co_name == "_unit_rows" else "head rows"
-
-
 def h_factors(args, result):
     """The quadratic factors that one _h_products call multiplied: each lam's
     count (``_h_factors``), once per node; padding is not counted."""
@@ -108,8 +101,7 @@ def main(argv) -> int:
     layers = {
         "qpoch_inf_many": instrument(qcore.qpoch_inf_many, qpoch_kind,
                                      lambda args, result: int(result[2].sum())),
-        "_unit_rows": instrument(integrals._unit_rows),
-        "_h_products": instrument(qcore._h_products, h_kind, h_factors),
+        "_h_products": instrument(qcore._h_products, work=h_factors),
         "_cosine_sums": instrument(integrals._cosine_sums, work=lambda args, result: result.size),
         "_near_pole": instrument(qcore._near_pole),
         "sample": instrument(identities.sample),
