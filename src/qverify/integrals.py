@@ -17,15 +17,16 @@ h(cos 2t; 1) is the same with lam = 1 in the angle 2t: its head holds the
 exact zeros at t = 0, pi, and its series the even cosines.  The series of
 every row add into one cosine series per integrand, which one real FFT
 sums at every node of a level (``_cosine_sums``); one FFT serves every
-level up to _SHARED_PANELS panels.  Real at real q and real lam, complex
-otherwise, by the one formula.  Closed-form right-hand sides for the
-q-beta integral and its multi-variable generalizations live here as well,
-and the residue sum that the stated multi-variable form misses.
+level up to _SHARED_PANELS panels.  Every head, the unit row's and each
+lam's, is one product of the same quadratic factors.  Real at real q and
+real lam, complex otherwise, by the one formula.  Closed-form right-hand
+sides for the q-beta integral and its multi-variable generalizations live
+here as well, and the residue sum that the stated multi-variable form
+misses.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -38,8 +39,6 @@ from .qcore import (
     NoConvergence,
     QContext,
     _divisor,
-    _h_factors,
-    _h_products,
     _one_minus,
     _powers,
     ipow,
@@ -197,26 +196,35 @@ def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):
     _SHARED_PANELS panels serves every level up to it, and each finer level
     takes one FFT of its own (``_cosine_sums``).  A node value is the unit
     head times the numerator heads, over the denominator heads, times exp of
-    the series; the lam heads are one ``_h_products`` call, every head in
-    the cancellation-free form.  The unit head takes sin at min(t, pi - t),
-    so its factor k = 0, 4 sin^2 t, is an exact 0 at t = 0, pi, and so is
-    the node; a node that is not finite is named by ``_finite_nodes``, not
-    numpy.  n_factors counts the (x;q)_oo products involved, two per
-    h-function, which scales the product error floor of each node value.
+    the series.  Every head is one product over k of the cancellation-free
+    factors (1 - w_k)^2 + 4 w_k s, w_k = lam q^k, with s = sin^2 t for the
+    unit row and sin^2(t/2) for a lam row; sin^2(t/2) and the products of
+    the rows are computed only when some lam has a head.  The unit head
+    takes sin at min(t, pi - t), so its factor k = 0, 4 sin^2 t, is an exact
+    0 at t = 0, pi, and so is the node; a node that is not finite is named
+    by ``_finite_nodes``, not numpy.  n_factors counts the (x;q)_oo products
+    involved, two per h-function, which scales the product error floor of
+    each node value.
     """
     lams = np.array(spec.u + (spec.a, spec.b, spec.c, spec.d) + spec.v)
     signs = np.where(np.arange(lams.size) < len(spec.u), 1.0, -1.0)
     live = lams != 0.0
-    counts, w = _head_split(np.append(lams[live], 1.0), ctx)  # the unit row last
+    lam_rows = np.append(lams[live], 1.0)  # the unit row last
+    counts, w = _head_split(lam_rows, ctx)
     coeffs = _log_coefficients(w, signs[live], ctx)
-    unit = _powers(ctx.q, counts[-1])[:counts[-1], None]  # q^k of the unit head
-    if ctx.q.imag == 0.0:
-        unit = unit.real
-    unit_four, unit_sq = 4.0 * unit, (1.0 - unit) * (1.0 - unit)
-    counts = counts[:-1]
-    headed = counts > 0
-    heads = _h_factors(lams[live][headed], ctx, counts[headed]) if headed.any() else None
-    head_num = signs[live][headed] > 0.0
+    # the head rows: the unit row first, then each lam with a head in spec order,
+    # the numerators' before the denominators'; w_k = lam q^k, 0 past the row's count
+    pick = np.flatnonzero(counts)
+    pick = pick[np.arange(-1, pick.size - 1)]
+    head_lams, head_counts = lam_rows[pick], counts[pick]
+    n_num = 1 + np.count_nonzero(signs[live][pick[1:]] > 0.0)
+    width = counts.max()
+    w_k = _powers(ctx.q, width)[:width, None] * head_lams
+    if ctx.q.imag == 0.0 and not head_lams.imag.any():
+        w_k = w_k.real
+    w_k[np.arange(width)[:, None] >= head_counts] = 0.0  # a factor of exactly 1
+    four_w, one_minus_w = 4.0 * w_k[..., None], 1.0 - w_k[..., None]
+    one_minus_w_sq = one_minus_w * one_minus_w
     shared = []  # the series on the grid of _SHARED_PANELS panels, once computed
 
     def series(n: int, odd: bool) -> np.ndarray:
@@ -231,14 +239,18 @@ def _aw_integrand(spec: AWIntegrandSpec, ctx: QContext):
     def f(n: int, odd: bool = False) -> np.ndarray:
         thetas = _nodes(n, odd)
         sines = np.sin(np.minimum(thetas, math.pi - thetas))
-        num, den = np.multiply.reduce(unit_sq + unit_four * (sines * sines)), 1.0
-        if heads is not None:
+        s = sines * sines  # the unit row's s = sin^2 t
+        if head_lams.size > 1:  # the lam rows' s = sin^2(t/2)
             halves = np.sin(0.5 * thetas)
-            rows = _h_products(halves * halves, heads)
-            num = functools.reduce(np.multiply, rows[head_num], num)
-            den = functools.reduce(np.multiply, rows[~head_num], den)
+            # C order, and so heads: a reduce of complex rows along a contiguous
+            # axis rounds unlike the row-by-row products below
+            s = np.array([s] + [halves * halves] * (head_lams.size - 1))
         sums = series(n, odd)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            heads = np.multiply.reduce(one_minus_w_sq + four_w * s, axis=0)
+            num, den = heads[0], 1.0
+            if head_lams.size > 1:
+                num, den = np.multiply.reduce(heads[:n_num]), np.multiply.reduce(heads[n_num:])
             rest = num / den
             value = rest * np.exp(sums)
             # exp of the series may overflow alone: there, fold the rest into the exponent
@@ -261,7 +273,7 @@ def _finite_nodes(f, n: int, odd: bool = False) -> np.ndarray:
     return vals
 
 
-def _trapezoid_doubling(f, ctx: QContext, n_factors: int):
+def _trapezoid_doubling(f, n_factors: int):
     """Composite trapezoid on [0, pi] with panel doubling and node reuse.
 
     f(n, odd) gives the values at the nodes ``_nodes(n, odd)``: every node
@@ -300,7 +312,7 @@ def integrate_aw(spec: AWIntegrandSpec, ctx: QContext) -> QuadratureResult:
     complex at complex q.
     """
     f, n_factors = _aw_integrand(spec, ctx)
-    total, delta, n, _ = _trapezoid_doubling(f, ctx, n_factors)
+    total, delta, n, _ = _trapezoid_doubling(f, n_factors)
     floor = 10.0 * n_factors * PRODUCT_TOL * max(1.0, abs(total))
     return QuadratureResult(complex(total), float(delta + floor), int(n))
 

@@ -71,7 +71,7 @@ _POLE_MARGIN = 1e-5
 _BLOCK = 1 << 14
 
 # q^k tables (``_powers``) of the last _TABLE_QS q, least recently used first: the
-# one memo per q, read by qpoch_inf_many, the h-function kernel and the integrand
+# one memo per q, read by qpoch_inf_many, the series ladder and the integrand
 _TABLES, _TABLE_QS = {}, 4
 
 # bases x of the divisor factors 1 - x q^j met inside ``_recording``; None outside it
@@ -440,66 +440,6 @@ def qpoch_inf_many(xs, ctx: QContext):
         return vals.reshape(shape), bound.reshape(shape), count.reshape(shape)
     value[live], err[live], used[live] = vals, bound, count
     return value.reshape(shape), err.reshape(shape), used.reshape(shape)
-
-
-def _h_factors(lams, ctx: QContext, counts):
-    """The coefficients of the leading factors of h(x; lam) = (lam e^{it},
-    lam e^{-it};q)_oo = prod_k ((1 - w_k)^2 + 4 w_k sin^2(t/2)), w_k = lam q^k,
-    x = cos t: the first counts[i] factors of each lam, laid out for the
-    blocks of ``_h_products``.
-
-    Returns (four_w, one_minus_w_sq, step, counts).  four_w and one_minus_w_sq
-    hold 4 w_k and (1 - w_k)^2, one row per k and, per lam, ``step`` equal
-    columns, one for each entry of a block: (k, lam x entry) arrays of at
-    most ``_BLOCK`` cells.  Past its count a lam's rows hold 0 and 1,
-    factors of exactly 1.  Real when q and every lam are real, else complex;
-    the coefficients do not depend on t, so one call serves every node of an
-    integrand.
-    """
-    lam = np.asarray(lams, dtype=complex)
-    width = int(counts.max(initial=0))
-    w = _powers(ctx.q, width)[:width, None] * lam
-    if ctx.q.imag == 0.0 and not lam.imag.any():
-        w = w.real
-    w[np.arange(width)[:, None] >= counts] = 0.0
-    step = max(2, _BLOCK // max(1, width * lam.size))
-    one_minus_w = 1.0 - w
-    return (np.repeat(4.0 * w, step, axis=1), np.repeat(one_minus_w * one_minus_w, step, axis=1),
-            step, counts)
-
-
-# a product that overflows is left to the caller's own isfinite test
-@np.errstate(over="ignore", invalid="ignore")
-def _h_products(s, factors):
-    """The product of the leading factors of h(x; lam) that ``_h_factors``
-    laid out (the integrand's heads), for each lam and each entry of the real
-    1-D array s = sin^2(t/2), x = cos t = 1 - 2 s: an array (lams, s.size) of
-    the factors' dtype.
-
-    Each block of ``step`` entries is one (k, lam x entry) array of factors
-    (1 - w_k)^2 + 4 w_k s, which holds no cancellation where 1 - 2 w_k x +
-    w_k^2 would (w_k near 1, t near 0), and one multiply.reduce down the k
-    axis gives all its products in the order k = 0 .. K, vectorised across
-    lam and entry.  A lam's factors past its count are exactly 1, and a
-    one-entry block gets a twin, as in ``qpoch_inf_many``, so each value
-    depends on s and lam alone.  At s = 0 and lam = 1 the factor k = 0 is
-    0 + 4 * 0 = 0 exactly.
-    """
-    four_w, one_minus_w_sq, step, counts = factors
-    width, n_lam = four_w.shape[0], counts.size
-    out = np.empty((n_lam, s.size), four_w.dtype)
-    for r in range(0, s.size, step):
-        sr = s[r:r + step]
-        if sr.size == 1:  # a one-column reduce multiplies differently: give it a twin
-            sr = np.repeat(sr, 2)
-        a, b = four_w, one_minus_w_sq
-        if sr.size < step:  # the last block: its entries' columns of each lam
-            a, b = (c.reshape(width, n_lam, step)[:, :, :sr.size].reshape(width, n_lam * sr.size)
-                    for c in (a, b))
-        f = a * np.tile(sr, n_lam)
-        np.add(b, f, out=f)
-        out[:, r:r + step] = np.multiply.reduce(f, axis=0).reshape(n_lam, sr.size)[:, :s.size - r]
-    return out
 
 
 def qpoch_inf(x: complex, ctx: QContext) -> SeriesResult:

@@ -171,7 +171,7 @@ class TestHFunction:
 class TestQuadrature:
     def test_constant_integrand_gives_pi(self):
         value, delta, n, _ = _trapezoid_doubling(
-            on_grid(lambda t: np.ones_like(t, dtype=complex)), CTX, n_factors=1
+            on_grid(lambda t: np.ones_like(t, dtype=complex)), n_factors=1
         )
         assert abs(value - math.pi) < 1e-12
 
@@ -186,7 +186,7 @@ class TestQuadrature:
             return np.where(t == bad, np.nan, np.abs(t - 1.0)).astype(complex)
 
         with pytest.raises(NoConvergence, match=re.escape(f"not finite at theta = {float(bad)!r}")):
-            _trapezoid_doubling(on_grid(f), CTX, n_factors=1)
+            _trapezoid_doubling(on_grid(f), n_factors=1)
         assert calls == [9, 8, 16, 32]
 
     def test_nan_past_the_stopping_level_does_not_raise(self, monkeypatch):
@@ -246,7 +246,7 @@ class TestQuadrature:
         # deltas shrink by >= 10x per doubling until the floor
         spec = AWIntegrandSpec(0.3, 0.2, 0.1, 0.4)
         f, nf = _aw_integrand(spec, CTX)
-        value, delta, n, deltas = _trapezoid_doubling(f, CTX, nf)
+        value, delta, n, deltas = _trapezoid_doubling(f, nf)
         floor = 1e-11 * abs(value)
         for prev, cur in zip(deltas, deltas[1:]):
             if prev < floor:
@@ -336,7 +336,7 @@ class TestConjugateRows:
 
 
 def test_integrand_makes_no_qpoch_call(monkeypatch):
-    # every h is a head from the h-product kernel (the unit row's its own) and a log series
+    # every h is a head, in the integrand's one head product, and a log series
     def refuse(xs, ctx):
         raise AssertionError("the integrand called qpoch_inf_many")
 
@@ -347,18 +347,20 @@ def test_integrand_makes_no_qpoch_call(monkeypatch):
 
 
 class TestNodeIndependence:
-    """A quadrature repeats bit for bit, run to run, whatever blocks the
-    h-product kernel cuts.  (A node's bits depend on the size of the
-    transform that computed its series, so a node computed in a level past
+    """A quadrature repeats bit for bit, run to run, whatever length of qcore's
+    q^k table it starts from: the heads and the log series read prefixes of
+    one running product.  (A node's bits depend on the size of the transform
+    that computed its series, so a node computed in a level past
     _SHARED_PANELS panels would not be bit-equal to the same node of another.)"""
 
     @pytest.mark.parametrize("q", TestConjugateRows.QS)
     @pytest.mark.parametrize("b", [-0.45, -0.45 + 0.2j])
-    @pytest.mark.parametrize("block", [None, 1, 700])
-    def test_bit_for_bit(self, monkeypatch, q, b, block):
-        if block is not None:  # blocks of two entries, or of a few, one left over
-            monkeypatch.setattr(qcore, "_BLOCK", block)
+    @pytest.mark.parametrize("powers", [None, 1, 700])
+    def test_bit_for_bit(self, monkeypatch, q, b, powers):
         ctx = QContext(q)
+        if powers is not None:  # a table shorter than the integrand reads, or longer
+            monkeypatch.setattr(qcore, "_TABLES", {})
+            qcore._powers(ctx.q, powers)
         spec = AWIntegrandSpec(0.3, b, 0.6, 0.95, (0.7, 1.3), (0.15, 0.55))  # heads for d and u_2
         cold = integrate_aw(spec, ctx)
         levels = [(n, odd) for n, odd in LEVELS if n <= cold.panels_used]

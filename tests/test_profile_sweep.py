@@ -25,12 +25,11 @@ def test_smoke():
     assert lines[0].startswith("wall ") and "9 cells" in lines[0]
     rows = table(lines[1:])
     # integrand calls: one transform for the levels up to 64 panels and one for
-    # each level past them, three quadratures here; the only quadratic factors
-    # are the heads of parameters near 1, in one row; the integrand makes no
-    # qpoch_inf_many call
-    transforms = int(rows["_cosine_sums"][0])
-    assert transforms >= 3 and "_h_products" in rows
-    assert not any(k.startswith("_h_products [") for k in rows)
+    # each level past them, three quadratures here, in one integrate_aw row;
+    # the integrand makes no qpoch_inf_many call
+    transforms, quadratures = int(rows["_cosine_sums"][0]), int(rows["integrate_aw"][0])
+    assert transforms >= quadratures >= 3
+    assert not any(k.startswith("integrate_aw [") for k in rows)
     assert {k for k in rows if k.startswith("qpoch_inf_many [")} <= {
         "qpoch_inf_many [prefetch]", "qpoch_inf_many [other]"}
     # one prefetch call per (id, q) run of cells with declared products (thm-e and
@@ -40,10 +39,12 @@ def test_smoke():
     hits, misses = memo(lines)
     assert hits > 0 and ("qpoch_inf_many [other]" in rows) == (misses > 0)
     assert rows["_near_pole"][0] == "9" and int(rows["sample"][0]) >= 9
-    # each qpoch_inf_many and _h_products row sums the factors its calls used,
-    # each transform its grid points (65 or more), and that work repeats exactly
-    kernels = ("qpoch_inf_many [", "_h_products", "_cosine_sums")
+    # each qpoch_inf_many row sums the factors its calls used, integrate_aw the
+    # panels of each quadrature's last level (16 or more), each transform its
+    # grid points (65 or more), and that work repeats exactly
+    kernels = ("qpoch_inf_many [", "integrate_aw", "_cosine_sums")
     factors = {k: int(v[2]) for k, v in rows.items() if k.startswith(kernels)}
+    assert factors["integrate_aw"] >= 16 * quadratures
     assert factors["_cosine_sums"] >= 65 * transforms
     assert all(v[2] is None for k, v in rows.items() if not k.startswith(kernels))
     again = subprocess.run(argv, capture_output=True, text=True, timeout=120)

@@ -602,72 +602,93 @@ class TestKernelBitIdentity:
 
 
 class TestHProducts:
-    """qcore._h_factors and _h_products: the first counts[i] factors of h(x; lam)
-    = prod_k ((1 - w_k)^2 + 4 w_k s), w_k = lam q^k, x = 1 - 2 s, for counts
-    the caller gives."""
+    """The heads of the Askey-Wilson integrand: each h-row's leading factors
+    (1 - w_k)^2 + 4 w_k s, w_k = lam q^k, read from qcore's q^k table and
+    multiplied in one product for every row, the unit row h(cos 2t; 1)'s
+    (s = sin^2 t) and each lam's (s = sin^2(t/2)).  With the log series
+    switched off, a node value is the heads alone: the unit head times the
+    numerator heads, over the denominator heads."""
 
     QS = [0.3, 0.8, -0.5, 0.95, 0.5 + 0.3j]
 
-    @pytest.mark.parametrize("q", QS)
-    def test_counts_are_those_of_qpoch_inf_many(self, q):
-        # with the factor counts that qpoch_inf_many used, h(1; lam) multiplies the
-        # squares of the factors of (lam;q)_oo: it is (lam;q)_oo^2 to rounding
-        ctx = QContext(q)
-        rng = random.Random(31)
-        lams = [rand_complex(rng, 1e-6, 0.999) for _ in range(40)]
-        lams += [rng.uniform(-0.999, 0.999) for _ in range(40)] + [0.0, 1.0]
-        values, _, used = qpoch_inf_many(lams, ctx)
-        factors = qcore._h_factors(lams, ctx, used)
-        assert factors[3] is used and used[-2] == used[-1] == 1 and values[-1] == 0.0
-        got, want = qcore._h_products(np.zeros(3), factors), (values * values)[:, None]
-        assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
+    @staticmethod
+    def heads(spec, ctx, monkeypatch, n=8, odd=False):
+        """The node values of spec with every log series 0."""
+        monkeypatch.setattr(integrals, "_cosine_sums", lambda coeffs, m: np.zeros(m + 1))
+        return integrals._aw_integrand(spec, ctx)[0](n, odd)
+
+    @staticmethod
+    def head_count(lam, q):
+        """The leading k with |lam q^k| > 0.9, counted one by one."""
+        k = 0
+        while abs(lam) * abs(q) ** k > 0.9:
+            k += 1
+        return k
 
     @pytest.mark.parametrize("q", QS)
-    def test_zero_lam_is_exactly_one(self, q):
-        ctx = QContext(q)
-        s = np.sin(np.linspace(0.0, 0.5 * math.pi, 21)) ** 2
-        rows = qcore._h_products(s, qcore._h_factors([0.0, 0.4, 0.0], ctx, np.array([5, 5, 5])))
-        assert (rows[0] == 1.0).all() and (rows[2] == 1.0).all() and (rows[1] != 1.0).all()
-        assert (qcore._h_products(s, qcore._h_factors([0.0], ctx, np.array([3]))) == 1.0).all()
+    def test_zero_lam_is_exactly_one(self, q, monkeypatch):
+        # a zero lam and a lam without a head multiply the heads by exactly 1
+        ctx, spec = QContext(q), integrals.AWIntegrandSpec
+
+        def bits(*args):
+            return self.heads(spec(*args), ctx, monkeypatch).tobytes()
+
+        unit, headed = bits(0, 0, 0, 0), bits(0.95, 0, 0, 0)
+        assert bits(0, 0, 0, 0, (0.0,), (0.0,)) == unit and bits(0.4, -0.3, 0, 0, (0.7,), (0.0,)) == unit
+        assert bits(0.95, 0, 0, 0, (0.0,), (0.0,)) == headed != unit
 
     @pytest.mark.parametrize("q", QS)
-    def test_unit_row_zero_and_dtype(self, q):
-        # h(x; 1) has the exact factor 4 s at k = 0 (x = 1 - 2 s); real q and lam give float64
-        ctx = QContext(q)
-        s = np.array([0.0, 0.25, 0.625, 0.0])
-        row = qcore._h_products(s, qcore._h_factors([1.0], ctx, np.array([4])))[0]
+    def test_unit_row_zero_and_dtype(self, q, monkeypatch):
+        # h(cos 2t; 1) has the exact factor 4 sin^2 t at k = 0; real q and real
+        # headed lam give float64, and a complex lam promotes only with a head
+        ctx, spec = QContext(q), integrals.AWIntegrandSpec
+        row = self.heads(spec(0, 0, 0, 0), ctx, monkeypatch)
         assert row[0] == 0.0 and row[-1] == 0.0 and (row[1:-1] != 0.0).all()
         real = complex(q).imag == 0.0
         assert row.dtype == (np.float64 if real else np.complex128)
-        assert qcore._h_products(s, qcore._h_factors([0.3j], ctx, np.array([2]))).dtype == np.complex128
+        plain = self.heads(spec(0.3, 0.2, 0, 0, (0.3j,), (0.95,)), ctx, monkeypatch)
+        assert plain.dtype == row.dtype
+        assert self.heads(spec(0, 0, 0, 0, (1.2j,), (0.0,)), ctx, monkeypatch).dtype == np.complex128
 
     @pytest.mark.parametrize("q", QS)
-    def test_caller_counts_take_the_leading_factors(self, q):
-        # the integrand's heads: the first K factors of each lam alone, K = 0 giving 1
+    def test_caller_counts_take_the_leading_factors(self, q, monkeypatch):
+        # the counts that _aw_integrand takes from _head_split: the heads are the
+        # leading factors with |lam q^k| > 0.9 of each row, K = 0 giving 1
         ctx = QContext(q)
-        lams, counts = [0.95, -0.7 + 0.2j, 0.3], np.array([3, 1, 0])
-        t = np.linspace(0.0, math.pi, 11)
-        got = qcore._h_products(np.sin(0.5 * t) ** 2, qcore._h_factors(lams, ctx, counts))
-        for row, lam, k in zip(got, lams, counts):
-            w = lam * np.array([ipow(ctx.q, j) for j in range(k)])
-            want = [np.prod((1.0 - w * cmath.exp(1j * ti)) * (1.0 - w * cmath.exp(-1j * ti))) for ti in t]
-            assert np.allclose(row, want, rtol=1e-14, atol=0.0)
-        assert (got[2] == 1.0).all()
+        nums, dens = (1.5, -0.7 + 0.2j, 0.3), (0.95, 0.5, 0.92j, 0.2, 0.1, -0.4)
+        spec = integrals.AWIntegrandSpec(*dens[:4], nums, dens[4:] + (0.3,))
+        got = self.heads(spec, ctx, monkeypatch, 16, odd=True)
+
+        def head(lam, angle):
+            w = lam * np.array([ipow(ctx.q, j) for j in range(self.head_count(lam, ctx.q))])
+            return np.prod((1.0 - w * cmath.exp(1j * angle)) * (1.0 - w * cmath.exp(-1j * angle)))
+
+        for t, g in zip(integrals._nodes(16, odd=True), got):
+            want = head(1.0, 2.0 * t)
+            for lam in nums:
+                want *= head(lam, t)
+            for lam in dens + (0.3,):
+                want /= head(lam, t)
+            assert abs(g - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("q", QS)
-    def test_matches_the_conjugate_rows(self, q):
-        # h(x; lam) = (lam e^{it};q)_oo (lam e^{-it};q)_oo at x = cos t, with the
-        # factor counts of (lam;q)_oo
+    def test_matches_the_conjugate_rows(self, q, monkeypatch):
+        # each head is (lam e^{it}, lam e^{-it};q)_K, the conjugate rows of
+        # qcore.qpoch, with K the row's head count
         ctx = QContext(q)
         rng = random.Random(8)
-        lams = [rand_complex(rng, 0.05, 0.9) for _ in range(3)] + [0.7, -0.45]
-        t = np.linspace(0.0, math.pi, 37)
-        counts = qpoch_inf_many(lams, ctx)[2]
-        got = qcore._h_products(np.sin(0.5 * t) ** 2, qcore._h_factors(lams, ctx, counts))
-        e = np.exp(1j * t)
-        for row, lam in zip(got, lams):
-            want = qpoch_inf_many(lam * e, ctx)[0] * qpoch_inf_many(lam * np.conj(e), ctx)[0]
-            assert (np.abs(row - want) <= 1e-13 * np.abs(want)).all()
+        lams = [rand_complex(rng, 0.91, 0.999) for _ in range(2)] + [0.97, -0.93]
+        spec = integrals.AWIntegrandSpec(*lams, (rand_complex(rng, 1.0, 2.0),), (0.0,))
+        rows = [(1.0, 2.0, 1)] + [(lam, 1.0, -1) for lam in lams] + [(spec.u[0], 1.0, 1)]
+        for n in (16, 32):
+            want = np.ones(n // 2, complex)
+            for lam, angle, sign in rows:  # lam, the angle as a multiple of t, and +-1
+                k = self.head_count(lam, ctx.q)
+                e = np.exp(1j * angle * integrals._nodes(n, odd=True))
+                pairs = [qpoch(lam * z, k, ctx) * qpoch(lam * np.conj(z), k, ctx) for z in e]
+                want *= np.array(pairs) ** sign
+            got = self.heads(spec, ctx, monkeypatch, n, odd=True)
+            assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
 
 
 class TestSnapOnTheGrid:

@@ -9,11 +9,11 @@ cells, ms per cell for each identity, and the time and calls of
 ``qcore.qpoch_inf_many`` ([prefetch] for the one call per (id, q) run of
 cells that computes the closed forms' products ahead
 (``qcore._prefetched``), and [other] for all other calls), of the
-Askey-Wilson integrand's rows: ``qcore._h_products`` (the heads, the
-leading factors of the h-functions that have them) and
-``integrals._cosine_sums`` (the transforms that sum the log series of
-the h-functions on a grid), each kernel with its summed work (factors
-1 - x q^k of (x;q)_oo, quadratic factors of h, grid points of the
+Askey-Wilson quadrature: ``integrals.integrate_aw`` (the integrand at
+every node of each trapezoid refinement) and ``integrals._cosine_sums``
+(the transforms inside it that sum the log series of the h-functions on
+a grid), each kernel with its summed work (factors 1 - x q^k of
+(x;q)_oo, panels of the quadratures' last levels, grid points of the
 transforms), which repeats exactly from run to run; the hits and misses
 of the prefetch memo (bases of ``qfrac(..., INF)`` read from it, and
 bases sent to the kernel), ``qcore._near_pole`` (the near-pole test of
@@ -86,22 +86,16 @@ def qpoch_kind(args):
     return "prefetch" if sys._getframe(2).f_code.co_name == "_prefetched" else "other"
 
 
-def h_factors(args, result):
-    """The quadratic factors that one _h_products call multiplied: each lam's
-    count (``_h_factors``), once per node; padding is not counted."""
-    s, (_, _, _, counts) = args
-    return int(counts.sum()) * s.size
-
-
-# the layers whose rows carry their work: factors, or grid points for _cosine_sums
-KERNELS = ("qpoch_inf_many", "_h_products", "_cosine_sums")
+# the layers whose rows carry their work: factors, panels for integrate_aw, or
+# grid points for _cosine_sums
+KERNELS = ("qpoch_inf_many", "integrate_aw", "_cosine_sums")
 
 
 def main(argv) -> int:
     layers = {
         "qpoch_inf_many": instrument(qcore.qpoch_inf_many, qpoch_kind,
                                      lambda args, result: int(result[2].sum())),
-        "_h_products": instrument(qcore._h_products, work=h_factors),
+        "integrate_aw": instrument(integrals.integrate_aw, work=lambda args, result: result.panels_used),
         "_cosine_sums": instrument(integrals._cosine_sums, work=lambda args, result: result.size),
         "_near_pole": instrument(qcore._near_pole),
         "sample": instrument(identities.sample),
